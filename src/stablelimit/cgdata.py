@@ -7,13 +7,15 @@ their bidegree-(3,3) equations on the quadric, the diagonal-curve chart
 data, the intersection points over GF(49), the published 28-equation
 first-order rigidity system, the 21 published eliminations with the seven
 leftover relations, and the composition of the eight published linear
-systems together with their stated dimensions.
+systems together with their stated dimensions and report wording.
 
 All polynomial text is written in the package grammar so that reading the
 data is the only ingestion step; no algebra happens here.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .poly import VarRegistry
 
@@ -242,53 +244,66 @@ LEFTOVER_RELATIONS = (
 # Row names: Bc-Qk is the value row of curve c's deformation cloud at the
 # k-th diagonal point; dBc-Qk its derivative row along the diagonal.
 
+class SystemSpec(NamedTuple):
+    """One published linear system and the wording of its report."""
+
+    id: str
+    zero_rows: tuple[str, ...]
+    unit_rows: tuple[str, ...]
+    kind: str                   # "point-moving" | "tangency" | "flex"
+    published_dim: int
+    published_generators: int
+    claim: str                  # the line printed by `stablelimit list`
+    citation: str               # the claim as the report states it
+    label_reading: str          # what the published dimension label counts
+    note: str = ""
+
+
+def _deformation_system(n, zero_rows, unit_rows, kind, dim, generators):
+    return SystemSpec(
+        f"system-I{n}", zero_rows, unit_rows, kind, dim, generators,
+        f"published deformation system {n} ({kind})",
+        f"published deformation system ({kind} direction {unit_rows[0]}): "
+        "consistency over GF(49) and essential dimension",
+        "polynomial variables of the original run (its stated correction "
+        "accounts for one of the two)")
+
+
 SYSTEM_SPECS = (
-    ("system-I1",
-     ("B1Q1", "B1Q2", "B2Q1", "B2Q2", "B1Q3", "dB1Q3", "B2Q5", "B2Q6"),
-     ("B1Q4",), "point-moving", 4),
-    ("system-I2",
-     ("B1Q1", "B1Q2", "B2Q1", "B2Q2", "B1Q3", "dB1Q3", "B1Q4", "B2Q6"),
-     ("B2Q5",), "point-moving", 4),
-    ("system-I3",
-     ("B1Q1", "B1Q2", "B2Q1", "B2Q2", "B1Q3", "dB1Q3", "B1Q4", "B2Q5"),
-     ("B2Q6",), "point-moving", 4),
-    ("system-I4",
-     ("B1Q1", "B1Q2", "B2Q1", "B2Q2", "B1Q3", "B1Q4", "B2Q5", "B2Q6"),
-     ("dB1Q3",), "tangency", 4),
-    ("system-I5",
-     ("B1Q1", "B1Q2", "B2Q1", "B2Q2", "B1Q3", "B1Q4", "B2Q5", "B2Q6",
-      "dB1Q3"),
-     ("dB1Q4",), "tangency", 3),
-    ("system-I6",
-     ("B1Q1", "B1Q2", "B2Q1", "B2Q2", "B1Q3", "B1Q4", "B2Q5", "B2Q6",
-      "dB1Q3"),
-     ("dB2Q5",), "tangency", 3),
-    ("system-I7",
-     ("B1Q1", "B1Q2", "B2Q1", "B2Q2", "B1Q3", "B1Q4", "B2Q5", "B2Q6",
-      "dB1Q3"),
-     ("dB2Q6",), "tangency", 3),
+    _deformation_system(
+        1, ("B1Q1", "B1Q2", "B2Q1", "B2Q2", "B1Q3", "dB1Q3", "B2Q5", "B2Q6"),
+        ("B1Q4",), "point-moving", 4, 16),
+    _deformation_system(
+        2, ("B1Q1", "B1Q2", "B2Q1", "B2Q2", "B1Q3", "dB1Q3", "B1Q4", "B2Q6"),
+        ("B2Q5",), "point-moving", 4, 16),
+    _deformation_system(
+        3, ("B1Q1", "B1Q2", "B2Q1", "B2Q2", "B1Q3", "dB1Q3", "B1Q4", "B2Q5"),
+        ("B2Q6",), "point-moving", 4, 16),
+    _deformation_system(
+        4, ("B1Q1", "B1Q2", "B2Q1", "B2Q2", "B1Q3", "B1Q4", "B2Q5", "B2Q6"),
+        ("dB1Q3",), "tangency", 4, 16),
+    _deformation_system(
+        5, ("B1Q1", "B1Q2", "B2Q1", "B2Q2", "B1Q3", "B1Q4", "B2Q5", "B2Q6",
+            "dB1Q3"),
+        ("dB1Q4",), "tangency", 3, 17),
+    _deformation_system(
+        6, ("B1Q1", "B1Q2", "B2Q1", "B2Q2", "B1Q3", "B1Q4", "B2Q5", "B2Q6",
+            "dB1Q3"),
+        ("dB2Q5",), "tangency", 3, 17),
+    _deformation_system(
+        7, ("B1Q1", "B1Q2", "B2Q1", "B2Q2", "B1Q3", "B1Q4", "B2Q5", "B2Q6",
+            "dB1Q3"),
+        ("dB2Q6",), "tangency", 3, 17),
 )
 
 # flex-destroying system: deformation must keep the two transverse points
 # and rotate the first curve off its doubled fiber contacts there
-LEFSCHETZ_SPEC = ("system-lefschetz",
-                  ("van1", "van2"), ("dB1Q1", "dB1Q2"), "flex", 10)
-
-# ----------------------------------------------------------------------
-# scenario identifiers in canonical order
-
-SCENARIO_IDS = (
-    "expansion",
-    "branch",
-    "delta",
-    "singularities",
-    "deform-derive",
-    "system-I1", "system-I2", "system-I3", "system-I4",
-    "system-I5", "system-I6", "system-I7",
-    "system-lefschetz",
-    "basis-count",
-    "ramification",
-    "lattice",
-    "diophantine",
-    "gamma",
-)
+LEFSCHETZ_SPEC = SystemSpec(
+    "system-lefschetz", ("van1", "van2"), ("dB1Q1", "dB1Q2"), "flex", 10, 11,
+    "flex-destroying deformation system",
+    "flex-destroying deformation system: keep the two transverse points, "
+    "rotate the first curve off its doubled fiber contacts",
+    "variables (and a parameter entangled in the published derivative rows)",
+    "derivative rows imposed at the points themselves (value of the "
+    "fiber-direction derivative), the reading under which consistency "
+    "certifies a flex-destroying first-order deformation")

@@ -2,8 +2,7 @@
 
 Usage:
 
-    stablelimit run [--scenario ID ...] [--format text|json] [--jobs N]
-                    [--out PATH]
+    stablelimit run [--scenario ID ...] [--format text|json] [--out PATH]
     stablelimit list
 
 Exit codes: 0 when every selected scenario passes (flagged passes count
@@ -16,29 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, cgdata, scenarios
+from . import __version__, scenarios
 from .report import render_json, render_text
-
-_CITATIONS = {
-    "expansion": "7-adic expansion of the quintic at the lifted root",
-    "branch": "discriminant section splits into the two branch curves",
-    "delta": "diagonal factorizations and the six intersection points",
-    "singularities": "rigidity conditions and node classification",
-    "deform-derive": "first-order rigidity system re-derivation",
-    "system-I1": "published deformation system 1 (point-moving)",
-    "system-I2": "published deformation system 2 (point-moving)",
-    "system-I3": "published deformation system 3 (point-moving)",
-    "system-I4": "published deformation system 4 (tangency)",
-    "system-I5": "published deformation system 5 (tangency)",
-    "system-I6": "published deformation system 6 (tangency)",
-    "system-I7": "published deformation system 7 (tangency)",
-    "system-lefschetz": "flex-destroying deformation system",
-    "basis-count": "seven systems realize the obstruction basis",
-    "ramification": "branch loci and flexes of the two rulings",
-    "lattice": "divisor-class identities and double-cover invariants",
-    "diophantine": "multiple-fiber multiplicity equation",
-    "gamma": "existence count for the bidegree-(2,2) tangent curve",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,8 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--scenario", action="append", metavar="ID",
                        help="scenario id (repeatable; default: all)")
     run_p.add_argument("--format", choices=("text", "json"), default="text")
-    run_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker threads for scenario execution")
     run_p.add_argument("--out", metavar="PATH",
                        help="write the report here instead of stdout")
 
@@ -65,27 +41,24 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "list":
-        width = max(len(s) for s in cgdata.SCENARIO_IDS)
-        for sid in cgdata.SCENARIO_IDS:
-            print(f"{sid:<{width}}  {_CITATIONS[sid]}")
+        width = max(map(len, scenarios.SCENARIOS))
+        for sid, (claim, _) in scenarios.SCENARIOS.items():
+            print(f"{sid:<{width}}  {claim}")
         return 0
     if args.command != "run":
         parser.print_usage(sys.stderr)
         return 2
 
-    ids = args.scenario or list(cgdata.SCENARIO_IDS)
-    unknown = [sid for sid in ids if sid not in cgdata.SCENARIO_IDS]
+    unknown = [sid for sid in args.scenario or ()
+               if sid not in scenarios.SCENARIOS]
     if unknown:
         print(f"unknown scenario id(s): {', '.join(unknown)}",
               file=sys.stderr)
-        print(f"known ids: {', '.join(cgdata.SCENARIO_IDS)}",
+        print(f"known ids: {', '.join(scenarios.SCENARIOS)}",
               file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print("--jobs must be positive", file=sys.stderr)
-        return 2
 
-    reports = scenarios.run_many(ids, jobs=args.jobs)
+    reports = scenarios.run_many(args.scenario)
     if args.format == "json":
         payload = render_json(reports, __version__)
     else:

@@ -30,8 +30,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import cgdata
+from .curvelocal import _divide_by_linear
 from .linalg import LinearSystem, eliminate, rank, solve_affine
-from .poly import MPoly, VarRegistry, parse_poly
+from .poly import MPoly, VarRegistry, parse_poly, unit_match
 from .rings import Element, QuadraticField
 
 
@@ -61,11 +62,11 @@ def _coefficient_cloud(prefix: str) -> MPoly:
     return _p("+".join(terms))
 
 
-def _dehomogenize(p: MPoly, chart: int) -> MPoly:
+def dehomogenize(p: MPoly, chart: int) -> MPoly:
+    """Set the two coordinates that a chart does not keep to 1."""
     u, v = cgdata.CHARTS[chart]
-    one = MPoly.constant(BIG, F49.one())
-    fixed = [n for n in ("al", "al'", "be", "be'") if n not in (u, v)]
-    return p.substitute({n: one for n in fixed})
+    one = MPoly.constant(p.registry, p.ring.one())
+    return p.substitute({n: one for n in cgdata.AB.names if n not in (u, v)})
 
 
 def _eps_truncate(p: MPoly) -> MPoly:
@@ -98,35 +99,6 @@ def _linear_rows(eps_part: MPoly, unknowns) -> list[list[Element]]:
     zero = F49.zero()
     return [[grouped[loc].get(n, zero) for n in unknowns]
             for loc in sorted(grouped)]
-
-
-def _scale_match(target: MPoly, square: MPoly) -> Element:
-    """The constant lambda with target = lambda * square, verified exactly."""
-    for exps, c in square.sorted_terms():
-        lam = target.terms.get(exps, F49.zero()) * c.inverse()
-        if not (target - square.scale(lam)).is_zero():
-            raise ArithmeticError("quadratic parts are not proportional")
-        return lam
-    raise ArithmeticError("zero comparison form")
-
-
-def _divide_by_linear(cubic: MPoly, linear: MPoly, chart: int) -> MPoly:
-    """The quadratic h with cubic = linear * h (exact, may be zero)."""
-    u, v = cgdata.CHARTS[chart]
-    basis = [_p(f"{u}^2"), _p(f"{u}*{v}"), _p(f"{v}^2")]
-    products = [linear * q for q in basis]
-    monomials = sorted({e for p in products for e in p.terms}
-                       | set(cubic.terms))
-    zero = F49.zero()
-    rows = [[p.terms.get(m, zero) for p in products] for m in monomials]
-    rhs = [cubic.terms.get(m, zero) for m in monomials]
-    sol = solve_affine(LinearSystem(("h20", "h11", "h02"), rows, rhs, F49))
-    if not sol.is_consistent():
-        raise ArithmeticError("cubic part is not divisible by the tangent line")
-    out = MPoly.zero(BIG, F49)
-    for q, name in zip(basis, ("h20", "h11", "h02")):
-        out = out + q.scale(sol.particular[name])
-    return out
 
 
 def _h1_cloud(curve_tag: str, chart: int) -> MPoly:
@@ -188,18 +160,20 @@ def derive_rigidity_system(skip_cubic_condition: bool = False) -> DerivedSystem:
                scale_aux, h_tag, skip_cubic):
         for chart in (1, 2, 3, 4):
             u, v = cgdata.CHARTS[chart]
-            G = displaced(_dehomogenize(curve, chart)
-                          + _p("eps") * _dehomogenize(curve_bar, chart), chart)
+            G = displaced(dehomogenize(curve, chart)
+                          + _p("eps") * dehomogenize(curve_bar, chart), chart)
             add(G.graded_part(0, (u, v)))          # passes through the point
             if chart not in double_charts:
                 continue
-            Gp = displaced(_dehomogenize(partner, chart)
-                           + _p("eps") * _dehomogenize(partner_bar, chart),
+            Gp = displaced(dehomogenize(partner, chart)
+                           + _p("eps") * dehomogenize(partner_bar, chart),
                            chart)
             add(G.graded_part(1, (u, v)))          # singular at the point
-            cls2 = _dehomogenize(curve, chart).graded_part(2, (u, v))
-            cls1 = _dehomogenize(partner, chart).graded_part(1, (u, v))
-            lam = _scale_match(cls2, cls1 * cls1)
+            cls2 = dehomogenize(curve, chart).graded_part(2, (u, v))
+            cls1 = dehomogenize(partner, chart).graded_part(1, (u, v))
+            lam = unit_match(cls2, cls1 * cls1)
+            if lam is None:
+                raise ArithmeticError("quadratic parts are not proportional")
             scales[(int(h_tag), chart)] = lam
             Gp1 = Gp.graded_part(1, (u, v))
             lam_cloud = (MPoly.constant(BIG, lam)
@@ -209,8 +183,11 @@ def derive_rigidity_system(skip_cubic_condition: bool = False) -> DerivedSystem:
             if skip_cubic:
                 continue
             h = _divide_by_linear(
-                _dehomogenize(curve, chart).graded_part(3, (u, v)),
-                cls1, chart)
+                dehomogenize(curve, chart).graded_part(3, (u, v)),
+                cls1, u, v)
+            if h is None:
+                raise ArithmeticError(
+                    "cubic part is not divisible by the tangent line")
             add(_eps_truncate(G.graded_part(3, (u, v))
                               - Gp1 * (h + _p("eps") * _h1_cloud(h_tag, chart))))
 
@@ -288,24 +265,35 @@ def diagonal_rows() -> dict[str, list[Element]]:
 _AFFINE = VarRegistry(("y", "x") + cgdata.MAIN_UNKNOWNS)
 
 
+def affine_cloud(prefix: str) -> MPoly:
+    """A curve's coefficient cloud in the affine coordinates y = al,
+    x = be of chart 4."""
+    return parse_poly("+".join(f"{prefix}{i}{j}*y^{i}*x^{j}"
+                               for i in range(4) for j in range(4)),
+                      _AFFINE, F49)
+
+
+def affine_row(p: MPoly, alpha: Element, beta: Element) -> list[Element]:
+    """The linear form p(alpha, beta) of an affine cloud polynomial, as a
+    row over the 40 main unknowns."""
+    sub = {"y": MPoly.constant(_AFFINE, alpha),
+           "x": MPoly.constant(_AFFINE, beta)}
+    return _row_of_linear_form(p.substitute(sub), _AFFINE,
+                               cgdata.MAIN_UNKNOWNS)
+
+
 @lru_cache(maxsize=None)
 def flex_rows() -> dict[str, list[Element]]:
     """Value and fiber-direction derivative rows of the first curve's
     cloud at the two transverse diagonal points (affine chart 4)."""
-    cloud = parse_poly("+".join(f"a{i}{j}*y^{i}*x^{j}"
-                                for i in range(4) for j in range(4)),
-                       _AFFINE, F49)
+    cloud = affine_cloud("a")
     d_along_fiber = cloud.partial_derivative("y")
     i_unit = F49.i()
     points = {1: (-i_unit, i_unit), 2: (i_unit, -i_unit)}
     out = {}
     for k, (alpha, beta) in points.items():
-        sub = {"y": MPoly.constant(_AFFINE, alpha),
-               "x": MPoly.constant(_AFFINE, beta)}
-        out[f"van{k}"] = _row_of_linear_form(cloud.substitute(sub),
-                                             _AFFINE, cgdata.MAIN_UNKNOWNS)
-        out[f"dB1Q{k}"] = _row_of_linear_form(d_along_fiber.substitute(sub),
-                                              _AFFINE, cgdata.MAIN_UNKNOWNS)
+        out[f"van{k}"] = affine_row(cloud, alpha, beta)
+        out[f"dB1Q{k}"] = affine_row(d_along_fiber, alpha, beta)
     return out
 
 
@@ -389,8 +377,8 @@ def build_published_system(zero_rows, unit_rows) -> LinearSystem:
 
 
 def solve_published_system(spec) -> tuple[bool, int | None]:
-    _, zero_rows, unit_rows, _, _ = spec
-    sol = solve_affine(build_published_system(zero_rows, unit_rows))
+    sol = solve_affine(build_published_system(spec.zero_rows,
+                                              spec.unit_rows))
     if not sol.is_consistent():
         return False, None
     return True, sol.dimension

@@ -154,12 +154,14 @@ def distinct_fiber_counts(points: Sequence[Point]) -> tuple[int, int]:
     firsts = set()
     seconds = set()
     for (A, B) in points:
-        firsts.add(_normalize(A))
-        seconds.add(_normalize(B))
+        firsts.add(normalize_pair(A))
+        seconds.add(normalize_pair(B))
     return len(firsts), len(seconds)
 
 
-def _normalize(pair: tuple[Element, Element]):
+def normalize_pair(pair: tuple[Element, Element]):
+    """Canonical label of a projective pair (p0 : p1): its affine value
+    p0/p1 as a payload, or infinity."""
     p0, p1 = pair
     if not p1.is_zero():
         return ("affine", (p0 * p1.inverse()).payload)

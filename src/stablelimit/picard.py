@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 
 class LatticeMismatchError(TypeError):
@@ -181,12 +181,6 @@ def blowup(lattice: Lattice, name: str) -> tuple[Lattice, Callable[[DivisorClass
         return DivisorClass(new, d.coeffs + (Fraction(0),))
 
     return new, pullback
-
-
-def iterated_blowup(lattice: Lattice, names: Iterable[str]) -> Lattice:
-    for name in names:
-        lattice, _ = blowup(lattice, name)
-    return lattice
 
 
 def quadric_lattice() -> Lattice:

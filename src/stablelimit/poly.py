@@ -378,19 +378,32 @@ class MPoly:
         return f"MPoly({self})"
 
 
+def unit_match(p: MPoly, target: MPoly) -> Element | None:
+    """The unit u with p = u * target, fixed from the leading monomial of
+    the target and then verified everywhere; None if no unit works."""
+    for exps, c in target.sorted_terms():
+        cp = p.terms.get(exps)
+        if cp is None:
+            return None
+        u = cp * c.inverse()
+        return u if (target.scale(u) - p).is_zero() else None
+    return None
+
+
 def _format_coefficient(coeff: Element, has_factors: bool) -> tuple[str, bool]:
     """Render a coefficient for printing; returns (text, print_minus_sign).
 
-    Integer payloads print as canonical residues; a leading 1 before a
-    monomial is suppressed.  Non-integer payloads (e.g. GF(p)[i] values
-    with an imaginary part) print parenthesized and never claim the
-    minus-sign shorthand.
+    Integer payloads print as their absolute value with the sign carried
+    by the flag (residue rings have no negative payloads); a leading 1
+    before a monomial is suppressed.  Non-integer payloads (e.g. GF(p)[i]
+    values with an imaginary part) print parenthesized and never claim
+    the minus-sign shorthand.
     """
     payload = coeff.payload
     if isinstance(payload, int):
-        if has_factors and payload == 1:
-            return "", False
-        return str(payload), False
+        if has_factors and abs(payload) == 1:
+            return "", payload < 0
+        return str(abs(payload)), payload < 0
     if isinstance(payload, tuple) and all(isinstance(x, int) for x in payload):
         re, im = payload
         if im == 0:

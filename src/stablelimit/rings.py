@@ -148,7 +148,7 @@ class Element:
         return self.ring == other.ring and self.payload == other.payload
 
     def __hash__(self):
-        return hash((id(self.ring), self.payload))
+        return hash((self.ring, self.payload))
 
     def __repr__(self):
         return self.ring._repr_payload(self.payload)
@@ -449,5 +449,6 @@ def hensel_lift(coeffs: Sequence[int], p: int, r0: int, k: int) -> int:
     for j in range(2, k + 1):
         mod = p ** j
         r = (r - eval_int_poly(coeffs, r) * slope_inv) % mod
-    assert eval_int_poly(coeffs, r) % (p ** k) == 0
+    if eval_int_poly(coeffs, r) % (p ** k) != 0:
+        raise ArithmeticError(f"lifted value {r} is not a root mod {p}^{k}")
     return r

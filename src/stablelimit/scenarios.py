@@ -13,21 +13,22 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 
 from . import cgdata, deformation
-from .curvelocal import (ChartGerm, branch_locus, classify,
+from .curvelocal import (ChartGerm, _divide_by_linear, branch_locus, classify,
                          infinitely_near_multiplicity,
                          intersection_multiplicity, multiplicity_at)
-from .deformation import F49
+from .deformation import F49, dehomogenize
 from .linalg import LinearSystem, rank, rowspace_equal, solve_affine
 from .linser import (PassThrough, TangentDirection, distinct_fiber_counts,
-                     series_dimension, split_sections_vanishing)
+                     normalize_pair, series_dimension,
+                     split_sections_vanishing)
 from .picard import (DivisorClass, Lattice, blowup, double_cover_stats,
                      gram_determinant, intersect, quadric_lattice, signature,
                      verify_class_relation)
-from .poly import MPoly, VarRegistry, parse_poly
+from .poly import MPoly, VarRegistry, parse_poly, unit_match
 from .report import VerificationReport
 from .rings import Element, PrimeField, ZMod, hensel_lift
 
@@ -84,18 +85,6 @@ def restrict_to_quadric(p: MPoly, ring) -> MPoly:
     return out
 
 
-def unit_match(p: MPoly, target: MPoly) -> Element | None:
-    """The unit u with p = u * target, fixed from the leading monomial of
-    the target and then verified everywhere; None if no unit works."""
-    for exps, c in target.sorted_terms():
-        cp = p.terms.get(exps)
-        if cp is None:
-            return None
-        u = cp * c.inverse()
-        return u if (target.scale(u) - p).is_zero() else None
-    return None
-
-
 @lru_cache(maxsize=None)
 def curve_pair(ring_key: str) -> tuple[MPoly, MPoly]:
     ring = {"F7": F7, "F49": F49}[ring_key]
@@ -115,18 +104,16 @@ def delta_restrict(g: MPoly) -> MPoly:
     restricted = g.substitute(sub)
     terms = {}
     for exps, c in restricted.terms.items():
-        assert exps[0] == exps[1] == exps[3] == 0
+        if exps[0] or exps[1] or exps[3]:
+            raise ValueError("diagonal restriction is not univariate in be")
         terms[(exps[2],)] = c
     return MPoly(_BE, ring, terms)
 
 
 def chart_germ(g: MPoly, chart: int) -> ChartGerm:
     """The germ of a bidegree form at a chart origin."""
-    u, v = cgdata.CHARTS[chart]
-    ring = g.ring
-    one = MPoly.constant(cgdata.AB, ring.one())
-    fixed = {n: one for n in cgdata.AB.names if n not in (u, v)}
-    return ChartGerm(f"chart{chart}", g.substitute(fixed), (u, v))
+    return ChartGerm(f"chart{chart}", dehomogenize(g, chart),
+                     cgdata.CHARTS[chart])
 
 
 def q_point(k: int) -> tuple[Element, Element]:
@@ -134,13 +121,19 @@ def q_point(k: int) -> tuple[Element, Element]:
     return (F49.element((are % 7, aim % 7)), F49.element((bre % 7, bim % 7)))
 
 
+def chart_point(chart: int, a: Element, b: Element):
+    """The projective point ((al : al'), (be : be')) at local coordinates
+    (a, b) of a chart: each local coordinate takes its value, its partner
+    in the pair is 1."""
+    one = a.ring.one()
+    u, v = cgdata.CHARTS[chart]
+    return ((a, one) if u == "al" else (one, a),
+            (b, one) if v == "be" else (one, b))
+
+
 def translated_germ(g: MPoly, alpha: Element, beta: Element) -> ChartGerm:
     """Germ of g at an affine point of chart 4, moved to the origin."""
-    affine = g.substitute({
-        "al'": MPoly.constant(cgdata.AB, g.ring.one()),
-        "be'": MPoly.constant(cgdata.AB, g.ring.one()),
-    })
-    moved = affine.translate({"al": alpha, "be": beta})
+    moved = dehomogenize(g, 4).translate({"al": alpha, "be": beta})
     return ChartGerm("chart4", moved, ("al", "be"))
 
 
@@ -281,9 +274,7 @@ def scenario_delta() -> VerificationReport:
     # the diagonal is the plane section of the quadric: its chart-4
     # equation must be the restriction of the linear form
     f1, _, _, _ = degeneration_forms("F7")
-    one = MPoly.constant(cgdata.AB, F7.one())
-    f1_chart4 = restrict_to_quadric(f1, F7).substitute(
-        {"al'": one, "be'": one})
+    f1_chart4 = dehomogenize(restrict_to_quadric(f1, F7), 4)
     chart_eq = parse_poly(cgdata.DELTA_CHART4, cgdata.AB, F7)
     rep.require("diagonal chart equation is the plane restricted to the "
                 "quadric", unit_match(f1_chart4, chart_eq) is not None)
@@ -392,29 +383,10 @@ def _chart_tables(poly: MPoly, chart: int):
     return table
 
 
-def _inv49(p):
-    n = (p[0] * p[0] + p[1] * p[1]) % 7
-    ninv = pow(n, -1, 7)
-    return ((p[0] * ninv) % 7, (-p[1] * ninv) % 7)
-
-
-def _mul49(p, q):
-    return ((p[0] * q[0] - p[1] * q[1]) % 7, (p[0] * q[1] + p[1] * q[0]) % 7)
-
-
 def _projective_label(chart: int, pa, pb):
-    """Projective coordinates ((a0,a1),(b0,b1)) normalized canonically."""
-    # chart coordinate conventions: the local pair is listed in cgdata
-    u, v = cgdata.CHARTS[chart]
-    first = {"al": (pa, (1, 0)), "al'": ((1, 0), pa)}[u]
-    second = {"be": (pb, (1, 0)), "be'": ((1, 0), pb)}[v]
-
-    def normalize(pair):
-        p0, p1 = pair
-        if p1 != (0, 0):
-            return ("affine", _mul49(p0, _inv49(p1)))
-        return ("infinity", (1, 0))
-    return (normalize(first), normalize(second))
+    """Canonical label of the chart point with int-pair coordinates."""
+    point = chart_point(chart, F49.element(pa), F49.element(pb))
+    return tuple(normalize_pair(pair) for pair in point)
 
 
 def scenario_singularities() -> VerificationReport:
@@ -423,7 +395,6 @@ def scenario_singularities() -> VerificationReport:
         citation=("the eight first-order rigidity conditions hold "
                   "verbatim for the undeformed pair; the two transverse "
                   "diagonal points are nodes of the union"))
-    from .curvelocal import _divide_by_linear
     g1, g2 = curve_pair("F49")
     partner = {1: g2, 2: g1, 3: g1, 4: g2}
     own = {1: g1, 2: g2, 3: g2, 4: g1}
@@ -491,20 +462,21 @@ def derived_system_cached(skip_cubic: bool = False):
     return deformation.derive_rigidity_system(skip_cubic)
 
 
-def _published_system_28() -> LinearSystem:
-    rows = deformation.rows_from_texts(cgdata.PUBLISHED_28,
-                                       cgdata.MAIN_UNKNOWNS)
-    zero = F49.zero()
-    return LinearSystem(cgdata.MAIN_UNKNOWNS, rows, [zero] * len(rows), F49)
-
-
-def _elimination_system_28() -> LinearSystem:
-    texts = tuple(f"{var}-({text})" for var, text
-                  in cgdata.PUBLISHED_SUBSTITUTIONS.items()) \
-        + cgdata.LEFTOVER_RELATIONS
+def _homogeneous_system(texts) -> LinearSystem:
     rows = deformation.rows_from_texts(texts, cgdata.MAIN_UNKNOWNS)
     zero = F49.zero()
     return LinearSystem(cgdata.MAIN_UNKNOWNS, rows, [zero] * len(rows), F49)
+
+
+def _published_system_28() -> LinearSystem:
+    return _homogeneous_system(cgdata.PUBLISHED_28)
+
+
+def _elimination_system_28() -> LinearSystem:
+    return _homogeneous_system(
+        tuple(f"{var}-({text})" for var, text
+              in cgdata.PUBLISHED_SUBSTITUTIONS.items())
+        + cgdata.LEFTOVER_RELATIONS)
 
 
 def scenario_deform_derive() -> VerificationReport:
@@ -590,17 +562,16 @@ def scenario_deform_derive() -> VerificationReport:
 def _corrected_system_feasible(system_id: str) -> bool:
     """Feasibility of a published system when the 28 corrected relations
     replace the published elimination list (40-unknown computation)."""
-    spec = next(s for s in cgdata.SYSTEM_SPECS if s[0] == system_id)
-    _, zero_rows, unit_rows, _, _ = spec
+    spec = next(s for s in cgdata.SYSTEM_SPECS if s.id == system_id)
     derived = derived_system_cached(False)
     drows = deformation.diagonal_rows()
     zero, one = F49.zero(), F49.one()
     rows = [list(r) for r in derived.system.rows]
     rhs = [zero] * len(rows)
-    for name in zero_rows:
+    for name in spec.zero_rows:
         rows.append(drows[name])
         rhs.append(zero)
-    for name in unit_rows:
+    for name in spec.unit_rows:
         rows.append(drows[name])
         rhs.append(one)
     sol = solve_affine(LinearSystem(cgdata.MAIN_UNKNOWNS, rows, rhs, F49))
@@ -611,18 +582,11 @@ def _corrected_system_feasible(system_id: str) -> bool:
 def _direct_value_rows() -> dict[str, list[Element]]:
     """First-principles value rows: the two coefficient clouds evaluated
     at the six points' affine coordinates."""
-    reg = deformation._AFFINE
     out = {}
     for tag, prefix in (("1", "a"), ("2", "b")):
-        cloud = parse_poly("+".join(f"{prefix}{i}{j}*y^{i}*x^{j}"
-                                    for i in range(4) for j in range(4)),
-                           reg, F49)
+        cloud = deformation.affine_cloud(prefix)
         for k in range(1, 7):
-            alpha, beta = q_point(k)
-            sub = {"y": MPoly.constant(reg, alpha),
-                   "x": MPoly.constant(reg, beta)}
-            out[f"val{tag}@{k}"] = deformation._row_of_linear_form(
-                cloud.substitute(sub), reg, cgdata.MAIN_UNKNOWNS)
+            out[f"val{tag}@{k}"] = deformation.affine_row(cloud, *q_point(k))
     return out
 
 
@@ -631,27 +595,19 @@ def _chain_rule_rows() -> dict[str, list[Element]]:
     """Derivative rows rebuilt by the product/chain rule on
     (1+be)^3 * cloud(alpha(be), be) instead of differentiating the
     cleared polynomial: an independent construction path."""
-    reg = deformation._AFFINE
     out = {}
     one = F49.one()
     for tag, prefix, points in (("1", "a", (3, 4)), ("2", "b", (5, 6))):
-        cloud = parse_poly("+".join(f"{prefix}{i}{j}*y^{i}*x^{j}"
-                                    for i in range(4) for j in range(4)),
-                           reg, F49)
+        cloud = deformation.affine_cloud(prefix)
         d_alpha = cloud.partial_derivative("y")
         d_beta = cloud.partial_derivative("x")
         for k in points:
             beta = deformation.q_beta(k)
             alpha = (one - beta) * (one + beta).inverse()
-            sub = {"y": MPoly.constant(reg, alpha),
-                   "x": MPoly.constant(reg, beta)}
             u = one + beta
-            row_val = deformation._row_of_linear_form(
-                cloud.substitute(sub), reg, cgdata.MAIN_UNKNOWNS)
-            row_da = deformation._row_of_linear_form(
-                d_alpha.substitute(sub), reg, cgdata.MAIN_UNKNOWNS)
-            row_db = deformation._row_of_linear_form(
-                d_beta.substitute(sub), reg, cgdata.MAIN_UNKNOWNS)
+            row_val, row_da, row_db = (
+                deformation.affine_row(p, alpha, beta)
+                for p in (cloud, d_alpha, d_beta))
             three_u2 = F49.from_int(3) * u * u
             minus_two_u = F49.from_int(-2) * u
             u3 = u ** 3
@@ -665,71 +621,25 @@ def _chain_rule_rows() -> dict[str, list[Element]]:
 # scenarios: the published linear systems
 
 
-PUBLISHED_GENERATOR_COUNTS = {
-    "system-I1": 16, "system-I2": 16, "system-I3": 16, "system-I4": 16,
-    "system-I5": 17, "system-I6": 17, "system-I7": 17,
-    "system-lefschetz": 11,
-}
-
-
-def make_system_scenario(spec):
-    system_id, zero_rows, unit_rows, kind, published_dim = spec
-
-    def run() -> VerificationReport:
-        rep = VerificationReport(
-            system_id,
-            citation=(f"published deformation system ({kind} direction "
-                      f"{unit_rows[0]}): consistency over GF(49) and "
-                      "essential dimension"))
-        rep.check("generator count",
-                  len(cgdata.LEFTOVER_RELATIONS) + len(zero_rows)
-                  + len(unit_rows),
-                  PUBLISHED_GENERATOR_COUNTS[system_id])
-        consistent, dim = deformation.solve_published_system(spec)
-        rep.check("system is consistent", consistent, True)
-        if consistent:
-            rep.computed["essential dimension"] = dim
-            rep.expected["essential dimension"] = published_dim
-            rep.provenance["essential dimension"] = "published"
-            if dim != published_dim:
-                rep.flag(
-                    f"essential dimension over the 19 unknowns is {dim}; "
-                    f"the published label {published_dim} counts spectator "
-                    "polynomial variables of the original run (its stated "
-                    "correction accounts for one of the two)")
-        return rep
-
-    return run
-
-
-def scenario_lefschetz() -> VerificationReport:
-    spec = cgdata.LEFSCHETZ_SPEC
-    system_id, zero_rows, unit_rows, kind, published_dim = spec
-    rep = VerificationReport(
-        system_id,
-        citation=("flex-destroying deformation system: keep the two "
-                  "transverse points, rotate the first curve off its "
-                  "doubled fiber contacts"))
+def scenario_system(spec: cgdata.SystemSpec) -> VerificationReport:
+    rep = VerificationReport(spec.id, citation=spec.citation)
     rep.check("generator count",
-              len(cgdata.LEFTOVER_RELATIONS) + len(zero_rows)
-              + len(unit_rows),
-              PUBLISHED_GENERATOR_COUNTS[system_id])
+              len(cgdata.LEFTOVER_RELATIONS) + len(spec.zero_rows)
+              + len(spec.unit_rows),
+              spec.published_generators)
     consistent, dim = deformation.solve_published_system(spec)
     rep.check("system is consistent", consistent, True)
     if consistent:
         rep.computed["essential dimension"] = dim
-        rep.expected["essential dimension"] = published_dim
+        rep.expected["essential dimension"] = spec.published_dim
         rep.provenance["essential dimension"] = "published"
-        if dim != published_dim:
+        if dim != spec.published_dim:
             rep.flag(
                 f"essential dimension over the 19 unknowns is {dim}; the "
-                f"published label {published_dim} counts spectator "
-                "variables (and a parameter entangled in the published "
-                "derivative rows)")
-        rep.note("derivative rows imposed at the points themselves "
-                 "(value of the fiber-direction derivative), the reading "
-                 "under which consistency certifies a flex-destroying "
-                 "first-order deformation")
+                f"published label {spec.published_dim} counts spectator "
+                + spec.label_reading)
+        if spec.note:
+            rep.note(spec.note)
     return rep
 
 
@@ -746,23 +656,24 @@ def scenario_basis_count() -> VerificationReport:
                   "tangency direction"))
     specs = cgdata.SYSTEM_SPECS
     rep.check("number of systems", len(specs), 7)
-    signatures = {(s[1], s[2]) for s in specs}
+    signatures = {(s.zero_rows, s.unit_rows) for s in specs}
     rep.check("systems pairwise distinct", len(signatures), 7,
               tag="definitional")
-    point_moving = [s for s in specs if s[3] == "point-moving"]
-    tangency = [s for s in specs if s[3] == "tangency"]
+    point_moving = [s for s in specs if s.kind == "point-moving"]
+    tangency = [s for s in specs if s.kind == "tangency"]
     rep.check("point-moving systems", len(point_moving), 3)
     rep.check("tangency systems", len(tangency), 4)
     for s in point_moving:
-        rep.require(f"{s[0]}: single unit row of value type",
-                    len(s[2]) == 1 and not s[2][0].startswith("d"))
+        rep.require(f"{s.id}: single unit row of value type",
+                    len(s.unit_rows) == 1
+                    and not s.unit_rows[0].startswith("d"))
     for s in tangency:
-        rep.require(f"{s[0]}: single unit row of derivative type",
-                    len(s[2]) == 1 and s[2][0].startswith("d"))
+        rep.require(f"{s.id}: single unit row of derivative type",
+                    len(s.unit_rows) == 1 and s.unit_rows[0].startswith("d"))
     expected_units = {("B1Q4",), ("B2Q5",), ("B2Q6",), ("dB1Q3",),
                       ("dB1Q4",), ("dB2Q5",), ("dB2Q6",)}
     rep.check("unit rows cover the published seven directions",
-              sorted(s[2][0] for s in specs),
+              sorted(s.unit_rows[0] for s in specs),
               sorted(u[0] for u in expected_units))
     return rep
 
@@ -992,13 +903,8 @@ def scenario_lattice() -> VerificationReport:
 
     # section count of the adjoint class: bidegree (1,1) through the four
     # origins with the tangent-cone directions
-    conditions = []
-    for chart in (1, 2, 3, 4):
-        pt = _chart_origin_point(chart)
-        conditions.append(PassThrough(pt))
-        conditions.append(TangentDirection(pt, _cone_direction(chart)))
     rep.check("adjoint sections vanish", series_dimension((1, 1),
-              conditions, F49), 0)
+              _origin_conditions(), F49), 0)
 
     # canonical class of the resolved surface: six times it is a fiber
     gamma = sum(gbar[1:], gbar[0])
@@ -1089,13 +995,16 @@ def _extend(lat1: Lattice, cls: DivisorClass, extra: dict) -> DivisorClass:
     return lat1.cls(coeffs)
 
 
-def _chart_origin_point(chart: int):
-    one, zero = F49.one(), F49.zero()
-    inf = (one, zero)
-    fin = (zero, one)
-    first = inf if cgdata.CHARTS[chart][0] == "al'" else fin
-    second = inf if cgdata.CHARTS[chart][1] == "be'" else fin
-    return (first, second)
+def _origin_conditions() -> list:
+    """Passage through the four chart origins with the tangent-cone
+    direction at each: the conditions of the adjoint and gamma counts."""
+    zero = F49.zero()
+    conditions = []
+    for chart in (1, 2, 3, 4):
+        pt = chart_point(chart, zero, zero)
+        conditions.append(PassThrough(pt))
+        conditions.append(TangentDirection(pt, _cone_direction(chart)))
+    return conditions
 
 
 def _cone_direction(chart: int):
@@ -1152,11 +1061,7 @@ def scenario_gamma() -> VerificationReport:
         citation=("a bidegree-(2,2) curve through the four double points "
                   "with the tangent-cone directions exists: eight "
                   "conditions on nine coefficients"))
-    conditions = []
-    for chart in (1, 2, 3, 4):
-        pt = _chart_origin_point(chart)
-        conditions.append(PassThrough(pt))
-        conditions.append(TangentDirection(pt, _cone_direction(chart)))
+    conditions = _origin_conditions()
     dim = series_dimension((2, 2), conditions, F49)
     rep.check("unconstrained section count",
               series_dimension((2, 2), (), F49), 9)
@@ -1167,8 +1072,9 @@ def scenario_gamma() -> VerificationReport:
               tag="derived")
     # the five-point vanishing behind the cotangent count, with its
     # positional hypothesis checked first
-    pts = [q_point_projective(2)] + [_chart_origin_point(c)
-                                     for c in (1, 2, 3, 4)]
+    zero = F49.zero()
+    q2 = chart_point(4, *q_point(2))
+    pts = [q2] + [chart_point(c, zero, zero) for c in (1, 2, 3, 4)]
     fibers = distinct_fiber_counts(pts)
     rep.check("positional hypothesis: distinct fibers", list(fibers),
               [3, 3])
@@ -1177,7 +1083,7 @@ def scenario_gamma() -> VerificationReport:
     rep.check("split-bundle sections, no conditions",
               split_sections_vanishing((), F49), 6, tag="definitional")
     rep.check("split-bundle sections, one point",
-              split_sections_vanishing((q_point_projective(2),), F49), 4,
+              split_sections_vanishing((q2,), F49), 4,
               tag="derived")
     rep.note("the count is verified on the characteristic-7 configuration; "
              "the characteristic-zero existence statement is a dimension "
@@ -1185,31 +1091,34 @@ def scenario_gamma() -> VerificationReport:
     return rep
 
 
-def q_point_projective(k: int):
-    alpha, beta = q_point(k)
-    one = F49.one()
-    return ((alpha, one), (beta, one))
-
-
 # ----------------------------------------------------------------------
 # registry and runner
 
+# every scenario in canonical report order: id -> (short claim, run)
 SCENARIOS = {
-    "expansion": scenario_expansion,
-    "branch": scenario_branch,
-    "delta": scenario_delta,
-    "singularities": scenario_singularities,
-    "deform-derive": scenario_deform_derive,
-    **{spec[0]: make_system_scenario(spec) for spec in cgdata.SYSTEM_SPECS},
-    "system-lefschetz": scenario_lefschetz,
-    "basis-count": scenario_basis_count,
-    "ramification": scenario_ramification,
-    "lattice": scenario_lattice,
-    "diophantine": scenario_diophantine,
-    "gamma": scenario_gamma,
+    "expansion": ("7-adic expansion of the quintic at the lifted root",
+                  scenario_expansion),
+    "branch": ("discriminant section splits into the two branch curves",
+               scenario_branch),
+    "delta": ("diagonal factorizations and the six intersection points",
+              scenario_delta),
+    "singularities": ("rigidity conditions and node classification",
+                      scenario_singularities),
+    "deform-derive": ("first-order rigidity system re-derivation",
+                      scenario_deform_derive),
+    **{spec.id: (spec.claim, partial(scenario_system, spec))
+       for spec in cgdata.SYSTEM_SPECS + (cgdata.LEFSCHETZ_SPEC,)},
+    "basis-count": ("seven systems realize the obstruction basis",
+                    scenario_basis_count),
+    "ramification": ("branch loci and flexes of the two rulings",
+                     scenario_ramification),
+    "lattice": ("divisor-class identities and double-cover invariants",
+                scenario_lattice),
+    "diophantine": ("multiple-fiber multiplicity equation",
+                    scenario_diophantine),
+    "gamma": ("existence count for the bidegree-(2,2) tangent curve",
+              scenario_gamma),
 }
-
-assert tuple(SCENARIOS) == cgdata.SCENARIO_IDS
 
 
 def run_scenario(scenario_id: str) -> VerificationReport:
@@ -1217,7 +1126,7 @@ def run_scenario(scenario_id: str) -> VerificationReport:
         raise KeyError(f"unknown scenario {scenario_id!r}")
     start = time.perf_counter()
     try:
-        rep = SCENARIOS[scenario_id]()
+        rep = SCENARIOS[scenario_id][1]()
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
         rep = VerificationReport(scenario_id, status="error")
         rep.note(f"{type(exc).__name__}: {exc}")
@@ -1225,17 +1134,14 @@ def run_scenario(scenario_id: str) -> VerificationReport:
     return rep
 
 
-def run_many(ids=None, jobs: int = 1) -> list[VerificationReport]:
-    ids = list(ids) if ids else list(cgdata.SCENARIO_IDS)
+def run_many(ids=None) -> list[VerificationReport]:
+    """Run the given scenarios (default: all) in the given order and
+    return their reports in canonical order."""
+    ids = list(ids) if ids else list(SCENARIOS)
     for sid in ids:
         if sid not in SCENARIOS:
             raise KeyError(f"unknown scenario {sid!r}")
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run_scenario, ids))
-    else:
-        reports = [run_scenario(sid) for sid in ids]
-    order = {sid: k for k, sid in enumerate(cgdata.SCENARIO_IDS)}
+    reports = [run_scenario(sid) for sid in ids]
+    order = {sid: k for k, sid in enumerate(SCENARIOS)}
     reports.sort(key=lambda r: order[r.scenario_id])
     return reports

@@ -24,10 +24,10 @@ from stablelimit.linser import PassThrough, TangentDirection, series_dimension, 
     split_sections_vanishing
 from stablelimit.picard import blowup, intersect, quadric_lattice
 from stablelimit.rings import PrimeField, hensel_lift
-from stablelimit.scenarios import (_chain_rule_rows, _chart_origin_point,
-                                   _cone_direction, _direct_value_rows,
-                                   _published_system_28, derived_system_cached,
-                                   multiple_fiber_scan, q_point_projective)
+from stablelimit.scenarios import (_chain_rule_rows, _cone_direction,
+                                   _direct_value_rows, _published_system_28,
+                                   chart_point, derived_system_cached,
+                                   multiple_fiber_scan, q_point)
 
 F7 = PrimeField(7)
 
@@ -139,12 +139,13 @@ def test_criterion_09_lattice_identities():
 
 def test_criterion_10_linear_series_counts():
     nine = series_dimension((2, 2), (), F49) == 9
-    five_points = [q_point_projective(2)] + [_chart_origin_point(c)
-                                             for c in (1, 2, 3, 4)]
+    zero = F49.zero()
+    five_points = [chart_point(4, *q_point(2))] + [chart_point(c, zero, zero)
+                                                   for c in (1, 2, 3, 4)]
     vanish = split_sections_vanishing(five_points, F49) == 0
     conds = []
     for chart in (1, 2, 3, 4):
-        pt = _chart_origin_point(chart)
+        pt = chart_point(chart, zero, zero)
         conds.append(PassThrough(pt))
         conds.append(TangentDirection(pt, _cone_direction(chart)))
     gamma_dim = series_dimension((2, 2), conds, F49)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from stablelimit import (DualNumbers, MPoly, ParseError, PrimeField,
+from stablelimit import (ZZ, DualNumbers, MPoly, ParseError, PrimeField,
                          QuadraticField, VarRegistry, ZMod, parse_poly)
 from stablelimit import cgdata
 from stablelimit.scenarios import build_quintic
@@ -40,7 +40,7 @@ def test_parse_simple_forms():
 
 def test_parse_print_roundtrip_random():
     rng = random.Random(3)
-    for ring in (F7, Z343):
+    for ring in (F7, Z343, ZZ):
         for _ in range(60):
             p = rand_poly(XYZT, ring, rng)
             assert parse_poly(str(p), XYZT, ring) == p

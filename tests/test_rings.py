@@ -99,6 +99,10 @@ def test_elements_hash_and_immutability():
     a = F49.element((1, 2))
     b = F49.element((8, 9))
     assert a == b and hash(a) == hash(b)
+    # two instances of one ring are equal, so their elements must hash
+    # alike and collapse in a set
+    c = QuadraticField(7).element((1, 2))
+    assert a == c and len({a, c}) == 1
     with pytest.raises(AttributeError):
         a.payload = (0, 0)
 

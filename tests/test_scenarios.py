@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-from stablelimit import cgdata, scenarios
+from stablelimit import scenarios
 from stablelimit.report import render_json
 
 # every scenario passes except the lattice one, which carries the single
 # published intersection number that the exact computation contradicts
-EXPECTED_STATUS = {sid: "pass" for sid in cgdata.SCENARIO_IDS}
+EXPECTED_STATUS = {sid: "pass" for sid in scenarios.SCENARIOS}
 EXPECTED_STATUS["lattice"] = "fail"
 
 FLAGGED = {
@@ -19,7 +19,7 @@ FLAGGED = {
 }
 
 
-@pytest.mark.parametrize("sid", cgdata.SCENARIO_IDS)
+@pytest.mark.parametrize("sid", scenarios.SCENARIOS)
 def test_scenario_status(sid):
     report = scenarios.run_scenario(sid)
     assert report.status == EXPECTED_STATUS[sid], report.notes
@@ -52,13 +52,6 @@ def test_reports_are_deterministic():
     first = render_json(scenarios.run_many(ids), "x")
     second = render_json(scenarios.run_many(ids), "x")
     assert strip_millis(first) == strip_millis(second)
-
-
-def test_parallel_equals_serial():
-    ids = list(cgdata.SCENARIO_IDS[:6])
-    serial = render_json(scenarios.run_many(ids, jobs=1), "x")
-    parallel = render_json(scenarios.run_many(ids, jobs=4), "x")
-    assert strip_millis(serial) == strip_millis(parallel)
 
 
 def test_negative_controls_fire():
