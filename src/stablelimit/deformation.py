@@ -2,9 +2,14 @@
 
 The two bidegree-(3,3) curves carry a fixed singularity pattern: each has
 two double points of tacnodal type whose tangent cones match the other
-curve's tangent line.  A first-order deformation moves each double point
-to a displaced position (eps*c_k, eps*d_k) in its chart and perturbs the
-two equations by general eps-linear coefficient clouds.  Preserving the
+curve's tangent line.  A first-order deformation moves the base point of
+chart k by (c_k, d_k) and adds a general coefficient cloud to each
+equation.  Every quantity met below is a classical polynomial plus a
+first-order part that is linear in the unknowns, kept as a *linear form*
+``{unknown: polynomial in the chart coordinates}``.  The derivation only
+multiplies classical polynomials by first-order parts, so the Leibniz rule
+gives every first-order part directly; in chart (u, v) a curve g with
+cloud gbar has first-order part  c*dg/du + d*dg/dv + gbar.  Preserving the
 pattern imposes, per double point:
 
   * the deformed curve passes through the displaced point,
@@ -13,12 +18,14 @@ pattern imposes, per double point:
     curve's deformed linear part,
   * its cubic part is divisible by that deformed linear part,
 
-and, per smooth base point, passage through the displaced point.  After
-projecting out the proportionality and quotient auxiliaries, this module
-produces the resulting homogeneous linear system in the 40 coefficient
-and displacement unknowns; independently it builds the diagonal-point
-value and derivative rows used by the published deformation systems, and
-solves those systems over GF(49).
+and, per smooth base point, passage through the displaced point.  The
+classical part of each condition must vanish, and each chart monomial of
+its first-order part is one row.  After projecting out the
+proportionality and quotient auxiliaries, this module produces the
+resulting homogeneous linear system in the 40 coefficient and
+displacement unknowns; independently it builds the diagonal-point value
+and derivative rows used by the published deformation systems, each a
+linear form evaluated at a point, and solves those systems over GF(49).
 
 Everything below is derived symbolically from the two curve equations;
 the published displays enter only as comparison targets in the scenario
@@ -28,6 +35,8 @@ layer.
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from . import cgdata
 from .curvelocal import _divide_by_linear
@@ -44,22 +53,56 @@ AUX_UNKNOWNS = tuple(
     + [f"h1u{k}q{t}" for k in cgdata.CURVE1_DOUBLE_CHARTS for t in range(3)]
     + [f"h2u{k}q{t}" for k in cgdata.CURVE2_DOUBLE_CHARTS for t in range(3)]
 )
-
-BIG = VarRegistry(("al", "al'", "be", "be'", "eps")
-                  + cgdata.MAIN_UNKNOWNS + AUX_UNKNOWNS)
 _ALL_UNKNOWNS = cgdata.MAIN_UNKNOWNS + AUX_UNKNOWNS
-_UNKNOWN_INDEX = {n: BIG.index[n] for n in _ALL_UNKNOWNS}
-_LOCAL_INDEX = tuple(BIG.index[n] for n in ("al", "al'", "be", "be'"))
+
+# A linear form over the unknowns: unknown -> polynomial coefficient.
+Form = Mapping[str, MPoly]
 
 
-def _p(text: str) -> MPoly:
-    return parse_poly(text, BIG, F49)
+def _add(*forms: Form) -> dict[str, MPoly]:
+    out: dict[str, MPoly] = {}
+    for form in forms:
+        for name, p in form.items():
+            out[name] = out[name] + p if name in out else p
+    return out
 
 
-def _coefficient_cloud(prefix: str) -> MPoly:
-    terms = [f"{prefix}{i}{j}*al^{i}*al'^{3 - i}*be^{j}*be'^{3 - j}"
-             for i in range(4) for j in range(4)]
-    return _p("+".join(terms))
+def _times(factor: MPoly, form: Form) -> dict[str, MPoly]:
+    return {name: factor * p for name, p in form.items()}
+
+
+def _graded(form: Form, degree: int, names) -> dict[str, MPoly]:
+    return {name: p.graded_part(degree, names) for name, p in form.items()}
+
+
+def derivative(form: Form, var: str) -> dict[str, MPoly]:
+    """A linear form with each entry differentiated in ``var``."""
+    return {name: p.partial_derivative(var) for name, p in form.items()}
+
+
+def _row_at(form: Form, point: Mapping[str, Element]) -> tuple[Element, ...]:
+    """Each entry of a linear form evaluated at a point, as a row over
+    the 40 main unknowns."""
+    zero = F49.zero()
+    return tuple(form[n].evaluate(point) if n in form else zero
+                 for n in cgdata.MAIN_UNKNOWNS)
+
+
+def _monomial_rows(form: Form) -> list[list[Element]]:
+    """One row per monomial of a linear form: the coefficients of the
+    unknowns at that monomial."""
+    zero = F49.zero()
+    monomials = sorted({e for p in form.values() for e in p.terms})
+    return [[form[n].terms.get(e, zero) if n in form else zero
+             for n in _ALL_UNKNOWNS] for e in monomials]
+
+
+def _coefficient_form(prefix: str) -> dict[str, MPoly]:
+    """A bidegree-(3,3) coefficient cloud: unknown -> its monomial."""
+    one = F49.one()
+    return {f"{prefix}{i}{j}": MPoly(cgdata.AB, F49,
+                                     {(i, 3 - i, j, 3 - j): one})
+            for i in range(4) for j in range(4)}
 
 
 def dehomogenize(p: MPoly, chart: int) -> MPoly:
@@ -67,45 +110,6 @@ def dehomogenize(p: MPoly, chart: int) -> MPoly:
     u, v = cgdata.CHARTS[chart]
     one = MPoly.constant(p.registry, p.ring.one())
     return p.substitute({n: one for n in cgdata.AB.names if n not in (u, v)})
-
-
-def _eps_truncate(p: MPoly) -> MPoly:
-    return p.truncate("eps", 1)
-
-
-def _split_eps(p: MPoly) -> tuple[MPoly, MPoly]:
-    """(classical part, coefficient of eps) of an eps-linear polynomial."""
-    e = BIG.index["eps"]
-    classical, linear = {}, {}
-    for exps, c in p.terms.items():
-        if exps[e] == 0:
-            classical[exps] = c
-        else:
-            stripped = list(exps)
-            stripped[e] = 0
-            linear[tuple(stripped)] = c
-    return MPoly(BIG, F49, classical), MPoly(BIG, F49, linear)
-
-
-def _linear_rows(eps_part: MPoly, unknowns) -> list[list[Element]]:
-    """Group an eps-coefficient polynomial by local monomial into rows."""
-    grouped: dict[tuple, dict[str, Element]] = {}
-    for exps, c in eps_part.terms.items():
-        local = tuple(exps[i] for i in _LOCAL_INDEX)
-        carriers = [n for n, i in _UNKNOWN_INDEX.items() if exps[i] > 0]
-        if len(carriers) != 1 or exps[_UNKNOWN_INDEX[carriers[0]]] != 1:
-            raise ArithmeticError("eps-part is not linear in the unknowns")
-        grouped.setdefault(local, {})[carriers[0]] = c
-    zero = F49.zero()
-    return [[grouped[loc].get(n, zero) for n in unknowns]
-            for loc in sorted(grouped)]
-
-
-def _h1_cloud(curve_tag: str, chart: int) -> MPoly:
-    u, v = cgdata.CHARTS[chart]
-    return (_p(f"h{curve_tag}u{chart}q0*{u}^2")
-            + _p(f"h{curve_tag}u{chart}q1*{u}*{v}")
-            + _p(f"h{curve_tag}u{chart}q2*{v}^2"))
 
 
 class DerivedSystem:
@@ -137,99 +141,82 @@ def derive_rigidity_system(skip_cubic_condition: bool = False) -> DerivedSystem:
     first curve's cubic parts; it exists solely as a sensitivity control
     (the resulting row space must be strictly smaller).
     """
-    g1, g2 = _p(cgdata.G1), _p(cgdata.G2)
-    g1bar, g2bar = _coefficient_cloud("a"), _coefficient_cloud("b")
+    curves = {1: parse_poly(cgdata.G1, cgdata.AB, F49),
+              2: parse_poly(cgdata.G2, cgdata.AB, F49)}
+    clouds = {1: _coefficient_form("a"), 2: _coefficient_form("b")}
     rows: list[list[Element]] = []
     classical_ok = True
     scales: dict[tuple[int, int], Element] = {}
 
-    def displaced(p: MPoly, chart: int) -> MPoly:
+    def deformed(tag: int, chart: int) -> tuple[MPoly, dict[str, MPoly]]:
+        """A curve in a chart: classical part, first-order part."""
         u, v = cgdata.CHARTS[chart]
-        return _eps_truncate(p.substitute({
-            u: _p(u) + _p(f"eps*c{chart}"),
-            v: _p(v) + _p(f"eps*d{chart}"),
-        }))
+        g = dehomogenize(curves[tag], chart)
+        form = {n: dehomogenize(p, chart) for n, p in clouds[tag].items()}
+        form[f"c{chart}"] = g.partial_derivative(u)
+        form[f"d{chart}"] = g.partial_derivative(v)
+        return g, form
 
-    def add(identity: MPoly) -> None:
+    def impose(classical: MPoly, first_order: Form) -> None:
         nonlocal classical_ok
-        classical, eps_part = _split_eps(identity)
         classical_ok = classical_ok and classical.is_zero()
-        rows.extend(_linear_rows(eps_part, _ALL_UNKNOWNS))
+        rows.extend(_monomial_rows(first_order))
 
-    def impose(curve, partner, curve_bar, partner_bar, double_charts,
-               scale_aux, h_tag, skip_cubic):
+    for tag, partner, double_charts, scale_aux in (
+            (1, 2, cgdata.CURVE1_DOUBLE_CHARTS, "m'"),
+            (2, 1, cgdata.CURVE2_DOUBLE_CHARTS, "n'")):
         for chart in (1, 2, 3, 4):
-            u, v = cgdata.CHARTS[chart]
-            G = displaced(dehomogenize(curve, chart)
-                          + _p("eps") * dehomogenize(curve_bar, chart), chart)
-            add(G.graded_part(0, (u, v)))          # passes through the point
+            u, v = uv = cgdata.CHARTS[chart]
+            g, form = deformed(tag, chart)
+            # passes through the point
+            impose(g.graded_part(0, uv), _graded(form, 0, uv))
             if chart not in double_charts:
                 continue
-            Gp = displaced(dehomogenize(partner, chart)
-                           + _p("eps") * dehomogenize(partner_bar, chart),
-                           chart)
-            add(G.graded_part(1, (u, v)))          # singular at the point
-            cls2 = dehomogenize(curve, chart).graded_part(2, (u, v))
-            cls1 = dehomogenize(partner, chart).graded_part(1, (u, v))
-            lam = unit_match(cls2, cls1 * cls1)
+            # singular at the point
+            impose(g.graded_part(1, uv), _graded(form, 1, uv))
+            gp, gp_form = deformed(partner, chart)
+            p1, p1_form = gp.graded_part(1, uv), _graded(gp_form, 1, uv)
+            g2, p1_sq = g.graded_part(2, uv), p1 * p1
+            lam = unit_match(g2, p1_sq)
             if lam is None:
                 raise ArithmeticError("quadratic parts are not proportional")
-            scales[(int(h_tag), chart)] = lam
-            Gp1 = Gp.graded_part(1, (u, v))
-            lam_cloud = (MPoly.constant(BIG, lam)
-                         + _p(f"eps*{scale_aux}{chart}"))
-            add(_eps_truncate(G.graded_part(2, (u, v))
-                              - lam_cloud * Gp1 * Gp1))
-            if skip_cubic:
+            scales[(tag, chart)] = lam
+            # G2 = (lam + m') * P1^2
+            impose(g2 - p1_sq.scale(lam),
+                   _add(_graded(form, 2, uv),
+                        _times(p1.scale(F49.from_int(-2) * lam), p1_form),
+                        {f"{scale_aux}{chart}": -p1_sq}))
+            if skip_cubic_condition and tag == 1:
                 continue
-            h = _divide_by_linear(
-                dehomogenize(curve, chart).graded_part(3, (u, v)),
-                cls1, u, v)
+            g3 = g.graded_part(3, uv)
+            h = _divide_by_linear(g3, p1, u, v)
             if h is None:
                 raise ArithmeticError(
                     "cubic part is not divisible by the tangent line")
-            add(_eps_truncate(G.graded_part(3, (u, v))
-                              - Gp1 * (h + _p("eps") * _h1_cloud(h_tag, chart))))
-
-    impose(g1, g2, g1bar, g2bar, cgdata.CURVE1_DOUBLE_CHARTS, "m'", "1",
-           skip_cubic_condition)
-    impose(g2, g1, g2bar, g1bar, cgdata.CURVE2_DOUBLE_CHARTS, "n'", "2",
-           False)
+            # G3 = P1 * (h + h1), h1 a general quadratic form in u, v
+            U, V = (MPoly.variable(cgdata.AB, F49, n) for n in uv)
+            h1 = {f"h{tag}u{chart}q{t}": -(p1 * m)
+                  for t, m in enumerate((U * U, U * V, V * V))}
+            impose(g3 - p1 * h,
+                   _add(_graded(form, 3, uv), _times(-h, p1_form), h1))
     return DerivedSystem(rows, classical_ok, scales)
 
 
 # ----------------------------------------------------------------------
 # diagonal-point rows
 
-_HAT = VarRegistry(("x",) + cgdata.MAIN_UNKNOWNS)
-
-
-def _hp(text: str) -> MPoly:
-    return parse_poly(text, _HAT, F49)
+_X = VarRegistry(("x",))
 
 
 @lru_cache(maxsize=None)
-def diagonal_cloud(prefix: str) -> MPoly:
+def diagonal_cloud(prefix: str) -> Mapping[str, MPoly]:
     """Coefficient cloud restricted to the diagonal curve, denominators
-    cleared: substitute the first-factor coordinates (1-x, 1+x)."""
-    acc = MPoly.zero(_HAT, F49)
-    for i in range(4):
-        block = _hp("+".join(f"{prefix}{i}{j}*x^{j}" for j in range(4)))
-        acc = acc + _hp(f"(1+x)^{3 - i}*(1-x)^{i}") * block
-    return acc
-
-
-def _row_of_linear_form(p: MPoly, registry: VarRegistry,
-                        unknowns) -> list[Element]:
-    zero = F49.zero()
-    row = {n: zero for n in unknowns}
-    for exps, c in p.terms.items():
-        carriers = [k for k, e in enumerate(exps) if e]
-        if len(carriers) != 1 or exps[carriers[0]] != 1:
-            raise ArithmeticError("expected a homogeneous linear form")
-        name = registry.names[carriers[0]]
-        row[name] = row[name] + c
-    return [row[n] for n in unknowns]
+    cleared: substitute the first-factor coordinates (1-x, 1+x).  A linear
+    form over the cloud's 16 unknowns with entries in x."""
+    return MappingProxyType({
+        f"{prefix}{i}{j}": parse_poly(f"(1+x)^{3 - i}*(1-x)^{i}*x^{j}",
+                                      _X, F49)
+        for i in range(4) for j in range(4)})
 
 
 def q_beta(k: int) -> Element:
@@ -238,17 +225,16 @@ def q_beta(k: int) -> Element:
 
 
 @lru_cache(maxsize=None)
-def diagonal_rows() -> dict[str, list[Element]]:
+def diagonal_rows() -> Mapping[str, tuple[Element, ...]]:
     """The published value/derivative rows at the six diagonal points,
     as linear forms over the 40 main unknowns."""
     g1hat = diagonal_cloud("a")
     g2hat = diagonal_cloud("b")
-    dg1hat = g1hat.partial_derivative("x")
-    dg2hat = g2hat.partial_derivative("x")
+    dg1hat = derivative(g1hat, "x")
+    dg2hat = derivative(g2hat, "x")
 
-    def at(p: MPoly, k: int) -> list[Element]:
-        value = p.substitute({"x": MPoly.constant(_HAT, q_beta(k))})
-        return _row_of_linear_form(value, _HAT, cgdata.MAIN_UNKNOWNS)
+    def at(form: Form, k: int) -> tuple[Element, ...]:
+        return _row_at(form, {"x": q_beta(k)})
 
     rows = {
         "B1Q1": at(g1hat, 1), "B1Q2": at(g1hat, 2),
@@ -259,42 +245,40 @@ def diagonal_rows() -> dict[str, list[Element]]:
         "dB2Q5": at(dg2hat, 5), "dB2Q6": at(dg2hat, 6),
     }
     rows.update(flex_rows())
-    return rows
+    return MappingProxyType(rows)
 
 
-_AFFINE = VarRegistry(("y", "x") + cgdata.MAIN_UNKNOWNS)
+_YX = VarRegistry(("y", "x"))
 
 
-def affine_cloud(prefix: str) -> MPoly:
+def affine_cloud(prefix: str) -> dict[str, MPoly]:
     """A curve's coefficient cloud in the affine coordinates y = al,
-    x = be of chart 4."""
-    return parse_poly("+".join(f"{prefix}{i}{j}*y^{i}*x^{j}"
-                               for i in range(4) for j in range(4)),
-                      _AFFINE, F49)
+    x = be of chart 4, as a linear form with entries in (y, x)."""
+    one = F49.one()
+    return {f"{prefix}{i}{j}": MPoly(_YX, F49, {(i, j): one})
+            for i in range(4) for j in range(4)}
 
 
-def affine_row(p: MPoly, alpha: Element, beta: Element) -> list[Element]:
-    """The linear form p(alpha, beta) of an affine cloud polynomial, as a
-    row over the 40 main unknowns."""
-    sub = {"y": MPoly.constant(_AFFINE, alpha),
-           "x": MPoly.constant(_AFFINE, beta)}
-    return _row_of_linear_form(p.substitute(sub), _AFFINE,
-                               cgdata.MAIN_UNKNOWNS)
+def affine_row(form: Form, alpha: Element,
+               beta: Element) -> tuple[Element, ...]:
+    """The linear form of an affine cloud at (alpha, beta), as a row over
+    the 40 main unknowns."""
+    return _row_at(form, {"y": alpha, "x": beta})
 
 
 @lru_cache(maxsize=None)
-def flex_rows() -> dict[str, list[Element]]:
+def flex_rows() -> Mapping[str, tuple[Element, ...]]:
     """Value and fiber-direction derivative rows of the first curve's
     cloud at the two transverse diagonal points (affine chart 4)."""
     cloud = affine_cloud("a")
-    d_along_fiber = cloud.partial_derivative("y")
+    d_along_fiber = derivative(cloud, "y")
     i_unit = F49.i()
     points = {1: (-i_unit, i_unit), 2: (i_unit, -i_unit)}
     out = {}
     for k, (alpha, beta) in points.items():
         out[f"van{k}"] = affine_row(cloud, alpha, beta)
         out[f"dB1Q{k}"] = affine_row(d_along_fiber, alpha, beta)
-    return out
+    return MappingProxyType(out)
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +288,7 @@ _MAIN_REG = VarRegistry(cgdata.MAIN_UNKNOWNS)
 
 
 @lru_cache(maxsize=None)
-def published_substitution_map() -> dict[str, MPoly]:
+def published_substitution_map() -> Mapping[str, MPoly]:
     """The 21 published eliminations, iterated until every dependent
     unknown is expressed over the 19 essentials."""
     dependents = set(cgdata.PUBLISHED_SUBSTITUTIONS)
@@ -323,11 +307,10 @@ def published_substitution_map() -> dict[str, MPoly]:
     for var, p in maps.items():
         if p.variables_used() & dependents:
             raise ArithmeticError(f"substitution for {var} did not resolve")
-    return maps
+    return MappingProxyType(maps)
 
 
-def to_essential(row: list[Element],
-                 maps: dict[str, MPoly]) -> list[Element]:
+def to_essential(row, maps: Mapping[str, MPoly]) -> tuple[Element, ...]:
     """Push a 40-unknown row down to the 19 essentials via the maps."""
     zero = F49.zero()
     acc = {v: zero for v in cgdata.ESSENTIAL_UNKNOWNS}
@@ -340,7 +323,20 @@ def to_essential(row: list[Element],
             expansion = maps[name]
             for v in cgdata.ESSENTIAL_UNKNOWNS:
                 acc[v] = acc[v] + coeff * expansion.coefficient({v: 1})
-    return [acc[v] for v in cgdata.ESSENTIAL_UNKNOWNS]
+    return tuple(acc[v] for v in cgdata.ESSENTIAL_UNKNOWNS)
+
+
+def _row_of_linear_form(p: MPoly, registry: VarRegistry,
+                        unknowns) -> list[Element]:
+    zero = F49.zero()
+    row = {n: zero for n in unknowns}
+    for exps, c in p.terms.items():
+        carriers = [k for k, e in enumerate(exps) if e]
+        if len(carriers) != 1 or exps[carriers[0]] != 1:
+            raise ArithmeticError("expected a homogeneous linear form")
+        name = registry.names[carriers[0]]
+        row[name] = row[name] + c
+    return [row[n] for n in unknowns]
 
 
 def rows_from_texts(texts, variables) -> list[list[Element]]:
@@ -354,10 +350,10 @@ def rows_from_texts(texts, variables) -> list[list[Element]]:
 
 
 @lru_cache(maxsize=None)
-def leftover_rows() -> list[list[Element]]:
+def leftover_rows() -> tuple[tuple[Element, ...], ...]:
     maps = published_substitution_map()
     rows40 = rows_from_texts(cgdata.LEFTOVER_RELATIONS, cgdata.MAIN_UNKNOWNS)
-    return [to_essential(r, maps) for r in rows40]
+    return tuple(to_essential(r, maps) for r in rows40)
 
 
 def build_published_system(zero_rows, unit_rows) -> LinearSystem:
@@ -365,7 +361,7 @@ def build_published_system(zero_rows, unit_rows) -> LinearSystem:
     maps = published_substitution_map()
     drows = diagonal_rows()
     zero, one = F49.zero(), F49.one()
-    rows = [list(r) for r in leftover_rows()]
+    rows = list(leftover_rows())
     rhs = [zero] * len(rows)
     for name in zero_rows:
         rows.append(to_essential(drows[name], maps))

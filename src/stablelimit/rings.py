@@ -8,8 +8,7 @@ exact rings:
 * ``PrimeField(p)`` -- the field GF(p),
 * ``QuadraticField(p)`` -- GF(p)[i] with i**2 = -1, a model of GF(p**2)
   when -1 is a non-square mod p (true for p = 7),
-* ``DualNumbers(base)`` -- base[eps] with eps**2 = 0, for first-order
-  deformation bookkeeping.
+* ``DualNumbers(base)`` -- base[eps] with eps**2 = 0.
 
 Elements are immutable values carrying a reference to their ring; mixing
 elements of different rings raises ``RingMismatchError``.  Canonical form

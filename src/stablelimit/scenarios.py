@@ -15,6 +15,8 @@ import time
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd
+from types import MappingProxyType
+from typing import Mapping
 
 from . import cgdata, deformation
 from .curvelocal import (ChartGerm, _divide_by_linear, branch_locus, classify,
@@ -579,7 +581,7 @@ def _corrected_system_feasible(system_id: str) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _direct_value_rows() -> dict[str, list[Element]]:
+def _direct_value_rows() -> Mapping[str, tuple[Element, ...]]:
     """First-principles value rows: the two coefficient clouds evaluated
     at the six points' affine coordinates."""
     out = {}
@@ -587,11 +589,11 @@ def _direct_value_rows() -> dict[str, list[Element]]:
         cloud = deformation.affine_cloud(prefix)
         for k in range(1, 7):
             out[f"val{tag}@{k}"] = deformation.affine_row(cloud, *q_point(k))
-    return out
+    return MappingProxyType(out)
 
 
 @lru_cache(maxsize=None)
-def _chain_rule_rows() -> dict[str, list[Element]]:
+def _chain_rule_rows() -> Mapping[str, tuple[Element, ...]]:
     """Derivative rows rebuilt by the product/chain rule on
     (1+be)^3 * cloud(alpha(be), be) instead of differentiating the
     cleared polynomial: an independent construction path."""
@@ -599,8 +601,8 @@ def _chain_rule_rows() -> dict[str, list[Element]]:
     one = F49.one()
     for tag, prefix, points in (("1", "a", (3, 4)), ("2", "b", (5, 6))):
         cloud = deformation.affine_cloud(prefix)
-        d_alpha = cloud.partial_derivative("y")
-        d_beta = cloud.partial_derivative("x")
+        d_alpha = deformation.derivative(cloud, "y")
+        d_beta = deformation.derivative(cloud, "x")
         for k in points:
             beta = deformation.q_beta(k)
             alpha = (one - beta) * (one + beta).inverse()
@@ -611,10 +613,10 @@ def _chain_rule_rows() -> dict[str, list[Element]]:
             three_u2 = F49.from_int(3) * u * u
             minus_two_u = F49.from_int(-2) * u
             u3 = u ** 3
-            row = [three_u2 * a + minus_two_u * b + u3 * c
-                   for a, b, c in zip(row_val, row_da, row_db)]
-            out[f"dB{tag}Q{k}"] = row
-    return out
+            out[f"dB{tag}Q{k}"] = tuple(
+                three_u2 * a + minus_two_u * b + u3 * c
+                for a, b, c in zip(row_val, row_da, row_db))
+    return MappingProxyType(out)
 
 
 # ----------------------------------------------------------------------
