@@ -310,20 +310,30 @@ def published_substitution_map() -> Mapping[str, MPoly]:
     return MappingProxyType(maps)
 
 
-def to_essential(row, maps: Mapping[str, MPoly]) -> tuple[Element, ...]:
-    """Push a 40-unknown row down to the 19 essentials via the maps."""
-    zero = F49.zero()
-    acc = {v: zero for v in cgdata.ESSENTIAL_UNKNOWNS}
+@lru_cache(maxsize=None)
+def essential_coefficients() -> Mapping[str, tuple[tuple[int, Element], ...]]:
+    """Each main unknown's nonzero coefficients on the 19 essentials, as
+    (position, coefficient) pairs: an essential is itself, and a dependent
+    unknown is read once from the published substitution map."""
+    table = {v: ((k, F49.one()),)
+             for k, v in enumerate(cgdata.ESSENTIAL_UNKNOWNS)}
+    for name, p in published_substitution_map().items():
+        coeffs = (p.coefficient({v: 1}) for v in cgdata.ESSENTIAL_UNKNOWNS)
+        table[name] = tuple((k, c) for k, c in enumerate(coeffs)
+                            if not c.is_zero())
+    return MappingProxyType(table)
+
+
+def to_essential(row) -> tuple[Element, ...]:
+    """Push a 40-unknown row down to the 19 essentials via the published
+    substitution map."""
+    table = essential_coefficients()
+    acc = [F49.zero()] * len(cgdata.ESSENTIAL_UNKNOWNS)
     for name, coeff in zip(cgdata.MAIN_UNKNOWNS, row):
-        if coeff.is_zero():
-            continue
-        if name in acc:
-            acc[name] = acc[name] + coeff
-        else:
-            expansion = maps[name]
-            for v in cgdata.ESSENTIAL_UNKNOWNS:
-                acc[v] = acc[v] + coeff * expansion.coefficient({v: 1})
-    return tuple(acc[v] for v in cgdata.ESSENTIAL_UNKNOWNS)
+        if not coeff.is_zero():
+            for k, c in table[name]:
+                acc[k] = acc[k] + coeff * c
+    return tuple(acc)
 
 
 def _row_of_linear_form(p: MPoly, registry: VarRegistry,
@@ -351,23 +361,21 @@ def rows_from_texts(texts, variables) -> list[list[Element]]:
 
 @lru_cache(maxsize=None)
 def leftover_rows() -> tuple[tuple[Element, ...], ...]:
-    maps = published_substitution_map()
     rows40 = rows_from_texts(cgdata.LEFTOVER_RELATIONS, cgdata.MAIN_UNKNOWNS)
-    return tuple(to_essential(r, maps) for r in rows40)
+    return tuple(to_essential(r) for r in rows40)
 
 
 def build_published_system(zero_rows, unit_rows) -> LinearSystem:
     """A published deformation system over the 19 essentials."""
-    maps = published_substitution_map()
     drows = diagonal_rows()
     zero, one = F49.zero(), F49.one()
     rows = list(leftover_rows())
     rhs = [zero] * len(rows)
     for name in zero_rows:
-        rows.append(to_essential(drows[name], maps))
+        rows.append(to_essential(drows[name]))
         rhs.append(zero)
     for name in unit_rows:
-        rows.append(to_essential(drows[name], maps))
+        rows.append(to_essential(drows[name]))
         rhs.append(one)
     return LinearSystem(cgdata.ESSENTIAL_UNKNOWNS, rows, rhs, F49)
 

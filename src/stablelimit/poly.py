@@ -306,6 +306,9 @@ class MPoly:
             if value.ring != self.ring:
                 raise RingMismatchError("assignment value from a foreign ring")
             idx_vals[self.registry.index[name]] = value
+        # powers[i][e - 1] is the bound value of variable i to the e,
+        # each built once from the one below it
+        powers: dict[int, list[Element]] = {}
         for exps, coeff in self.terms.items():
             term = coeff
             for i, e in enumerate(exps):
@@ -313,7 +316,10 @@ class MPoly:
                     if i not in idx_vals:
                         raise KeyError(
                             f"no value for {self.registry.names[i]!r}")
-                    term = term * (idx_vals[i] ** e)
+                    ladder = powers.setdefault(i, [idx_vals[i]])
+                    while len(ladder) < e:
+                        ladder.append(ladder[-1] * idx_vals[i])
+                    term = term * ladder[e - 1]
             acc = acc + term
         return acc
 

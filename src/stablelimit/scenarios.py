@@ -506,7 +506,7 @@ def scenario_deform_derive() -> VerificationReport:
         sub_items = list(cgdata.PUBLISHED_SUBSTITUTIONS)
         labels = []
         for k, row in enumerate(elimination.rows):
-            if rank(derived.system.rows + [row], F49) != dr:
+            if rank([*derived.system.rows, row], F49) != dr:
                 if k < len(sub_items):
                     labels.append(f"elimination of {sub_items[k]}")
                 else:
@@ -561,14 +561,14 @@ def scenario_deform_derive() -> VerificationReport:
     return rep
 
 
-def _corrected_system_feasible(system_id: str) -> bool:
-    """Feasibility of a published system when the 28 corrected relations
-    replace the published elimination list (40-unknown computation)."""
+def _corrected_system(system_id: str) -> LinearSystem:
+    """A published system with the 28 corrected relations in place of the
+    published elimination list (40 unknowns)."""
     spec = next(s for s in cgdata.SYSTEM_SPECS if s.id == system_id)
     derived = derived_system_cached(False)
     drows = deformation.diagonal_rows()
     zero, one = F49.zero(), F49.one()
-    rows = [list(r) for r in derived.system.rows]
+    rows = list(derived.system.rows)
     rhs = [zero] * len(rows)
     for name in spec.zero_rows:
         rows.append(drows[name])
@@ -576,8 +576,12 @@ def _corrected_system_feasible(system_id: str) -> bool:
     for name in spec.unit_rows:
         rows.append(drows[name])
         rhs.append(one)
-    sol = solve_affine(LinearSystem(cgdata.MAIN_UNKNOWNS, rows, rhs, F49))
-    return sol.is_consistent()
+    return LinearSystem(cgdata.MAIN_UNKNOWNS, rows, rhs, F49)
+
+
+def _corrected_system_feasible(system_id: str) -> bool:
+    """Feasibility of a published system under the corrected relations."""
+    return solve_affine(_corrected_system(system_id)).is_consistent()
 
 
 @lru_cache(maxsize=None)

@@ -75,13 +75,14 @@ def test_criterion_06_derived_system_rowspace():
     direct = _direct_value_rows()
     chain = _chain_rule_rows()
     hat = deformation.diagonal_rows()
-    first_principles = derived.system.rows + [
+    first_principles = [
+        *derived.system.rows,
         direct["val1@1"], direct["val1@2"], direct["val2@1"],
         direct["val2@2"], direct["val1@3"], direct["val1@4"],
         direct["val2@5"], direct["val2@6"],
         chain["dB1Q3"], chain["dB1Q4"], chain["dB2Q5"], chain["dB2Q6"],
     ]
-    published = _published_system_28().rows + [
+    published = [*_published_system_28().rows] + [
         hat[n] for n in ("B1Q1", "B1Q2", "B2Q1", "B2Q2", "B1Q3", "B1Q4",
                          "B2Q5", "B2Q6", "dB1Q3", "dB1Q4", "dB2Q5", "dB2Q6")]
     zero = F49.zero()

@@ -240,17 +240,8 @@ def test_tangency_criterion_matches_diagonal_rows():
     row = deformation.diagonal_rows()["B1Q4"]
     # the row is the linear form gbar |-> gbar(point), up to the chart
     # unit: evaluate the basis cloud directly and compare
-    direct = deformation.flex_rows  # noqa: F841  (module is the fixture)
     unit = (F49.one() + beta) ** 3
-    reg = VarRegistry(("y", "x") + cgdata.MAIN_UNKNOWNS)
-    cloud = parse_poly("+".join(f"a{i}{j}*y^{i}*x^{j}"
-                                for i in range(4) for j in range(4)),
-                       reg, F49)
-    value = cloud.substitute({"y": MPoly.constant(reg, alpha),
-                              "x": MPoly.constant(reg, beta)})
-    expected = {}
-    for exps, c in value.terms.items():
-        name = reg.names[[k for k, e in enumerate(exps) if e][0]]
-        expected[name] = c * unit
-    for name, coeff in zip(cgdata.MAIN_UNKNOWNS, row):
-        assert coeff == expected.get(name, F49.zero())
+    expected = deformation.affine_row(deformation.affine_cloud("a"),
+                                      alpha, beta)
+    for coeff, value in zip(row, expected):
+        assert coeff == value * unit

@@ -5,7 +5,8 @@ import pytest
 from stablelimit import cgdata, deformation
 from stablelimit.deformation import F49
 from stablelimit.linalg import rank, rowspace_equal, solve_affine
-from stablelimit.scenarios import (_chain_rule_rows, _corrected_system_feasible,
+from stablelimit.scenarios import (_chain_rule_rows, _corrected_system,
+                                   _corrected_system_feasible,
                                    _direct_value_rows, _elimination_system_28,
                                    _published_system_28, derived_system_cached)
 
@@ -32,7 +33,7 @@ def test_published_elimination_deviates_in_one_row():
     assert not rowspace_equal(derived.system, elimination)
     dr = rank(derived.system.rows, F49)
     outside = [k for k, row in enumerate(elimination.rows)
-               if rank(derived.system.rows + [row], F49) != dr]
+               if rank([*derived.system.rows, row], F49) != dr]
     sub_items = list(cgdata.PUBLISHED_SUBSTITUTIONS)
     assert [sub_items[k] for k in outside] == ["a22"]
 
@@ -52,19 +53,44 @@ def test_weakened_derivation_shrinks():
     assert not rowspace_equal(weakened.system, _published_system_28())
 
 
-def _realified_rank(rows) -> int:
-    """GF(7)-rank, by sympy's own elimination, of GF(49) rows with each
-    entry a+bi replaced by the block [[a, -b], [b, a]]: twice the GF(49)
-    rank of the rows."""
+def _realify(rows, rhs=()) -> list[list[int]]:
+    """GF(49) equations as GF(7) equations: each entry a+bi becomes the
+    block [[a, -b], [b, a]] and each right-hand side r+si the column
+    (r, s).  Ranks double and consistency is preserved."""
+    real = []
+    for k, row in enumerate(rows):
+        pairs = [x.payload for x in row]
+        real_part = [c for a, b in pairs for c in (a, -b)]
+        imaginary_part = [c for a, b in pairs for c in (b, a)]
+        if rhs:
+            r, s = rhs[k].payload
+            real_part.append(r)
+            imaginary_part.append(s)
+        real += [real_part, imaginary_part]
+    return real
+
+
+def _gf7_rank(rows) -> int:
+    """Rank by sympy's own elimination over GF(7)."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
     gf7 = sympy.GF(7)
-    real = []
-    for row in rows:
-        pairs = [x.payload for x in row]
-        real.append([gf7(c) for a, b in pairs for c in (a, -b)])
-        real.append([gf7(c) for a, b in pairs for c in (b, a)])
-    return DomainMatrix(real, (len(real), len(real[0])), gf7).rank()
+    return DomainMatrix([[gf7(c) for c in row] for row in rows],
+                        (len(rows), len(rows[0])), gf7).rank()
+
+
+def _realified_rank(rows) -> int:
+    """GF(7)-rank of the realified rows: twice their GF(49) rank."""
+    return _gf7_rank(_realify(rows))
+
+
+def _oracle_verdict(system) -> tuple[bool, int]:
+    """Consistency and solution dimension of a GF(49) system, from the
+    ranks of A and [A|b] realified: n - rank(A)/2 when consistent."""
+    rank_a = _realified_rank(system.rows)
+    rank_ab = _gf7_rank(_realify(system.rows, system.rhs))
+    assert rank_a % 2 == 0
+    return rank_a == rank_ab, len(system.variables) - rank_a // 2
 
 
 def test_row_spaces_agree_under_a_second_oracle():
@@ -76,6 +102,23 @@ def test_row_spaces_agree_under_a_second_oracle():
     assert _realified_rank(published) == 56
     assert _realified_rank(derived + published) == 56
     assert _realified_rank(weakened + published) == 56
+
+
+def test_published_systems_agree_under_a_second_oracle():
+    expected = {"system-I1": 3, "system-I2": 3, "system-I3": 3,
+                "system-I4": 3, "system-I5": 2, "system-I6": 2,
+                "system-I7": 2, "system-lefschetz": 8}
+    for spec in cgdata.SYSTEM_SPECS + (cgdata.LEFSCHETZ_SPEC,):
+        system = deformation.build_published_system(spec.zero_rows,
+                                                    spec.unit_rows)
+        assert len(system.variables) == 19
+        assert _oracle_verdict(system) == (True, expected[spec.id]), spec.id
+
+
+def test_corrected_relations_agree_under_a_second_oracle():
+    for spec in cgdata.SYSTEM_SPECS:
+        consistent, _ = _oracle_verdict(_corrected_system(spec.id))
+        assert consistent == (spec.id != "system-I5"), spec.id
 
 
 def test_cached_rows_are_immutable():
@@ -99,6 +142,16 @@ def test_cached_rows_are_immutable():
     leftover = deformation.leftover_rows()
     with pytest.raises(TypeError):
         leftover[0][0] = leftover[0][0]
+    table = deformation.essential_coefficients()
+    with pytest.raises(TypeError):
+        table["a22"] = table["a22"]
+    system = derived_system_cached(False).system
+    with pytest.raises(TypeError):
+        system.rows[0] = system.rows[0]
+    with pytest.raises(TypeError):
+        system.rows[0][0] = system.rows[0][0]
+    with pytest.raises(TypeError):
+        system.rhs[0] = system.rhs[0]
 
 
 def test_value_rows_match_direct_evaluation():

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from stablelimit import (LinearSystem, PrimeField, QuadraticField, eliminate,
-                         rank, rowspace_equal, solve_affine)
-from stablelimit.linalg import transpose
+from stablelimit import (LinearSystem, PrimeField, QuadraticField, ZMod,
+                         eliminate, rank, rowspace_equal, solve_affine)
+from stablelimit.linalg import _field_tables, _row_echelon, transpose
 
 F7 = PrimeField(7)
 F49 = QuadraticField(7)
@@ -22,6 +22,36 @@ def rand_mat(rng, nrows, ncols, ring=F7):
             for _ in range(nrows)]
 
 
+def reference_row_echelon(rows):
+    """Full reduction on Element rows, pivoting on the first nonzero
+    entry in column order: the rule the int-coded kernel keeps."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if not rows[i][c].is_zero():
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
 # ----------------------------------------------------------------------
 # rank
 
@@ -33,32 +63,17 @@ def test_rank_examples():
     assert rank([], F7) == 0
 
 
-def reversed_pivot_rank(rows, ring):
-    """Independent second elimination running columns right to left."""
-    work = [list(reversed(r)) for r in rows]
-    r = 0
-    ncols = len(work[0]) if work else 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work))
-                    if not work[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = work[r][c].inverse()
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and not work[i][c].is_zero():
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-    return r
+def reversed_pivot_rank(rows):
+    """Independent second elimination, on Elements, running columns right
+    to left."""
+    return len(reference_row_echelon([list(reversed(r)) for r in rows])[1])
 
 
 def test_rank_against_dual_pivoting_oracle():
     rng = random.Random(7)
     for _ in range(30):
         rows = rand_mat(rng, 6, 9)
-        assert rank(rows, F7) == reversed_pivot_rank(rows, F7)
+        assert rank(rows, F7) == reversed_pivot_rank(rows)
 
 
 def test_rank_transpose_invariance():
@@ -78,6 +93,67 @@ def test_rank_plus_nullity():
         sol = solve_affine(system)
         assert sol.is_consistent()
         assert rank(rows, F7) + sol.dimension == ncols
+
+
+# ----------------------------------------------------------------------
+# the int-coded kernel against elimination on Elements
+
+
+def rand_structured_mat(rng, nrows, ncols, ring):
+    """Random rows, some of them zero and some combinations of others."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([ring.zero()] * ncols)
+        elif kind < 0.45 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = ring.random_element(rng), ring.random_element(rng)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([ring.random_element(rng) for _ in range(ncols)])
+    return rows
+
+
+@pytest.mark.parametrize("ring", [F7, F49], ids=["GF7", "GF49"])
+def test_kernel_matches_element_elimination(ring):
+    rng = random.Random(61)
+    elements = _field_tables(ring).elements
+    shapes = [(1, 1), (3, 9), (9, 3), (6, 6), (2, 12), (12, 2), (8, 8)]
+    for trial in range(120):
+        nrows, ncols = shapes[trial % len(shapes)]
+        rows = rand_structured_mat(rng, nrows, ncols, ring)
+        expected_rows, expected_pivots = reference_row_echelon(rows)
+        coded, pivots = _row_echelon(rows, ring)
+        assert pivots == expected_pivots
+        assert [[elements[x] for x in row] for row in coded] == expected_rows
+
+
+@pytest.mark.parametrize("ring", [F7, F49], ids=["GF7", "GF49"])
+def test_field_tables_match_ring_arithmetic(ring):
+    tables = _field_tables(ring)
+    elements = tables.elements
+    q = 7 if ring == F7 else 49
+    assert len(elements) == q
+    assert elements[0] == ring.zero() and elements[1] == ring.one()
+    for a, x in enumerate(elements):
+        assert tables.code[x.payload] == a
+        if q == 49:
+            assert x.payload == (a % 7, a // 7)
+        else:
+            assert x.payload == a
+        if a:
+            assert elements[tables.inv[a]] == x.inverse()
+        for b, y in enumerate(elements):
+            assert elements[tables.mul[a][b]] == x * y
+            assert elements[tables.sub[a][b]] == x - y
+
+
+def test_kernel_needs_a_field():
+    z343 = ZMod(7, 3)
+    rows = [[z343.from_int(x) for x in row] for row in ((1, 2), (3, 4))]
+    with pytest.raises(ValueError):
+        rank(rows, z343)
 
 
 # ----------------------------------------------------------------------
