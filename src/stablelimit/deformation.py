@@ -106,10 +106,14 @@ def _coefficient_form(prefix: str) -> dict[str, MPoly]:
 
 
 def dehomogenize(p: MPoly, chart: int) -> MPoly:
-    """Set the two coordinates that a chart does not keep to 1."""
-    u, v = cgdata.CHARTS[chart]
-    one = MPoly.constant(p.registry, p.ring.one())
-    return p.substitute({n: one for n in cgdata.AB.names if n not in (u, v)})
+    """Set the two coordinates that a chart does not keep to 1: their
+    exponents become 0, and the coefficients that then collide add up."""
+    keep = [name in cgdata.CHARTS[chart] for name in p.registry.names]
+    terms: dict[tuple[int, ...], Element] = {}
+    for exps, c in p.terms.items():
+        exps = tuple(e if k else 0 for e, k in zip(exps, keep))
+        terms[exps] = terms[exps] + c if exps in terms else c
+    return MPoly(p.registry, p.ring, terms)
 
 
 class DerivedSystem:

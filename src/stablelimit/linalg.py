@@ -5,27 +5,24 @@ right-hand side, all over one exact field.  Elimination uses the fixed
 pivoting rule "first nonzero entry in column order", which makes every
 reduced form, kernel basis, and report deterministic.
 
-The elimination runs on int codes, not on ``Element``s: a GF(p) element
-is its payload and a GF(p²) element a+bi is the int a + p*b, so zero is
-0 and one is 1.  Each field gets one table set (products, differences,
-inverses, and the element of each code), filled on first use from the
-ring's own arithmetic, in the manner of the table-based small fields of
-FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).  Rows are
-encoded once on the way in, and only the entries a caller gets back are
-decoded.
+The elimination runs on int codes, not on ``Element``s, through the
+small-field table set that ``rings.field_tables`` keeps for each field
+(a GF(p) element is its payload and a GF(p²) element a+bi is the int
+a + p*b, so zero is 0 and one is 1).  Rows are encoded once on the way
+in, and only the entries a caller gets back are decoded.
 
 The operations are rank, affine solving (inconsistency is a status, not
 an error), projection of the solution set onto a subset of the variables
-(``eliminate``), and row-space comparison of two systems.
+(``eliminate``), row-space comparison of two systems, and the test of
+candidate rows against one echelon form (``outside_span``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-from .rings import Element, QuadraticField, Ring, RingMismatchError
+from .rings import Element, Ring, RingMismatchError, field_tables
 
 
 class LinearSystem:
@@ -89,41 +86,6 @@ class SolutionSet:
         return self.status == "affine"
 
 
-class FieldTables(NamedTuple):
-    """Arithmetic of one small field on the codes 0 .. q-1.
-
-    ``mul[a][b]`` is the code of a*b, ``sub[a][b]`` that of a-b (so
-    ``sub[0]`` negates), ``inv[a]`` that of 1/a (``inv[0]`` is None),
-    ``elements[a]`` the ``Element`` of code a, and ``code`` maps a payload
-    back to its code.
-    """
-
-    mul: list[list[int]]
-    sub: list[list[int]]
-    inv: list[int | None]
-    elements: list[Element]
-    code: dict
-
-
-@lru_cache(maxsize=None)
-def _field_tables(ring: Ring) -> FieldTables:
-    """The table set of GF(p) or GF(p)[i], built once per ring value."""
-    if not ring.is_field():
-        raise ValueError(f"linear algebra needs a field, not {ring!r}")
-    p = ring.characteristic()
-    if isinstance(ring, QuadraticField):
-        payloads = [(c % p, c // p) for c in range(p * p)]
-    else:
-        payloads = list(range(p))
-    code = {x: c for c, x in enumerate(payloads)}
-    mul = [[code[ring._mul(x, y)] for y in payloads] for x in payloads]
-    negatives = [ring._neg(y) for y in payloads]
-    sub = [[code[ring._add(x, y)] for y in negatives] for x in payloads]
-    inv = [None] + [code[ring._invert(x)] for x in payloads[1:]]
-    elements = [Element(ring, x) for x in payloads]
-    return FieldTables(mul, sub, inv, elements, code)
-
-
 def _row_echelon(rows: Iterable[Sequence[Element]],
                  ring: Ring) -> tuple[list[list[int]], list[int]]:
     """Fully reduced row echelon form of the encoded rows.
@@ -132,7 +94,7 @@ def _row_echelon(rows: Iterable[Sequence[Element]],
     1) and the pivot column indices.  The callers have checked that every
     entry lies in ``ring``.
     """
-    tables = _field_tables(ring)
+    tables = field_tables(ring)
     code = tables.code
     work = [[code[x.payload] for x in row] for row in rows]
     if not work:
@@ -165,13 +127,42 @@ def _row_echelon(rows: Iterable[Sequence[Element]],
     return work, pivots
 
 
-def rank(rows: Sequence[Sequence[Element]], ring: Ring) -> int:
-    """Row rank under exact Gaussian elimination."""
+def _require_ring(rows: Iterable[Sequence[Element]], ring: Ring) -> None:
     for row in rows:
         for x in row:
             if x.ring is not ring and x.ring != ring:
                 raise RingMismatchError("matrix entry from a foreign ring")
+
+
+def rank(rows: Sequence[Sequence[Element]], ring: Ring) -> int:
+    """Row rank under exact Gaussian elimination."""
+    _require_ring(rows, ring)
     return len(_row_echelon(rows, ring)[1])
+
+
+def outside_span(rows: Sequence[Sequence[Element]],
+                 candidates: Iterable[Sequence[Element]],
+                 ring: Ring) -> list[bool]:
+    """For each candidate row, whether it lies outside the row span of
+    ``rows``: the rows are echeloned once and each candidate is reduced
+    against that form."""
+    candidates = list(candidates)
+    _require_ring(rows, ring)
+    _require_ring(candidates, ring)
+    reduced, pivots = _row_echelon(rows, ring)
+    tables = field_tables(ring)
+    code, mul, sub = tables.code, tables.mul, tables.sub
+    out = []
+    for candidate in candidates:
+        work = [code[x.payload] for x in candidate]
+        for row, c in zip(reduced, pivots):
+            f = work[c]
+            if f:
+                # a reduced pivot row is zero at every other pivot column
+                times_f = mul[f]
+                work = [sub[x][times_f[y]] for x, y in zip(work, row)]
+        out.append(any(work))
+    return out
 
 
 def transpose(rows: Sequence[Sequence[Element]]) -> list[list[Element]]:
@@ -188,7 +179,7 @@ def solve_affine(system: LinearSystem) -> SolutionSet:
         [(*row, b) for row, b in zip(system.rows, system.rhs)], system.ring)
     if n in pivots:
         return SolutionSet(status="inconsistent", variables=variables)
-    tables = _field_tables(system.ring)
+    tables = field_tables(system.ring)
     elements, neg = tables.elements, tables.sub[0]
     zero, one = elements[0], elements[1]
     pivot_set = set(pivots)
@@ -229,7 +220,7 @@ def eliminate(system: LinearSystem, aux: Iterable[str]) -> LinearSystem:
     reduced, pivots = _row_echelon(
         [[row[i] for i in order] + [b]
          for row, b in zip(system.rows, system.rhs)], ring)
-    elements = _field_tables(ring).elements
+    elements = field_tables(ring).elements
     na = len(aux)
     out_rows, out_rhs = [], []
     for row, c in zip(reduced, pivots):

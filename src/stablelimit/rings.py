@@ -15,6 +15,15 @@ elements of different rings raises ``RingMismatchError``.  Canonical form
 is the least non-negative residue in each coordinate, so ``==`` and
 ``hash`` agree with mathematical equality.
 
+The small fields GF(p) and GF(p)[i] also have an unboxed form: a GF(p)
+element is coded as its payload and a GF(p**2) element a+bi as the int
+a + p*b, so zero is 0 and one is 1.  ``field_tables`` gives each such
+field one table set (products, differences, inverses, and the element of
+each code), filled on first use from the ring's own arithmetic, in the
+manner of the table-based small fields of FFLAS-FFPACK (Dumas, Giorgi,
+Pernet, ACM TOMS 35(3), 2008).  Exact elimination (``linalg``) and the
+rational singular-point scan (``scenarios``) both run on these codes.
+
 The module also provides ``hensel_lift``, the p-power-at-a-time refinement
 of a simple root of a univariate integer polynomial.
 """
@@ -22,7 +31,9 @@ of a simple root of a univariate integer polynomial.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 
 class RingMismatchError(TypeError):
@@ -131,7 +142,7 @@ class Element:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
+            base = base * base if n > 1 else base
             n >>= 1
         return result
 
@@ -410,6 +421,53 @@ class DualNumbers(Ring):
 
     def __hash__(self):
         return hash(("DualNumbers", self.base))
+
+
+class FieldTables(NamedTuple):
+    """Arithmetic of one small field on the codes 0 .. q-1.
+
+    ``mul[a][b]`` is the code of a*b, ``sub[a][b]`` that of a-b (so
+    ``sub[0]`` negates), ``inv[a]`` that of 1/a (``inv[0]`` is None),
+    ``elements[a]`` the ``Element`` of code a, and ``code`` maps a payload
+    back to its code.  Every part is read-only, since one table set is
+    shared by all its users.
+    """
+
+    mul: tuple[tuple[int, ...], ...]
+    sub: tuple[tuple[int, ...], ...]
+    inv: tuple[int | None, ...]
+    elements: tuple[Element, ...]
+    code: Mapping
+
+    def horner(self, coeffs: Sequence[int], x: int) -> int:
+        """Code of the sum of coeffs[k] * x**k, coefficients low degree
+        first."""
+        times_x, sub, neg = self.mul[x], self.sub, self.sub[0]
+        acc = 0
+        for c in reversed(coeffs):
+            acc = sub[times_x[acc]][neg[c]]
+        return acc
+
+
+@lru_cache(maxsize=None)
+def field_tables(ring: Ring) -> FieldTables:
+    """The table set of GF(p) or GF(p)[i], built once per ring value."""
+    if not ring.is_field():
+        raise ValueError(f"small-field tables need a field, not {ring!r}")
+    p = ring.characteristic()
+    if isinstance(ring, QuadraticField):
+        payloads = [(c % p, c // p) for c in range(p * p)]
+    else:
+        payloads = list(range(p))
+    code = {x: c for c, x in enumerate(payloads)}
+    mul = tuple(tuple(code[ring._mul(x, y)] for y in payloads)
+                for x in payloads)
+    negatives = [ring._neg(y) for y in payloads]
+    sub = tuple(tuple(code[ring._add(x, y)] for y in negatives)
+                for x in payloads)
+    inv = (None, *(code[ring._invert(x)] for x in payloads[1:]))
+    elements = tuple(Element(ring, x) for x in payloads)
+    return FieldTables(mul, sub, inv, elements, MappingProxyType(code))
 
 
 def eval_int_poly(coeffs: Sequence[int], x: int) -> int:

@@ -23,7 +23,7 @@ from .curvelocal import (ChartGerm, _divide_by_linear, branch_locus, classify,
                          infinitely_near_multiplicity,
                          intersection_multiplicity, multiplicity_at)
 from .deformation import F49, dehomogenize
-from .linalg import LinearSystem, rank, rowspace_equal, solve_affine
+from .linalg import LinearSystem, outside_span, rowspace_equal, solve_affine
 from .linser import (PassThrough, TangentDirection, distinct_fiber_counts,
                      normalize_pair, series_dimension,
                      split_sections_vanishing)
@@ -32,7 +32,7 @@ from .picard import (DivisorClass, Lattice, blowup, double_cover_stats,
                      verify_class_relation)
 from .poly import MPoly, VarRegistry, parse_poly, unit_match
 from .report import VerificationReport
-from .rings import Element, PrimeField, ZMod, hensel_lift
+from .rings import Element, PrimeField, ZMod, field_tables, hensel_lift
 
 F7 = PrimeField(cgdata.PRIME)
 Z343 = ZMod(cgdata.PRIME, 3)
@@ -336,59 +336,69 @@ def scenario_delta() -> VerificationReport:
 # scenario: singularities
 
 
-def _horner_eval(table, a, b):
-    """Evaluate a coefficient table at GF(49) points given as int pairs."""
-    acc = (0, 0)
-    for row in reversed(table):
-        inner = (0, 0)
-        for pay in reversed(row):
-            inner = ((inner[0] * b[0] - inner[1] * b[1] + pay[0]) % 7,
-                     (inner[0] * b[1] + inner[1] * b[0] + pay[1]) % 7)
-        acc = ((acc[0] * a[0] - acc[1] * a[1] + inner[0]) % 7,
-               (acc[0] * a[1] + acc[1] * a[0] + inner[1]) % 7)
-    return acc
+# The scan's cover of P^1 x P^1(GF(49)): (chart, codes of the first local
+# coordinate, codes of the second).  Chart 4 holds every point with both
+# factors affine; chart 2 at al' = 0 adds the first factor at infinity,
+# chart 3 at be' = 0 the second, chart 1 at its origin both; 2,500 points,
+# each once.
+_ALL_CODES = tuple(range(F49.order()))
+SCAN_COVER = ((4, _ALL_CODES, _ALL_CODES), (2, (0,), _ALL_CODES),
+              (3, _ALL_CODES, (0,)), (1, (0,), (0,)))
 
 
 @lru_cache(maxsize=None)
 def rational_singular_points() -> frozenset:
     """All GF(49)-rational singular points of the curve union, scanned
-    exhaustively over the four charts; canonical projective labels."""
+    exhaustively over one cover of P^1 x P^1; canonical projective labels.
+
+    A point is singular iff the chart germ and both its chart partials
+    vanish there.  For each first coordinate the three are restricted to
+    univariate code vectors in the second and evaluated at every second
+    coordinate on the field tables; the partials only where the germ
+    vanishes.
+    """
     g1, g2 = curve_pair("F49")
     product = g1 * g2
+    tables = field_tables(F49)
+    horner, elements = tables.horner, tables.elements
     found = set()
-    for chart in (1, 2, 3, 4):
+    for chart, firsts, seconds in SCAN_COVER:
         u, v = cgdata.CHARTS[chart]
-        germ = chart_germ(product, chart)
-        tables = [_chart_tables(germ.poly, chart)]
-        for name in (u, v):
-            tables.append(_chart_tables(germ.poly.partial_derivative(name),
-                                        chart))
-        els = [(a, b) for a in range(7) for b in range(7)]
-        for pa in els:
-            for pb in els:
-                if all(_horner_eval(t, pa, pb) == (0, 0) for t in tables):
-                    found.add(_projective_label(chart, pa, pb))
+        germ = chart_germ(product, chart).poly
+        grid, *partial_grids = (
+            _code_grid(p, u, v, tables.code)
+            for p in (germ, germ.partial_derivative(u),
+                      germ.partial_derivative(v)))
+        for a in firsts:
+            restricted = [horner(column, a) for column in grid]
+            roots = [b for b in seconds if horner(restricted, b) == 0]
+            if not roots:
+                continue
+            partials = [[horner(column, a) for column in g]
+                        for g in partial_grids]
+            for b in roots:
+                if all(horner(r, b) == 0 for r in partials):
+                    found.add(_projective_label(chart, elements[a],
+                                                elements[b]))
     return frozenset(found)
 
 
-def _chart_tables(poly: MPoly, chart: int):
-    u, v = cgdata.CHARTS[chart]
+def _code_grid(poly: MPoly, u: str, v: str,
+               code: Mapping) -> list[list[int]]:
+    """Codes of a polynomial in the chart coordinates u, v: one column per
+    power of v, listing the coefficients by the power of u."""
     iu, iv = cgdata.AB.index[u], cgdata.AB.index[v]
-    if poly.is_zero():
-        return [[(0, 0)]]
-    du = max(e[iu] for e in poly.terms)
-    dv = max(e[iv] for e in poly.terms)
-    table = [[(0, 0)] * (dv + 1) for _ in range(du + 1)]
+    du = max((e[iu] for e in poly.terms), default=0)
+    dv = max((e[iv] for e in poly.terms), default=0)
+    grid = [[0] * (du + 1) for _ in range(dv + 1)]
     for exps, c in poly.terms.items():
-        pay = c.payload if isinstance(c.payload, tuple) else (c.payload, 0)
-        table[exps[iu]][exps[iv]] = pay
-    return table
+        grid[exps[iv]][exps[iu]] = code[c.payload]
+    return grid
 
 
-def _projective_label(chart: int, pa, pb):
-    """Canonical label of the chart point with int-pair coordinates."""
-    point = chart_point(chart, F49.element(pa), F49.element(pb))
-    return tuple(normalize_pair(pair) for pair in point)
+def _projective_label(chart: int, a: Element, b: Element):
+    """Canonical label of the chart point with local coordinates (a, b)."""
+    return tuple(normalize_pair(pair) for pair in chart_point(chart, a, b))
 
 
 def scenario_singularities() -> VerificationReport:
@@ -502,11 +512,11 @@ def scenario_deform_derive() -> VerificationReport:
     rep.provenance["published elimination list matches derived relations"] = \
         "derived"
     if not elim_equal:
-        dr = rank(derived.system.rows, F49)
         sub_items = list(cgdata.PUBLISHED_SUBSTITUTIONS)
         labels = []
-        for k, row in enumerate(elimination.rows):
-            if rank([*derived.system.rows, row], F49) != dr:
+        outside = outside_span(derived.system.rows, elimination.rows, F49)
+        for k, row_outside in enumerate(outside):
+            if row_outside:
                 if k < len(sub_items):
                     labels.append(f"elimination of {sub_items[k]}")
                 else:

@@ -1,14 +1,17 @@
 """The first-order rigidity derivation and the published linear systems."""
 
+import random
+
 import pytest
 
-from stablelimit import cgdata, deformation
+from stablelimit import MPoly, PrimeField, cgdata, deformation
 from stablelimit.deformation import F49
-from stablelimit.linalg import rank, rowspace_equal, solve_affine
+from stablelimit.linalg import outside_span, rank, rowspace_equal, solve_affine
 from stablelimit.scenarios import (_chain_rule_rows, _corrected_system,
                                    _corrected_system_feasible,
                                    _direct_value_rows, _elimination_system_28,
-                                   _published_system_28, derived_system_cached)
+                                   _published_system_28, curve_pair,
+                                   derived_system_cached)
 
 
 def test_classical_conditions_hold():
@@ -36,6 +39,35 @@ def test_published_elimination_deviates_in_one_row():
                if rank([*derived.system.rows, row], F49) != dr]
     sub_items = list(cgdata.PUBLISHED_SUBSTITUTIONS)
     assert [sub_items[k] for k in outside] == ["a22"]
+    flags = outside_span(derived.system.rows, elimination.rows, F49)
+    assert [k for k, flag in enumerate(flags) if flag] == outside
+
+
+def _dehomogenize_by_substitution(p, chart):
+    one = MPoly.constant(p.registry, p.ring.one())
+    return p.substitute({n: one for n in cgdata.AB.names
+                         if n not in cgdata.CHARTS[chart]})
+
+
+def _random_bidegree_33(rng, ring):
+    terms = {}
+    for i in range(4):
+        for j in range(4):
+            if rng.random() < 0.7:
+                terms[(i, 3 - i, j, 3 - j)] = ring.random_element(rng)
+    return MPoly(cgdata.AB, ring, terms)
+
+
+def test_dehomogenize_matches_substitution():
+    g1, g2 = curve_pair("F49")
+    rng = random.Random(31)
+    forms = [g1, g2, g1 * g2]
+    for ring in (F49, PrimeField(7)):
+        forms += [_random_bidegree_33(rng, ring) for _ in range(10)]
+    for p in forms:
+        for chart in (1, 2, 3, 4):
+            assert deformation.dehomogenize(p, chart) == \
+                _dehomogenize_by_substitution(p, chart)
 
 
 def test_tangent_cone_scales():

@@ -7,7 +7,8 @@ import pytest
 
 from stablelimit import (LinearSystem, PrimeField, QuadraticField, ZMod,
                          eliminate, rank, rowspace_equal, solve_affine)
-from stablelimit.linalg import _field_tables, _row_echelon, transpose
+from stablelimit.linalg import _row_echelon, outside_span, transpose
+from stablelimit.rings import field_tables
 
 F7 = PrimeField(7)
 F49 = QuadraticField(7)
@@ -118,7 +119,7 @@ def rand_structured_mat(rng, nrows, ncols, ring):
 @pytest.mark.parametrize("ring", [F7, F49], ids=["GF7", "GF49"])
 def test_kernel_matches_element_elimination(ring):
     rng = random.Random(61)
-    elements = _field_tables(ring).elements
+    elements = field_tables(ring).elements
     shapes = [(1, 1), (3, 9), (9, 3), (6, 6), (2, 12), (12, 2), (8, 8)]
     for trial in range(120):
         nrows, ncols = shapes[trial % len(shapes)]
@@ -131,7 +132,7 @@ def test_kernel_matches_element_elimination(ring):
 
 @pytest.mark.parametrize("ring", [F7, F49], ids=["GF7", "GF49"])
 def test_field_tables_match_ring_arithmetic(ring):
-    tables = _field_tables(ring)
+    tables = field_tables(ring)
     elements = tables.elements
     q = 7 if ring == F7 else 49
     assert len(elements) == q
@@ -147,6 +148,30 @@ def test_field_tables_match_ring_arithmetic(ring):
         for b, y in enumerate(elements):
             assert elements[tables.mul[a][b]] == x * y
             assert elements[tables.sub[a][b]] == x - y
+    # one table set is shared by every user, so none of them may change it
+    with pytest.raises(TypeError):
+        tables.mul[2][3] = 0
+    with pytest.raises(TypeError):
+        tables.code[(0, 0) if q == 49 else 0] = 1
+
+
+@pytest.mark.parametrize("ring", [F7, F49], ids=["GF7", "GF49"])
+def test_outside_span_matches_rank(ring):
+    rng = random.Random(29)
+    shapes = [(0, 4), (1, 1), (3, 9), (6, 6), (9, 3), (4, 12)]
+    for trial in range(60):
+        nrows, ncols = shapes[trial % len(shapes)]
+        basis = rand_structured_mat(rng, nrows, ncols, ring)
+        candidates = rand_structured_mat(rng, 4, ncols, ring)
+        for _ in range(2):  # rows inside the span, unless the basis is empty
+            acc = [ring.zero()] * ncols
+            for row in basis:
+                s = ring.random_element(rng)
+                acc = [x + s * y for x, y in zip(acc, row)]
+            candidates.append(acc)
+        r = rank(basis, ring)
+        expected = [rank([*basis, row], ring) != r for row in candidates]
+        assert outside_span(basis, candidates, ring) == expected
 
 
 def test_kernel_needs_a_field():

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from stablelimit import (ZZ, DualNumbers, NonUnitError, NotSimpleRootError,
-                         PrimeField, QuadraticField, RingMismatchError, ZMod,
-                         hensel_lift)
+from stablelimit import (ZZ, DualNumbers, Element, NonUnitError,
+                         NotSimpleRootError, PrimeField, QuadraticField,
+                         RingMismatchError, ZMod, hensel_lift)
 from stablelimit.rings import eval_int_poly
 
 F7 = PrimeField(7)
@@ -93,6 +93,28 @@ def test_frobenius_on_gf49():
     for _ in range(100):
         x = F49.random_element(rng)
         assert x ** 49 == x
+
+
+# rings whose multiplication makes no inner Element products
+@pytest.mark.parametrize("ring", [ZZ, F7, F49, Z343], ids=repr)
+def test_power_squares_only_while_bits_remain(ring, monkeypatch):
+    plain_mul = Element.__mul__
+    products = [0]
+
+    def counted_mul(self, other):
+        products[0] += 1
+        return plain_mul(self, other)
+
+    monkeypatch.setattr(Element, "__mul__", counted_mul)
+    x = ring.random_element(random.Random(17))
+    assert x ** 0 == ring.one()
+    assert products[0] == 0
+    repeated = ring.one()
+    for n in range(1, 61):
+        repeated = plain_mul(repeated, x)
+        products[0] = 0
+        assert x ** n == repeated
+        assert products[0] <= n.bit_length() + bin(n).count("1") - 1, n
 
 
 def test_elements_hash_and_immutability():

@@ -1,11 +1,15 @@
 """Scenario-level behavior: statuses, flags, determinism, sensitivity."""
 
 import json
+from itertools import product
 
 import pytest
 
-from stablelimit import scenarios
+from stablelimit import cgdata, scenarios
+from stablelimit.deformation import F49
+from stablelimit.linser import normalize_pair
 from stablelimit.report import render_json
+from stablelimit.rings import field_tables
 
 # every scenario passes except the lattice one, which carries the single
 # published intersection number that the exact computation contradicts
@@ -110,3 +114,44 @@ def test_provenance_tags_are_recorded():
     report = scenarios.run_scenario("diophantine")
     assert report.provenance["solutions up to bound 100"] == "published"
     assert report.provenance["regression: target 3 solution set"] == "derived"
+
+
+# ----------------------------------------------------------------------
+# the rational singular-point scan
+
+
+def projective_line():
+    """One normalized representative (p0 : p1) of each point of P^1(GF(49))."""
+    zero, one = F49.zero(), F49.one()
+    return [(x, one) for x in F49.all_elements()] + [(one, zero)]
+
+
+def test_singular_points_match_homogeneous_partials():
+    # Euler: al*F_al + al'*F_al' = 6F for the bidegree-(6,6) union, and 6
+    # is a unit mod 7, so the four homogeneous partials vanish together
+    # exactly where the germ and both chart partials do.  No chart, no
+    # int code.
+    g1, g2 = scenarios.curve_pair("F49")
+    union = g1 * g2
+    assert union.is_bihomogeneous((6, 6), (cgdata.FIRST_PAIR,
+                                           cgdata.SECOND_PAIR))
+    assert not F49.from_int(6).is_zero()
+    partials = [union.partial_derivative(n) for n in cgdata.AB.names]
+    found = set()
+    for first, second in product(projective_line(), repeat=2):
+        at = dict(zip(cgdata.AB.names, (*first, *second)))
+        if all(p.evaluate(at).is_zero() for p in partials):
+            found.add((normalize_pair(first), normalize_pair(second)))
+    assert len(found) == 6
+    assert scenarios.rational_singular_points() == found
+
+
+def test_scan_cover_visits_each_point_once():
+    elements = field_tables(F49).elements
+    visited = [scenarios._projective_label(chart, elements[a], elements[b])
+               for chart, firsts, seconds in scenarios.SCAN_COVER
+               for a in firsts for b in seconds]
+    line = {normalize_pair(pt) for pt in projective_line()}
+    assert len(line) == 50
+    assert len(visited) == 2500
+    assert set(visited) == set(product(line, repeat=2))
