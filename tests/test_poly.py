@@ -1,8 +1,14 @@
 """Sparse polynomials: parser, ring operations, calculus, restriction."""
 
+import functools
 import random
 
 import pytest
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:     # only the properties at the end need hypothesis
+    given = settings = st = None
 
 from stablelimit import (ZZ, DualNumbers, MPoly, ParseError, PrimeField,
                          QuadraticField, VarRegistry, ZMod, parse_poly)
@@ -274,3 +280,85 @@ def test_chart1_degree_one_part_vanishes():
     one = MPoly.constant(AB, F7.one())
     local = g1.substitute({"al": one, "be": one})
     assert local.graded_part(1, ("al'", "be'")).is_zero()
+
+
+# ----------------------------------------------------------------------
+# hypothesis properties: the same identities as the seeded samplers
+# above, with shrinking to a minimal counterexample.  Derandomized with a
+# fixed example count, so every run checks the same polynomials.
+
+XYZ = VarRegistry(("x", "y", "z"))
+PROPERTY_EXAMPLES = 50
+COEFFS = {
+    "ZZ": (ZZ, lambda: st.integers(-60, 60)),
+    "Z/343": (Z343, lambda: st.integers(0, 342)),
+    "GF(7)": (F7, lambda: st.integers(0, 6)),
+    "GF(49)": (F49, lambda: st.tuples(st.integers(0, 6), st.integers(0, 6))),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def polys(key, max_terms=6, max_exp=3):
+    """Polynomials in x, y, z over one ring, shaped like ``rand_poly``'s."""
+    ring, coeffs = COEFFS[key]
+    exps = st.tuples(*[st.integers(0, max_exp - 1)] * len(XYZ))
+    terms = st.lists(st.tuples(exps, coeffs().map(ring.element)),
+                     max_size=max_terms)
+    return terms.map(lambda pairs: MPoly(XYZ, ring, dict(pairs)))
+
+
+@functools.lru_cache(maxsize=None)
+def points(key):
+    ring, coeffs = COEFFS[key]
+    return st.fixed_dictionaries(
+        {name: coeffs().map(ring.element) for name in XYZ.names})
+
+
+def poly_property(make_strategies):
+    """``given`` over the strategies ``make_strategies(key)`` returns, for
+    each ring key the test is parametrized over; a skip without
+    hypothesis."""
+    if given is None:
+        return pytest.mark.skip(reason="hypothesis is not installed")
+
+    def decorate(test):
+        @settings(derandomize=True, max_examples=PROPERTY_EXAMPLES,
+                  deadline=None, database=None)
+        @given(st.data())
+        def run(key, data):
+            test(*(data.draw(s) for s in make_strategies(key)))
+        run.__name__ = test.__name__
+        return run
+    return decorate
+
+
+@pytest.mark.parametrize("key", ["ZZ", "Z/343", "GF(7)"])
+@poly_property(lambda key: (polys(key),))
+def test_property_print_parse_roundtrip(p):
+    assert parse_poly(str(p), p.registry, p.ring) == p
+
+
+@pytest.mark.parametrize("key", ["GF(7)", "Z/343", "GF(49)"])
+@poly_property(lambda key: (polys(key), polys(key),
+                            *[polys(key, max_terms=3, max_exp=2)] * 3))
+def test_property_substitute_is_ring_homomorphism(p, q, sx, sy, sz):
+    sigma = {"x": sx, "y": sy, "z": sz}
+    assert (p * q).substitute(sigma) == \
+        p.substitute(sigma) * q.substitute(sigma)
+    assert (p + q).substitute(sigma) == \
+        p.substitute(sigma) + q.substitute(sigma)
+
+
+@pytest.mark.parametrize("key", ["ZZ", "GF(7)", "Z/343", "GF(49)"])
+@poly_property(lambda key: (polys(key), polys(key), points(key)))
+def test_property_evaluation_is_multiplicative(p, q, point):
+    assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
+    assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
+
+
+@pytest.mark.parametrize("key", ["ZZ", "GF(7)", "Z/343", "GF(49)"])
+@poly_property(lambda key: (polys(key), polys(key),
+                            st.sampled_from(XYZ.names)))
+def test_property_leibniz_rule(p, q, name):
+    d = MPoly.partial_derivative
+    assert d(p * q, name) == d(p, name) * q + p * d(q, name)
