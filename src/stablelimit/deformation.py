@@ -92,8 +92,9 @@ def _monomial_rows(form: Form) -> list[list[Element]]:
     """One row per monomial of a linear form: the coefficients of the
     unknowns at that monomial."""
     zero = F49.zero()
-    monomials = sorted({e for p in form.values() for e in p.terms})
-    return [[form[n].terms.get(e, zero) if n in form else zero
+    terms = {n: dict(p.terms.items()) for n, p in form.items()}
+    monomials = sorted({e for t in terms.values() for e in t})
+    return [[terms[n].get(e, zero) if n in terms else zero
              for n in _ALL_UNKNOWNS] for e in monomials]
 
 

@@ -1,9 +1,33 @@
 """Sparse multivariate polynomials over the exact rings, plus a text grammar.
 
-A polynomial is a map from exponent vectors to nonzero coefficients, all
-sharing one ring and one variable registry.  The registry fixes the
-variable order, and with it the graded reverse lexicographic order used
-for canonical printing and deterministic iteration.
+A polynomial is a map from monomials to nonzero coefficients, all sharing
+one ring and one variable registry.  The registry fixes the variable
+order, and with it the graded reverse lexicographic order used for
+canonical printing.
+
+Inside, ``MPoly`` stores ``{packed monomial: raw coefficient}``:
+
+* A monomial is packed into one int, in the manner of Monagan and Pearce
+  ("Polynomial division using dynamic arrays, heaps, and packed exponent
+  vectors", CASC 2007).  The exponent of variable i sits in bits
+  [16 i, 16 i + 16), and the total degree sits above all of them, so
+  multiplying two monomials is one int addition and the total degree of a
+  monomial is one shift.  No term may have total degree above
+  ``MAX_DEGREE``, which keeps every exponent inside its field; the bound is
+  checked on construction and on every multiplication, and crossing it
+  raises ``OverflowError``.
+* A coefficient is the raw value of its ring: the integer payload over
+  ZZ and Z/p^k (over GF(p) that payload is also its ``field_tables``
+  code), the ``field_tables`` code over GF(p)[i], and the payload over any
+  other ring.  Each ring has one coefficient path (``_coeffs``), which
+  every operation uses; over the integer rings sums and products are
+  reduced once per operation rather than once per step.
+
+``Element``s are built only at the boundary: ``coefficient``, the value of
+``evaluate``, and the ``terms`` view.  ``terms`` is a read-only mapping from
+exponent tuples to ``Element``s, decoded on access.  Polynomials are
+immutable: the view has no setters and attributes cannot be assigned, so
+an ``lru_cache``d polynomial can be shared safely.
 
 The grammar accepted by ``parse_poly`` is deliberately tiny::
 
@@ -17,18 +41,30 @@ Whitespace is insignificant and there is no implicit multiplication.
 Integer literals map into the coefficient ring through its canonical
 ``from_int``.  Scenario data files embed every input polynomial in this
 grammar, so entering a published equation is a copy-paste job rather than
-a re-derivation.
+a re-derivation.  GF(p)[i] text is write-only: ``str`` prints a coefficient
+with an imaginary part as ``(a+bi)``, which ``parse_poly`` rejects.
 """
 
 from __future__ import annotations
 
+import operator
+import re
+import struct
+from collections.abc import Mapping as MappingABC
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .rings import Element, Ring, RingMismatchError
+from .rings import (Element, IntegerRing, QuadraticField, Ring,
+                    RingMismatchError, ZMod, _element, field_tables)
+
+_FIELD_BITS = 16                      # one unsigned 16-bit field per variable
+MAX_DEGREE = (1 << _FIELD_BITS) - 1   # bound on the total degree of a term
+_MASK = MAX_DEGREE
 
 
 class VarRegistry:
-    """An ordered list of distinct variable names."""
+    """An ordered list of distinct variable names, and the packing of
+    exponent vectors over them."""
 
     def __init__(self, names: Sequence[str]):
         names = tuple(names)
@@ -39,6 +75,10 @@ class VarRegistry:
                 raise ValueError(f"invalid variable name: {name!r}")
         self.names = names
         self.index = {name: i for i, name in enumerate(names)}
+        # variable i in bits [16 i, 16 i + 16), the total degree above
+        self._fields = struct.Struct(f"<{len(names)}H")
+        self._shifts = tuple(range(0, _FIELD_BITS * len(names), _FIELD_BITS))
+        self._degree_shift = _FIELD_BITS * len(names)
 
     def __len__(self):
         return len(self.names)
@@ -55,6 +95,32 @@ class VarRegistry:
     def __repr__(self):
         return f"VarRegistry({', '.join(self.names)})"
 
+    def _pack(self, exps: Sequence[int]) -> int:
+        if len(exps) != len(self.names):
+            raise ValueError("exponent vector has wrong length")
+        degree = sum(exps)
+        _check_degree(degree)
+        try:
+            fields = self._fields.pack(*exps)
+        except struct.error:
+            raise ValueError(f"exponents must be non-negative integers, "
+                             f"not {exps!r}") from None
+        return int.from_bytes(fields, "little") | degree << self._degree_shift
+
+    def _unpack(self, packed: int) -> tuple[int, ...]:
+        return self._fields.unpack_from(
+            packed.to_bytes(self._degree_shift // 8 + 2, "little"))
+
+    def _unit(self, i: int) -> int:
+        """The packed monomial of variable i."""
+        return 1 << self._shifts[i] | 1 << self._degree_shift
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise OverflowError(
+            f"total degree {degree} exceeds the packed bound {MAX_DEGREE}")
+
 
 def _is_valid_var(name: str) -> bool:
     if not name or not name[0].isalpha():
@@ -69,28 +135,241 @@ def _grevlex_key(exps: tuple[int, ...]):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-class MPoly:
-    """A sparse multivariate polynomial over an exact ring.
+# ----------------------------------------------------------------------
+# raw coefficients: one path per ring
 
-    Treat instances as immutable; all operations return fresh objects.
+
+class _Coeffs:
+    """Raw coefficient arithmetic of one ring.
+
+    ``addmul(acc, shift, scalar, terms)`` adds scalar * terms, shifted by
+    the packed monomial ``shift``, into the accumulator ``acc``; ``finish``
+    turns an accumulator into canonical nonzero terms.  The ring
+    operations and substitution are these two steps, so an accumulator
+    may hold values that only ``finish`` makes canonical.
     """
 
-    __slots__ = ("registry", "ring", "terms")
+    zero, one = 0, 1
+    is_zero = staticmethod(operator.not_)
+
+    def __init__(self, ring: Ring):
+        self.ring = ring
+
+    def raw(self, x: Element, what: str = "coefficient"):
+        if x.ring is not self.ring and x.ring != self.ring:
+            raise RingMismatchError(f"{what} from a foreign ring")
+        return x.payload
+
+    def wrap(self, raw) -> Element:
+        return _element(self.ring, raw)
+
+    def from_int(self, n: int):
+        return self.ring.from_int(n).payload
+
+
+class _IntCoeffs(_Coeffs):
+    """ZZ and Z/p^k: the raw value is the integer payload.  Accumulators
+    hold unreduced sums of products; ``finish`` reduces them once."""
+
+    def __init__(self, ring: Ring):
+        super().__init__(ring)
+        self.modulus = ring.characteristic()    # 0 over ZZ
+        self.minus_one = self.from_int(-1)
+
+    def from_int(self, n: int):
+        return n % self.modulus if self.modulus else n
+
+    def addmul(self, acc, shift, scalar, terms):
+        get = acc.get
+        for e, c in terms.items():
+            e += shift
+            acc[e] = get(e, 0) + scalar * c
+
+    def finish(self, acc):
+        m = self.modulus
+        if m:
+            return {e: r for e, c in acc.items() if (r := c % m)}
+        return {e: c for e, c in acc.items() if c}
+
+    def mul(self, a, b):
+        return a * b % self.modulus if self.modulus else a * b
+
+    def evaluate(self, terms, ladders):
+        acc = 0
+        for e, c in terms.items():
+            for shift, ladder in ladders:
+                c *= ladder[(e >> shift) & _MASK]
+            acc += c
+        return acc % self.modulus if self.modulus else acc
+
+
+class _TableCoeffs(_Coeffs):
+    """GF(p)[i]: the raw value is the ``field_tables`` code."""
+
+    def __init__(self, ring: Ring):
+        super().__init__(ring)
+        tables = field_tables(ring)
+        self.tmul, self.tadd = tables.mul, tables.add
+        self.code, self.elements = tables.code, tables.elements
+        self.minus_one = self.from_int(-1)
+
+    def raw(self, x: Element, what: str = "coefficient"):
+        if x.ring is not self.ring and x.ring != self.ring:
+            raise RingMismatchError(f"{what} from a foreign ring")
+        return self.code[x.payload]
+
+    def wrap(self, raw) -> Element:
+        return self.elements[raw]
+
+    def from_int(self, n: int):
+        return self.code[self.ring.from_int(n).payload]
+
+    def addmul(self, acc, shift, scalar, terms):
+        get, add, row = acc.get, self.tadd, self.tmul[scalar]
+        for e, c in terms.items():
+            e += shift
+            acc[e] = add[get(e, 0)][row[c]]
+
+    def finish(self, acc):
+        return {e: c for e, c in acc.items() if c}
+
+    def mul(self, a, b):
+        return self.tmul[a][b]
+
+    def evaluate(self, terms, ladders):
+        mul, add = self.tmul, self.tadd
+        acc = 0
+        for e, c in terms.items():
+            for shift, ladder in ladders:
+                c = mul[c][ladder[(e >> shift) & _MASK]]
+            acc = add[acc][c]
+        return acc
+
+
+class _GenericCoeffs(_Coeffs):
+    """Any other ring (the dual numbers): the raw value is the payload,
+    combined through the ring's payload arithmetic."""
+
+    def __init__(self, ring: Ring):
+        super().__init__(ring)
+        self.zero, self.one = ring.zero().payload, ring.one().payload
+        self.is_zero = ring._is_zero
+        self.minus_one = self.from_int(-1)
+
+    def addmul(self, acc, shift, scalar, terms):
+        add, mul, zero = self.ring._add, self.ring._mul, self.zero
+        for e, c in terms.items():
+            e += shift
+            acc[e] = add(acc.get(e, zero), mul(scalar, c))
+
+    def finish(self, acc):
+        is_zero = self.ring._is_zero
+        return {e: c for e, c in acc.items() if not is_zero(c)}
+
+    def mul(self, a, b):
+        return self.ring._mul(a, b)
+
+    def evaluate(self, terms, ladders):
+        add, mul = self.ring._add, self.ring._mul
+        acc = self.zero
+        for e, c in terms.items():
+            for shift, ladder in ladders:
+                c = mul(c, ladder[(e >> shift) & _MASK])
+            acc = add(acc, c)
+        return acc
+
+
+# Small enough that the three q x q tables of GF(q) stay small.
+_TABLE_ORDER_LIMIT = 256
+
+
+@lru_cache(maxsize=None)
+def _coeffs(ring: Ring) -> _Coeffs:
+    """The coefficient path of ``ring``; equal rings share one, so two
+    polynomials have equal rings exactly when their paths are the same
+    object."""
+    if isinstance(ring, (IntegerRing, ZMod)):
+        return _IntCoeffs(ring)
+    if isinstance(ring, QuadraticField) and ring.order() <= _TABLE_ORDER_LIMIT:
+        return _TableCoeffs(ring)
+    return _GenericCoeffs(ring)
+
+
+# ----------------------------------------------------------------------
+# polynomials
+
+
+class _Terms(MappingABC):
+    """Read-only view of a polynomial's terms: exponent tuple -> Element,
+    decoded on access."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "MPoly"):
+        self._poly = poly
+
+    def __len__(self):
+        return len(self._poly._terms)
+
+    def __iter__(self):
+        return map(self._poly.registry._unpack, self._poly._terms)
+
+    def items(self):
+        p = self._poly
+        return list(zip(map(p.registry._unpack, p._terms),
+                        map(p._coeffs.wrap, p._terms.values())))
+
+    def get(self, exps, default=None):
+        p = self._poly
+        try:
+            raw = p._terms.get(p.registry._pack(exps))
+        except (TypeError, ValueError, OverflowError):
+            return default
+        return default if raw is None else p._coeffs.wrap(raw)
+
+    def __getitem__(self, exps):
+        coeff = self.get(exps)
+        if coeff is None:
+            raise KeyError(exps)
+        return coeff
+
+    def __contains__(self, exps):
+        return self.get(exps) is not None
+
+
+class MPoly:
+    """A sparse multivariate polynomial over an exact ring; immutable."""
+
+    __slots__ = ("registry", "ring", "_coeffs", "_terms")
 
     def __init__(self, registry: VarRegistry, ring: Ring,
                  terms: Mapping[tuple[int, ...], Element] | None = None):
-        self.registry = registry
-        self.ring = ring
-        clean: dict[tuple[int, ...], Element] = {}
+        coeffs = _coeffs(ring)
+        clean = {}
         if terms:
+            pack, raw, is_zero = registry._pack, coeffs.raw, coeffs.is_zero
             for exps, coeff in terms.items():
-                if len(exps) != len(registry):
-                    raise ValueError("exponent vector has wrong length")
-                if coeff.ring != ring:
-                    raise RingMismatchError("coefficient from a foreign ring")
-                if not coeff.is_zero():
-                    clean[tuple(exps)] = coeff
-        self.terms = clean
+                e, c = pack(exps), raw(coeff)
+                if not is_zero(c):
+                    clean[e] = c
+        _init(self, registry, ring, coeffs, clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("polynomials are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("polynomials are immutable")
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Element]:
+        """Read-only view: exponent tuple -> nonzero coefficient."""
+        return _Terms(self)
+
+    def _like(self, terms: dict) -> "MPoly":
+        """A polynomial over this one's registry and ring, with canonical
+        raw ``terms``."""
+        return _init(_new(MPoly), self.registry, self.ring, self._coeffs,
+                     terms)
 
     # ------------------------------------------------------------------
     # constructors
@@ -108,115 +387,106 @@ class MPoly:
     def variable(cls, registry: VarRegistry, ring: Ring, name: str) -> "MPoly":
         if name not in registry:
             raise KeyError(f"unknown variable {name!r}")
-        exps = [0] * len(registry)
-        exps[registry.index[name]] = 1
-        return cls(registry, ring, {tuple(exps): ring.one()})
+        coeffs = _coeffs(ring)
+        return _init(_new(MPoly), registry, ring, coeffs,
+                     {registry._unit(registry.index[name]): coeffs.one})
 
     # ------------------------------------------------------------------
     # ring operations
 
     def _check(self, other: "MPoly") -> None:
-        if self.registry != other.registry:
+        if (other.registry is not self.registry
+                and other.registry != self.registry):
             raise RingMismatchError("variable registries differ")
-        if self.ring != other.ring:
+        if other._coeffs is not self._coeffs:
             raise RingMismatchError("coefficient rings differ")
 
     def __add__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            if exps in terms:
-                s = terms[exps] + coeff
-                if s.is_zero():
-                    del terms[exps]
-                else:
-                    terms[exps] = s
-            else:
-                terms[exps] = coeff
-        out = MPoly.__new__(MPoly)
-        out.registry, out.ring, out.terms = self.registry, self.ring, terms
-        return out
+        coeffs = self._coeffs
+        acc = dict(self._terms)
+        coeffs.addmul(acc, 0, coeffs.one, other._terms)
+        return self._like(coeffs.finish(acc))
 
     def __neg__(self) -> "MPoly":
-        out = MPoly.__new__(MPoly)
-        out.registry, out.ring = self.registry, self.ring
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        coeffs = self._coeffs
+        acc = {}
+        coeffs.addmul(acc, 0, coeffs.minus_one, self._terms)
+        return self._like(coeffs.finish(acc))
 
     def __sub__(self, other: "MPoly") -> "MPoly":
-        return self + (-other)
+        self._check(other)
+        coeffs = self._coeffs
+        acc = dict(self._terms)
+        coeffs.addmul(acc, 0, coeffs.minus_one, other._terms)
+        return self._like(coeffs.finish(acc))
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        terms: dict[tuple[int, ...], Element] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                if exps in terms:
-                    s = terms[exps] + prod
-                    if s.is_zero():
-                        del terms[exps]
-                    else:
-                        terms[exps] = s
-                elif not prod.is_zero():
-                    terms[exps] = prod
-        out = MPoly.__new__(MPoly)
-        out.registry, out.ring, out.terms = self.registry, self.ring, terms
-        return out
+        small, large = self._terms, other._terms
+        if len(small) > len(large):
+            small, large = large, small
+        if not small:
+            return self._like({})
+        top = self.registry._degree_shift
+        _check_degree((max(small) >> top) + (max(large) >> top))
+        coeffs = self._coeffs
+        addmul = coeffs.addmul
+        acc = {}
+        for e, c in small.items():
+            addmul(acc, e, c, large)
+        return self._like(coeffs.finish(acc))
 
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = MPoly.constant(self.registry, self.ring.one())
+        if n == 0:
+            return MPoly.constant(self.registry, self.ring.one())
+        # square only while bits remain, and start from the first factor
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def scale(self, coeff: Element) -> "MPoly":
-        if coeff.ring != self.ring:
-            raise RingMismatchError("scalar from a foreign ring")
-        return MPoly(self.registry, self.ring,
-                     {e: c * coeff for e, c in self.terms.items()})
+        coeffs = self._coeffs
+        acc = {}
+        coeffs.addmul(acc, 0, coeffs.raw(coeff, "scalar"), self._terms)
+        return self._like(coeffs.finish(acc))
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
             return NotImplemented
-        return (self.registry == other.registry and self.ring == other.ring
-                and self.terms == other.terms)
+        return (self.registry == other.registry
+                and self._coeffs is other._coeffs
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.registry, tuple(sorted(self.terms.items(),
-                                                 key=lambda t: t[0]))))
+        return hash((self.registry, frozenset(self._terms.items())))
 
     # ------------------------------------------------------------------
     # structure
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(sum(e) for e in self.terms)
-
-    def degree_in(self, name: str) -> int:
-        if name not in self.registry:
-            raise KeyError(f"unknown variable {name!r}")
-        i = self.registry.index[name]
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
+        return max(self._terms) >> self.registry._degree_shift
 
     def coefficient(self, monomial: Mapping[str, int]) -> Element:
         exps = [0] * len(self.registry)
         for name, e in monomial.items():
             exps[self.registry.index[name]] = e
-        return self.terms.get(tuple(exps), self.ring.zero())
+        coeffs = self._coeffs
+        return coeffs.wrap(self._terms.get(self.registry._pack(exps),
+                                           coeffs.zero))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Element]]:
         """Terms in descending graded reverse lexicographic order."""
@@ -224,12 +494,12 @@ class MPoly:
                       key=lambda t: _grevlex_key(t[0]), reverse=True)
 
     def variables_used(self) -> set[str]:
-        used = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(self.registry.names[i])
-        return used
+        union = 0
+        for e in self._terms:
+            union |= e
+        return {name for name, shift in zip(self.registry.names,
+                                            self.registry._shifts)
+                if (union >> shift) & _MASK}
 
     # ------------------------------------------------------------------
     # calculus and restriction
@@ -238,28 +508,27 @@ class MPoly:
         if name not in self.registry:
             raise KeyError(f"unknown variable {name!r}")
         i = self.registry.index[name]
-        terms: dict[tuple[int, ...], Element] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            c = coeff * self.ring.from_int(e)
-            if c.is_zero():
-                continue  # characteristic-p collapse, e.g. d/dx x^p
-            new = list(exps)
-            new[i] = e - 1
-            terms[tuple(new)] = c
-        return MPoly(self.registry, self.ring, terms)
+        shift, unit = self.registry._shifts[i], self.registry._unit(i)
+        coeffs = self._coeffs
+        acc = {}
+        for e, c in self._terms.items():
+            k = (e >> shift) & _MASK
+            if k:
+                # a coefficient k = 0 in the ring drops out in finish,
+                # e.g. d/dx x^p in characteristic p
+                acc[e - unit] = coeffs.mul(c, coeffs.from_int(k))
+        return self._like(coeffs.finish(acc))
 
     def graded_part(self, degree: int, names: Iterable[str] | None = None) -> "MPoly":
         """Sum of terms of total degree exactly ``degree`` in ``names``."""
         if names is None:
-            idxs = range(len(self.registry))
-        else:
-            idxs = [self.registry.index[n] for n in names]
-        terms = {e: c for e, c in self.terms.items()
-                 if sum(e[i] for i in idxs) == degree}
-        return MPoly(self.registry, self.ring, terms)
+            top = self.registry._degree_shift
+            return self._like({e: c for e, c in self._terms.items()
+                               if e >> top == degree})
+        shifts = [self.registry._shifts[self.registry.index[n]]
+                  for n in names]
+        return self._like({e: c for e, c in self._terms.items()
+                           if sum((e >> s) & _MASK for s in shifts) == degree})
 
     def substitute(self, bindings: Mapping[str, "MPoly"]) -> "MPoly":
         """Ring-homomorphic substitution; unbound variables pass through."""
@@ -268,28 +537,30 @@ class MPoly:
                 raise KeyError(f"unknown variable {name!r}")
             if value.registry != self.registry or value.ring != self.ring:
                 raise RingMismatchError("binding in a foreign polynomial ring")
-        bound_idx = {self.registry.index[n]: v for n, v in bindings.items()}
-        power_cache: dict[tuple[int, int], MPoly] = {}
-
-        def cached_power(i: int, e: int) -> MPoly:
-            key = (i, e)
-            if key not in power_cache:
-                power_cache[key] = bound_idx[i] ** e
-            return power_cache[key]
-
-        result = MPoly.zero(self.registry, self.ring)
-        for exps, coeff in self.terms.items():
-            residual = list(exps)
-            piece = None
-            for i in bound_idx:
-                e = exps[i]
-                if e:
-                    residual[i] = 0
-                    factor = cached_power(i, e)
-                    piece = factor if piece is None else piece * factor
-            base = MPoly(self.registry, self.ring, {tuple(residual): coeff})
-            result = result + (base if piece is None else base * piece)
-        return result
+        registry = self.registry
+        top = registry._degree_shift
+        # (shift, unit, value, {exponent: value ** exponent}) per binding
+        bound = [(registry._shifts[registry.index[n]],
+                  registry._unit(registry.index[n]), v, {})
+                 for n, v in bindings.items()]
+        coeffs = self._coeffs
+        addmul = coeffs.addmul
+        acc = {}
+        for e, c in self._terms.items():
+            residual, piece = e, None
+            for shift, unit, value, powers in bound:
+                k = (e >> shift) & _MASK
+                if k:
+                    residual -= k * unit
+                    power = powers.get(k)
+                    if power is None:
+                        power = powers[k] = value ** k
+                    piece = power if piece is None else piece * power
+            terms = {0: coeffs.one} if piece is None else piece._terms
+            if terms:
+                _check_degree((residual >> top) + (max(terms) >> top))
+                addmul(acc, residual, c, terms)
+        return self._like(coeffs.finish(acc))
 
     def translate(self, offsets: Mapping[str, Element]) -> "MPoly":
         """Taylor shift: evaluate(translate(p, a), x) = evaluate(p, x + a)."""
@@ -300,47 +571,35 @@ class MPoly:
         return self.substitute(bindings)
 
     def evaluate(self, assignment: Mapping[str, Element]) -> Element:
-        acc = self.ring.zero()
-        idx_vals = {}
+        registry, coeffs = self.registry, self._coeffs
+        values = {}
         for name, value in assignment.items():
-            if value.ring != self.ring:
-                raise RingMismatchError("assignment value from a foreign ring")
-            idx_vals[self.registry.index[name]] = value
-        # powers[i][e - 1] is the bound value of variable i to the e,
-        # each built once from the one below it
-        powers: dict[int, list[Element]] = {}
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for i, e in enumerate(exps):
-                if e:
-                    if i not in idx_vals:
-                        raise KeyError(
-                            f"no value for {self.registry.names[i]!r}")
-                    ladder = powers.setdefault(i, [idx_vals[i]])
-                    while len(ladder) < e:
-                        ladder.append(ladder[-1] * idx_vals[i])
-                    term = term * ladder[e - 1]
-            acc = acc + term
-        return acc
-
-    def is_bihomogeneous(self, bidegree: tuple[int, int],
-                         split: tuple[Sequence[str], Sequence[str]]) -> bool:
-        """True iff every term has the given degrees in the two variable sets."""
-        a, b = bidegree
-        first = [self.registry.index[n] for n in split[0]]
-        second = [self.registry.index[n] for n in split[1]]
-        for exps in self.terms:
-            if sum(exps[i] for i in first) != a:
-                return False
-            if sum(exps[i] for i in second) != b:
-                return False
-        return True
+            values[registry.index[name]] = coeffs.raw(value,
+                                                      "assignment value")
+        # an upper bound on each exponent, from the union of the monomials
+        union = 0
+        for e in self._terms:
+            union |= e
+        # ladders[k] = (shift, [1, v, v^2, ...]) for each variable k in use
+        ladders = []
+        for i, shift in enumerate(registry._shifts):
+            bound = (union >> shift) & _MASK
+            if not bound:
+                continue
+            if i not in values:
+                raise KeyError(f"no value for {registry.names[i]!r}")
+            v = values[i]
+            ladder = [coeffs.one, v]
+            for _ in range(bound - 1):
+                ladder.append(coeffs.mul(ladder[-1], v))
+            ladders.append((shift, ladder))
+        return coeffs.wrap(coeffs.evaluate(self._terms, ladders))
 
     def truncate(self, name: str, max_degree: int) -> "MPoly":
         """Drop all terms whose exponent of ``name`` exceeds ``max_degree``."""
-        i = self.registry.index[name]
-        terms = {e: c for e, c in self.terms.items() if e[i] <= max_degree}
-        return MPoly(self.registry, self.ring, terms)
+        shift = self.registry._shifts[self.registry.index[name]]
+        return self._like({e: c for e, c in self._terms.items()
+                           if (e >> shift) & _MASK <= max_degree})
 
     def change_ring(self, ring: Ring,
                     convert: Callable[[Element], Element] | None = None) -> "MPoly":
@@ -362,7 +621,7 @@ class MPoly:
     # printing
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
         for exps, coeff in self.sorted_terms():
@@ -382,6 +641,22 @@ class MPoly:
 
     def __repr__(self) -> str:
         return f"MPoly({self})"
+
+
+# Polynomials are built through the slot descriptors, which bypass the
+# immutability guard in ``MPoly.__setattr__``.
+_new = object.__new__
+_set_registry, _set_ring = MPoly.registry.__set__, MPoly.ring.__set__
+_set_coeffs, _set_terms = MPoly._coeffs.__set__, MPoly._terms.__set__
+
+
+def _init(p: MPoly, registry: VarRegistry, ring: Ring, coeffs: _Coeffs,
+          terms: dict) -> MPoly:
+    _set_registry(p, registry)
+    _set_ring(p, ring)
+    _set_coeffs(p, coeffs)
+    _set_terms(p, terms)
+    return p
 
 
 def unit_match(p: MPoly, target: MPoly) -> Element | None:
@@ -411,11 +686,11 @@ def _format_coefficient(coeff: Element, has_factors: bool) -> tuple[str, bool]:
             return "", payload < 0
         return str(abs(payload)), payload < 0
     if isinstance(payload, tuple) and all(isinstance(x, int) for x in payload):
-        re, im = payload
-        if im == 0:
-            if has_factors and re == 1:
+        real, imag = payload
+        if imag == 0:
+            if has_factors and real == 1:
                 return "", False
-            return str(re), False
+            return str(real), False
     return f"({coeff!r})", False
 
 
@@ -432,58 +707,41 @@ class ParseError(ValueError):
         super().__init__(f"{message} (line {line}, column {column})")
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+# whitespace, an integer, a name (a letter, then letters, digits and
+# primes), an operator, or any other character, which is an error
+_TOKEN = re.compile(r"(?P<WS>\s+)|(?P<INT>\d+)|(?P<NAME>[^\W\d_](?:[^\W_]|')*)"
+                    r"|(?P<OP>[-+*^()])|(?P<BAD>.)", re.DOTALL)
 
-    def _advance(self, n: int) -> None:
-        for ch in self.text[self.pos:self.pos + n]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
 
-    def tokens(self):
-        out = []
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch.isspace():
-                self._advance(1)
-                continue
-            line, col = self.line, self.col
-            if ch in "+-*^()":
-                out.append((ch, ch, line, col))
-                self._advance(1)
-            elif ch.isdigit():
-                j = self.pos
-                while j < len(self.text) and self.text[j].isdigit():
-                    j += 1
-                out.append(("INT", self.text[self.pos:j], line, col))
-                self._advance(j - self.pos)
-            elif ch.isalpha():
-                j = self.pos + 1
-                while j < len(self.text) and (self.text[j].isalnum()
-                                              or self.text[j] == "'"):
-                    j += 1
-                out.append(("NAME", self.text[self.pos:j], line, col))
-                self._advance(j - self.pos)
-            else:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-        out.append(("EOF", "", self.line, self.col))
-        return out
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token, then of the end.  The kind of
+    an operator is the operator itself."""
+    tokens = [(m.group() if kind == "OP" else kind, m.group(), m.start())
+              for m in _TOKEN.finditer(text)
+              if (kind := m.lastgroup) != "WS"]
+    for kind, token, offset in tokens:
+        if kind == "BAD":
+            raise _parse_error(f"unexpected character {token!r}", text, offset)
+    tokens.append(("EOF", "", len(text)))
+    return tokens
+
+
+def _parse_error(message: str, text: str, offset: int) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 class _Parser:
-    def __init__(self, tokens, registry: VarRegistry, ring: Ring):
-        self.tokens = tokens
+    def __init__(self, text: str, registry: VarRegistry, ring: Ring):
+        self.text = text
+        self.tokens = _tokens(text)
         self.k = 0
         self.registry = registry
         self.ring = ring
+        self.coeffs = _coeffs(ring)
+
+    def error(self, message: str, tok) -> ParseError:
+        return _parse_error(message, self.text, tok[2])
 
     def peek(self):
         return self.tokens[self.k]
@@ -491,8 +749,7 @@ class _Parser:
     def take(self, kind: str):
         tok = self.tokens[self.k]
         if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}",
-                             tok[2], tok[3])
+            raise self.error(f"expected {kind}, found {tok[1]!r}", tok)
         self.k += 1
         return tok
 
@@ -529,29 +786,31 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "INT":
             self.take("INT")
-            return MPoly.constant(self.registry, self.ring.from_int(int(tok[1])))
+            return self.monomial(0, self.coeffs.from_int(int(tok[1])))
         if tok[0] == "NAME":
             self.take("NAME")
             if tok[1] not in self.registry:
-                raise ParseError(f"unknown variable {tok[1]!r}",
-                                 tok[2], tok[3])
-            return MPoly.variable(self.registry, self.ring, tok[1])
+                raise self.error(f"unknown variable {tok[1]!r}", tok)
+            i = self.registry.index[tok[1]]
+            return self.monomial(self.registry._unit(i), self.coeffs.one)
         if tok[0] == "(":
             self.take("(")
             inner = self.parse_expr()
             self.take(")")
             return inner
-        raise ParseError(f"expected a value, found {tok[1] or 'end of input'!r}",
-                         tok[2], tok[3])
+        raise self.error(
+            f"expected a value, found {tok[1] or 'end of input'!r}", tok)
+
+    def monomial(self, packed: int, raw) -> MPoly:
+        return _init(_new(MPoly), self.registry, self.ring, self.coeffs,
+                     self.coeffs.finish({packed: raw}))
 
 
 def parse_poly(text: str, registry: VarRegistry, ring: Ring) -> MPoly:
     """Parse polynomial text over the given registry and ring."""
-    tokens = _Tokenizer(text).tokens()
-    parser = _Parser(tokens, registry, ring)
+    parser = _Parser(text, registry, ring)
     result = parser.parse_expr()
     tok = parser.peek()
     if tok[0] != "EOF":
-        raise ParseError(f"trailing input starting at {tok[1]!r}",
-                         tok[2], tok[3])
+        raise parser.error(f"trailing input starting at {tok[1]!r}", tok)
     return result

@@ -98,13 +98,19 @@ class Ring:
 
 
 class Element:
-    """An immutable ring element: a ring reference plus canonical payload."""
+    """An immutable ring element: a ring reference plus canonical payload.
+
+    The binary operations take a fast path when the other operand is an
+    ``Element`` of the very same ring object; any other operand goes
+    through ``_check``, which accepts an equal ring and raises
+    ``RingMismatchError`` otherwise.
+    """
 
     __slots__ = ("ring", "payload")
 
     def __init__(self, ring: Ring, payload):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "payload", payload)
+        _set_ring(self, ring)
+        _set_payload(self, payload)
 
     def __setattr__(self, name, value):
         raise AttributeError("ring elements are immutable")
@@ -118,21 +124,26 @@ class Element:
         return other
 
     def __add__(self, other):
-        other = self._check(other)
-        return Element(self.ring, self.ring._add(self.payload, other.payload))
+        ring = self.ring
+        if other.__class__ is not Element or other.ring is not ring:
+            other = self._check(other)
+        return _element(ring, ring._add(self.payload, other.payload))
 
     def __sub__(self, other):
-        other = self._check(other)
-        return Element(
-            self.ring,
-            self.ring._add(self.payload, self.ring._neg(other.payload)))
+        ring = self.ring
+        if other.__class__ is not Element or other.ring is not ring:
+            other = self._check(other)
+        return _element(ring,
+                        ring._add(self.payload, ring._neg(other.payload)))
 
     def __neg__(self):
-        return Element(self.ring, self.ring._neg(self.payload))
+        return _element(self.ring, self.ring._neg(self.payload))
 
     def __mul__(self, other):
-        other = self._check(other)
-        return Element(self.ring, self.ring._mul(self.payload, other.payload))
+        ring = self.ring
+        if other.__class__ is not Element or other.ring is not ring:
+            other = self._check(other)
+        return _element(ring, ring._mul(self.payload, other.payload))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -147,12 +158,14 @@ class Element:
         return result
 
     def inverse(self) -> "Element":
-        return Element(self.ring, self.ring._invert(self.payload))
+        return _element(self.ring, self.ring._invert(self.payload))
 
     def is_zero(self) -> bool:
         return self.ring._is_zero(self.payload)
 
     def __eq__(self, other):
+        if other.__class__ is Element and other.ring is self.ring:
+            return self.payload == other.payload
         if not isinstance(other, Element):
             return NotImplemented
         return self.ring == other.ring and self.payload == other.payload
@@ -164,11 +177,26 @@ class Element:
         return self.ring._repr_payload(self.payload)
 
 
+# Elements are built through the slot descriptors, which bypass the
+# immutability guard in ``Element.__setattr__``.
+_set_ring = Element.ring.__set__
+_set_payload = Element.payload.__set__
+
+
+def _element(ring: Ring, payload) -> Element:
+    """The element of ``ring`` with the canonical ``payload``, built
+    without a Python-level ``__init__``."""
+    x = object.__new__(Element)
+    _set_ring(x, ring)
+    _set_payload(x, payload)
+    return x
+
+
 class IntegerRing(Ring):
     """Arbitrary-precision integers."""
 
     def element(self, payload: int) -> Element:
-        return Element(self, int(payload))
+        return _element(self, int(payload))
 
     def characteristic(self) -> int:
         return 0
@@ -230,7 +258,7 @@ class ZMod(Ring):
         self.modulus = p ** k
 
     def element(self, payload: int) -> Element:
-        return Element(self, int(payload) % self.modulus)
+        return _element(self, int(payload) % self.modulus)
 
     def characteristic(self) -> int:
         return self.modulus
@@ -293,7 +321,7 @@ class QuadraticField(Ring):
         if isinstance(payload, int):
             payload = (payload, 0)
         a, b = payload
-        return Element(self, (int(a) % self.p, int(b) % self.p))
+        return _element(self, (int(a) % self.p, int(b) % self.p))
 
     def i(self) -> Element:
         return self.element((0, 1))
@@ -373,7 +401,7 @@ class DualNumbers(Ring):
             u = self.base.element(u)
         if not isinstance(v, Element):
             v = self.base.element(v)
-        return Element(self, (u, v))
+        return _element(self, (u, v))
 
     def eps(self) -> Element:
         return self.element((self.base.zero(), self.base.one()))
@@ -426,14 +454,16 @@ class DualNumbers(Ring):
 class FieldTables(NamedTuple):
     """Arithmetic of one small field on the codes 0 .. q-1.
 
-    ``mul[a][b]`` is the code of a*b, ``sub[a][b]`` that of a-b (so
-    ``sub[0]`` negates), ``inv[a]`` that of 1/a (``inv[0]`` is None),
+    ``mul[a][b]`` is the code of a*b, ``add[a][b]`` that of a+b,
+    ``sub[a][b]`` that of a-b (so ``sub[0]`` negates), ``inv[a]`` that
+    of 1/a (``inv[0]`` is None),
     ``elements[a]`` the ``Element`` of code a, and ``code`` maps a payload
     back to its code.  Every part is read-only, since one table set is
     shared by all its users.
     """
 
     mul: tuple[tuple[int, ...], ...]
+    add: tuple[tuple[int, ...], ...]
     sub: tuple[tuple[int, ...], ...]
     inv: tuple[int | None, ...]
     elements: tuple[Element, ...]
@@ -462,12 +492,14 @@ def field_tables(ring: Ring) -> FieldTables:
     code = {x: c for c, x in enumerate(payloads)}
     mul = tuple(tuple(code[ring._mul(x, y)] for y in payloads)
                 for x in payloads)
+    add = tuple(tuple(code[ring._add(x, y)] for y in payloads)
+                for x in payloads)
     negatives = [ring._neg(y) for y in payloads]
     sub = tuple(tuple(code[ring._add(x, y)] for y in negatives)
                 for x in payloads)
     inv = (None, *(code[ring._invert(x)] for x in payloads[1:]))
-    elements = tuple(Element(ring, x) for x in payloads)
-    return FieldTables(mul, sub, inv, elements, MappingProxyType(code))
+    elements = tuple(_element(ring, x) for x in payloads)
+    return FieldTables(mul, add, sub, inv, elements, MappingProxyType(code))
 
 
 def eval_int_poly(coeffs: Sequence[int], x: int) -> int:

@@ -147,6 +147,7 @@ def test_field_tables_match_ring_arithmetic(ring):
             assert elements[tables.inv[a]] == x.inverse()
         for b, y in enumerate(elements):
             assert elements[tables.mul[a][b]] == x * y
+            assert elements[tables.add[a][b]] == x + y
             assert elements[tables.sub[a][b]] == x - y
     # one table set is shared by every user, so none of them may change it
     with pytest.raises(TypeError):

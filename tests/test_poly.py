@@ -13,7 +13,8 @@ except ImportError:     # only the properties at the end need hypothesis
 from stablelimit import (ZZ, DualNumbers, MPoly, ParseError, PrimeField,
                          QuadraticField, VarRegistry, ZMod, parse_poly)
 from stablelimit import cgdata
-from stablelimit.scenarios import build_quintic
+from stablelimit.poly import MAX_DEGREE
+from stablelimit.scenarios import build_quintic, curve_pair
 
 F7 = PrimeField(7)
 F49 = QuadraticField(7)
@@ -21,6 +22,20 @@ Z343 = ZMod(7, 3)
 
 XYZT = VarRegistry(("x", "y", "z", "t"))
 AB = cgdata.AB
+
+
+def degree_in(p, name):
+    """Highest exponent of ``name`` in p; -1 for the zero polynomial."""
+    i = p.registry.index[name]
+    return max((e[i] for e in p.terms), default=-1)
+
+
+def is_bihomogeneous(p, bidegree, split):
+    """True iff every term of p has the given degrees in the two variable
+    sets."""
+    first, second = ([p.registry.index[n] for n in names] for names in split)
+    return all((sum(e[i] for i in first), sum(e[i] for i in second))
+               == tuple(bidegree) for e in p.terms)
 
 
 def rand_poly(registry, ring, rng, max_terms=6, max_exp=3):
@@ -75,7 +90,7 @@ def test_parser_errors_carry_position():
 
 def test_primed_variable_names():
     p = parse_poly("al*al'^2+be'", AB, F7)
-    assert p.degree_in("al'") == 2
+    assert degree_in(p, "al'") == 2
     assert parse_poly(str(p), AB, F7) == p
 
 
@@ -92,6 +107,75 @@ def test_deterministic_ordering():
     b = parse_poly("z^2+x*y+y^2+x^2", XYZT, F7)
     assert str(a) == str(b)
     assert list(a.sorted_terms()) == list(b.sorted_terms())
+
+
+# ----------------------------------------------------------------------
+# value semantics: powers, hashing, immutability, the degree bound
+
+
+def test_power_multiplies_only_while_bits_remain(monkeypatch):
+    plain_mul = MPoly.__mul__
+    products = [0]
+
+    def counted_mul(self, other):
+        products[0] += 1
+        return plain_mul(self, other)
+
+    p = parse_poly("x+2*y-z", XYZT, F7)
+    monkeypatch.setattr(MPoly, "__mul__", counted_mul)
+    repeated = MPoly.constant(XYZT, F7.one())
+    for n in range(41):
+        products[0] = 0
+        assert p ** n == repeated
+        # one squaring per bit below the top, one product per further bit:
+        # p**1 takes none and p**2 takes one
+        assert products[0] == max(0, n.bit_length() + bin(n).count("1") - 2)
+        repeated = plain_mul(repeated, p)
+
+
+def test_hash_agrees_with_equality():
+    a = parse_poly("x^2+y^2+z^2+x*y", XYZT, F7)
+    b = parse_poly("z^2+x*y+y^2+x^2", XYZT, F7)
+    c = MPoly(XYZT, F7, dict(reversed(list(a.terms.items()))))
+    # an equal registry and an equal ring, as distinct objects
+    d = parse_poly("x*y+x^2+z^2+y^2", VarRegistry(XYZT.names), PrimeField(7))
+    assert a == b == c == d
+    assert len({hash(a), hash(b), hash(c), hash(d)}) == 1
+    assert len({a, b, c, d}) == 1
+    assert a != parse_poly("x^2+y^2+z^2+2*x*y", XYZT, F7)
+    assert a != parse_poly("x^2+y^2+z^2+x*y", XYZT, ZMod(7, 2))
+
+
+def test_cached_curves_cannot_be_changed():
+    g1 = curve_pair("F49")[0]
+    before = str(g1)
+    exps = next(iter(g1.terms))
+    with pytest.raises(TypeError):
+        g1.terms[exps] = F49.zero()
+    with pytest.raises(AttributeError):
+        g1.ring = None
+    with pytest.raises(AttributeError):
+        g1.registry = XYZT
+    with pytest.raises(AttributeError):
+        del g1.ring
+    assert curve_pair("F49")[0] is g1 and str(g1) == before
+
+
+def test_degree_bound_guards_the_packed_fields():
+    reg = VarRegistry(("x", "y"))
+    x, y = (MPoly.variable(reg, F7, n) for n in reg.names)
+    top = x ** MAX_DEGREE
+    assert top.total_degree() == MAX_DEGREE
+    with pytest.raises(OverflowError):
+        top * y
+    with pytest.raises(OverflowError):
+        MPoly(reg, F7, {(MAX_DEGREE, 1): F7.one()})
+    with pytest.raises(OverflowError):
+        (x ** (MAX_DEGREE - 1) * y).substitute({"y": y * y})
+    with pytest.raises(ValueError):
+        MPoly(reg, F7, {(2, -1): F7.one()})
+    with pytest.raises(ValueError):
+        MPoly(reg, F7, {(1, 1, 1): F7.one()})
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +232,7 @@ def test_substitute_diagonal_chart_identity():
     # the (1,1) form of the diagonal vanishes under the rational section
     # al = (1-be)/(1+be) once denominators are cleared
     dh = parse_poly("al*be+al*be'+al'*be-al'*be'", AB, F7)
-    assert dh.is_bihomogeneous((1, 1), (("al", "al'"), ("be", "be'")))
+    assert is_bihomogeneous(dh, (1, 1), (("al", "al'"), ("be", "be'")))
     one = MPoly.constant(AB, F7.one())
     cleared = dh.substitute({
         "al": parse_poly("1-be", AB, F7),
@@ -265,13 +349,13 @@ def test_translate_matches_evaluation():
 
 def test_bihomogeneous_examples():
     g1 = parse_poly(cgdata.G1, AB, F7)
-    assert g1.is_bihomogeneous((3, 3), (("al", "al'"), ("be", "be'")))
+    assert is_bihomogeneous(g1, (3, 3), (("al", "al'"), ("be", "be'")))
     f2q = parse_poly("al*be+al'*be'", AB, F7)
-    assert f2q.is_bihomogeneous((1, 1), (("al", "al'"), ("be", "be'")))
+    assert is_bihomogeneous(f2q, (1, 1), (("al", "al'"), ("be", "be'")))
     # the quadric form itself fails at (1,1) under the wrong split:
     # the term x*z has degree (2, 0) there
     f2 = parse_poly("x*z+y*t", XYZT, F7)
-    assert not f2.is_bihomogeneous((1, 1), (("x", "z"), ("y", "t")))
+    assert not is_bihomogeneous(f2, (1, 1), (("x", "z"), ("y", "t")))
 
 
 def test_chart1_degree_one_part_vanishes():
