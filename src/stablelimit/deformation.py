@@ -54,6 +54,7 @@ AUX_UNKNOWNS = tuple(
     + [f"h2u{k}q{t}" for k in cgdata.CURVE2_DOUBLE_CHARTS for t in range(3)]
 )
 _ALL_UNKNOWNS = cgdata.MAIN_UNKNOWNS + AUX_UNKNOWNS
+_COLUMN = {name: k for k, name in enumerate(_ALL_UNKNOWNS)}
 
 # A linear form over the unknowns: unknown -> polynomial coefficient.
 Form = Mapping[str, MPoly]
@@ -89,13 +90,15 @@ def _row_at(form: Form, point: Mapping[str, Element]) -> tuple[Element, ...]:
 
 
 def _monomial_rows(form: Form) -> list[list[Element]]:
-    """One row per monomial of a linear form: the coefficients of the
-    unknowns at that monomial."""
+    """One row per monomial of a linear form, in sorted order: the
+    coefficients of the unknowns at that monomial."""
     zero = F49.zero()
-    terms = {n: dict(p.terms.items()) for n, p in form.items()}
-    monomials = sorted({e for t in terms.values() for e in t})
-    return [[terms[n].get(e, zero) if n in terms else zero
-             for n in _ALL_UNKNOWNS] for e in monomials]
+    rows: dict[tuple[int, ...], list[Element]] = {}
+    for name, p in form.items():
+        column = _COLUMN[name]
+        for exps, c in p.terms.items():
+            rows.setdefault(exps, [zero] * len(_ALL_UNKNOWNS))[column] = c
+    return [rows[e] for e in sorted(rows)]
 
 
 def _coefficient_form(prefix: str) -> dict[str, MPoly]:

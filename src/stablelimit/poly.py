@@ -52,7 +52,7 @@ import re
 import struct
 from collections.abc import Mapping as MappingABC
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .rings import (Element, IntegerRing, QuadraticField, Ring,
                     RingMismatchError, ZMod, _element, field_tables)
@@ -77,6 +77,8 @@ class VarRegistry:
         self.index = {name: i for i, name in enumerate(names)}
         # variable i in bits [16 i, 16 i + 16), the total degree above
         self._fields = struct.Struct(f"<{len(names)}H")
+        self._to_bytes = operator.methodcaller("to_bytes", 2 * len(names) + 2,
+                                               "little")
         self._shifts = tuple(range(0, _FIELD_BITS * len(names), _FIELD_BITS))
         self._degree_shift = _FIELD_BITS * len(names)
 
@@ -108,8 +110,10 @@ class VarRegistry:
         return int.from_bytes(fields, "little") | degree << self._degree_shift
 
     def _unpack(self, packed: int) -> tuple[int, ...]:
-        return self._fields.unpack_from(
-            packed.to_bytes(self._degree_shift // 8 + 2, "little"))
+        return self._fields.unpack_from(self._to_bytes(packed))
+
+    def _unpack_all(self, packed: Iterable[int]) -> Iterator[tuple[int, ...]]:
+        return map(self._fields.unpack_from, map(self._to_bytes, packed))
 
     def _unit(self, i: int) -> int:
         """The packed monomial of variable i."""
@@ -162,6 +166,9 @@ class _Coeffs:
 
     def wrap(self, raw) -> Element:
         return _element(self.ring, raw)
+
+    def wrap_all(self, raws: Iterable) -> Iterator[Element]:
+        return map(self.wrap, raws)
 
     def from_int(self, n: int):
         return self.ring.from_int(n).payload
@@ -220,6 +227,9 @@ class _TableCoeffs(_Coeffs):
 
     def wrap(self, raw) -> Element:
         return self.elements[raw]
+
+    def wrap_all(self, raws: Iterable) -> Iterator[Element]:
+        return map(self.elements.__getitem__, raws)
 
     def from_int(self, n: int):
         return self.code[self.ring.from_int(n).payload]
@@ -312,12 +322,12 @@ class _Terms(MappingABC):
         return len(self._poly._terms)
 
     def __iter__(self):
-        return map(self._poly.registry._unpack, self._poly._terms)
+        return self._poly.registry._unpack_all(self._poly._terms)
 
     def items(self):
         p = self._poly
-        return list(zip(map(p.registry._unpack, p._terms),
-                        map(p._coeffs.wrap, p._terms.values())))
+        return list(zip(p.registry._unpack_all(p._terms),
+                        p._coeffs.wrap_all(p._terms.values())))
 
     def get(self, exps, default=None):
         p = self._poly
