@@ -75,7 +75,8 @@ class VarRegistry:
                 raise ValueError(f"invalid variable name: {name!r}")
         self.names = names
         self.index = {name: i for i, name in enumerate(names)}
-        # variable i in bits [16 i, 16 i + 16), the total degree above
+        # variable i in bits [16 i, 16 i + 16), the total degree in the
+        # 16 bits above them
         self._fields = struct.Struct(f"<{len(names)}H")
         self._to_bytes = operator.methodcaller("to_bytes", 2 * len(names) + 2,
                                                "little")
@@ -108,9 +109,6 @@ class VarRegistry:
             raise ValueError(f"exponents must be non-negative integers, "
                              f"not {exps!r}") from None
         return int.from_bytes(fields, "little") | degree << self._degree_shift
-
-    def _unpack(self, packed: int) -> tuple[int, ...]:
-        return self._fields.unpack_from(self._to_bytes(packed))
 
     def _unpack_all(self, packed: Iterable[int]) -> Iterator[tuple[int, ...]]:
         return map(self._fields.unpack_from, map(self._to_bytes, packed))
@@ -151,13 +149,16 @@ class _Coeffs:
     turns an accumulator into canonical nonzero terms.  The ring
     operations and substitution are these two steps, so an accumulator
     may hold values that only ``finish`` makes canonical.
-    """
 
-    zero, one = 0, 1
-    is_zero = staticmethod(operator.not_)
+    This class is the generic path, taken by rings without a faster one
+    (the dual numbers): the raw value is the payload, combined through the
+    ring's payload arithmetic.
+    """
 
     def __init__(self, ring: Ring):
         self.ring = ring
+        self.zero, self.one = self.raw(ring.zero()), self.raw(ring.one())
+        self.minus_one = self.from_int(-1)
 
     def raw(self, x: Element, what: str = "coefficient"):
         if x.ring is not self.ring and x.ring != self.ring:
@@ -171,20 +172,44 @@ class _Coeffs:
         return map(self.wrap, raws)
 
     def from_int(self, n: int):
-        return self.ring.from_int(n).payload
+        return self.raw(self.ring.from_int(n))
+
+    def is_zero(self, c) -> bool:
+        return c == self.zero
+
+    def mul(self, a, b):
+        return self.ring._mul(a, b)
+
+    def addmul(self, acc, shift, scalar, terms):
+        add, mul, zero = self.ring._add, self.ring._mul, self.zero
+        for e, c in terms.items():
+            e += shift
+            acc[e] = add(acc.get(e, zero), mul(scalar, c))
+
+    def finish(self, acc):
+        zero = self.zero
+        return {e: c for e, c in acc.items() if c != zero}
+
+    def evaluate(self, terms, ladders):
+        add, mul = self.ring._add, self.ring._mul
+        acc = self.zero
+        for e, c in terms.items():
+            for shift, ladder in ladders:
+                c = mul(c, ladder[(e >> shift) & _MASK])
+            acc = add(acc, c)
+        return acc
 
 
 class _IntCoeffs(_Coeffs):
-    """ZZ and Z/p^k: the raw value is the integer payload.  Accumulators
-    hold unreduced sums of products; ``finish`` reduces them once."""
+    """ZZ and Z/p^k: the raw value is the integer payload (over GF(p) it is
+    also the ``field_tables`` code).  Accumulators hold unreduced sums of
+    products; ``finish`` reduces them once."""
+
+    is_zero = staticmethod(operator.not_)
 
     def __init__(self, ring: Ring):
-        super().__init__(ring)
         self.modulus = ring.characteristic()    # 0 over ZZ
-        self.minus_one = self.from_int(-1)
-
-    def from_int(self, n: int):
-        return n % self.modulus if self.modulus else n
+        super().__init__(ring)
 
     def addmul(self, acc, shift, scalar, terms):
         get = acc.get
@@ -198,9 +223,6 @@ class _IntCoeffs(_Coeffs):
             return {e: r for e, c in acc.items() if (r := c % m)}
         return {e: c for e, c in acc.items() if c}
 
-    def mul(self, a, b):
-        return a * b % self.modulus if self.modulus else a * b
-
     def evaluate(self, terms, ladders):
         acc = 0
         for e, c in terms.items():
@@ -213,12 +235,13 @@ class _IntCoeffs(_Coeffs):
 class _TableCoeffs(_Coeffs):
     """GF(p)[i]: the raw value is the ``field_tables`` code."""
 
+    is_zero = staticmethod(operator.not_)
+
     def __init__(self, ring: Ring):
-        super().__init__(ring)
         tables = field_tables(ring)
         self.tmul, self.tadd = tables.mul, tables.add
         self.code, self.elements = tables.code, tables.elements
-        self.minus_one = self.from_int(-1)
+        super().__init__(ring)
 
     def raw(self, x: Element, what: str = "coefficient"):
         if x.ring is not self.ring and x.ring != self.ring:
@@ -231,20 +254,14 @@ class _TableCoeffs(_Coeffs):
     def wrap_all(self, raws: Iterable) -> Iterator[Element]:
         return map(self.elements.__getitem__, raws)
 
-    def from_int(self, n: int):
-        return self.code[self.ring.from_int(n).payload]
+    def mul(self, a, b):
+        return self.tmul[a][b]
 
     def addmul(self, acc, shift, scalar, terms):
         get, add, row = acc.get, self.tadd, self.tmul[scalar]
         for e, c in terms.items():
             e += shift
             acc[e] = add[get(e, 0)][row[c]]
-
-    def finish(self, acc):
-        return {e: c for e, c in acc.items() if c}
-
-    def mul(self, a, b):
-        return self.tmul[a][b]
 
     def evaluate(self, terms, ladders):
         mul, add = self.tmul, self.tadd
@@ -256,40 +273,7 @@ class _TableCoeffs(_Coeffs):
         return acc
 
 
-class _GenericCoeffs(_Coeffs):
-    """Any other ring (the dual numbers): the raw value is the payload,
-    combined through the ring's payload arithmetic."""
-
-    def __init__(self, ring: Ring):
-        super().__init__(ring)
-        self.zero, self.one = ring.zero().payload, ring.one().payload
-        self.is_zero = ring._is_zero
-        self.minus_one = self.from_int(-1)
-
-    def addmul(self, acc, shift, scalar, terms):
-        add, mul, zero = self.ring._add, self.ring._mul, self.zero
-        for e, c in terms.items():
-            e += shift
-            acc[e] = add(acc.get(e, zero), mul(scalar, c))
-
-    def finish(self, acc):
-        is_zero = self.ring._is_zero
-        return {e: c for e, c in acc.items() if not is_zero(c)}
-
-    def mul(self, a, b):
-        return self.ring._mul(a, b)
-
-    def evaluate(self, terms, ladders):
-        add, mul = self.ring._add, self.ring._mul
-        acc = self.zero
-        for e, c in terms.items():
-            for shift, ladder in ladders:
-                c = mul(c, ladder[(e >> shift) & _MASK])
-            acc = add(acc, c)
-        return acc
-
-
-# Small enough that the three q x q tables of GF(q) stay small.
+# Small enough that the q x q tables of GF(q) stay small.
 _TABLE_ORDER_LIMIT = 256
 
 
@@ -302,7 +286,7 @@ def _coeffs(ring: Ring) -> _Coeffs:
         return _IntCoeffs(ring)
     if isinstance(ring, QuadraticField) and ring.order() <= _TABLE_ORDER_LIMIT:
         return _TableCoeffs(ring)
-    return _GenericCoeffs(ring)
+    return _Coeffs(ring)
 
 
 # ----------------------------------------------------------------------
@@ -342,9 +326,6 @@ class _Terms(MappingABC):
         if coeff is None:
             raise KeyError(exps)
         return coeff
-
-    def __contains__(self, exps):
-        return self.get(exps) is not None
 
 
 class MPoly:

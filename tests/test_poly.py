@@ -402,15 +402,16 @@ def poly_property(make_strategies):
     """``given`` over the strategies ``make_strategies(key)`` returns, for
     each ring key the test is parametrized over; a skip without
     hypothesis."""
-    if given is None:
-        return pytest.mark.skip(reason="hypothesis is not installed")
-
     def decorate(test):
-        @settings(derandomize=True, max_examples=PROPERTY_EXAMPLES,
-                  deadline=None, database=None)
-        @given(st.data())
-        def run(key, data):
-            test(*(data.draw(s) for s in make_strategies(key)))
+        if given is None:
+            def run(key):
+                pytest.skip("hypothesis is not installed")
+        else:
+            @settings(derandomize=True, max_examples=PROPERTY_EXAMPLES,
+                      deadline=None, database=None)
+            @given(st.data())
+            def run(key, data):
+                test(*(data.draw(s) for s in make_strategies(key)))
         run.__name__ = test.__name__
         return run
     return decorate
