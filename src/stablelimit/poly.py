@@ -413,7 +413,9 @@ class MPoly:
         return self._like(coeffs.finish(acc))
 
     def __mul__(self, other: "MPoly") -> "MPoly":
-        self._check(other)
+        coeffs = self._coeffs
+        if other._coeffs is not coeffs or other.registry is not self.registry:
+            self._check(other)
         small, large = self._terms, other._terms
         if len(small) > len(large):
             small, large = large, small
@@ -421,7 +423,12 @@ class MPoly:
             return self._like({})
         top = self.registry._degree_shift
         _check_degree((max(small) >> top) + (max(large) >> top))
-        coeffs = self._coeffs
+        if len(large) == 1:
+            # a monomial times a monomial: most products, parsing among them
+            (e1, c1), = small.items()
+            (e2, c2), = large.items()
+            c = coeffs.mul(c1, c2)
+            return self._like({} if coeffs.is_zero(c) else {e1 + e2: c})
         addmul = coeffs.addmul
         acc = {}
         for e, c in small.items():
