@@ -13,7 +13,7 @@ Everything is exact; no floating point, no genericity assumptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import LinearSystem, solve_affine
 from .poly import MPoly, VarRegistry
@@ -28,26 +28,43 @@ class DegenerateProjectionError(ValueError):
     """The curve is not generically a cubic over the chosen ruling."""
 
 
-@dataclass(frozen=True)
 class ChartGerm:
-    """A plane-curve germ at the origin of a named chart."""
+    """A plane-curve germ at the origin of a named chart; immutable."""
 
-    chart_id: str
-    poly: MPoly
-    local_vars: tuple[str, str]
+    __slots__ = ("chart_id", "poly", "local_vars")
 
-    def __post_init__(self):
-        u, v = self.local_vars
+    def __init__(self, chart_id: str, poly: MPoly,
+                 local_vars: tuple[str, str]):
+        u, v = local_vars
         for name in (u, v):
-            if name not in self.poly.registry:
+            if name not in poly.registry:
                 raise KeyError(f"chart variable {name!r} not in registry")
-        extra = self.poly.variables_used() - set(self.local_vars)
+        extra = poly.variables_used() - set(local_vars)
         if extra:
             raise ValueError(f"germ involves non-chart variables {extra}")
+        object.__setattr__(self, "chart_id", chart_id)
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "local_vars", local_vars)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a chart germ is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("a chart germ is immutable")
+
+    def _key(self):
+        return self.chart_id, self.poly, self.local_vars
+
+    def __eq__(self, other):
+        if type(other) is not ChartGerm:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
-class SingularityVerdict:
+class SingularityVerdict(NamedTuple):
     multiplicity: int
     tangent_cone: MPoly
     kind: str  # "smooth" | "node" | "tacnode_or_degeneration" | "other"

@@ -23,9 +23,17 @@ classical part of each condition must vanish, and each chart monomial of
 its first-order part is one row.  After projecting out the
 proportionality and quotient auxiliaries, this module produces the
 resulting homogeneous linear system in the 40 coefficient and
-displacement unknowns; independently it builds the diagonal-point value
+displacement unknowns.  The derivation runs once: it records which raw
+rows impose the first curve's cubic-divisibility condition, and the
+weakened negative control is the same raw rows without those, eliminated
+on its own.  Independently the module builds the diagonal-point value
 and derivative rows used by the published deformation systems, each a
-linear form evaluated at a point, and solves those systems over GF(49).
+linear form evaluated at a point, pushes each of them down to the 19
+essential unknowns once, and solves those systems over GF(49).
+
+The derivation reads the packed terms of ``poly.MPoly`` directly where it
+only moves exponents or copies coefficients (``dehomogenize``,
+``_monomial_rows``).
 
 Everything below is derived symbolically from the two curve equations;
 the published displays enter only as comparison targets in the scenario
@@ -41,7 +49,7 @@ from typing import Mapping
 from . import cgdata
 from .curvelocal import _divide_by_linear
 from .linalg import LinearSystem, eliminate, rank, solve_affine
-from .poly import MPoly, VarRegistry, parse_poly, unit_match
+from .poly import _MASK, MPoly, VarRegistry, parse_poly, unit_match
 from .rings import Element, QuadraticField
 
 
@@ -90,15 +98,18 @@ def _row_at(form: Form, point: Mapping[str, Element]) -> tuple[Element, ...]:
 
 
 def _monomial_rows(form: Form) -> list[list[Element]]:
-    """One row per monomial of a linear form, in sorted order: the
-    coefficients of the unknowns at that monomial."""
+    """One row per monomial of a linear form over ``cgdata.AB``, in sorted
+    order of exponent vectors: the coefficients of the unknowns at that
+    monomial.  Only the distinct monomials are decoded, to sort them."""
     zero = F49.zero()
-    rows: dict[tuple[int, ...], list[Element]] = {}
+    rows: dict[int, list[Element]] = {}
     for name, p in form.items():
-        column = _COLUMN[name]
-        for exps, c in p.terms.items():
-            rows.setdefault(exps, [zero] * len(_ALL_UNKNOWNS))[column] = c
-    return [rows[e] for e in sorted(rows)]
+        column, wrap = _COLUMN[name], p._coeffs.wrap
+        for e, c in p._terms.items():
+            rows.setdefault(e, [zero] * len(_ALL_UNKNOWNS))[column] = wrap(c)
+    packed = list(rows)
+    return [rows[e] for _, e in sorted(zip(cgdata.AB._unpack_all(packed),
+                                           packed))]
 
 
 def _coefficient_form(prefix: str) -> dict[str, MPoly]:
@@ -111,24 +122,37 @@ def _coefficient_form(prefix: str) -> dict[str, MPoly]:
 
 def dehomogenize(p: MPoly, chart: int) -> MPoly:
     """Set the two coordinates that a chart does not keep to 1: their
-    exponents become 0, and the coefficients that then collide add up."""
-    keep = [name in cgdata.CHARTS[chart] for name in p.registry.names]
-    terms: dict[tuple[int, ...], Element] = {}
-    for exps, c in p.terms.items():
-        exps = tuple(e if k else 0 for e, k in zip(exps, keep))
-        terms[exps] = terms[exps] + c if exps in terms else c
-    return MPoly(p.registry, p.ring, terms)
+    exponents become 0, and the coefficients that then collide add up.
+    Each packed monomial loses the exponent fields of the dropped
+    coordinates, and their share of the total degree."""
+    registry = p.registry
+    dropped = [(shift, registry._unit(i))
+               for i, (name, shift) in enumerate(zip(registry.names,
+                                                     registry._shifts))
+               if name not in cgdata.CHARTS[chart]]
+    coeffs = p._coeffs
+    acc: dict = {}
+    for e, c in p._terms.items():
+        cut = sum(((e >> shift) & _MASK) * unit for shift, unit in dropped)
+        coeffs.addmul(acc, -cut, coeffs.one, {e: c})
+    return p._like(coeffs.finish(acc))
 
 
 class DerivedSystem:
-    """Output of the symbolic derivation."""
+    """Output of the symbolic derivation: the raw rows over all 56
+    unknowns, and their projection onto the 40 main unknowns.
 
-    def __init__(self, rows, classical_ok, scales):
+    ``cubic_rows`` holds the positions of the raw rows that impose the
+    first curve's cubic-divisibility condition.
+    """
+
+    def __init__(self, rows, classical_ok, scales, cubic_rows=frozenset()):
         zero = F49.zero()
         self.raw = LinearSystem(_ALL_UNKNOWNS, rows,
                                 [zero] * len(rows), F49)
         self.classical_ok = classical_ok
         self.tangent_scales = scales
+        self.cubic_rows = cubic_rows
         self.system = eliminate(self.raw, AUX_UNKNOWNS)
         order = [self.system.variables.index(v)
                  for v in cgdata.MAIN_UNKNOWNS]
@@ -141,18 +165,25 @@ class DerivedSystem:
     def rank(self) -> int:
         return rank(self.system.rows, F49)
 
+    def without_cubic_condition(self) -> "DerivedSystem":
+        """The sensitivity control: the same raw rows with the first
+        curve's cubic-divisibility rows left out, eliminated anew; its row
+        space must be strictly smaller.  The classical part is not
+        re-checked, it is this system's."""
+        rows = [row for k, row in enumerate(self.raw.rows)
+                if k not in self.cubic_rows]
+        return DerivedSystem(rows, self.classical_ok, self.tangent_scales)
 
-def derive_rigidity_system(skip_cubic_condition: bool = False) -> DerivedSystem:
-    """Build the first-order rigidity system from the curve equations.
 
-    ``skip_cubic_condition`` drops the divisibility condition on the
-    first curve's cubic parts; it exists solely as a sensitivity control
-    (the resulting row space must be strictly smaller).
-    """
+def derive_rigidity_system() -> DerivedSystem:
+    """Build the first-order rigidity system from the curve equations, in
+    one pass; ``DerivedSystem.without_cubic_condition`` gives the weakened
+    control from the same rows."""
     curves = {1: parse_poly(cgdata.G1, cgdata.AB, F49),
               2: parse_poly(cgdata.G2, cgdata.AB, F49)}
     clouds = {1: _coefficient_form("a"), 2: _coefficient_form("b")}
     rows: list[list[Element]] = []
+    cubic_rows: list[int] = []
     classical_ok = True
     scales: dict[tuple[int, int], Element] = {}
 
@@ -165,10 +196,13 @@ def derive_rigidity_system(skip_cubic_condition: bool = False) -> DerivedSystem:
         form[f"d{chart}"] = g.partial_derivative(v)
         return g, form
 
-    def impose(classical: MPoly, first_order: Form) -> None:
+    def impose(classical: MPoly, first_order: Form) -> range:
+        """Record a condition; returns the positions of its rows."""
         nonlocal classical_ok
         classical_ok = classical_ok and classical.is_zero()
+        start = len(rows)
         rows.extend(_monomial_rows(first_order))
+        return range(start, len(rows))
 
     for tag, partner, double_charts, scale_aux in (
             (1, 2, cgdata.CURVE1_DOUBLE_CHARTS, "m'"),
@@ -194,8 +228,6 @@ def derive_rigidity_system(skip_cubic_condition: bool = False) -> DerivedSystem:
                    _add(_graded(form, 2, uv),
                         _times(p1.scale(F49.from_int(-2) * lam), p1_form),
                         {f"{scale_aux}{chart}": -p1_sq}))
-            if skip_cubic_condition and tag == 1:
-                continue
             g3 = g.graded_part(3, uv)
             h = _divide_by_linear(g3, p1, u, v)
             if h is None:
@@ -205,9 +237,11 @@ def derive_rigidity_system(skip_cubic_condition: bool = False) -> DerivedSystem:
             U, V = (MPoly.variable(cgdata.AB, F49, n) for n in uv)
             h1 = {f"h{tag}u{chart}q{t}": -(p1 * m)
                   for t, m in enumerate((U * U, U * V, V * V))}
-            impose(g3 - p1 * h,
-                   _add(_graded(form, 3, uv), _times(-h, p1_form), h1))
-    return DerivedSystem(rows, classical_ok, scales)
+            cubic = impose(g3 - p1 * h,
+                           _add(_graded(form, 3, uv), _times(-h, p1_form), h1))
+            if tag == 1:
+                cubic_rows.extend(cubic)
+    return DerivedSystem(rows, classical_ok, scales, frozenset(cubic_rows))
 
 
 # ----------------------------------------------------------------------
@@ -373,17 +407,24 @@ def leftover_rows() -> tuple[tuple[Element, ...], ...]:
     return tuple(to_essential(r) for r in rows40)
 
 
+@lru_cache(maxsize=None)
+def essential_diagonal_rows() -> Mapping[str, tuple[Element, ...]]:
+    """Each of the ``diagonal_rows``, pushed down to the 19 essentials."""
+    return MappingProxyType({name: to_essential(row)
+                             for name, row in diagonal_rows().items()})
+
+
 def build_published_system(zero_rows, unit_rows) -> LinearSystem:
     """A published deformation system over the 19 essentials."""
-    drows = diagonal_rows()
+    drows = essential_diagonal_rows()
     zero, one = F49.zero(), F49.one()
     rows = list(leftover_rows())
     rhs = [zero] * len(rows)
     for name in zero_rows:
-        rows.append(to_essential(drows[name]))
+        rows.append(drows[name])
         rhs.append(zero)
     for name in unit_rows:
-        rows.append(to_essential(drows[name]))
+        rows.append(drows[name])
         rhs.append(one)
     return LinearSystem(cgdata.ESSENTIAL_UNKNOWNS, rows, rhs, F49)
 

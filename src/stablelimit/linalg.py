@@ -19,7 +19,6 @@ candidate rows against one echelon form (``outside_span``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .rings import Element, Ring, RingMismatchError, field_tables
@@ -56,25 +55,19 @@ class LinearSystem:
         return (f"LinearSystem({len(self.rows)} equations, "
                 f"{len(self.variables)} variables over {self.ring!r})")
 
-    def residuals(self, assignment: dict[str, Element]) -> list[Element]:
-        """A x - b for a full assignment; all zero iff it solves the system."""
-        out = []
-        for row, b in zip(self.rows, self.rhs):
-            acc = self.ring.zero()
-            for var, coeff in zip(self.variables, row):
-                acc = acc + coeff * assignment[var]
-            out.append(acc - b)
-        return out
 
-
-@dataclass
 class SolutionSet:
     """Outcome of solving an affine system exactly."""
 
-    status: str  # "affine" or "inconsistent"
-    variables: tuple[str, ...] = ()
-    particular: dict[str, Element] = field(default_factory=dict)
-    kernel_basis: list[dict[str, Element]] = field(default_factory=list)
+    __slots__ = ("status", "variables", "particular", "kernel_basis")
+
+    def __init__(self, status: str, variables: tuple[str, ...] = (),
+                 particular: dict[str, Element] | None = None,
+                 kernel_basis: list[dict[str, Element]] | None = None):
+        self.status = status  # "affine" or "inconsistent"
+        self.variables = variables
+        self.particular = {} if particular is None else particular
+        self.kernel_basis = [] if kernel_basis is None else kernel_basis
 
     @property
     def dimension(self) -> int:
@@ -163,12 +156,6 @@ def outside_span(rows: Sequence[Sequence[Element]],
                 work = [sub[x][times_f[y]] for x, y in zip(work, row)]
         out.append(any(work))
     return out
-
-
-def transpose(rows: Sequence[Sequence[Element]]) -> list[list[Element]]:
-    if not rows:
-        return []
-    return [list(col) for col in zip(*rows)]
 
 
 def solve_affine(system: LinearSystem) -> SolutionSet:

@@ -13,8 +13,7 @@ rank says on the concrete points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import rank
 from .poly import MPoly, VarRegistry
@@ -27,19 +26,16 @@ class MalformedPointError(ValueError):
     """A projective coordinate pair was (0 : 0)."""
 
 
-@dataclass(frozen=True)
-class PassThrough:
+class PassThrough(NamedTuple):
     point: Point
 
 
-@dataclass(frozen=True)
-class MultiplicityAtLeast:
+class MultiplicityAtLeast(NamedTuple):
     point: Point
     m: int
 
 
-@dataclass(frozen=True)
-class TangentDirection:
+class TangentDirection(NamedTuple):
     """Vanishing of the directional derivative in the point's affine chart."""
 
     point: Point

@@ -15,9 +15,8 @@ Rational classes carry Fraction coefficients, so statements like
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 
 class LatticeMismatchError(TypeError):
@@ -81,14 +80,30 @@ class Lattice:
         return f"Lattice({', '.join(self.names)})"
 
 
-@dataclass(frozen=True)
 class DivisorClass:
-    lattice: Lattice
-    coeffs: tuple[Fraction, ...]
+    """A class on a lattice, as its coefficient vector; immutable."""
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.lattice.rank:
+    __slots__ = ("lattice", "coeffs")
+
+    def __init__(self, lattice: Lattice, coeffs: tuple[Fraction, ...]):
+        if len(coeffs) != lattice.rank:
             raise ValueError("coefficient vector length mismatch")
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a divisor class is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("a divisor class is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not DivisorClass:
+            return NotImplemented
+        return self.lattice == other.lattice and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.lattice, self.coeffs))
 
     @property
     def denominator(self) -> int:
@@ -188,8 +203,7 @@ def quadric_lattice() -> Lattice:
     return Lattice(("h1", "h2"), ((0, 1), (1, 0)), (-2, -2))
 
 
-@dataclass(frozen=True)
-class DoubleCoverStats:
+class DoubleCoverStats(NamedTuple):
     k_squared: Fraction
     chi: Fraction
     adjoint: DivisorClass  # K + L, the class controlling the genus-zero count

@@ -10,23 +10,26 @@ Reports are deterministic apart from the timing field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
 PROVENANCE_TAGS = ("published", "derived", "definitional")
 
 
-@dataclass
 class VerificationReport:
-    scenario_id: str
-    status: str = "pass"            # "pass" | "fail" | "error"
-    citation: str = ""              # one-line statement of the claim
-    computed: dict = field(default_factory=dict)
-    expected: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
-    flags: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    millis: float = 0.0
+    __slots__ = ("scenario_id", "status", "citation", "computed", "expected",
+                 "provenance", "flags", "notes", "millis")
+
+    def __init__(self, scenario_id: str, status: str = "pass",
+                 citation: str = ""):
+        self.scenario_id = scenario_id
+        self.status = status            # "pass" | "fail" | "error"
+        self.citation = citation        # one-line statement of the claim
+        self.computed = {}
+        self.expected = {}
+        self.provenance = {}
+        self.flags = []
+        self.notes = []
+        self.millis = 0.0
 
     def check(self, key: str, computed, expected, tag: str = "published") -> bool:
         """Record a computed/expected pair; a mismatch fails the report."""

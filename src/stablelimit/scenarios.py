@@ -471,7 +471,11 @@ def scenario_singularities() -> VerificationReport:
 
 @lru_cache(maxsize=None)
 def derived_system_cached(skip_cubic: bool = False):
-    return deformation.derive_rigidity_system(skip_cubic)
+    """The derived rigidity system, or with ``skip_cubic`` its weakened
+    control, built from the same raw rows."""
+    if skip_cubic:
+        return derived_system_cached(False).without_cubic_condition()
+    return deformation.derive_rigidity_system()
 
 
 def _homogeneous_system(texts) -> LinearSystem:

@@ -1,14 +1,31 @@
 """Command-line interface: formats, exit codes, output files."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import stablelimit
 from stablelimit.cli import main
 from stablelimit.scenarios import SCENARIOS
 
 # the seed's full JSON report with every "millis" set to 0.0
 GOLDEN_REPORT = Path(__file__).resolve().parent.parent / "bench" \
     / "reference_report.json"
+# the directory that holds the package under test
+SRC = Path(stablelimit.__file__).resolve().parent.parent
+
+
+def _python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter, with ``-O`` when this one has it, importing
+    the package under test."""
+    flags = ["-O"] if sys.flags.optimize else []
+    path = os.pathsep.join(filter(None, (str(SRC),
+                                         os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *flags, *args],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=600)
 
 
 def test_list_prints_all_ids(capsys):
@@ -47,6 +64,31 @@ def test_full_run_reports_the_single_failure(capsys):
         record["millis"] = 0.0
     assert json.dumps(doc, indent=2) + "\n" == \
         GOLDEN_REPORT.read_text(encoding="utf-8")
+
+
+def test_cold_run_in_reversed_order():
+    # a fresh process fills the shared caches in the order its ids run
+    # in; the report lists them in canonical order whatever that was
+    ids = list(SCENARIOS)[::-1]
+    assert len(ids) == 18
+    proc = _python("-m", "stablelimit", "run", "--format", "json",
+                   *(arg for sid in ids for arg in ("--scenario", sid)))
+    assert proc.returncode == 1, proc.stderr
+    doc = json.loads(proc.stdout)
+    for record in doc["scenarios"]:
+        record["millis"] = 0.0
+    assert json.dumps(doc, indent=2) + "\n" == \
+        GOLDEN_REPORT.read_text(encoding="utf-8")
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    proc = _python("-c", "import sys; before = set(sys.modules); "
+                         "import stablelimit.cli; "
+                         "print(*sorted(set(sys.modules) - before))")
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "stablelimit.cli" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 def test_text_summary_line(capsys):

@@ -1,5 +1,6 @@
 """The first-order rigidity derivation and the published linear systems."""
 
+import hashlib
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from stablelimit.scenarios import (_chain_rule_rows, _corrected_system,
                                    _direct_value_rows, _elimination_system_28,
                                    _published_system_28, curve_pair,
                                    derived_system_cached)
+from test_linalg import residuals
 
 
 def test_classical_conditions_hold():
@@ -77,6 +79,36 @@ def test_tangent_cone_scales():
     assert derived.tangent_scales[(1, 4)] == F49.from_int(4)
     assert derived.tangent_scales[(2, 2)] == F49.from_int(3)
     assert derived.tangent_scales[(2, 3)] == F49.from_int(3)
+
+
+# (row count, sha256 of the entries' payloads) of the raw rows, as the
+# earlier two-pass derivation made them: the full system, and the
+# weakened control with the first curve's cubic condition left out
+RAW_ROWS = {False: (44, "0f8de186f90fe72391afbfa2f1c5853d"
+                        "1545746e0eb0dcb1abf8b7726bd7a41b"),
+            True: (36, "2ff75297695fa4cece1f7d2be4e57b47"
+                       "e1a9b65de8eef74b11fc014668528eb1")}
+
+
+def _payload_digest(rows) -> str:
+    payloads = [[x.payload for x in row] for row in rows]
+    return hashlib.sha256(repr(payloads).encode()).hexdigest()
+
+
+def test_raw_rows_are_pinned():
+    for skip_cubic, (count, digest) in RAW_ROWS.items():
+        rows = derived_system_cached(skip_cubic).raw.rows
+        assert (len(rows), _payload_digest(rows)) == (count, digest)
+
+
+def test_weakened_rows_are_the_full_rows_without_the_cubic_ones():
+    derived = derived_system_cached(False)
+    # the first curve's cubic condition at its double points, charts 1
+    # and 4: four rows each
+    cubic = {6, 7, 8, 9, 18, 19, 20, 21}
+    assert derived.cubic_rows == cubic
+    assert derived_system_cached(True).raw.rows == tuple(
+        row for k, row in enumerate(derived.raw.rows) if k not in cubic)
 
 
 def test_weakened_derivation_shrinks():
@@ -163,7 +195,8 @@ def test_cached_rows_are_immutable():
     with pytest.raises(TypeError):
         direct["val1@1"] = direct["val1@1"]
     for rows in (deformation.diagonal_rows(), deformation.flex_rows(),
-                 direct, _chain_rule_rows()):
+                 deformation.essential_diagonal_rows(), direct,
+                 _chain_rule_rows()):
         for name, row in rows.items():
             assert isinstance(row, tuple)
             with pytest.raises(TypeError):
@@ -231,7 +264,7 @@ def test_solutions_satisfy_the_systems():
     system = deformation.build_published_system(spec[1], spec[2])
     sol = solve_affine(system)
     assert sol.is_consistent()
-    assert all(v.is_zero() for v in system.residuals(sol.particular))
+    assert all(v.is_zero() for v in residuals(system, sol.particular))
 
 
 def test_corrected_relations_break_fifth_system():

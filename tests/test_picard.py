@@ -10,6 +10,7 @@ from stablelimit.picard import (BranchParityError, Lattice,
                                 double_cover_stats, gram_determinant,
                                 intersect, quadric_lattice, signature,
                                 verify_class_relation)
+from stablelimit.scenarios import _blowup_lattice, _extended_lattice
 
 
 def test_quadric_lattice_basics():
@@ -119,3 +120,32 @@ def test_signature_of_negative_definite_block():
     lat = Lattice(("a", "b"), ((-2, 1), (1, -2)))
     assert signature(lat) == (0, 2)
     assert gram_determinant(lat) == 3
+
+
+def _sign_changes(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _sympy_determinant_and_signature(lattice):
+    """Determinant and signature of the Gram matrix from sympy over QQ.
+    A symmetric matrix has only real eigenvalues, so Descartes' rule of
+    signs on its characteristic polynomial p(x) counts the positive ones
+    exactly, and on p(-x) the negative ones."""
+    sympy = pytest.importorskip("sympy")
+    gram = sympy.Matrix(lattice.gram)
+    coeffs = gram.charpoly(sympy.Symbol("x")).all_coeffs()
+    mirrored = [c * (-1) ** k for k, c in enumerate(coeffs)]
+    return (Fraction(int(gram.det())),
+            (_sign_changes(coeffs), _sign_changes(mirrored)))
+
+
+@pytest.mark.parametrize("make", [
+    quadric_lattice, _blowup_lattice,
+    lambda: _extended_lattice(_blowup_lattice()),
+    lambda: Lattice(("a", "b"), ((-2, 1), (1, -2)))],
+    ids=["quadric", "blowup", "extended", "negative-definite"])
+def test_gram_invariants_agree_with_sympy(make):
+    lattice = make()
+    assert (gram_determinant(lattice), signature(lattice)) == \
+        _sympy_determinant_and_signature(lattice)

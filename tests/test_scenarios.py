@@ -6,8 +6,11 @@ from itertools import product
 import pytest
 
 from stablelimit import cgdata, scenarios
+from stablelimit.curvelocal import classify
 from stablelimit.deformation import F49
-from stablelimit.linser import normalize_pair
+from stablelimit.linser import (MultiplicityAtLeast, PassThrough,
+                                TangentDirection, normalize_pair)
+from stablelimit.picard import double_cover_stats, quadric_lattice
 from stablelimit.report import render_json
 from stablelimit.rings import field_tables
 from test_poly import is_bihomogeneous
@@ -156,3 +159,28 @@ def test_scan_cover_visits_each_point_once():
     assert len(line) == 50
     assert len(visited) == 2500
     assert set(visited) == set(product(line, repeat=2))
+
+
+_POINT = ((F49.one(), F49.zero()), (F49.i(), F49.one()))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: scenarios.chart_germ(scenarios.curve_pair("F49")[0], 1),
+    lambda: classify(scenarios.chart_germ(scenarios.curve_pair("F49")[0], 1)),
+    lambda: PassThrough(_POINT),
+    lambda: MultiplicityAtLeast(_POINT, 2),
+    lambda: TangentDirection(_POINT, (F49.one(), F49.i())),
+    lambda: quadric_lattice().cls({"h1": 1, "h2": -2}),
+    lambda: double_cover_stats(quadric_lattice().zero(),
+                               quadric_lattice().zero(),
+                               quadric_lattice().canonical)],
+    ids=["ChartGerm", "SingularityVerdict", "PassThrough",
+         "MultiplicityAtLeast", "TangentDirection", "DivisorClass",
+         "DoubleCoverStats"])
+def test_frozen_records_are_values(make):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    for name in getattr(a, "_fields", None) or type(a).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+    assert a == b
