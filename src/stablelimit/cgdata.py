@@ -141,15 +141,6 @@ Q_POINTS = {
     5: ((-5, 4), (-3, 5)),
     6: ((-5, -4), (-3, -5)),
 }
-# beta-values used by the published constraint rows ((re, im) pairs)
-Q_BETA = {
-    1: (0, 1),
-    2: (0, -1),
-    3: (-2, 4),
-    4: (-2, -4),
-    5: (-3, 5),
-    6: (-3, -5),
-}
 
 # ----------------------------------------------------------------------
 # unknowns of the first-order rigidity system

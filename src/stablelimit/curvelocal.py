@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .linalg import LinearSystem, solve_affine
-from .poly import MPoly, VarRegistry
+from .poly import MPoly
 from .rings import Element
 
 
@@ -117,10 +117,8 @@ def _divide_by_linear(target: MPoly, linear: MPoly, u: str, v: str):
     if target.is_zero():
         return MPoly.zero(registry, ring)
     qdeg = deg - 1
-    basis = []
-    for k in range(qdeg + 1):
-        basis.append(MPoly(registry, ring, {
-            _exps(registry, {u: qdeg - k, v: k}): ring.one()}))
+    U, V = (MPoly.variable(registry, ring, n) for n in (u, v))
+    basis = [U ** (qdeg - k) * V ** k for k in range(qdeg + 1)]
     prods = [linear * q for q in basis]
     monos = sorted({e for p in prods for e in p.terms} | set(target.terms))
     rows = [[p.terms.get(m, ring.zero()) for p in prods] for m in monos]
@@ -133,13 +131,6 @@ def _divide_by_linear(target: MPoly, linear: MPoly, u: str, v: str):
     for q, name in zip(basis, names):
         out = out + q.scale(sol.particular[name])
     return out
-
-
-def _exps(registry: VarRegistry, assignment: dict[str, int]) -> tuple[int, ...]:
-    exps = [0] * len(registry)
-    for name, e in assignment.items():
-        exps[registry.index[name]] = e
-    return tuple(exps)
 
 
 def classify(germ: ChartGerm) -> SingularityVerdict:
@@ -189,26 +180,13 @@ def intersection_multiplicity(germ: ChartGerm,
     pu, pv = param
     if pu.registry != pv.registry or len(pu.registry) != 1:
         raise ValueError("parametrization must be univariate")
-    s = pu.registry.names[0]
-    ring = germ.poly.ring
     for comp in (pu, pv):
         if not comp.coefficient({}).is_zero():
             raise ValueError("parametrization must pass through the origin")
     u, v = germ.local_vars
-    iu = germ.poly.registry.index[u]
-    iv = germ.poly.registry.index[v]
-    cache: dict[tuple[int, int], MPoly] = {}
-    out = MPoly.zero(pu.registry, ring)
-    for exps, coeff in germ.poly.terms.items():
-        key = (exps[iu], exps[iv])
-        if key not in cache:
-            val = (pu ** key[0]) * (pv ** key[1])
-            if truncation is not None:
-                val = val.truncate(s, truncation)
-            cache[key] = val
-        out = out + cache[key].scale(coeff)
+    out = germ.poly.substitute({u: pu, v: pv})
     if truncation is not None:
-        out = out.truncate(s, truncation)
+        out = out.truncate(pu.registry.names[0], truncation)
     if out.is_zero():
         return None
     return min(e[0] for e in out.terms)
@@ -242,15 +220,9 @@ def infinitely_near_multiplicity(germ: ChartGerm,
         wname = v
     total = germ.poly.substitute(sub)
     # strip the exceptional factor w^m
-    iw = registry.index[wname]
-    terms = {}
-    for exps, c in total.terms.items():
-        ne = list(exps)
-        ne[iw] -= m
-        if ne[iw] < 0:
-            raise ArithmeticError("blowup did not divide by the multiplicity")
-        terms[tuple(ne)] = c
-    proper = MPoly(registry, ring, terms)
+    proper, removed = strip_monomial_content(total, (wname,))
+    if removed[wname] != m:
+        raise ArithmeticError("blowup did not divide by the multiplicity")
     return multiplicity_at(ChartGerm(germ.chart_id + "'", proper,
                                      germ.local_vars))
 

@@ -153,13 +153,9 @@ class DerivedSystem:
         self.classical_ok = classical_ok
         self.tangent_scales = scales
         self.cubic_rows = cubic_rows
+        # over cgdata.MAIN_UNKNOWNS in order: eliminate keeps the order of
+        # the columns it does not project out
         self.system = eliminate(self.raw, AUX_UNKNOWNS)
-        order = [self.system.variables.index(v)
-                 for v in cgdata.MAIN_UNKNOWNS]
-        self.system = LinearSystem(
-            cgdata.MAIN_UNKNOWNS,
-            [[row[i] for i in order] for row in self.system.rows],
-            self.system.rhs, F49)
 
     @property
     def rank(self) -> int:
@@ -262,8 +258,8 @@ def diagonal_cloud(prefix: str) -> Mapping[str, MPoly]:
 
 
 def q_beta(k: int) -> Element:
-    re, im = cgdata.Q_BETA[k]
-    return F49.element((re % 7, im % 7))
+    """The be-coordinate of the k-th diagonal point of ``cgdata.Q_POINTS``."""
+    return F49.element(cgdata.Q_POINTS[k][1])
 
 
 @lru_cache(maxsize=None)
@@ -378,26 +374,18 @@ def to_essential(row) -> tuple[Element, ...]:
     return tuple(acc)
 
 
-def _row_of_linear_form(p: MPoly, registry: VarRegistry,
-                        unknowns) -> list[Element]:
-    zero = F49.zero()
-    row = {n: zero for n in unknowns}
-    for exps, c in p.terms.items():
-        carriers = [k for k, e in enumerate(exps) if e]
-        if len(carriers) != 1 or exps[carriers[0]] != 1:
-            raise ArithmeticError("expected a homogeneous linear form")
-        name = registry.names[carriers[0]]
-        row[name] = row[name] + c
-    return [row[n] for n in unknowns]
-
-
 def rows_from_texts(texts, variables) -> list[list[Element]]:
     """Homogeneous linear forms given as grammar text, over the variables."""
     registry = VarRegistry(variables)
     rows = []
     for text in texts:
         p = parse_poly(text, registry, F49)
-        rows.append(_row_of_linear_form(p, registry, variables))
+        if p.graded_part(1) != p:
+            raise ArithmeticError("expected a homogeneous linear form")
+        row = [F49.zero()] * len(variables)
+        for exps, c in p.terms.items():
+            row[exps.index(1)] = c
+        rows.append(row)
     return rows
 
 
@@ -414,19 +402,20 @@ def essential_diagonal_rows() -> Mapping[str, tuple[Element, ...]]:
                              for name, row in diagonal_rows().items()})
 
 
+def stacked_system(unknowns, rows, named_rows: Mapping[str, tuple],
+                   zero_rows, unit_rows) -> LinearSystem:
+    """The homogeneous ``rows``, then the ``named_rows`` listed in
+    ``zero_rows`` set to 0 and those in ``unit_rows`` set to 1."""
+    rows = [*rows, *(named_rows[n] for n in (*zero_rows, *unit_rows))]
+    rhs = ([F49.zero()] * (len(rows) - len(unit_rows))
+           + [F49.one()] * len(unit_rows))
+    return LinearSystem(unknowns, rows, rhs, F49)
+
+
 def build_published_system(zero_rows, unit_rows) -> LinearSystem:
     """A published deformation system over the 19 essentials."""
-    drows = essential_diagonal_rows()
-    zero, one = F49.zero(), F49.one()
-    rows = list(leftover_rows())
-    rhs = [zero] * len(rows)
-    for name in zero_rows:
-        rows.append(drows[name])
-        rhs.append(zero)
-    for name in unit_rows:
-        rows.append(drows[name])
-        rhs.append(one)
-    return LinearSystem(cgdata.ESSENTIAL_UNKNOWNS, rows, rhs, F49)
+    return stacked_system(cgdata.ESSENTIAL_UNKNOWNS, leftover_rows(),
+                          essential_diagonal_rows(), zero_rows, unit_rows)
 
 
 def solve_published_system(spec) -> tuple[bool, int | None]:

@@ -15,6 +15,7 @@ Rational classes carry Fraction coefficients, so statements like
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -35,7 +36,7 @@ class Lattice:
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise ValueError("basis names must be distinct")
-        self.gram = tuple(tuple(int(x) for x in row) for row in gram)
+        self.gram = tuple(tuple(map(operator.index, row)) for row in gram)
         n = len(self.names)
         if len(self.gram) != n or any(len(r) != n for r in self.gram):
             raise ValueError("gram matrix shape mismatch")
@@ -44,7 +45,7 @@ class Lattice:
                 if self.gram[i][j] != self.gram[j][i]:
                     raise ValueError("gram matrix must be symmetric")
         self.index = {name: i for i, name in enumerate(self.names)}
-        self._canonical = tuple(int(x) for x in canonical) if canonical else None
+        self._canonical = tuple(map(operator.index, canonical)) if canonical else None
 
     @property
     def rank(self) -> int:

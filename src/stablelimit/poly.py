@@ -18,10 +18,15 @@ Inside, ``MPoly`` stores ``{packed monomial: raw coefficient}``:
   raises ``OverflowError``.
 * A coefficient is the raw value of its ring: the integer payload over
   ZZ and Z/p^k (over GF(p) that payload is also its ``field_tables``
-  code), the ``field_tables`` code over GF(p)[i], and the payload over any
-  other ring.  Each ring has one coefficient path (``_coeffs``), which
-  every operation uses; over the integer rings sums and products are
-  reduced once per operation rather than once per step.
+  code), and the ``field_tables`` code over GF(p)[i].  Each ring has one
+  coefficient path (``_coeffs``), which every operation uses; over the
+  integer rings sums and products are reduced once per operation rather
+  than once per step.  Other rings (the dual numbers, GF(p)[i] too large
+  for its tables) have no polynomials.
+
+``substitute`` is the one polynomial rewrite: a Taylor shift, a change of
+chart, and a pullback into another registry along a parametrization (of
+the quadric, of the diagonal, of a branch) are each one call.
 
 ``Element``s are built only at the boundary: ``coefficient``, the value of
 ``evaluate``, and the ``terms`` view.  ``terms`` is a read-only mapping from
@@ -52,7 +57,7 @@ import re
 import struct
 from collections.abc import Mapping as MappingABC
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rings import (Element, IntegerRing, QuadraticField, Ring,
                     RingMismatchError, ZMod, _element, field_tables)
@@ -148,11 +153,8 @@ class _Coeffs:
     the packed monomial ``shift``, into the accumulator ``acc``; ``finish``
     turns an accumulator into canonical nonzero terms.  The ring
     operations and substitution are these two steps, so an accumulator
-    may hold values that only ``finish`` makes canonical.
-
-    This class is the generic path, taken by rings without a faster one
-    (the dual numbers): the raw value is the payload, combined through the
-    ring's payload arithmetic.
+    may hold values that only ``finish`` makes canonical.  Each subclass
+    supplies ``addmul`` and ``evaluate`` for its kind of raw value.
     """
 
     def __init__(self, ring: Ring):
@@ -174,38 +176,21 @@ class _Coeffs:
     def from_int(self, n: int):
         return self.raw(self.ring.from_int(n))
 
-    def is_zero(self, c) -> bool:
-        return c == self.zero
+    # zero is the raw value 0 on every path
+    is_zero = staticmethod(operator.not_)
 
     def mul(self, a, b):
         return self.ring._mul(a, b)
 
-    def addmul(self, acc, shift, scalar, terms):
-        add, mul, zero = self.ring._add, self.ring._mul, self.zero
-        for e, c in terms.items():
-            e += shift
-            acc[e] = add(acc.get(e, zero), mul(scalar, c))
-
     def finish(self, acc):
         zero = self.zero
         return {e: c for e, c in acc.items() if c != zero}
-
-    def evaluate(self, terms, ladders):
-        add, mul = self.ring._add, self.ring._mul
-        acc = self.zero
-        for e, c in terms.items():
-            for shift, ladder in ladders:
-                c = mul(c, ladder[(e >> shift) & _MASK])
-            acc = add(acc, c)
-        return acc
 
 
 class _IntCoeffs(_Coeffs):
     """ZZ and Z/p^k: the raw value is the integer payload (over GF(p) it is
     also the ``field_tables`` code).  Accumulators hold unreduced sums of
     products; ``finish`` reduces them once."""
-
-    is_zero = staticmethod(operator.not_)
 
     def __init__(self, ring: Ring):
         self.modulus = ring.characteristic()    # 0 over ZZ
@@ -234,8 +219,6 @@ class _IntCoeffs(_Coeffs):
 
 class _TableCoeffs(_Coeffs):
     """GF(p)[i]: the raw value is the ``field_tables`` code."""
-
-    is_zero = staticmethod(operator.not_)
 
     def __init__(self, ring: Ring):
         tables = field_tables(ring)
@@ -281,12 +264,14 @@ _TABLE_ORDER_LIMIT = 256
 def _coeffs(ring: Ring) -> _Coeffs:
     """The coefficient path of ``ring``; equal rings share one, so two
     polynomials have equal rings exactly when their paths are the same
-    object."""
+    object.  Rings without one (the dual numbers, GF(p)[i] above
+    ``_TABLE_ORDER_LIMIT``) raise ``TypeError``."""
     if isinstance(ring, (IntegerRing, ZMod)):
         return _IntCoeffs(ring)
     if isinstance(ring, QuadraticField) and ring.order() <= _TABLE_ORDER_LIMIT:
         return _TableCoeffs(ring)
-    return _Coeffs(ring)
+    raise TypeError(f"no polynomials over {ring!r}: it has no raw "
+                    f"coefficient path")
 
 
 # ----------------------------------------------------------------------
@@ -529,19 +514,35 @@ class MPoly:
                            if sum((e >> s) & _MASK for s in shifts) == degree})
 
     def substitute(self, bindings: Mapping[str, "MPoly"]) -> "MPoly":
-        """Ring-homomorphic substitution; unbound variables pass through."""
+        """Ring-homomorphic substitution of polynomials for variables.
+
+        The bindings share this polynomial's ring and one registry.  In its
+        own registry unbound variables pass through; in another one the
+        result lives there, and every variable used must be bound.  Raises
+        ``KeyError`` for an unknown or an unbound used variable, and
+        ``RingMismatchError`` for a foreign ring or two registries.
+        """
+        registry, coeffs = self.registry, self._coeffs
+        target = next((v.registry for v in bindings.values()), registry)
         for name, value in bindings.items():
-            if name not in self.registry:
+            if name not in registry:
                 raise KeyError(f"unknown variable {name!r}")
-            if value.registry != self.registry or value.ring != self.ring:
-                raise RingMismatchError("binding in a foreign polynomial ring")
-        registry = self.registry
-        top = registry._degree_shift
+            if value._coeffs is not coeffs:
+                raise RingMismatchError("binding over a foreign ring")
+            if value.registry is not target and value.registry != target:
+                raise RingMismatchError(
+                    "bindings from different variable registries")
+        if target is not registry and target != registry:
+            unbound = self.variables_used() - bindings.keys()
+            if unbound:
+                raise KeyError(f"no binding for {sorted(unbound)}")
+        # in another registry every used variable is bound, so each
+        # residual is 0, the constant monomial of any registry
+        top = target._degree_shift
         # (shift, unit, value, {exponent: value ** exponent}) per binding
         bound = [(registry._shifts[registry.index[n]],
                   registry._unit(registry.index[n]), v, {})
                  for n, v in bindings.items()]
-        coeffs = self._coeffs
         addmul = coeffs.addmul
         acc = {}
         for e, c in self._terms.items():
@@ -558,7 +559,8 @@ class MPoly:
             if terms:
                 _check_degree((residual >> top) + (max(terms) >> top))
                 addmul(acc, residual, c, terms)
-        return self._like(coeffs.finish(acc))
+        return _init(_new(MPoly), target, self.ring, coeffs,
+                     coeffs.finish(acc))
 
     def translate(self, offsets: Mapping[str, Element]) -> "MPoly":
         """Taylor shift: evaluate(translate(p, a), x) = evaluate(p, x + a)."""
@@ -598,22 +600,6 @@ class MPoly:
         shift = self.registry._shifts[self.registry.index[name]]
         return self._like({e: c for e, c in self._terms.items()
                            if (e >> shift) & _MASK <= max_degree})
-
-    def change_ring(self, ring: Ring,
-                    convert: Callable[[Element], Element] | None = None) -> "MPoly":
-        """Map coefficients into another ring.
-
-        Without an explicit converter the coefficients must have integer
-        payloads, which are pushed through the target ring's ``from_int``.
-        """
-        if convert is None:
-            def convert(c: Element) -> Element:
-                if not isinstance(c.payload, int):
-                    raise RingMismatchError(
-                        "default conversion needs integer payloads")
-                return ring.from_int(c.payload)
-        return MPoly(self.registry, ring,
-                     {e: convert(c) for e, c in self.terms.items()})
 
     # ------------------------------------------------------------------
     # printing
@@ -674,22 +660,17 @@ def _format_coefficient(coeff: Element, has_factors: bool) -> tuple[str, bool]:
 
     Integer payloads print as their absolute value with the sign carried
     by the flag (residue rings have no negative payloads); a leading 1
-    before a monomial is suppressed.  Non-integer payloads (e.g. GF(p)[i]
-    values with an imaginary part) print parenthesized and never claim
-    the minus-sign shorthand.
+    before a monomial is suppressed.  A GF(p)[i] value prints as its real
+    part when it has no imaginary part, and parenthesized otherwise.
     """
     payload = coeff.payload
-    if isinstance(payload, int):
-        if has_factors and abs(payload) == 1:
-            return "", payload < 0
-        return str(abs(payload)), payload < 0
-    if isinstance(payload, tuple) and all(isinstance(x, int) for x in payload):
-        real, imag = payload
-        if imag == 0:
-            if has_factors and real == 1:
-                return "", False
-            return str(real), False
-    return f"({coeff!r})", False
+    if isinstance(payload, tuple):
+        payload, imag = payload
+        if imag:
+            return f"({coeff!r})", False
+    if has_factors and abs(payload) == 1:
+        return "", payload < 0
+    return str(abs(payload)), payload < 0
 
 
 # ----------------------------------------------------------------------

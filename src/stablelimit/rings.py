@@ -8,12 +8,15 @@ exact rings:
 * ``PrimeField(p)`` -- the field GF(p),
 * ``QuadraticField(p)`` -- GF(p)[i] with i**2 = -1, a model of GF(p**2)
   when -1 is a non-square mod p (true for p = 7),
-* ``DualNumbers(base)`` -- base[eps] with eps**2 = 0.
+* ``DualNumbers(base)`` -- base[eps] with eps**2 = 0, for element
+  arithmetic only: ``poly`` has no polynomials over it.
 
 Elements are immutable values carrying a reference to their ring; mixing
 elements of different rings raises ``RingMismatchError``.  Canonical form
 is the least non-negative residue in each coordinate, so ``==`` and
-``hash`` agree with mathematical equality.
+``hash`` agree with mathematical equality.  Integer payloads are read
+through ``operator.index``: a float, a string or a fraction raises
+``TypeError`` instead of being truncated.
 
 The small fields GF(p) and GF(p)[i] also have an unboxed form: a GF(p)
 element is coded as its payload and a GF(p**2) element a+bi as the int
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from operator import index
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -196,7 +200,7 @@ class IntegerRing(Ring):
     """Arbitrary-precision integers."""
 
     def element(self, payload: int) -> Element:
-        return _element(self, int(payload))
+        return _element(self, index(payload))
 
     def characteristic(self) -> int:
         return 0
@@ -258,7 +262,7 @@ class ZMod(Ring):
         self.modulus = p ** k
 
     def element(self, payload: int) -> Element:
-        return _element(self, int(payload) % self.modulus)
+        return _element(self, index(payload) % self.modulus)
 
     def characteristic(self) -> int:
         return self.modulus
@@ -318,10 +322,10 @@ class QuadraticField(Ring):
         self.p = p
 
     def element(self, payload) -> Element:
-        if isinstance(payload, int):
+        if not isinstance(payload, tuple):
             payload = (payload, 0)
         a, b = payload
-        return _element(self, (int(a) % self.p, int(b) % self.p))
+        return _element(self, (index(a) % self.p, index(b) % self.p))
 
     def i(self) -> Element:
         return self.element((0, 1))

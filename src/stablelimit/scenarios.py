@@ -70,21 +70,10 @@ def degeneration_forms(ring_key: str):
                  for t in (cgdata.F1, cgdata.F2, cgdata.F3, cgdata.F5))
 
 
-def restrict_to_quadric(p: MPoly, ring) -> MPoly:
+def restrict_to_quadric(p: MPoly) -> MPoly:
     """Pull a form in x,y,z,t back along the quadric parametrization."""
-    sub = {name: parse_poly(text, cgdata.AB, ring)
-           for name, text in cgdata.QUADRIC_PARAM.items()}
-    out = MPoly.zero(cgdata.AB, ring)
-    cache: dict[tuple[int, ...], MPoly] = {}
-    for exps, coeff in p.terms.items():
-        if exps not in cache:
-            term = MPoly.constant(cgdata.AB, ring.one())
-            for name, e in zip(cgdata.XYZT.names, exps):
-                if e:
-                    term = term * sub[name] ** e
-            cache[exps] = term
-        out = out + cache[exps].scale(coeff)
-    return out
+    return p.substitute({name: parse_poly(text, cgdata.AB, p.ring)
+                         for name, text in cgdata.QUADRIC_PARAM.items()})
 
 
 @lru_cache(maxsize=None)
@@ -96,20 +85,14 @@ def curve_pair(ring_key: str) -> tuple[MPoly, MPoly]:
 
 def delta_restrict(g: MPoly) -> MPoly:
     """Restriction to the diagonal with denominators cleared: substitute
-    the first-factor pair (1-be, 1+be) at be' = 1; univariate in be."""
+    the first-factor pair (1-be, 1+be) at be' = 1, a polynomial in be."""
     ring = g.ring
-    sub = {
-        "al": parse_poly(cgdata.DELTA_NUMERATOR, cgdata.AB, ring),
-        "al'": parse_poly(cgdata.DELTA_DENOMINATOR, cgdata.AB, ring),
-        "be'": MPoly.constant(cgdata.AB, ring.one()),
-    }
-    restricted = g.substitute(sub)
-    terms = {}
-    for exps, c in restricted.terms.items():
-        if exps[0] or exps[1] or exps[3]:
-            raise ValueError("diagonal restriction is not univariate in be")
-        terms[(exps[2],)] = c
-    return MPoly(_BE, ring, terms)
+    return g.substitute({
+        "al": parse_poly(cgdata.DELTA_NUMERATOR, _BE, ring),
+        "al'": parse_poly(cgdata.DELTA_DENOMINATOR, _BE, ring),
+        "be": MPoly.variable(_BE, ring, "be"),
+        "be'": MPoly.constant(_BE, ring.one()),
+    })
 
 
 def chart_germ(g: MPoly, chart: int) -> ChartGerm:
@@ -119,8 +102,7 @@ def chart_germ(g: MPoly, chart: int) -> ChartGerm:
 
 
 def q_point(k: int) -> tuple[Element, Element]:
-    (are, aim), (bre, bim) = cgdata.Q_POINTS[k]
-    return (F49.element((are % 7, aim % 7)), F49.element((bre % 7, bim % 7)))
+    return tuple(map(F49.element, cgdata.Q_POINTS[k]))
 
 
 def chart_point(chart: int, a: Element, b: Element):
@@ -232,15 +214,15 @@ def scenario_branch() -> VerificationReport:
     f1, _, f3, f5 = degeneration_forms("F7")
     four = MPoly.constant(cgdata.XYZT, F7.from_int(4))
     section = f3 * f3 - four * f1 * f5
-    restricted = restrict_to_quadric(section, F7)
+    restricted = restrict_to_quadric(section)
     g1, g2 = curve_pair("F7")
     u = unit_match(restricted, g1 * g2)
     rep.require("discriminant section restricts to unit * g1 * g2",
                 u is not None)
     rep.note(f"splitting unit: {u!r}")
 
-    b1 = restrict_to_quadric(parse_poly(cgdata.B1_SECTION, cgdata.XYZT, F7), F7)
-    b2 = restrict_to_quadric(parse_poly(cgdata.B2_SECTION, cgdata.XYZT, F7), F7)
+    b1 = restrict_to_quadric(parse_poly(cgdata.B1_SECTION, cgdata.XYZT, F7))
+    b2 = restrict_to_quadric(parse_poly(cgdata.B2_SECTION, cgdata.XYZT, F7))
     rep.require("first cubic section restricts to unit * g1",
                 unit_match(b1, g1) is not None)
     rep.require("second cubic section restricts to unit * g2",
@@ -248,7 +230,7 @@ def scenario_branch() -> VerificationReport:
 
     # the middle form vanishes on the diagonal exactly at the six
     # intersection points, once each
-    f3_delta = delta_restrict(restrict_to_quadric(f3, F7))
+    f3_delta = delta_restrict(restrict_to_quadric(f3))
     target = parse_poly(cgdata.F3_ON_DELTA, _BE, F7)
     rep.require("middle form on the diagonal matches the six-point divisor",
                 unit_match(f3_delta, target) is not None)
@@ -276,7 +258,7 @@ def scenario_delta() -> VerificationReport:
     # the diagonal is the plane section of the quadric: its chart-4
     # equation must be the restriction of the linear form
     f1, _, _, _ = degeneration_forms("F7")
-    f1_chart4 = dehomogenize(restrict_to_quadric(f1, F7), 4)
+    f1_chart4 = dehomogenize(restrict_to_quadric(f1), 4)
     chart_eq = parse_poly(cgdata.DELTA_CHART4, cgdata.AB, F7)
     rep.require("diagonal chart equation is the plane restricted to the "
                 "quadric", unit_match(f1_chart4, chart_eq) is not None)
@@ -294,8 +276,7 @@ def scenario_delta() -> VerificationReport:
     # the root set over GF(49), with the diagonal's alpha-coordinates,
     # must match the published six points up to one global conjugation
     computed = set()
-    d1_49 = d1.change_ring(F49)
-    d2_49 = d2.change_ring(F49)
+    d1_49, d2_49 = map(delta_restrict, curve_pair("F49"))
     one = F49.one()
     for x in F49.all_elements():
         on1 = d1_49.evaluate({"be": x}).is_zero()
@@ -303,11 +284,9 @@ def scenario_delta() -> VerificationReport:
         if on1 or on2:
             alpha = (one - x) * (one + x).inverse()
             computed.add(((alpha.payload), (x.payload)))
-    published = {tuple((c.payload) for c in q_point(k)) for k in range(1, 7)}
-    conjugated = set()
-    for k in range(1, 7):
-        a, b = (conjugate_point(q_point(k)))
-        conjugated.add((a.payload, b.payload))
+    published = {tuple(c.payload for c in q_point(k)) for k in range(1, 7)}
+    conjugated = {tuple(c.payload for c in conjugate_point(q_point(k)))
+                  for k in range(1, 7)}
     if computed == published:
         rep.note("point identification: direct labeling matched")
         rep.check("six diagonal points match the published list", True, True)
@@ -579,18 +558,9 @@ def _corrected_system(system_id: str) -> LinearSystem:
     """A published system with the 28 corrected relations in place of the
     published elimination list (40 unknowns)."""
     spec = next(s for s in cgdata.SYSTEM_SPECS if s.id == system_id)
-    derived = derived_system_cached(False)
-    drows = deformation.diagonal_rows()
-    zero, one = F49.zero(), F49.one()
-    rows = list(derived.system.rows)
-    rhs = [zero] * len(rows)
-    for name in spec.zero_rows:
-        rows.append(drows[name])
-        rhs.append(zero)
-    for name in spec.unit_rows:
-        rows.append(drows[name])
-        rhs.append(one)
-    return LinearSystem(cgdata.MAIN_UNKNOWNS, rows, rhs, F49)
+    return deformation.stacked_system(
+        cgdata.MAIN_UNKNOWNS, derived_system_cached(False).system.rows,
+        deformation.diagonal_rows(), spec.zero_rows, spec.unit_rows)
 
 
 def _corrected_system_feasible(system_id: str) -> bool:

@@ -23,8 +23,18 @@ def test_classical_conditions_hold():
 
 def test_derived_system_has_rank_28():
     derived = derived_system_cached(False)
-    assert len(derived.system.variables) == 40
+    # eliminating the auxiliaries leaves the main unknowns in order
+    for system in (derived, derived_system_cached(True)):
+        assert system.system.variables == cgdata.MAIN_UNKNOWNS
     assert derived.rank == 28
+
+
+def test_rows_from_texts_take_only_homogeneous_linear_forms():
+    rows = deformation.rows_from_texts(["a33-2*b10"], cgdata.MAIN_UNKNOWNS)
+    assert rows[0][cgdata.MAIN_UNKNOWNS.index("b10")] == F49.from_int(-2)
+    for text in ("a33*b10", "a33+1", "a33^2"):
+        with pytest.raises(ArithmeticError):
+            deformation.rows_from_texts([text], cgdata.MAIN_UNKNOWNS)
 
 
 def test_derived_equals_published_display():

@@ -122,6 +122,14 @@ def test_signature_of_negative_definite_block():
     assert gram_determinant(lat) == 3
 
 
+def test_lattice_rejects_non_integer_entries():
+    for bad in (1.5, 1.0, "1", Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            Lattice(("a", "b"), ((-2, bad), (bad, -2)))
+        with pytest.raises(TypeError):
+            Lattice(("a", "b"), ((-2, 1), (1, -2)), (bad, 0))
+
+
 def _sign_changes(coeffs) -> int:
     signs = [c > 0 for c in coeffs if c != 0]
     return sum(a != b for a, b in zip(signs, signs[1:]))

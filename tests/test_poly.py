@@ -11,7 +11,8 @@ except ImportError:     # only the properties at the end need hypothesis
     given = settings = st = None
 
 from stablelimit import (ZZ, DualNumbers, MPoly, ParseError, PrimeField,
-                         QuadraticField, VarRegistry, ZMod, parse_poly)
+                         QuadraticField, RingMismatchError, VarRegistry, ZMod,
+                         parse_poly)
 from stablelimit import cgdata
 from stablelimit.poly import MAX_DEGREE
 from stablelimit.scenarios import build_quintic, curve_pair
@@ -313,12 +314,18 @@ def test_translate_examples():
     reg = VarRegistry(("x",))
     p = parse_poly("x^2", reg, F7)
     assert p.translate({"x": F7.one()}) == parse_poly("x^2+2*x+1", reg, F7)
-    # first-order offsets over the dual numbers
-    D = DualNumbers(F49)
-    x = MPoly.variable(reg, D, "x")
-    c = D.element((F49.zero(), F49.from_int(5)))   # 5*eps
-    shifted = x.translate({"x": c})
-    assert shifted == x + MPoly.constant(reg, c)
+
+
+def test_rings_without_a_coefficient_path_have_no_polynomials():
+    reg = VarRegistry(("x",))
+    # the dual numbers, and GF(19^2), whose tables would be 361 x 361
+    for ring in (DualNumbers(F7), DualNumbers(F49), QuadraticField(19)):
+        with pytest.raises(TypeError):
+            MPoly(reg, ring)
+        with pytest.raises(TypeError):
+            MPoly.variable(reg, ring, "x")
+        with pytest.raises(TypeError):
+            parse_poly("x+1", reg, ring)
 
 
 def test_translate_inverse():
@@ -381,21 +388,25 @@ COEFFS = {
 }
 
 
+ST = VarRegistry(("s", "t"))
+
+
 @functools.lru_cache(maxsize=None)
-def polys(key, max_terms=6, max_exp=3):
-    """Polynomials in x, y, z over one ring, shaped like ``rand_poly``'s."""
+def polys(key, max_terms=6, max_exp=3, registry=XYZ):
+    """Polynomials in x, y, z (or another registry's variables) over one
+    ring, shaped like ``rand_poly``'s."""
     ring, coeffs = COEFFS[key]
-    exps = st.tuples(*[st.integers(0, max_exp - 1)] * len(XYZ))
+    exps = st.tuples(*[st.integers(0, max_exp - 1)] * len(registry))
     terms = st.lists(st.tuples(exps, coeffs().map(ring.element)),
                      max_size=max_terms)
-    return terms.map(lambda pairs: MPoly(XYZ, ring, dict(pairs)))
+    return terms.map(lambda pairs: MPoly(registry, ring, dict(pairs)))
 
 
 @functools.lru_cache(maxsize=None)
-def points(key):
+def points(key, registry=XYZ):
     ring, coeffs = COEFFS[key]
     return st.fixed_dictionaries(
-        {name: coeffs().map(ring.element) for name in XYZ.names})
+        {name: coeffs().map(ring.element) for name in registry.names})
 
 
 def poly_property(make_strategies):
@@ -432,6 +443,37 @@ def test_property_substitute_is_ring_homomorphism(p, q, sx, sy, sz):
         p.substitute(sigma) * q.substitute(sigma)
     assert (p + q).substitute(sigma) == \
         p.substitute(sigma) + q.substitute(sigma)
+
+
+@pytest.mark.parametrize("key", ["GF(7)", "Z/343", "GF(49)"])
+@poly_property(lambda key: (polys(key), polys(key),
+                            *[polys(key, 3, 2, ST)] * 3, points(key, ST)))
+def test_property_substitution_into_another_registry(p, q, sx, sy, sz,
+                                                     point):
+    sigma = {"x": sx, "y": sy, "z": sz}
+    image = p.substitute(sigma)
+    assert image.registry == ST
+    assert (p * q).substitute(sigma) == image * q.substitute(sigma)
+    assert (p + q).substitute(sigma) == image + q.substitute(sigma)
+    # p(sigma) at a point is p at the image of that point under sigma
+    assert image.evaluate(point) == \
+        p.evaluate({n: s.evaluate(point) for n, s in sigma.items()})
+
+
+def test_substitution_into_another_registry_binds_every_used_variable():
+    p = parse_poly("x^2*y+3", XYZ, F7)
+    s, t = (MPoly.variable(ST, F7, n) for n in ST.names)
+    # z is unused, so it may stay unbound
+    assert p.substitute({"x": s + t, "y": s}) == \
+        parse_poly("(s+t)^2*s+3", ST, F7)
+    with pytest.raises(KeyError):       # y is used and unbound
+        p.substitute({"x": s})
+    with pytest.raises(KeyError):       # no such variable
+        p.substitute({"w": s})
+    with pytest.raises(RingMismatchError):      # two registries
+        p.substitute({"x": s, "y": MPoly.variable(XYZ, F7, "y")})
+    with pytest.raises(RingMismatchError):      # another ring
+        p.substitute({"x": s, "y": MPoly.variable(ST, Z343, "s")})
 
 
 @pytest.mark.parametrize("key", ["ZZ", "GF(7)", "Z/343", "GF(49)"])

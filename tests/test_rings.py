@@ -1,6 +1,7 @@
 """Exact-ring arithmetic: axioms, canonical forms, Hensel lifting."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -61,6 +62,33 @@ def test_canonical_residues():
     assert Z343.from_int(143) * Z343.from_int(143) == Z343.from_int(212)
     # independent oracle: plain integer long division
     assert divmod(143 * 143, 343)[1] == 212
+
+
+# non-integer payloads: a float, an integral float, a string, a fraction
+NOT_INTEGERS = (3.7, 3.0, "3", Fraction(7, 2))
+
+
+def test_integers_reject_non_integer_payloads():
+    for bad in NOT_INTEGERS:
+        with pytest.raises(TypeError):
+            ZZ.element(bad)
+    assert ZZ.element(True) == ZZ.one()
+
+
+def test_residues_reject_non_integer_payloads():
+    # 7/2 is 0 in GF(7); truncating it to 3 would be wrong
+    for ring in (F7, Z343):
+        for bad in NOT_INTEGERS:
+            with pytest.raises(TypeError):
+                ring.element(bad)
+
+
+def test_gf49_rejects_non_integer_payloads():
+    for bad in NOT_INTEGERS:
+        for payload in (bad, (bad, 3), (1, bad)):
+            with pytest.raises(TypeError):
+                F49.element(payload)
+    assert F49.element((9, -1)) == F49.element((2, 6))
 
 
 def test_inverses():

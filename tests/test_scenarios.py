@@ -11,6 +11,7 @@ from stablelimit.deformation import F49
 from stablelimit.linser import (MultiplicityAtLeast, PassThrough,
                                 TangentDirection, normalize_pair)
 from stablelimit.picard import double_cover_stats, quadric_lattice
+from stablelimit.poly import MPoly, parse_poly
 from stablelimit.report import render_json
 from stablelimit.rings import field_tables
 from test_poly import is_bihomogeneous
@@ -159,6 +160,34 @@ def test_scan_cover_visits_each_point_once():
     assert len(line) == 50
     assert len(visited) == 2500
     assert set(visited) == set(product(line, repeat=2))
+
+
+def restrict_by_monomials(p):
+    """Oracle for ``scenarios.restrict_to_quadric``: expand each monomial
+    of p on its own from the quadric parametrization, and add them up."""
+    ring = p.ring
+    sub = {name: parse_poly(text, cgdata.AB, ring)
+           for name, text in cgdata.QUADRIC_PARAM.items()}
+    out = MPoly.zero(cgdata.AB, ring)
+    for exps, coeff in p.terms.items():
+        term = MPoly.constant(cgdata.AB, ring.one())
+        for name, e in zip(cgdata.XYZT.names, exps):
+            if e:
+                term = term * sub[name] ** e
+        out = out + term.scale(coeff)
+    return out
+
+
+def test_restrict_to_quadric_matches_the_monomial_expansion():
+    F7 = scenarios.F7
+    f1, f2, f3, f5 = scenarios.degeneration_forms("F7")
+    four = MPoly.constant(cgdata.XYZT, F7.from_int(4))
+    sections = [parse_poly(text, cgdata.XYZT, F7)
+                for text in (cgdata.B1_SECTION, cgdata.B2_SECTION)]
+    for p in (f1, f2, f3, f5, *sections, f3 * f3 - four * f1 * f5):
+        restricted = scenarios.restrict_to_quadric(p)
+        assert restricted.registry == cgdata.AB
+        assert restricted == restrict_by_monomials(p)
 
 
 _POINT = ((F49.one(), F49.zero()), (F49.i(), F49.one()))
