@@ -9,17 +9,27 @@ first-order rigidity system, the 21 published eliminations with the seven
 leftover relations, and the composition of the eight published linear
 systems together with their stated dimensions and report wording.
 
-All polynomial text is written in the package grammar so that reading the
-data is the only ingestion step; no algebra happens here.
+All polynomial text is written in the package grammar so that reading it
+through ``parsed``, once per process, is the only ingestion step; no
+algebra happens here.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
-from .poly import VarRegistry
+from .poly import MPoly, VarRegistry, parse_poly
 
 PRIME = 7
+
+
+@lru_cache(maxsize=None)
+def parsed(text: str, registry: VarRegistry, ring) -> MPoly:
+    """The polynomial of a constant text, parsed once and shared; keyed by
+    the text itself, so an edited text is parsed anew."""
+    return parse_poly(text, registry, ring)
+
 
 # ----------------------------------------------------------------------
 # ambient coordinates

@@ -49,7 +49,7 @@ from typing import Mapping
 from . import cgdata
 from .curvelocal import _divide_by_linear
 from .linalg import LinearSystem, eliminate, rank, solve_affine
-from .poly import _MASK, MPoly, VarRegistry, parse_poly, unit_match
+from .poly import _MASK, MPoly, VarRegistry, unit_match
 from .rings import Element, QuadraticField
 
 
@@ -175,8 +175,8 @@ def derive_rigidity_system() -> DerivedSystem:
     """Build the first-order rigidity system from the curve equations, in
     one pass; ``DerivedSystem.without_cubic_condition`` gives the weakened
     control from the same rows."""
-    curves = {1: parse_poly(cgdata.G1, cgdata.AB, F49),
-              2: parse_poly(cgdata.G2, cgdata.AB, F49)}
+    curves = {1: cgdata.parsed(cgdata.G1, cgdata.AB, F49),
+              2: cgdata.parsed(cgdata.G2, cgdata.AB, F49)}
     clouds = {1: _coefficient_form("a"), 2: _coefficient_form("b")}
     rows: list[list[Element]] = []
     cubic_rows: list[int] = []
@@ -252,8 +252,8 @@ def diagonal_cloud(prefix: str) -> Mapping[str, MPoly]:
     cleared: substitute the first-factor coordinates (1-x, 1+x).  A linear
     form over the cloud's 16 unknowns with entries in x."""
     return MappingProxyType({
-        f"{prefix}{i}{j}": parse_poly(f"(1+x)^{3 - i}*(1-x)^{i}*x^{j}",
-                                      _X, F49)
+        f"{prefix}{i}{j}": cgdata.parsed(f"(1+x)^{3 - i}*(1-x)^{i}*x^{j}",
+                                         _X, F49)
         for i in range(4) for j in range(4)})
 
 
@@ -330,7 +330,7 @@ def published_substitution_map() -> Mapping[str, MPoly]:
     """The 21 published eliminations, iterated until every dependent
     unknown is expressed over the 19 essentials."""
     dependents = set(cgdata.PUBLISHED_SUBSTITUTIONS)
-    maps = {var: parse_poly(text, _MAIN_REG, F49)
+    maps = {var: cgdata.parsed(text, _MAIN_REG, F49)
             for var, text in cgdata.PUBLISHED_SUBSTITUTIONS.items()}
     changed = True
     while changed:
@@ -379,7 +379,7 @@ def rows_from_texts(texts, variables) -> list[list[Element]]:
     registry = VarRegistry(variables)
     rows = []
     for text in texts:
-        p = parse_poly(text, registry, F49)
+        p = cgdata.parsed(text, registry, F49)
         if p.graded_part(1) != p:
             raise ArithmeticError("expected a homogeneous linear form")
         row = [F49.zero()] * len(variables)

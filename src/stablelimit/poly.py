@@ -44,10 +44,13 @@ The grammar accepted by ``parse_poly`` is deliberately tiny::
 
 Whitespace is insignificant and there is no implicit multiplication.
 Integer literals map into the coefficient ring through its canonical
-``from_int``.  Scenario data files embed every input polynomial in this
-grammar, so entering a published equation is a copy-paste job rather than
-a re-derivation.  GF(p)[i] text is write-only: ``str`` prints a coefficient
-with an imaginary part as ``(a+bi)``, which ``parse_poly`` rejects.
+``from_int``.  The parser builds raw terms, through the raw product of
+``MPoly.__mul__``, and one ``MPoly`` at the end; a monomial to a power is
+one int multiplication after the degree check, its coefficient raised by
+squaring.  ``parse_poly`` is not cached; ``cgdata.parsed`` parses each
+published text once per process.  GF(p)[i] text is write-only: ``str``
+prints ``(a+bi)`` for a coefficient with an imaginary part, which
+``parse_poly`` rejects.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import operator
 import re
 import struct
 from collections.abc import Mapping as MappingABC
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rings import (Element, IntegerRing, QuadraticField, Ring,
@@ -274,6 +277,39 @@ def _coeffs(ring: Ring) -> _Coeffs:
                     f"coefficient path")
 
 
+def _product(coeffs: _Coeffs, top: int, a: dict, b: dict) -> dict:
+    """The canonical raw terms of a * b, where ``top`` is the degree shift
+    of their registry; raises ``OverflowError`` above ``MAX_DEGREE``."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return {}
+    _check_degree((max(a) >> top) + (max(b) >> top))
+    if len(b) == 1:
+        # a monomial times a monomial: most products
+        (e1, c1), = a.items()
+        (e2, c2), = b.items()
+        c = coeffs.mul(c1, c2)
+        return {} if coeffs.is_zero(c) else {e1 + e2: c}
+    addmul = coeffs.addmul
+    acc = {}
+    for e, c in a.items():
+        addmul(acc, e, c, b)
+    return coeffs.finish(acc)
+
+
+def _power(mul, base, n: int):
+    """base ** n under ``mul`` for n >= 1, squaring only while bits remain."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if not n:
+            return result
+        base = mul(base, base)
+
+
 # ----------------------------------------------------------------------
 # polynomials
 
@@ -401,24 +437,8 @@ class MPoly:
         coeffs = self._coeffs
         if other._coeffs is not coeffs or other.registry is not self.registry:
             self._check(other)
-        small, large = self._terms, other._terms
-        if len(small) > len(large):
-            small, large = large, small
-        if not small:
-            return self._like({})
-        top = self.registry._degree_shift
-        _check_degree((max(small) >> top) + (max(large) >> top))
-        if len(large) == 1:
-            # a monomial times a monomial: most products, parsing among them
-            (e1, c1), = small.items()
-            (e2, c2), = large.items()
-            c = coeffs.mul(c1, c2)
-            return self._like({} if coeffs.is_zero(c) else {e1 + e2: c})
-        addmul = coeffs.addmul
-        acc = {}
-        for e, c in small.items():
-            addmul(acc, e, c, large)
-        return self._like(coeffs.finish(acc))
+        return self._like(_product(coeffs, self.registry._degree_shift,
+                                   self._terms, other._terms))
 
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
@@ -711,13 +731,16 @@ def _parse_error(message: str, text: str, offset: int) -> ParseError:
 
 
 class _Parser:
+    """Recursive descent straight into raw terms: every rule returns the
+    canonical ``{packed monomial: raw coefficient}`` of what it read."""
+
     def __init__(self, text: str, registry: VarRegistry, ring: Ring):
         self.text = text
         self.tokens = _tokens(text)
         self.k = 0
         self.registry = registry
-        self.ring = ring
         self.coeffs = _coeffs(ring)
+        self.top = registry._degree_shift
 
     def error(self, message: str, tok) -> ParseError:
         return _parse_error(message, self.text, tok[2])
@@ -732,64 +755,70 @@ class _Parser:
         self.k += 1
         return tok
 
-    def parse_expr(self) -> MPoly:
-        negate = False
+    def parse_expr(self) -> dict:
+        coeffs = self.coeffs
+        sign = coeffs.one
         if self.peek()[0] == "-":
-            self.take("-")
-            negate = True
-        acc = self.parse_term()
-        if negate:
-            acc = -acc
-        while self.peek()[0] in ("+", "-"):
-            op = self.take(self.peek()[0])
-            term = self.parse_term()
-            acc = acc + term if op[0] == "+" else acc - term
-        return acc
+            self.k += 1
+            sign = coeffs.minus_one
+        acc = {}
+        coeffs.addmul(acc, 0, sign, self.parse_term())
+        while (op := self.peek()[0]) in ("+", "-"):
+            self.k += 1
+            sign = coeffs.one if op == "+" else coeffs.minus_one
+            coeffs.addmul(acc, 0, sign, self.parse_term())
+        return coeffs.finish(acc)
 
-    def parse_term(self) -> MPoly:
-        acc = self.parse_factor()
+    def parse_term(self) -> dict:
+        terms = self.parse_factor()
         while self.peek()[0] == "*":
-            self.take("*")
-            acc = acc * self.parse_factor()
-        return acc
+            self.k += 1
+            terms = _product(self.coeffs, self.top, terms, self.parse_factor())
+        return terms
 
-    def parse_factor(self) -> MPoly:
+    def parse_factor(self) -> dict:
         base = self.parse_base()
-        if self.peek()[0] == "^":
-            self.take("^")
-            tok = self.take("INT")
-            base = base ** int(tok[1])
-        return base
+        if self.peek()[0] != "^":
+            return base
+        self.k += 1
+        n = int(self.take("INT")[1])
+        coeffs, top = self.coeffs, self.top
+        if not n:
+            return {0: coeffs.one}          # 0^0 = 1 as well
+        # the degree first, so that no exponent field overflows
+        _check_degree((max(base, default=0) >> top) * n)
+        if len(base) == 1:
+            (e, c), = base.items()
+            c = _power(coeffs.mul, c, n)
+            return {} if coeffs.is_zero(c) else {e * n: c}
+        return _power(partial(_product, coeffs, top), base, n)
 
-    def parse_base(self) -> MPoly:
+    def parse_base(self) -> dict:
         tok = self.peek()
         if tok[0] == "INT":
-            self.take("INT")
-            return self.monomial(0, self.coeffs.from_int(int(tok[1])))
+            self.k += 1
+            c = self.coeffs.from_int(int(tok[1]))
+            return {} if self.coeffs.is_zero(c) else {0: c}
         if tok[0] == "NAME":
-            self.take("NAME")
+            self.k += 1
             if tok[1] not in self.registry:
                 raise self.error(f"unknown variable {tok[1]!r}", tok)
             i = self.registry.index[tok[1]]
-            return self.monomial(self.registry._unit(i), self.coeffs.one)
+            return {self.registry._unit(i): self.coeffs.one}
         if tok[0] == "(":
-            self.take("(")
+            self.k += 1
             inner = self.parse_expr()
             self.take(")")
             return inner
         raise self.error(
             f"expected a value, found {tok[1] or 'end of input'!r}", tok)
 
-    def monomial(self, packed: int, raw) -> MPoly:
-        return _init(_new(MPoly), self.registry, self.ring, self.coeffs,
-                     self.coeffs.finish({packed: raw}))
-
 
 def parse_poly(text: str, registry: VarRegistry, ring: Ring) -> MPoly:
     """Parse polynomial text over the given registry and ring."""
     parser = _Parser(text, registry, ring)
-    result = parser.parse_expr()
+    terms = parser.parse_expr()
     tok = parser.peek()
     if tok[0] != "EOF":
         raise parser.error(f"trailing input starting at {tok[1]!r}", tok)
-    return result
+    return _init(_new(MPoly), registry, ring, parser.coeffs, terms)

@@ -30,7 +30,7 @@ from .linser import (PassThrough, TangentDirection, distinct_fiber_counts,
 from .picard import (DivisorClass, Lattice, blowup, double_cover_stats,
                      gram_determinant, intersect, quadric_lattice, signature,
                      verify_class_relation)
-from .poly import MPoly, VarRegistry, parse_poly, unit_match
+from .poly import MPoly, VarRegistry, unit_match
 from .report import VerificationReport
 from .rings import Element, PrimeField, ZMod, field_tables, hensel_lift
 
@@ -59,28 +59,28 @@ def build_quintic(ring, r: Element) -> MPoly:
         for piece in multiplier_text.split("*"):
             factor = factor * (values[piece] if piece in values
                                else ring.from_int(int(piece)))
-        out = out + parse_poly(orbit_text, cgdata.XYZT, ring).scale(factor)
+        out = out + cgdata.parsed(orbit_text, cgdata.XYZT, ring).scale(factor)
     return out
 
 
 @lru_cache(maxsize=None)
 def degeneration_forms(ring_key: str):
     ring = {"F7": F7, "Z343": Z343}[ring_key]
-    return tuple(parse_poly(t, cgdata.XYZT, ring)
+    return tuple(cgdata.parsed(t, cgdata.XYZT, ring)
                  for t in (cgdata.F1, cgdata.F2, cgdata.F3, cgdata.F5))
 
 
 def restrict_to_quadric(p: MPoly) -> MPoly:
     """Pull a form in x,y,z,t back along the quadric parametrization."""
-    return p.substitute({name: parse_poly(text, cgdata.AB, p.ring)
+    return p.substitute({name: cgdata.parsed(text, cgdata.AB, p.ring)
                          for name, text in cgdata.QUADRIC_PARAM.items()})
 
 
 @lru_cache(maxsize=None)
 def curve_pair(ring_key: str) -> tuple[MPoly, MPoly]:
     ring = {"F7": F7, "F49": F49}[ring_key]
-    return (parse_poly(cgdata.G1, cgdata.AB, ring),
-            parse_poly(cgdata.G2, cgdata.AB, ring))
+    return (cgdata.parsed(cgdata.G1, cgdata.AB, ring),
+            cgdata.parsed(cgdata.G2, cgdata.AB, ring))
 
 
 def delta_restrict(g: MPoly) -> MPoly:
@@ -88,8 +88,8 @@ def delta_restrict(g: MPoly) -> MPoly:
     the first-factor pair (1-be, 1+be) at be' = 1, a polynomial in be."""
     ring = g.ring
     return g.substitute({
-        "al": parse_poly(cgdata.DELTA_NUMERATOR, _BE, ring),
-        "al'": parse_poly(cgdata.DELTA_DENOMINATOR, _BE, ring),
+        "al": cgdata.parsed(cgdata.DELTA_NUMERATOR, _BE, ring),
+        "al'": cgdata.parsed(cgdata.DELTA_DENOMINATOR, _BE, ring),
         "be": MPoly.variable(_BE, ring, "be"),
         "be'": MPoly.constant(_BE, ring.one()),
     })
@@ -221,8 +221,8 @@ def scenario_branch() -> VerificationReport:
                 u is not None)
     rep.note(f"splitting unit: {u!r}")
 
-    b1 = restrict_to_quadric(parse_poly(cgdata.B1_SECTION, cgdata.XYZT, F7))
-    b2 = restrict_to_quadric(parse_poly(cgdata.B2_SECTION, cgdata.XYZT, F7))
+    b1 = restrict_to_quadric(cgdata.parsed(cgdata.B1_SECTION, cgdata.XYZT, F7))
+    b2 = restrict_to_quadric(cgdata.parsed(cgdata.B2_SECTION, cgdata.XYZT, F7))
     rep.require("first cubic section restricts to unit * g1",
                 unit_match(b1, g1) is not None)
     rep.require("second cubic section restricts to unit * g2",
@@ -231,7 +231,7 @@ def scenario_branch() -> VerificationReport:
     # the middle form vanishes on the diagonal exactly at the six
     # intersection points, once each
     f3_delta = delta_restrict(restrict_to_quadric(f3))
-    target = parse_poly(cgdata.F3_ON_DELTA, _BE, F7)
+    target = cgdata.parsed(cgdata.F3_ON_DELTA, _BE, F7)
     rep.require("middle form on the diagonal matches the six-point divisor",
                 unit_match(f3_delta, target) is not None)
 
@@ -259,15 +259,15 @@ def scenario_delta() -> VerificationReport:
     # equation must be the restriction of the linear form
     f1, _, _, _ = degeneration_forms("F7")
     f1_chart4 = dehomogenize(restrict_to_quadric(f1), 4)
-    chart_eq = parse_poly(cgdata.DELTA_CHART4, cgdata.AB, F7)
+    chart_eq = cgdata.parsed(cgdata.DELTA_CHART4, cgdata.AB, F7)
     rep.require("diagonal chart equation is the plane restricted to the "
                 "quadric", unit_match(f1_chart4, chart_eq) is not None)
 
     g1, g2 = curve_pair("F7")
     d1 = delta_restrict(g1)
     d2 = delta_restrict(g2)
-    t1 = parse_poly(cgdata.G1_ON_DELTA, _BE, F7)
-    t2 = parse_poly(cgdata.G2_ON_DELTA, _BE, F7)
+    t1 = cgdata.parsed(cgdata.G1_ON_DELTA, _BE, F7)
+    t2 = cgdata.parsed(cgdata.G2_ON_DELTA, _BE, F7)
     rep.require("first curve on the diagonal factors as published",
                 unit_match(d1, t1) is not None)
     rep.require("second curve on the diagonal factors as published",
@@ -298,10 +298,10 @@ def scenario_delta() -> VerificationReport:
 
     # quadratic factors: no roots over GF(7), two roots over GF(49)
     for label, text in (("first", "be^2+4*be+6"), ("second", "be^2+6*be+6")):
-        q7 = parse_poly(text, _BE, F7)
+        q7 = cgdata.parsed(text, _BE, F7)
         roots7 = sum(1 for v in range(7)
                      if q7.evaluate({"be": F7.from_int(v)}).is_zero())
-        q49 = parse_poly(text, _BE, F49)
+        q49 = cgdata.parsed(text, _BE, F49)
         roots49 = sum(1 for x in F49.all_elements()
                       if q49.evaluate({"be": x}).is_zero())
         rep.check(f"{label} quadratic: roots over GF(7)", roots7, 0,
@@ -692,7 +692,7 @@ def scenario_ramification() -> VerificationReport:
     for (curve, ruling), target_text in expectations.items():
         disc = branch_locus(curves[curve], moving_of[ruling],
                             second_of[ruling])
-        target = parse_poly(target_text, cgdata.AB, F7)
+        target = cgdata.parsed(target_text, cgdata.AB, F7)
         rep.require(f"branch locus of {curve}, {ruling} ruling, is "
                     f"unit * {target_text}", unit_match(disc, target) is not None)
 

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from stablelimit import PrimeField, QuadraticField
+from stablelimit import PrimeField, QuadraticField, scenarios
 from stablelimit.linser import (MalformedPointError, MultiplicityAtLeast,
                                 PassThrough, TangentDirection,
-                                distinct_fiber_counts, series_dimension,
-                                split_sections_vanishing)
+                                _condition_rows, distinct_fiber_counts,
+                                series_dimension, split_sections_vanishing)
 from stablelimit.linalg import rank
+from test_deformation import _gf7_rank, _realify
 
 F49 = QuadraticField(7)
 F7 = PrimeField(7)
@@ -36,6 +37,17 @@ CORNERS = [
 ]
 
 
+def random_points(seed, count):
+    rng = random.Random(seed)
+    return [pt(F49.random_element(rng), F49.random_element(rng))
+            for _ in range(count)]
+
+
+MONOTONE_POINTS = random_points(71, 5)
+SWAP_POINTS = random_points(73, 3)
+TANGENT_POINT = pt(F49.from_int(2), F49.from_int(3))
+
+
 def test_unconstrained_dimensions():
     assert series_dimension((2, 2), (), F49) == 9
     assert series_dimension((1, 1), (), F49) == 4
@@ -56,12 +68,9 @@ def test_four_general_points_kill_11_forms():
 
 
 def test_conditions_monotone():
-    rng = random.Random(71)
-    points = [pt(F49.random_element(rng), F49.random_element(rng))
-              for _ in range(5)]
     conds = []
     last = series_dimension((2, 2), conds, F49)
-    for p in points:
+    for p in MONOTONE_POINTS:
         conds.append(PassThrough(p))
         now = series_dimension((2, 2), conds, F49)
         assert now <= last
@@ -78,17 +87,14 @@ def test_multiplicity_condition_counts():
 
 
 def test_tangent_direction_is_one_condition():
-    p = pt(F49.from_int(2), F49.from_int(3))
+    p = TANGENT_POINT
     conds = [PassThrough(p), TangentDirection(p, (ONE, F49.from_int(5)))]
     assert series_dimension((2, 2), conds, F49) == 7
 
 
 def test_swap_invariance():
-    rng = random.Random(73)
-    pts = [pt(F49.random_element(rng), F49.random_element(rng))
-           for _ in range(3)]
-    conds = [PassThrough(p) for p in pts]
-    swapped = [PassThrough((B, A)) for (A, B) in pts]
+    conds = [PassThrough(p) for p in SWAP_POINTS]
+    swapped = [PassThrough((B, A)) for (A, B) in SWAP_POINTS]
     assert series_dimension((2, 3), conds, F49) == \
         series_dimension((3, 2), swapped, F49)
 
@@ -114,3 +120,58 @@ def test_points_at_infinity_handled():
     assert series_dimension((1, 1), conds, F49) == 3
     conds.append(TangentDirection(pt_at_infinity_both(), (ONE, ONE)))
     assert series_dimension((1, 1), conds, F49) == 2
+
+
+# ----------------------------------------------------------------------
+# a second oracle: the condition rows ranked by sympy
+
+
+def _oracle_dimension(bidegree, conditions, ring) -> int:
+    """(a+1)(b+1) minus the rank of the GF(49) condition rows, which is
+    half the rank sympy finds for them realified over GF(7)."""
+    a, b = bidegree
+    rows = [row for cond in conditions
+            for row in _condition_rows(a, b, cond, ring)]
+    if not rows:
+        return (a + 1) * (b + 1)
+    real_rank = _gf7_rank(_realify(rows))
+    assert real_rank % 2 == 0
+    return (a + 1) * (b + 1) - real_rank // 2
+
+
+def _examples():
+    """(bidegree, conditions) of each dimension the tests above take."""
+    yield from (((2, 2), ()), ((1, 1), ()), ((0, 0), ()))
+    yield (1, 1), [PassThrough(p) for p in CORNERS]
+    for k in range(len(MONOTONE_POINTS) + 1):
+        yield (2, 2), [PassThrough(p) for p in MONOTONE_POINTS[:k]]
+    for m in (1, 2):
+        yield (2, 2), [MultiplicityAtLeast(pt(I, -I), m)]
+    yield (2, 2), [PassThrough(TANGENT_POINT),
+                   TangentDirection(TANGENT_POINT, (ONE, F49.from_int(5)))]
+    yield (2, 3), [PassThrough(p) for p in SWAP_POINTS]
+    yield (3, 2), [PassThrough((B, A)) for (A, B) in SWAP_POINTS]
+    corner = pt_at_infinity_both()
+    yield (1, 1), [PassThrough(corner)]
+    yield (1, 1), [PassThrough(corner), TangentDirection(corner, (ONE, ONE))]
+
+
+def test_series_dimensions_agree_with_sympy():
+    for bidegree, conditions in _examples():
+        assert series_dimension(bidegree, conditions, F49) == \
+            _oracle_dimension(bidegree, conditions, F49), bidegree
+
+
+def test_scenario_series_dimensions_agree_with_sympy(monkeypatch):
+    calls = []
+
+    def recorded(bidegree, conditions, ring):
+        dim = series_dimension(bidegree, conditions, ring)
+        calls.append((bidegree, tuple(conditions), ring, dim))
+        return dim
+
+    monkeypatch.setattr(scenarios, "series_dimension", recorded)
+    scenarios.run_many(None)
+    assert len(calls) >= 4          # lattice once, gamma three times
+    for bidegree, conditions, ring, dim in calls:
+        assert _oracle_dimension(bidegree, conditions, ring) == dim

@@ -1,6 +1,7 @@
 """Sparse polynomials: parser, ring operations, calculus, restriction."""
 
 import functools
+import operator
 import random
 
 import pytest
@@ -13,7 +14,7 @@ except ImportError:     # only the properties at the end need hypothesis
 from stablelimit import (ZZ, DualNumbers, MPoly, ParseError, PrimeField,
                          QuadraticField, RingMismatchError, VarRegistry, ZMod,
                          parse_poly)
-from stablelimit import cgdata
+from stablelimit import cgdata, poly
 from stablelimit.poly import MAX_DEGREE
 from stablelimit.scenarios import build_quintic, curve_pair
 
@@ -108,6 +109,55 @@ def test_deterministic_ordering():
     b = parse_poly("z^2+x*y+y^2+x^2", XYZT, F7)
     assert str(a) == str(b)
     assert list(a.sorted_terms()) == list(b.sorted_terms())
+
+
+@pytest.mark.parametrize("ring", [ZZ, Z343, F7, F49],
+                         ids=["ZZ", "Z/343", "GF(7)", "GF(49)"])
+def test_parse_zero_and_empty_powers(ring):
+    one, zero = MPoly.constant(XYZT, ring.one()), MPoly.zero(XYZT, ring)
+    assert parse_poly("0^0", XYZT, ring) == one
+    assert parse_poly("(x+y)^0", XYZT, ring) == one
+    assert parse_poly("0*x", XYZT, ring) == zero
+    assert parse_poly("3*(x-x)^2", XYZT, ring) == zero
+
+
+# 0*x^65536 raises as 0 * x**65536 does: the power exceeds the bound
+# before the product makes it zero
+@pytest.mark.parametrize("text", ["x^65536", "(x*y)^32768", "x^65535*y",
+                                  "(x+1)^65536", "0*x^65536"])
+def test_parse_raises_above_the_degree_bound(text):
+    with pytest.raises(OverflowError):
+        parse_poly(text, XYZT, F7)
+
+
+def test_parse_raises_a_literal_to_a_power_by_squaring(monkeypatch):
+    coeffs = poly._coeffs(F7)
+    plain_mul = coeffs.mul
+    products = [0]
+
+    def counted_mul(a, b):
+        products[0] += 1
+        return plain_mul(a, b)
+
+    monkeypatch.setattr(coeffs, "mul", counted_mul)
+    n = 10 ** 9
+    assert parse_poly(f"2^{n}", XYZT, F7) == \
+        MPoly.constant(XYZT, F7.from_int(pow(2, n, 7)))
+    assert 0 < products[0] <= 2 * n.bit_length()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x*z +\n y*w", "unknown variable 'w' (line 2, column 4)"),
+    ("x y", "trailing input starting at 'y' (line 1, column 3)"),
+    ("x*", "expected a value, found 'end of input' (line 1, column 3)"),
+    ("(x+y", "expected ), found '' (line 1, column 5)"),
+    ("x^-2", "expected INT, found '-' (line 1, column 3)"),
+    ("x+#", "unexpected character '#' (line 1, column 3)"),
+])
+def test_parse_error_messages_and_positions(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, XYZT, F7)
+    assert str(err.value) == message
 
 
 # ----------------------------------------------------------------------
@@ -409,16 +459,16 @@ def points(key, registry=XYZ):
         {name: coeffs().map(ring.element) for name in registry.names})
 
 
-def poly_property(make_strategies):
+def poly_property(make_strategies, examples=PROPERTY_EXAMPLES):
     """``given`` over the strategies ``make_strategies(key)`` returns, for
-    each ring key the test is parametrized over; a skip without
-    hypothesis."""
+    each ring key the test is parametrized over, on ``examples`` examples;
+    a skip without hypothesis."""
     def decorate(test):
         if given is None:
             def run(key):
                 pytest.skip("hypothesis is not installed")
         else:
-            @settings(derandomize=True, max_examples=PROPERTY_EXAMPLES,
+            @settings(derandomize=True, max_examples=examples,
                       deadline=None, database=None)
             @given(st.data())
             def run(key, data):
@@ -489,3 +539,78 @@ def test_property_evaluation_is_multiplicative(p, q, point):
 def test_property_leibniz_rule(p, q, name):
     d = MPoly.partial_derivative
     assert d(p * q, name) == d(p, name) * q + p * d(q, name)
+
+
+@functools.lru_cache(maxsize=None)
+def expression_trees(depth=3):
+    """Trees of the grammar over x, y, z and integer literals (0 among
+    them), ``depth`` levels deep: sums with an optional leading minus,
+    products, powers from ^0 to ^3 and redundant parentheses."""
+    leaves = st.one_of(st.integers(0, 400).map(lambda n: ("int", n)),
+                       st.sampled_from(XYZ.names).map(lambda v: ("var", v)))
+    if not depth:
+        return leaves
+    sub = expression_trees(depth - 1)
+    signed = st.tuples(st.sampled_from("+-"), sub)
+    return st.one_of(
+        leaves,
+        st.tuples(st.just("sum"), st.booleans(), sub,
+                  st.lists(signed, max_size=3)),
+        st.tuples(st.just("*"), st.lists(sub, min_size=2, max_size=3)),
+        st.tuples(st.just("^"), sub, st.integers(0, 3)),
+        st.tuples(st.just("()"), sub))
+
+
+_LEVEL = {"expr": 0, "term": 1, "factor": 2, "base": 3}
+
+
+def render(tree, slot="expr"):
+    """Grammar text of a tree, parenthesized where it cannot stand in
+    ``slot``."""
+    op, *args = tree
+    if op in ("int", "var"):
+        return str(args[0])
+    if op == "()":
+        return f"({render(args[0])})"
+    if op == "sum":
+        negate, first, rest = args
+        text = ("-" if negate else "") + render(first, "term") + "".join(
+            sign + render(t, "term") for sign, t in rest)
+        level = "expr"
+    elif op == "*":
+        text, level = "*".join(render(f, "factor") for f in args[0]), "term"
+    else:
+        text, level = f"{render(args[0], 'base')}^{args[1]}", "factor"
+    return text if _LEVEL[level] >= _LEVEL[slot] else f"({text})"
+
+
+def evaluate(tree, ring):
+    """The same tree, built with MPoly arithmetic."""
+    op, *args = tree
+    if op == "int":
+        return MPoly.constant(XYZ, ring.from_int(args[0]))
+    if op == "var":
+        return MPoly.variable(XYZ, ring, args[0])
+    if op == "()":
+        return evaluate(args[0], ring)
+    if op == "^":
+        return evaluate(args[0], ring) ** args[1]
+    if op == "*":
+        return functools.reduce(operator.mul,
+                                (evaluate(f, ring) for f in args[0]))
+    negate, first, rest = args
+    acc = evaluate(first, ring)
+    if negate:
+        acc = -acc
+    for sign, t in rest:
+        acc = acc + evaluate(t, ring) if sign == "+" \
+            else acc - evaluate(t, ring)
+    return acc
+
+
+@pytest.mark.parametrize("key", ["ZZ", "Z/343", "GF(7)", "GF(49)"])
+# small trees come first, so this property draws more of them
+@poly_property(lambda key: (st.just(COEFFS[key][0]), expression_trees()),
+               examples=150)
+def test_property_parse_matches_arithmetic(ring, tree):
+    assert parse_poly(render(tree), XYZ, ring) == evaluate(tree, ring)

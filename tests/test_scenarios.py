@@ -213,3 +213,41 @@ def test_frozen_records_are_values(make):
         with pytest.raises(AttributeError):
             setattr(a, name, getattr(b, name))
     assert a == b
+
+
+# ----------------------------------------------------------------------
+# the published-text cache
+
+
+def test_a_second_run_parses_no_text():
+    scenarios.run_many(None)
+    misses = cgdata.parsed.cache_info().misses
+    scenarios.run_many(None)
+    assert cgdata.parsed.cache_info().misses == misses
+
+
+def test_a_parsed_text_is_shared_and_cannot_be_changed():
+    g1 = cgdata.parsed(cgdata.G1, cgdata.AB, F49)
+    assert cgdata.parsed(cgdata.G1, cgdata.AB, F49) is g1
+    assert scenarios.curve_pair("F49")[0] is g1
+    with pytest.raises(AttributeError):
+        g1.ring = None
+    with pytest.raises(TypeError):
+        g1.terms[next(iter(g1.terms))] = F49.zero()
+
+
+def test_the_cache_is_keyed_by_the_text():
+    # an edited text is parsed anew, even where it means the same
+    # polynomial; the size of the cache makes the text new to it
+    info = cgdata.parsed.cache_info()
+    edited = f"{cgdata.G1}+0*al^{info.currsize}"
+    p = cgdata.parsed(edited, cgdata.AB, F49)
+    assert cgdata.parsed.cache_info().misses == info.misses + 1
+    assert p == cgdata.parsed(cgdata.G1, cgdata.AB, F49)
+    assert p is not cgdata.parsed(cgdata.G1, cgdata.AB, F49)
+
+
+def test_parse_poly_itself_is_not_cached():
+    a = parse_poly(cgdata.G1, cgdata.AB, F49)
+    b = parse_poly(cgdata.G1, cgdata.AB, F49)
+    assert a == b and a is not b
