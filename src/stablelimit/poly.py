@@ -45,9 +45,9 @@ The grammar accepted by ``parse_poly`` is deliberately tiny::
 Whitespace is insignificant and there is no implicit multiplication.
 Integer literals map into the coefficient ring through its canonical
 ``from_int``.  The parser builds raw terms, through the raw product of
-``MPoly.__mul__``, and one ``MPoly`` at the end; a monomial to a power is
-one int multiplication after the degree check, its coefficient raised by
-squaring.  ``parse_poly`` is not cached; ``cgdata.parsed`` parses each
+``MPoly.__mul__``, and one ``MPoly`` at the end; a power is checked
+against the degree bound first and then taken by squaring through that
+product.  ``parse_poly`` is not cached; ``cgdata.parsed`` parses each
 published text once per process.  GF(p)[i] text is write-only: ``str``
 prints ``(a+bi)`` for a coefficient with an imaginary part, which
 ``parse_poly`` rejects.
@@ -445,16 +445,7 @@ class MPoly:
             raise ValueError("negative polynomial power")
         if n == 0:
             return MPoly.constant(self.registry, self.ring.one())
-        # square only while bits remain, and start from the first factor
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return _power(operator.mul, self, n)
 
     def scale(self, coeff: Element) -> "MPoly":
         coeffs = self._coeffs
@@ -785,12 +776,8 @@ class _Parser:
         coeffs, top = self.coeffs, self.top
         if not n:
             return {0: coeffs.one}          # 0^0 = 1 as well
-        # the degree first, so that no exponent field overflows
+        # the degree first, so that a power above the bound costs no product
         _check_degree((max(base, default=0) >> top) * n)
-        if len(base) == 1:
-            (e, c), = base.items()
-            c = _power(coeffs.mul, c, n)
-            return {} if coeffs.is_zero(c) else {e * n: c}
         return _power(partial(_product, coeffs, top), base, n)
 
     def parse_base(self) -> dict:

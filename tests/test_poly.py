@@ -130,6 +130,22 @@ def test_parse_raises_above_the_degree_bound(text):
         parse_poly(text, XYZT, F7)
 
 
+@pytest.mark.parametrize("text", ["x^65536", "(x+1)^65536", "0*x^65536"])
+def test_parse_checks_the_degree_of_a_power_before_any_product(monkeypatch,
+                                                                text):
+    plain_product = poly._product
+    products = [0]
+
+    def counted_product(*args):
+        products[0] += 1
+        return plain_product(*args)
+
+    monkeypatch.setattr(poly, "_product", counted_product)
+    with pytest.raises(OverflowError):
+        parse_poly(text, XYZT, ZZ)
+    assert products[0] == 0
+
+
 def test_parse_raises_a_literal_to_a_power_by_squaring(monkeypatch):
     coeffs = poly._coeffs(F7)
     plain_mul = coeffs.mul
