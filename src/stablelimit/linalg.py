@@ -5,11 +5,12 @@ right-hand side, all over one exact field.  Elimination uses the fixed
 pivoting rule "first nonzero entry in column order", which makes every
 reduced form, kernel basis, and report deterministic.
 
-The elimination runs on int codes, not on ``Element``s, through the
-small-field table set that ``rings.field_tables`` keeps for each field
-(a GF(p) element is its payload and a GF(p²) element a+bi is the int
-a + p*b, so zero is 0 and one is 1).  Rows are encoded once on the way
-in, and only the entries a caller gets back are decoded.
+The elimination runs on payloads, not on ``Element``s, through the
+small-field table set that ``rings.field_tables`` keeps for each field:
+a payload is its element's code there (a residue in GF(p), the int
+a + p*b for a+bi in GF(p²)), so zero is 0 and one is 1.  Rows are
+unboxed once on the way in, and only the entries a caller gets back are
+boxed again.
 
 The operations are rank, affine solving (inconsistency is a status, not
 an error), projection of the solution set onto a subset of the variables
@@ -81,17 +82,16 @@ class SolutionSet:
 
 def _row_echelon(rows: Iterable[Sequence[Element]],
                  ring: Ring) -> tuple[list[list[int]], list[int]]:
-    """Fully reduced row echelon form of the encoded rows.
+    """Fully reduced row echelon form of the rows.
 
-    Returns the int-coded rows (pivot rows first, each scaled to a leading
+    Returns the rows as codes (pivot rows first, each scaled to a leading
     1) and the pivot column indices.  The callers have checked that every
     entry lies in ``ring``.
     """
-    tables = field_tables(ring)
-    code = tables.code
-    work = [[code[x.payload] for x in row] for row in rows]
+    work = [[x.payload for x in row] for row in rows]
     if not work:
         return work, []
+    tables = field_tables(ring)
     mul, sub, inv = tables.mul, tables.sub, tables.inv
     nrows, ncols = len(work), len(work[0])
     pivots: list[int] = []
@@ -144,10 +144,10 @@ def outside_span(rows: Sequence[Sequence[Element]],
     _require_ring(candidates, ring)
     reduced, pivots = _row_echelon(rows, ring)
     tables = field_tables(ring)
-    code, mul, sub = tables.code, tables.mul, tables.sub
+    mul, sub = tables.mul, tables.sub
     out = []
     for candidate in candidates:
-        work = [code[x.payload] for x in candidate]
+        work = [x.payload for x in candidate]
         for row, c in zip(reduced, pivots):
             f = work[c]
             if f:

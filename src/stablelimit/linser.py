@@ -156,8 +156,8 @@ def distinct_fiber_counts(points: Sequence[Point]) -> tuple[int, int]:
 
 
 def normalize_pair(pair: tuple[Element, Element]):
-    """Canonical label of a projective pair (p0 : p1): its affine value
-    p0/p1 as a payload, or infinity."""
+    """Canonical label of a projective pair (p0 : p1): ("affine", the int
+    payload of p0/p1), or ("infinity",)."""
     p0, p1 = pair
     if not p1.is_zero():
         return ("affine", (p0 * p1.inverse()).payload)

@@ -16,13 +16,12 @@ Inside, ``MPoly`` stores ``{packed monomial: raw coefficient}``:
   ``MAX_DEGREE``, which keeps every exponent inside its field; the bound is
   checked on construction and on every multiplication, and crossing it
   raises ``OverflowError``.
-* A coefficient is the raw value of its ring: the integer payload over
-  ZZ and Z/p^k (over GF(p) that payload is also its ``field_tables``
-  code), and the ``field_tables`` code over GF(p)[i].  Each ring has one
-  coefficient path (``_coeffs``), which every operation uses; over the
-  integer rings sums and products are reduced once per operation rather
-  than once per step.  Other rings (the dual numbers, GF(p)[i] too large
-  for its tables) have no polynomials.
+* A coefficient is the payload of its ring element: an integer over ZZ
+  and Z/p^k, and over GF(p)[i] the code a + p*b of a+bi, read through
+  the ring's ``field_tables``.  Each ring has one coefficient path
+  (``_coeffs``), which every operation uses; over the integer rings sums
+  and products are reduced once per operation rather than once per step.
+  The dual numbers have no polynomials.
 
 ``substitute`` is the one polynomial rewrite: a Taylor shift, a change of
 chart, and a pullback into another registry along a parametrization (of
@@ -63,7 +62,7 @@ from functools import lru_cache, partial
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rings import (Element, IntegerRing, QuadraticField, Ring,
-                    RingMismatchError, ZMod, _element, field_tables)
+                    RingMismatchError, ZMod, _element, _power, field_tables)
 
 _FIELD_BITS = 16                      # one unsigned 16-bit field per variable
 MAX_DEGREE = (1 << _FIELD_BITS) - 1   # bound on the total degree of a term
@@ -173,9 +172,6 @@ class _Coeffs:
     def wrap(self, raw) -> Element:
         return _element(self.ring, raw)
 
-    def wrap_all(self, raws: Iterable) -> Iterator[Element]:
-        return map(self.wrap, raws)
-
     def from_int(self, n: int):
         return self.raw(self.ring.from_int(n))
 
@@ -221,24 +217,12 @@ class _IntCoeffs(_Coeffs):
 
 
 class _TableCoeffs(_Coeffs):
-    """GF(p)[i]: the raw value is the ``field_tables`` code."""
+    """GF(p)[i]: the raw value is the payload, a ``field_tables`` code."""
 
     def __init__(self, ring: Ring):
         tables = field_tables(ring)
         self.tmul, self.tadd = tables.mul, tables.add
-        self.code, self.elements = tables.code, tables.elements
         super().__init__(ring)
-
-    def raw(self, x: Element, what: str = "coefficient"):
-        if x.ring is not self.ring and x.ring != self.ring:
-            raise RingMismatchError(f"{what} from a foreign ring")
-        return self.code[x.payload]
-
-    def wrap(self, raw) -> Element:
-        return self.elements[raw]
-
-    def wrap_all(self, raws: Iterable) -> Iterator[Element]:
-        return map(self.elements.__getitem__, raws)
 
     def mul(self, a, b):
         return self.tmul[a][b]
@@ -259,19 +243,14 @@ class _TableCoeffs(_Coeffs):
         return acc
 
 
-# Small enough that the q x q tables of GF(q) stay small.
-_TABLE_ORDER_LIMIT = 256
-
-
 @lru_cache(maxsize=None)
 def _coeffs(ring: Ring) -> _Coeffs:
     """The coefficient path of ``ring``; equal rings share one, so two
     polynomials have equal rings exactly when their paths are the same
-    object.  Rings without one (the dual numbers, GF(p)[i] above
-    ``_TABLE_ORDER_LIMIT``) raise ``TypeError``."""
+    object.  Rings without one (the dual numbers) raise ``TypeError``."""
     if isinstance(ring, (IntegerRing, ZMod)):
         return _IntCoeffs(ring)
-    if isinstance(ring, QuadraticField) and ring.order() <= _TABLE_ORDER_LIMIT:
+    if isinstance(ring, QuadraticField):
         return _TableCoeffs(ring)
     raise TypeError(f"no polynomials over {ring!r}: it has no raw "
                     f"coefficient path")
@@ -298,18 +277,6 @@ def _product(coeffs: _Coeffs, top: int, a: dict, b: dict) -> dict:
     return coeffs.finish(acc)
 
 
-def _power(mul, base, n: int):
-    """base ** n under ``mul`` for n >= 1, squaring only while bits remain."""
-    result = None
-    while True:
-        if n & 1:
-            result = base if result is None else mul(result, base)
-        n >>= 1
-        if not n:
-            return result
-        base = mul(base, base)
-
-
 # ----------------------------------------------------------------------
 # polynomials
 
@@ -332,7 +299,7 @@ class _Terms(MappingABC):
     def items(self):
         p = self._poly
         return list(zip(p.registry._unpack_all(p._terms),
-                        p._coeffs.wrap_all(p._terms.values())))
+                        map(p._coeffs.wrap, p._terms.values())))
 
     def get(self, exps, default=None):
         p = self._poly
@@ -669,19 +636,20 @@ def unit_match(p: MPoly, target: MPoly) -> Element | None:
 def _format_coefficient(coeff: Element, has_factors: bool) -> tuple[str, bool]:
     """Render a coefficient for printing; returns (text, print_minus_sign).
 
-    Integer payloads print as their absolute value with the sign carried
-    by the flag (residue rings have no negative payloads); a leading 1
-    before a monomial is suppressed.  A GF(p)[i] value prints as its real
-    part when it has no imaginary part, and parenthesized otherwise.
+    A coefficient prints as its ``repr`` with the sign carried by the
+    flag (residue rings have no negative values); a leading 1 before a
+    monomial is suppressed, and a value that is not a plain integer (a
+    GF(p)[i] value with an imaginary part) is parenthesized.
     """
-    payload = coeff.payload
-    if isinstance(payload, tuple):
-        payload, imag = payload
-        if imag:
-            return f"({coeff!r})", False
-    if has_factors and abs(payload) == 1:
-        return "", payload < 0
-    return str(abs(payload)), payload < 0
+    text = repr(coeff)
+    negative = text.startswith("-")
+    if negative:
+        text = text[1:]
+    if not text.isdigit():
+        return f"({text})", negative
+    if has_factors and text == "1":
+        return "", negative
+    return text, negative
 
 
 # ----------------------------------------------------------------------

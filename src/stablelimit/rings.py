@@ -18,14 +18,16 @@ is the least non-negative residue in each coordinate, so ``==`` and
 through ``operator.index``: a float, a string or a fraction raises
 ``TypeError`` instead of being truncated.
 
-The small fields GF(p) and GF(p)[i] also have an unboxed form: a GF(p)
-element is coded as its payload and a GF(p**2) element a+bi as the int
-a + p*b, so zero is 0 and one is 1.  ``field_tables`` gives each such
-field one table set (products, differences, inverses, and the element of
-each code), filled on first use from the ring's own arithmetic, in the
-manner of the table-based small fields of FFLAS-FFPACK (Dumas, Giorgi,
-Pernet, ACM TOMS 35(3), 2008).  Exact elimination (``linalg``) and the
-rational singular-point scan (``scenarios``) both run on these codes.
+A GF(p) element's payload is its residue, and a GF(p)[i] element a+bi
+has the int payload a + p*b, so zero is 0 and one is 1 and each payload
+is also the element's code in the field's table set.  ``field_tables``
+builds that set (products, sums, differences, inverses, and the element
+of each code) once per field value, in the manner of the table-based
+small fields of FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 35(3),
+2008).  GF(p)[i] has no other arithmetic: its ring operations read the
+tables, which it builds when it is constructed.  Exact elimination
+(``linalg``), polynomials over GF(p)[i] (``poly``) and the rational
+singular-point scan (``scenarios``) run on the same codes.
 
 The module also provides ``hensel_lift``, the p-power-at-a-time refinement
 of a simple root of a univariate integer polynomial.
@@ -33,11 +35,11 @@ of a simple root of a univariate integer polynomial.
 
 from __future__ import annotations
 
+import operator
 import random
 from functools import lru_cache
 from operator import index
-from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 
 class RingMismatchError(TypeError):
@@ -152,14 +154,9 @@ class Element:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if n == 0:
+            return self.ring.one()
+        return _power(operator.mul, self, n)
 
     def inverse(self) -> "Element":
         return _element(self.ring, self.ring._invert(self.payload))
@@ -185,6 +182,18 @@ class Element:
 # immutability guard in ``Element.__setattr__``.
 _set_ring = Element.ring.__set__
 _set_payload = Element.payload.__set__
+
+
+def _power(mul, base, n: int):
+    """base ** n under ``mul`` for n >= 1, squaring only while bits remain."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if not n:
+            return result
+        base = mul(base, base)
 
 
 def _element(ring: Ring, payload) -> Element:
@@ -307,11 +316,18 @@ def PrimeField(p: int) -> ZMod:
     return ZMod(p, 1)
 
 
+# Small enough that the q x q tables of GF(q) stay small.
+_TABLE_ORDER_LIMIT = 256
+
+
 class QuadraticField(Ring):
     """GF(p)[i] with i**2 = -1; a field iff -1 is a non-square mod p.
 
-    Payloads are pairs (a, b) of least non-negative residues encoding
-    a + b*i.  Inversion uses the norm a**2 + b**2.
+    The payload of a + b*i is the int a + p*b, its code in ``tables``,
+    the table set of ``field_tables``, which every operation reads.  The
+    order p**2 is at most ``_TABLE_ORDER_LIMIT``.  ``element`` takes a
+    pair (a, b) for a + b*i, and an int n as the image of n, not as a
+    code.
     """
 
     def __init__(self, p: int):
@@ -319,13 +335,17 @@ class QuadraticField(Ring):
             raise ValueError(f"{p} is not prime")
         if p % 4 != 3:
             raise ValueError(f"-1 is a square mod {p}; GF({p})[i] is not a field")
+        if p * p > _TABLE_ORDER_LIMIT:
+            raise ValueError(f"GF({p}^2) is above the table order limit "
+                             f"{_TABLE_ORDER_LIMIT}")
         self.p = p
+        self.tables = field_tables(self)
 
     def element(self, payload) -> Element:
         if not isinstance(payload, tuple):
-            payload = (payload, 0)
+            return _element(self, index(payload) % self.p)
         a, b = payload
-        return _element(self, (index(a) % self.p, index(b) % self.p))
+        return _element(self, index(a) % self.p + self.p * (index(b) % self.p))
 
     def i(self) -> Element:
         return self.element((0, 1))
@@ -348,31 +368,28 @@ class QuadraticField(Ring):
                 yield self.element((a, b))
 
     def conjugate(self, x: Element) -> Element:
-        a, b = x.payload
-        return self.element((a, -b))
+        return self.element((x.payload % self.p, -(x.payload // self.p)))
 
     def _add(self, a, b):
-        return ((a[0] + b[0]) % self.p, (a[1] + b[1]) % self.p)
+        return self.tables.add[a][b]
 
     def _neg(self, a):
-        return ((-a[0]) % self.p, (-a[1]) % self.p)
+        return self.tables.sub[0][a]
 
     def _mul(self, a, b):
-        return ((a[0] * b[0] - a[1] * b[1]) % self.p,
-                (a[0] * b[1] + a[1] * b[0]) % self.p)
+        return self.tables.mul[a][b]
 
     def _invert(self, a):
-        norm = (a[0] * a[0] + a[1] * a[1]) % self.p
-        if norm == 0:
-            raise NonUnitError(self.element(a))
-        ninv = pow(norm, -1, self.p)
-        return ((a[0] * ninv) % self.p, (-a[1] * ninv) % self.p)
+        inv = self.tables.inv[a]
+        if inv is None:
+            raise NonUnitError(_element(self, a))
+        return inv
 
     def _is_zero(self, a):
-        return a == (0, 0)
+        return a == 0
 
     def _repr_payload(self, a):
-        re, im = a
+        re, im = a % self.p, a // self.p
         if im == 0:
             return str(re)
         if re == 0:
@@ -456,14 +473,14 @@ class DualNumbers(Ring):
 
 
 class FieldTables(NamedTuple):
-    """Arithmetic of one small field on the codes 0 .. q-1.
+    """Arithmetic of one small field on the codes 0 .. q-1, which are the
+    payloads of its elements.
 
     ``mul[a][b]`` is the code of a*b, ``add[a][b]`` that of a+b,
     ``sub[a][b]`` that of a-b (so ``sub[0]`` negates), ``inv[a]`` that
-    of 1/a (``inv[0]`` is None),
-    ``elements[a]`` the ``Element`` of code a, and ``code`` maps a payload
-    back to its code.  Every part is read-only, since one table set is
-    shared by all its users.
+    of 1/a (``inv[0]`` is None), and ``elements[a]`` the ``Element`` of
+    code a.  Every part is read-only, since one table set is shared by
+    all its users.
     """
 
     mul: tuple[tuple[int, ...], ...]
@@ -471,7 +488,6 @@ class FieldTables(NamedTuple):
     sub: tuple[tuple[int, ...], ...]
     inv: tuple[int | None, ...]
     elements: tuple[Element, ...]
-    code: Mapping
 
     def horner(self, coeffs: Sequence[int], x: int) -> int:
         """Code of the sum of coeffs[k] * x**k, coefficients low degree
@@ -485,25 +501,23 @@ class FieldTables(NamedTuple):
 
 @lru_cache(maxsize=None)
 def field_tables(ring: Ring) -> FieldTables:
-    """The table set of GF(p) or GF(p)[i], built once per ring value."""
+    """The table set of GF(p) or GF(p)[i], built once per ring value from
+    the rule i**2 = -1 applied to the codes a + p*b (b = 0 in GF(p))."""
     if not ring.is_field():
         raise ValueError(f"small-field tables need a field, not {ring!r}")
     p = ring.characteristic()
-    if isinstance(ring, QuadraticField):
-        payloads = [(c % p, c // p) for c in range(p * p)]
-    else:
-        payloads = list(range(p))
-    code = {x: c for c, x in enumerate(payloads)}
-    mul = tuple(tuple(code[ring._mul(x, y)] for y in payloads)
-                for x in payloads)
-    add = tuple(tuple(code[ring._add(x, y)] for y in payloads)
-                for x in payloads)
-    negatives = [ring._neg(y) for y in payloads]
-    sub = tuple(tuple(code[ring._add(x, y)] for y in negatives)
-                for x in payloads)
-    inv = (None, *(code[ring._invert(x)] for x in payloads[1:]))
-    elements = tuple(_element(ring, x) for x in payloads)
-    return FieldTables(mul, add, sub, inv, elements, MappingProxyType(code))
+    q = p * p if isinstance(ring, QuadraticField) else p
+    pairs = [(c % p, c // p) for c in range(q)]
+    add = tuple(tuple((a + c) % p + p * ((b + d) % p) for c, d in pairs)
+                for a, b in pairs)
+    mul = tuple(tuple((a * c - b * d) % p + p * ((a * d + b * c) % p)
+                      for c, d in pairs)
+                for a, b in pairs)
+    negatives = [row.index(0) for row in add]
+    sub = tuple(tuple(row[y] for y in negatives) for row in add)
+    inv = (None, *(row.index(1) for row in mul[1:]))
+    elements = tuple(_element(ring, x) for x in range(len(add)))
+    return FieldTables(mul, add, sub, inv, elements)
 
 
 def eval_int_poly(coeffs: Sequence[int], x: int) -> int:

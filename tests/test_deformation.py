@@ -91,8 +91,8 @@ def test_tangent_cone_scales():
     assert derived.tangent_scales[(2, 3)] == F49.from_int(3)
 
 
-# (row count, sha256 of the entries' payloads) of the raw rows, as the
-# earlier two-pass derivation made them: the full system, and the
+# (row count, sha256 of the entries' (a, b) pairs) of the raw rows, as
+# the earlier two-pass derivation made them: the full system, and the
 # weakened control with the first curve's cubic condition left out
 RAW_ROWS = {False: (44, "0f8de186f90fe72391afbfa2f1c5853d"
                         "1545746e0eb0dcb1abf8b7726bd7a41b"),
@@ -100,8 +100,13 @@ RAW_ROWS = {False: (44, "0f8de186f90fe72391afbfa2f1c5853d"
                        "e1a9b65de8eef74b11fc014668528eb1")}
 
 
+def _pair(x) -> tuple[int, int]:
+    """(a, b) of a+bi in GF(49), decoded from its payload a + 7b."""
+    return x.payload % 7, x.payload // 7
+
+
 def _payload_digest(rows) -> str:
-    payloads = [[x.payload for x in row] for row in rows]
+    payloads = [[_pair(x) for x in row] for row in rows]
     return hashlib.sha256(repr(payloads).encode()).hexdigest()
 
 
@@ -133,11 +138,11 @@ def _realify(rows, rhs=()) -> list[list[int]]:
     (r, s).  Ranks double and consistency is preserved."""
     real = []
     for k, row in enumerate(rows):
-        pairs = [x.payload for x in row]
+        pairs = [_pair(x) for x in row]
         real_part = [c for a, b in pairs for c in (a, -b)]
         imaginary_part = [c for a, b in pairs for c in (b, a)]
         if rhs:
-            r, s = rhs[k].payload
+            r, s = _pair(rhs[k])
             real_part.append(r)
             imaginary_part.append(s)
         real += [real_part, imaginary_part]

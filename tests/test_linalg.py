@@ -8,7 +8,7 @@ import pytest
 from stablelimit import (LinearSystem, PrimeField, QuadraticField, ZMod,
                          eliminate, rank, rowspace_equal, solve_affine)
 from stablelimit.linalg import _row_echelon, outside_span
-from stablelimit.rings import field_tables
+from stablelimit.rings import NonUnitError, field_tables
 
 F7 = PrimeField(7)
 F49 = QuadraticField(7)
@@ -150,25 +150,36 @@ def test_field_tables_match_ring_arithmetic(ring):
     tables = field_tables(ring)
     elements = tables.elements
     q = 7 if ring == F7 else 49
+    if q == 49:
+        # GF(49) has one table set, and its own arithmetic reads it
+        assert ring.tables is tables and QuadraticField(7).tables is tables
+    # the oracle: code c is a+bi with (a, b) = (c % 7, c // 7), b = 0 in
+    # GF(7); i**2 = -1, and the inverse goes through the norm a**2 + b**2
+    pairs = [(c % 7, c // 7) for c in range(q)]
+    code = {pair: c for c, pair in enumerate(pairs)}
     assert len(elements) == q
     assert elements[0] == ring.zero() and elements[1] == ring.one()
+    assert tables.inv[0] is None
+    with pytest.raises(NonUnitError):
+        elements[0].inverse()
     for a, x in enumerate(elements):
-        assert tables.code[x.payload] == a
-        if q == 49:
-            assert x.payload == (a % 7, a // 7)
-        else:
-            assert x.payload == a
+        assert x.payload == a
+        r, s = pairs[a]
         if a:
-            assert elements[tables.inv[a]] == x.inverse()
+            n_inv = pow((r * r + s * s) % 7, -1, 7)
+            inv = code[(r * n_inv % 7, -s * n_inv % 7)]
+            assert tables.inv[a] == inv and x.inverse().payload == inv
         for b, y in enumerate(elements):
-            assert elements[tables.mul[a][b]] == x * y
-            assert elements[tables.add[a][b]] == x + y
-            assert elements[tables.sub[a][b]] == x - y
+            t, u = pairs[b]
+            product = code[((r * t - s * u) % 7, (r * u + s * t) % 7)]
+            total = code[((r + t) % 7, (s + u) % 7)]
+            difference = code[((r - t) % 7, (s - u) % 7)]
+            assert tables.mul[a][b] == (x * y).payload == product
+            assert tables.add[a][b] == (x + y).payload == total
+            assert tables.sub[a][b] == (x - y).payload == difference
     # one table set is shared by every user, so none of them may change it
     with pytest.raises(TypeError):
         tables.mul[2][3] = 0
-    with pytest.raises(TypeError):
-        tables.code[(0, 0) if q == 49 else 0] = 1
 
 
 @pytest.mark.parametrize("ring", [F7, F49], ids=["GF7", "GF49"])

@@ -58,7 +58,15 @@ def test_defining_relations():
 
 def test_canonical_residues():
     assert Z343.from_int(-1).payload == 342
-    assert F49.element((9, -1)).payload == (2, 6)
+    # a GF(49) payload is the code a + 7b of a+bi; an int is its image,
+    # never read as a code
+    assert F49.element((9, -1)).payload == 2 + 7 * 6
+    assert repr(F49.element((2, 6))) == "2+6i"
+    for a in range(7):
+        for b in range(7):
+            assert F49.element((a, b)).payload == a + 7 * b
+    assert F49.element(10) == F49.from_int(3)
+    assert F49.element(10).payload == 3
     assert Z343.from_int(143) * Z343.from_int(143) == Z343.from_int(212)
     # independent oracle: plain integer long division
     assert divmod(143 * 143, 343)[1] == 212
@@ -154,7 +162,11 @@ def test_elements_hash_and_immutability():
     c = QuadraticField(7).element((1, 2))
     assert a == c and len({a, c}) == 1
     with pytest.raises(AttributeError):
-        a.payload = (0, 0)
+        a.payload = 0
+    # equal payloads in different rings are different values
+    three7, three49 = F7.from_int(3), F49.from_int(3)
+    assert three7.payload == three49.payload
+    assert three7 != three49 and len({three7, three49}) == 2
 
 
 CUBIC = (-1, 0, 1, 1)  # r^3 + r^2 - 1
@@ -209,6 +221,8 @@ def test_quadratic_field_requires_nonsquare():
         QuadraticField(5)   # -1 is a square mod 5
     with pytest.raises(ValueError):
         QuadraticField(8)
+    with pytest.raises(ValueError):
+        QuadraticField(19)  # 361 elements: above the table order limit
 
 
 def test_dual_numbers_do_not_nest():
