@@ -10,7 +10,8 @@ small-field table set that ``rings.field_tables`` keeps for each field:
 a payload is its element's code there (a residue in GF(p), the int
 a + p*b for a+bi in GF(p²)), so zero is 0 and one is 1.  Rows are
 unboxed once on the way in, and only the entries a caller gets back are
-boxed again.
+boxed again.  A field of more than 256 elements has no table set, and
+raises ``ValueError``.
 
 The operations are rank, affine solving (inconsistency is a status, not
 an error), projection of the solution set onto a subset of the variables

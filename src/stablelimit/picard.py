@@ -9,8 +9,13 @@ combinations, with multiplicities at the blown-up centers supplied by the
 local curve analysis; every published class identity becomes a pure
 vector equality.
 
-Rational classes carry Fraction coefficients, so statements like
-"six times the canonical class is a fiber" are tested exactly.
+A coefficient is an ``int``, and a ``Fraction`` only when it is not an
+integer, so statements like "six times the canonical class is a fiber"
+are tested exactly while integer classes stay on int arithmetic.  Any
+other scalar type, a float included, raises ``TypeError``.  The
+determinant and the signature of the form are computed by integer
+elimination (Bareiss's fraction-free scheme, and symmetric congruence
+scaled by the pivot's absolute value).
 """
 
 from __future__ import annotations
@@ -28,24 +33,41 @@ class BranchParityError(ValueError):
     """A double-cover branch class is not twice the given bundle class."""
 
 
+def _coefficient(c) -> int | Fraction:
+    """``c`` as an int, or as a Fraction when it is not an integer."""
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    return operator.index(c)
+
+
 class Lattice:
     """A free abelian group with named basis and integer pairing."""
 
     def __init__(self, names: Sequence[str], gram: Sequence[Sequence[int]],
                  canonical: Sequence[int] | None = None):
-        self.names = tuple(names)
-        if len(set(self.names)) != len(self.names):
+        names = tuple(names)
+        if len(set(names)) != len(names):
             raise ValueError("basis names must be distinct")
-        self.gram = tuple(tuple(map(operator.index, row)) for row in gram)
-        n = len(self.names)
-        if len(self.gram) != n or any(len(r) != n for r in self.gram):
+        gram = tuple(tuple(map(operator.index, row)) for row in gram)
+        n = len(names)
+        if len(gram) != n or any(len(r) != n for r in gram):
             raise ValueError("gram matrix shape mismatch")
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
-        self.index = {name: i for i, name in enumerate(self.names)}
-        self._canonical = tuple(map(operator.index, canonical)) if canonical else None
+        if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("gram matrix must be symmetric")
+        if canonical:
+            canonical = tuple(map(operator.index, canonical))
+        self._fill(names, gram, canonical or None,
+                   tuple(tuple((j, g) for j, g in enumerate(row) if g)
+                         for row in gram))
+
+    def _fill(self, names, gram, canonical, support):
+        self.names = names
+        self.gram = gram
+        self.index = {name: i for i, name in enumerate(names)}
+        self._canonical = canonical
+        # the nonzero (column, entry) pairs of each Gram row
+        self._support = support
+        return self
 
     @property
     def rank(self) -> int:
@@ -55,19 +77,19 @@ class Lattice:
     def canonical(self) -> "DivisorClass":
         if self._canonical is None:
             raise ValueError("lattice has no canonical class set")
-        return self.cls(dict(zip(self.names, self._canonical)))
+        return DivisorClass(self, self._canonical)
 
     def cls(self, coeffs: Mapping[str, int | Fraction]) -> "DivisorClass":
-        vec = [Fraction(0)] * self.rank
+        vec = [0] * self.rank
         for name, c in coeffs.items():
-            vec[self.index[name]] = Fraction(c)
+            vec[self.index[name]] = c
         return DivisorClass(self, tuple(vec))
 
     def basis(self, name: str) -> "DivisorClass":
         return self.cls({name: 1})
 
     def zero(self) -> "DivisorClass":
-        return DivisorClass(self, (Fraction(0),) * self.rank)
+        return DivisorClass(self, (0,) * self.rank)
 
     def __eq__(self, other):
         return (isinstance(other, Lattice) and self.names == other.names
@@ -86,9 +108,12 @@ class DivisorClass:
 
     __slots__ = ("lattice", "coeffs")
 
-    def __init__(self, lattice: Lattice, coeffs: tuple[Fraction, ...]):
+    def __init__(self, lattice: Lattice, coeffs: Sequence[int | Fraction]):
+        coeffs = tuple(coeffs)
         if len(coeffs) != lattice.rank:
             raise ValueError("coefficient vector length mismatch")
+        if not all(type(c) is int for c in coeffs):
+            coeffs = tuple(map(_coefficient, coeffs))
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -101,7 +126,8 @@ class DivisorClass:
     def __eq__(self, other):
         if type(other) is not DivisorClass:
             return NotImplemented
-        return self.lattice == other.lattice and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs and (
+            self.lattice is other.lattice or self.lattice == other.lattice)
 
     def __hash__(self):
         return hash((self.lattice, self.coeffs))
@@ -114,7 +140,7 @@ class DivisorClass:
         return d
 
     def _check(self, other: "DivisorClass"):
-        if self.lattice != other.lattice:
+        if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise LatticeMismatchError("classes on different lattices")
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
@@ -130,14 +156,15 @@ class DivisorClass:
     def __neg__(self) -> "DivisorClass":
         return DivisorClass(self.lattice, tuple(-a for a in self.coeffs))
 
-    def __rmul__(self, scalar) -> "DivisorClass":
-        s = Fraction(scalar)
+    def __rmul__(self, scalar: int | Fraction) -> "DivisorClass":
+        s = _coefficient(scalar)
         return DivisorClass(self.lattice, tuple(s * a for a in self.coeffs))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def coefficient(self, name: str) -> Fraction:
+    def coefficient(self, name: str) -> int | Fraction:
+        """An int, or a Fraction when the coefficient is not an integer."""
         return self.coeffs[self.lattice.index[name]]
 
     def __repr__(self):
@@ -152,19 +179,16 @@ def _gcd(a: int, b: int) -> int:
     return abs(a)
 
 
-def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
+def intersect(a: DivisorClass, b: DivisorClass) -> int | Fraction:
     """Value of the intersection pairing; symmetric and bilinear."""
     a._check(b)
-    gram = a.lattice.gram
-    total = Fraction(0)
-    for i, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        row = gram[i]
-        for j, cb in enumerate(b.coeffs):
-            if cb != 0 and row[j] != 0:
-                total += ca * cb * row[j]
-    return total
+    bc = b.coeffs
+    total = 0
+    for ca, support in zip(a.coeffs, a.lattice._support):
+        if ca:
+            for j, g in support:
+                total += ca * g * bc[j]
+    return _coefficient(total)
 
 
 def verify_class_relation(lhs: DivisorClass, rhs: DivisorClass) -> bool:
@@ -178,23 +202,23 @@ def blowup(lattice: Lattice, name: str) -> tuple[Lattice, Callable[[DivisorClass
 
     Returns the extended lattice and the pullback map, an isometry onto
     its image.  The new canonical class is the pullback of the old one
-    plus the new exceptional vector.
+    plus the new exceptional vector.  The new form is symmetric because
+    the old one is, so it is not checked again.
     """
     if name in lattice.index:
         raise ValueError(f"basis name {name!r} already used")
-    names = lattice.names + (name,)
     n = lattice.rank
-    gram = [list(row) + [0] for row in lattice.gram]
-    gram.append([0] * n + [-1])
-    canonical = None
-    if lattice._canonical is not None:
-        canonical = list(lattice._canonical) + [1]
-    new = Lattice(names, gram, canonical)
+    canonical = lattice._canonical
+    new = Lattice.__new__(Lattice)._fill(
+        lattice.names + (name,),
+        tuple(row + (0,) for row in lattice.gram) + ((0,) * n + (-1,),),
+        None if canonical is None else canonical + (1,),
+        lattice._support + (((n, -1),),))
 
     def pullback(d: DivisorClass) -> DivisorClass:
-        if d.lattice != lattice:
+        if d.lattice is not lattice and d.lattice != lattice:
             raise LatticeMismatchError("class is not on the blown-up lattice")
-        return DivisorClass(new, d.coeffs + (Fraction(0),))
+        return DivisorClass(new, d.coeffs + (0,))
 
     return new, pullback
 
@@ -205,8 +229,8 @@ def quadric_lattice() -> Lattice:
 
 
 class DoubleCoverStats(NamedTuple):
-    k_squared: Fraction
-    chi: Fraction
+    k_squared: int | Fraction
+    chi: int | Fraction
     adjoint: DivisorClass  # K + L, the class controlling the genus-zero count
 
 
@@ -227,80 +251,71 @@ def double_cover_stats(branch: DivisorClass, bundle: DivisorClass,
     if not verify_class_relation(branch, 2 * bundle):
         raise BranchParityError("branch class is not twice the bundle class")
     adjoint = canonical + bundle
-    k2 = 2 * intersect(adjoint, adjoint)
-    chi = 2 * Fraction(chi_base) + Fraction(1, 2) * intersect(
-        bundle, bundle + canonical)
+    k2 = _coefficient(2 * intersect(adjoint, adjoint))
+    chi = _coefficient(2 * chi_base + Fraction(1, 2) * intersect(
+        bundle, bundle + canonical))
     return DoubleCoverStats(k2, chi, adjoint)
 
 
-def gram_determinant(lattice: Lattice) -> Fraction:
-    """Determinant of the intersection form (exact fraction elimination)."""
-    n = lattice.rank
-    m = [[Fraction(x) for x in row] for row in lattice.gram]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
+def gram_determinant(lattice: Lattice) -> int:
+    """Determinant of the intersection form.
+
+    Bareiss's fraction-free elimination: after each step the remaining
+    block holds minors of the form, so every division is exact and every
+    entry stays an integer; the last pivot is the determinant.
+    """
+    m = [list(row) for row in lattice.gram]
+    sign = prev = 1
+    while m:
+        k = next((k for k, row in enumerate(m) if row[0]), None)
+        if k is None:
+            return 0
+        if k:
+            m[0], m[k] = m[k], m[0]
+            sign = -sign
+        top = m[0]
+        p = top.pop(0)
+        rest = m[1:]
+        for row in rest:
+            f = row.pop(0)
+            if f or p != prev:
+                row[:] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        m, prev = rest, p
+    return sign * prev
 
 
 def signature(lattice: Lattice) -> tuple[int, int]:
     """(positive, negative) inertia indices of the intersection form.
 
-    Uses exact symmetric congruence diagonalization; a hyperbolic 2x2
-    block with zero diagonal is split by the standard change of basis.
+    Exact symmetric congruence elimination on integers.  A pivot d turns
+    the rest of the form into |d| times its Schur complement, which has
+    the same inertia and integer entries.  When every remaining diagonal
+    entry is zero but some entry b_ij is not, e_i + e_j (of square 2 b_ij)
+    replaces e_i as the pivot.
     """
-    n = lattice.rank
-    m = [[Fraction(x) for x in row] for row in lattice.gram]
+    m = [list(row) for row in lattice.gram]
     pos = neg = 0
-    idx = list(range(n))
-    while idx:
-        i = idx[0]
-        if m[i][i] != 0:
-            d = m[i][i]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            rest = idx[1:]
-            for r in rest:
-                f = m[r][i] / d
-                if f:
-                    for c in rest:
-                        m[r][c] -= f * m[i][c]
-            # re-symmetrize the remaining block
-            for r in rest:
-                for c in rest:
-                    m[c][r] = m[r][c]
-            idx = rest
-            continue
-        j = next((j for j in idx[1:] if m[i][j] != 0), None)
-        if j is None:
-            idx = idx[1:]
-            continue
-        # zero-diagonal pair: x*e_i + y*e_j has square 2*b*x*y, one positive
-        # and one negative index once decoupled from the rest
-        rest = [k for k in idx if k not in (i, j)]
-        for r in rest:
-            if m[r][i] != 0 or m[r][j] != 0:
-                raise NotImplementedError(
-                    "coupled hyperbolic rows are not needed for the "
-                    "lattices in this package")
-        pos += 1
-        neg += 1
-        idx = rest
+    while m:
+        i = next((k for k, row in enumerate(m) if row[k]), None)
+        if i is None:
+            i, j = next(((i, j) for i, row in enumerate(m)
+                         for j, x in enumerate(row) if x), (None, None))
+            if i is None:
+                break                       # the rest of the form is zero
+            for row in m:
+                row[i] += row[j]
+            m[i] = [x + y for x, y in zip(m[i], m[j])]
+        top = m.pop(i)
+        d = top.pop(i)
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        scale, sign = abs(d), (1 if d > 0 else -1)
+        for row in m:
+            f = row.pop(i)
+            if f:
+                row[:] = [scale * x - sign * f * y for x, y in zip(row, top)]
+            elif scale != 1:
+                row[:] = [scale * x for x in row]
     return pos, neg

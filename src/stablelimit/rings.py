@@ -335,9 +335,6 @@ class QuadraticField(Ring):
             raise ValueError(f"{p} is not prime")
         if p % 4 != 3:
             raise ValueError(f"-1 is a square mod {p}; GF({p})[i] is not a field")
-        if p * p > _TABLE_ORDER_LIMIT:
-            raise ValueError(f"GF({p}^2) is above the table order limit "
-                             f"{_TABLE_ORDER_LIMIT}")
         self.p = p
         self.tables = field_tables(self)
 
@@ -502,11 +499,16 @@ class FieldTables(NamedTuple):
 @lru_cache(maxsize=None)
 def field_tables(ring: Ring) -> FieldTables:
     """The table set of GF(p) or GF(p)[i], built once per ring value from
-    the rule i**2 = -1 applied to the codes a + p*b (b = 0 in GF(p))."""
+    the rule i**2 = -1 applied to the codes a + p*b (b = 0 in GF(p)).
+    A field of more than ``_TABLE_ORDER_LIMIT`` elements raises
+    ``ValueError`` before any table is built."""
     if not ring.is_field():
         raise ValueError(f"small-field tables need a field, not {ring!r}")
     p = ring.characteristic()
     q = p * p if isinstance(ring, QuadraticField) else p
+    if q > _TABLE_ORDER_LIMIT:
+        raise ValueError(f"{ring!r} has {q} elements, above the table "
+                         f"order limit {_TABLE_ORDER_LIMIT}")
     pairs = [(c % p, c // p) for c in range(q)]
     add = tuple(tuple((a + c) % p + p * ((b + d) % p) for c, d in pairs)
                 for a, b in pairs)

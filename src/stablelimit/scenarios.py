@@ -460,10 +460,12 @@ def _homogeneous_system(texts) -> LinearSystem:
     return LinearSystem(cgdata.MAIN_UNKNOWNS, rows, [zero] * len(rows), F49)
 
 
+@lru_cache(maxsize=None)
 def _published_system_28() -> LinearSystem:
     return _homogeneous_system(cgdata.PUBLISHED_28)
 
 
+@lru_cache(maxsize=None)
 def _elimination_system_28() -> LinearSystem:
     return _homogeneous_system(
         tuple(f"{var}-({text})" for var, text
@@ -775,36 +777,38 @@ def _extended_lattice(lat: Lattice):
     return lat
 
 
-def _curve_classes(lat: Lattice):
-    """Divisor classes of the configuration, with every multiplicity
-    taken from the local curve analysis rather than asserted."""
-    g1_49, g2_49 = curve_pair("F49")
-
+@lru_cache(maxsize=None)
+def _curve_multiplicities() -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each branch curve, and at the origin of each chart 1..4, the
+    multiplicity there and at the infinitely-near center, from the local
+    curve analysis."""
     def mult_data(g):
-        per_chart = {}
+        per_chart = []
         for chart in (1, 2, 3, 4):
             germ = chart_germ(g, chart)
-            m0 = multiplicity_at(germ)
             # the infinitely-near center is the direction of the union's
             # tangent cone, carried by whichever curve is smooth there
             # (the double curve's cone is that same line squared; checked
             # in the singularities scenario)
             m1 = infinitely_near_multiplicity(germ, _cone_direction(chart))
-            per_chart[chart] = (m0, m1)
-        return per_chart
+            per_chart.append((multiplicity_at(germ), m1))
+        return tuple(per_chart)
 
-    m1_data = mult_data(g1_49)
-    m2_data = mult_data(g2_49)
+    return tuple(map(mult_data, curve_pair("F49")))
 
+
+def _curve_classes(lat: Lattice):
+    """Divisor classes of the configuration, with every multiplicity
+    taken from the local curve analysis rather than asserted."""
     def curve_class(mults):
         coeffs = {"h1": 3, "h2": 3, "n1": -1, "n2": -1}
-        for chart, (m0, m1) in mults.items():
+        for chart, (m0, m1) in enumerate(mults, start=1):
             coeffs[f"g{chart}"] = -m0
             coeffs[f"e{chart}"] = -m1
         return lat.cls(coeffs)
 
-    b1 = curve_class(m1_data)
-    b2 = curve_class(m2_data)
+    mults = _curve_multiplicities()
+    b1, b2 = map(curve_class, mults)
     rulings = [lat.cls({"h1": 1, "g1": -1, "g2": -1}),
                lat.cls({"h1": 1, "g3": -1, "g4": -1}),
                lat.cls({"h2": 1, "g1": -1, "g3": -1}),
@@ -812,7 +816,7 @@ def _curve_classes(lat: Lattice):
     gbar = [lat.cls({f"g{k}": 1, f"e{k}": -1}) for k in range(1, 5)]
     ebar = [lat.cls({f"e{k}": 1}) for k in range(1, 5)]
     nbar = [lat.cls({"n1": 1}), lat.cls({"n2": 1})]
-    return b1, b2, rulings, gbar, ebar, nbar, (m1_data, m2_data)
+    return b1, b2, rulings, gbar, ebar, nbar, mults
 
 
 def scenario_lattice() -> VerificationReport:
@@ -824,13 +828,14 @@ def scenario_lattice() -> VerificationReport:
     lat = _blowup_lattice()
     rep.check("rank after the ten blowups", lat.rank, 12)
     rep.check("intersection form unimodular",
-              int(abs(gram_determinant(lat))), 1, tag="definitional")
+              abs(gram_determinant(lat)), 1, tag="definitional")
     rep.check("signature", list(signature(lat)), [1, 11],
               tag="definitional")
 
     b1, b2, rulings, gbar, ebar, nbar, mults = _curve_classes(lat)
     rep.check("first-curve multiplicity pattern",
-              {str(k): list(v) for k, v in mults[0].items()},
+              {str(chart): list(m)
+               for chart, m in enumerate(mults[0], start=1)},
               {"1": [2, 2], "2": [1, 1], "3": [1, 1], "4": [2, 2]},
               tag="derived")
 

@@ -145,6 +145,16 @@ def test_kernel_matches_element_elimination(ring):
         assert [[elements[x] for x in row] for row in coded] == expected_rows
 
 
+def test_fields_above_the_table_order_limit_are_refused():
+    # GF(257) would need three 257 x 257 tables; the limit is checked
+    # before any is built, for GF(p) as for GF(p^2)
+    large = PrimeField(257)
+    with pytest.raises(ValueError, match="table order limit"):
+        rank([[large.one(), large.zero()]], large)
+    largest = PrimeField(251)
+    assert rank([[largest.one(), largest.from_int(2)]], largest) == 1
+
+
 @pytest.mark.parametrize("ring", [F7, F49], ids=["GF7", "GF49"])
 def test_field_tables_match_ring_arithmetic(ring):
     tables = field_tables(ring)

@@ -122,6 +122,33 @@ def test_signature_of_negative_definite_block():
     assert gram_determinant(lat) == 3
 
 
+def test_integer_classes_keep_int_coefficients():
+    q = quadric_lattice()
+    lat, pull = blowup(q, "e")
+    c = lat.cls({"h1": 2, "e": Fraction(9, 3)})
+    for d in (c, lat.zero(), lat.canonical, lat.basis("e"), pull(q.basis("h1")),
+              3 * c, Fraction(4, 2) * c, c + c, c - c, -c):
+        assert all(type(x) is int for x in d.coeffs), d
+    # a coefficient is a Fraction only where it is not an integer
+    half = Fraction(1, 2) * c
+    assert [type(x) for x in half.coeffs] == [int, int, Fraction]
+    assert type((half + half).coefficient("e")) is int
+    assert type(intersect(c, c)) is int
+    assert intersect(half, half) == Fraction(-9, 4)
+
+
+def test_classes_reject_non_rational_scalars():
+    q = quadric_lattice()
+    h1 = q.basis("h1")
+    for bad in (0.5, 1.0, "1"):
+        with pytest.raises(TypeError):
+            q.cls({"h1": bad})
+        with pytest.raises(TypeError):
+            bad * h1
+        with pytest.raises(TypeError):
+            h1.__rmul__(bad)
+
+
 def test_lattice_rejects_non_integer_entries():
     for bad in (1.5, 1.0, "1", Fraction(1, 2)):
         with pytest.raises(TypeError):
@@ -157,3 +184,30 @@ def test_gram_invariants_agree_with_sympy(make):
     lattice = make()
     assert (gram_determinant(lattice), signature(lattice)) == \
         _sympy_determinant_and_signature(lattice)
+
+
+def test_gram_invariants_agree_with_sympy_on_random_forms():
+    """Symmetric integer forms up to 6x6, half of them with a zero
+    diagonal, so that zero pivots coupled to other rows are common."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def forms(draw):
+        n = draw(st.integers(0, 6))
+        hollow = draw(st.booleans())
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if i != j or not hollow:
+                    gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+        return Lattice([f"x{k}" for k in range(n)], gram)
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=None,
+                         database=None)
+    @hypothesis.given(forms())
+    def agree(lattice):
+        assert (gram_determinant(lattice), signature(lattice)) == \
+            _sympy_determinant_and_signature(lattice)
+
+    agree()

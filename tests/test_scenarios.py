@@ -251,3 +251,36 @@ def test_parse_poly_itself_is_not_cached():
     a = parse_poly(cgdata.G1, cgdata.AB, F49)
     b = parse_poly(cgdata.G1, cgdata.AB, F49)
     assert a == b and a is not b
+
+
+# ----------------------------------------------------------------------
+# constants computed once
+
+
+def test_curve_multiplicities_are_cached_nested_tuples():
+    mults = scenarios._curve_multiplicities()
+    assert scenarios._curve_multiplicities() is mults
+    assert mults == (((2, 2), (1, 1), (1, 1), (2, 2)),
+                     ((1, 1), (2, 2), (2, 2), (1, 1)))
+    assert type(mults) is tuple
+    assert all(type(curve) is tuple and all(type(m) is tuple for m in curve)
+               for curve in mults)
+
+
+@pytest.mark.parametrize("build", [scenarios._published_system_28,
+                                   scenarios._elimination_system_28])
+def test_published_systems_are_built_once(build):
+    system = build()
+    assert build() is system
+    assert len(system.rows) == 28
+    assert type(system.rows) is tuple
+    assert all(type(row) is tuple for row in system.rows)
+
+
+def test_lattice_report_is_the_same_on_a_first_and_a_second_run():
+    scenarios._curve_multiplicities.cache_clear()
+    first = render_json([scenarios.run_scenario("lattice")], "x")
+    assert scenarios._curve_multiplicities.cache_info().misses == 1
+    second = render_json([scenarios.run_scenario("lattice")], "x")
+    assert scenarios._curve_multiplicities.cache_info().hits >= 1
+    assert strip_millis(first) == strip_millis(second)
