@@ -268,7 +268,8 @@ def test_curve_multiplicities_are_cached_nested_tuples():
 
 
 @pytest.mark.parametrize("build", [scenarios._published_system_28,
-                                   scenarios._elimination_system_28])
+                                   scenarios._elimination_system_28],
+                         ids=["published", "elimination"])
 def test_published_systems_are_built_once(build):
     system = build()
     assert build() is system
