@@ -9,9 +9,10 @@ The elimination runs on payloads, not on ``Element``s, through the
 small-field table set that ``rings.field_tables`` keeps for each field:
 a payload is its element's code there (a residue in GF(p), the int
 a + p*b for a+bi in GF(p²)), so zero is 0 and one is 1.  Rows are
-unboxed once on the way in, and only the entries a caller gets back are
-boxed again.  A field of more than 256 elements has no table set, and
-raises ``ValueError``.
+unboxed once on the way in, and the entries a caller gets back are
+decoded by the ring's ``_wrap``, which returns its interned elements.
+A field of more than 256 elements has no table set, and raises
+``ValueError``.
 
 The operations are rank, affine solving (inconsistency is a status, not
 an error), projection of the solution set onto a subset of the variables
@@ -167,22 +168,21 @@ def solve_affine(system: LinearSystem) -> SolutionSet:
         [(*row, b) for row, b in zip(system.rows, system.rhs)], system.ring)
     if n in pivots:
         return SolutionSet(status="inconsistent", variables=variables)
-    tables = field_tables(system.ring)
-    elements, neg = tables.elements, tables.sub[0]
-    zero, one = elements[0], elements[1]
+    wrap, neg = system.ring._wrap, field_tables(system.ring).sub[0]
+    zero, one = wrap(0), wrap(1)
     pivot_set = set(pivots)
     free_cols = [c for c in range(n) if c not in pivot_set]
 
     particular = dict.fromkeys(variables, zero)
     for row, c in zip(reduced, pivots):
-        particular[variables[c]] = elements[row[n]]
+        particular[variables[c]] = wrap(row[n])
 
     kernel_basis = []
     for fc in free_cols:
         vec = dict.fromkeys(variables, zero)
         vec[variables[fc]] = one
         for row, c in zip(reduced, pivots):
-            vec[variables[c]] = elements[neg[row[fc]]]
+            vec[variables[c]] = wrap(neg[row[fc]])
         kernel_basis.append(vec)
 
     return SolutionSet(status="affine", variables=variables,
@@ -208,14 +208,14 @@ def eliminate(system: LinearSystem, aux: Iterable[str]) -> LinearSystem:
     reduced, pivots = _row_echelon(
         [[row[i] for i in order] + [b]
          for row, b in zip(system.rows, system.rhs)], ring)
-    elements = field_tables(ring).elements
+    wrap = ring._wrap
     na = len(aux)
     out_rows, out_rhs = [], []
     for row, c in zip(reduced, pivots):
         if c < na:
             continue  # row still involves an auxiliary; not part of the projection
-        out_rows.append([elements[x] for x in row[na:-1]])
-        out_rhs.append(elements[row[-1]])
+        out_rows.append([wrap(x) for x in row[na:-1]])
+        out_rhs.append(wrap(row[-1]))
     return LinearSystem(keep, out_rows, out_rhs, ring)
 
 

@@ -62,7 +62,7 @@ from functools import lru_cache, partial
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rings import (Element, IntegerRing, QuadraticField, Ring,
-                    RingMismatchError, ZMod, _element, _power, field_tables)
+                    RingMismatchError, ZMod, _power, field_tables)
 
 _FIELD_BITS = 16                      # one unsigned 16-bit field per variable
 MAX_DEGREE = (1 << _FIELD_BITS) - 1   # bound on the total degree of a term
@@ -161,6 +161,7 @@ class _Coeffs:
 
     def __init__(self, ring: Ring):
         self.ring = ring
+        self.wrap = ring._wrap       # raw value -> Element
         self.zero, self.one = self.raw(ring.zero()), self.raw(ring.one())
         self.minus_one = self.from_int(-1)
 
@@ -168,9 +169,6 @@ class _Coeffs:
         if x.ring is not self.ring and x.ring != self.ring:
             raise RingMismatchError(f"{what} from a foreign ring")
         return x.payload
-
-    def wrap(self, raw) -> Element:
-        return _element(self.ring, raw)
 
     def from_int(self, n: int):
         return self.raw(self.ring.from_int(n))

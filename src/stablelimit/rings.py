@@ -29,6 +29,16 @@ tables, which it builds when it is constructed.  Exact elimination
 (``linalg``), polynomials over GF(p)[i] (``poly``) and the rational
 singular-point scan (``scenarios``) run on the same codes.
 
+``Ring._wrap(payload)`` is the one way a canonical payload becomes an
+``Element``; ``Element(ring, payload)`` is ``ring.element(payload)``.
+A ``ZMod`` or ``QuadraticField`` of at most ``_INTERN_ORDER_LIMIT`` (343)
+elements, GF(7), GF(49) and Z/343 among them, builds the tuple of its
+elements once, when it is constructed, and its ``_wrap`` indexes that
+tuple: its arithmetic and its constructors hand out those elements
+and allocate nothing.  ``ZZ``, larger ``ZMod`` rings and the dual
+numbers allocate a new element each time.  Which elements are the same object is not part
+of the interface: compare them with ``==``, never with ``is``.
+
 The module also provides ``hensel_lift``, the p-power-at-a-time refinement
 of a simple root of a univariate integer polynomial.
 """
@@ -58,11 +68,32 @@ class NotSimpleRootError(ArithmeticError):
     """The residue is not a simple root, so the lift is not defined."""
 
 
+# Rings with at most this many elements intern them: Z/343 and every
+# field that has a table set.
+_INTERN_ORDER_LIMIT = 343
+
+
 class Ring:
     """Common interface of all coefficient rings."""
 
     def element(self, payload):
         raise NotImplementedError
+
+    def _wrap(self, payload) -> "Element":
+        """The element with the canonical ``payload``, newly allocated; a
+        ring that interns its elements shadows this with ``_intern``."""
+        x = object.__new__(Element)
+        _set_ring(x, self)
+        _set_payload(x, payload)
+        return x
+
+    def _intern(self, order: int) -> None:
+        """Build the elements of payloads 0 .. order-1 once, and make
+        ``_wrap`` index them, if ``order`` is at most
+        ``_INTERN_ORDER_LIMIT``."""
+        if order <= _INTERN_ORDER_LIMIT:
+            self._elements = tuple(Ring._wrap(self, x) for x in range(order))
+            self._wrap = self._elements.__getitem__
 
     def zero(self):
         return self.element(0)
@@ -114,9 +145,10 @@ class Element:
 
     __slots__ = ("ring", "payload")
 
-    def __init__(self, ring: Ring, payload):
-        _set_ring(self, ring)
-        _set_payload(self, payload)
+    def __new__(cls, ring: Ring, payload):
+        """``ring.element(payload)``: the payload is validated and made
+        canonical, as by every other constructor."""
+        return ring.element(payload)
 
     def __setattr__(self, name, value):
         raise AttributeError("ring elements are immutable")
@@ -133,23 +165,23 @@ class Element:
         ring = self.ring
         if other.__class__ is not Element or other.ring is not ring:
             other = self._check(other)
-        return _element(ring, ring._add(self.payload, other.payload))
+        return ring._wrap(ring._add(self.payload, other.payload))
 
     def __sub__(self, other):
         ring = self.ring
         if other.__class__ is not Element or other.ring is not ring:
             other = self._check(other)
-        return _element(ring,
-                        ring._add(self.payload, ring._neg(other.payload)))
+        return ring._wrap(ring._add(self.payload, ring._neg(other.payload)))
 
     def __neg__(self):
-        return _element(self.ring, self.ring._neg(self.payload))
+        ring = self.ring
+        return ring._wrap(ring._neg(self.payload))
 
     def __mul__(self, other):
         ring = self.ring
         if other.__class__ is not Element or other.ring is not ring:
             other = self._check(other)
-        return _element(ring, ring._mul(self.payload, other.payload))
+        return ring._wrap(ring._mul(self.payload, other.payload))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -159,7 +191,8 @@ class Element:
         return _power(operator.mul, self, n)
 
     def inverse(self) -> "Element":
-        return _element(self.ring, self.ring._invert(self.payload))
+        ring = self.ring
+        return ring._wrap(ring._invert(self.payload))
 
     def is_zero(self) -> bool:
         return self.ring._is_zero(self.payload)
@@ -178,8 +211,8 @@ class Element:
         return self.ring._repr_payload(self.payload)
 
 
-# Elements are built through the slot descriptors, which bypass the
-# immutability guard in ``Element.__setattr__``.
+# ``Ring._wrap`` builds elements through the slot descriptors, which
+# bypass the immutability guard in ``Element.__setattr__``.
 _set_ring = Element.ring.__set__
 _set_payload = Element.payload.__set__
 
@@ -196,20 +229,11 @@ def _power(mul, base, n: int):
         base = mul(base, base)
 
 
-def _element(ring: Ring, payload) -> Element:
-    """The element of ``ring`` with the canonical ``payload``, built
-    without a Python-level ``__init__``."""
-    x = object.__new__(Element)
-    _set_ring(x, ring)
-    _set_payload(x, payload)
-    return x
-
-
 class IntegerRing(Ring):
     """Arbitrary-precision integers."""
 
     def element(self, payload: int) -> Element:
-        return _element(self, index(payload))
+        return self._wrap(index(payload))
 
     def characteristic(self) -> int:
         return 0
@@ -269,9 +293,10 @@ class ZMod(Ring):
         self.p = p
         self.k = k
         self.modulus = p ** k
+        self._intern(self.modulus)
 
     def element(self, payload: int) -> Element:
-        return _element(self, index(payload) % self.modulus)
+        return self._wrap(index(payload) % self.modulus)
 
     def characteristic(self) -> int:
         return self.modulus
@@ -336,13 +361,14 @@ class QuadraticField(Ring):
         if p % 4 != 3:
             raise ValueError(f"-1 is a square mod {p}; GF({p})[i] is not a field")
         self.p = p
+        self._intern(p * p)
         self.tables = field_tables(self)
 
     def element(self, payload) -> Element:
         if not isinstance(payload, tuple):
-            return _element(self, index(payload) % self.p)
+            return self._wrap(index(payload) % self.p)
         a, b = payload
-        return _element(self, index(a) % self.p + self.p * (index(b) % self.p))
+        return self._wrap(index(a) % self.p + self.p * (index(b) % self.p))
 
     def i(self) -> Element:
         return self.element((0, 1))
@@ -379,7 +405,7 @@ class QuadraticField(Ring):
     def _invert(self, a):
         inv = self.tables.inv[a]
         if inv is None:
-            raise NonUnitError(_element(self, a))
+            raise NonUnitError(self._wrap(a))
         return inv
 
     def _is_zero(self, a):
@@ -419,7 +445,7 @@ class DualNumbers(Ring):
             u = self.base.element(u)
         if not isinstance(v, Element):
             v = self.base.element(v)
-        return _element(self, (u, v))
+        return self._wrap((u, v))
 
     def eps(self) -> Element:
         return self.element((self.base.zero(), self.base.one()))
@@ -476,8 +502,9 @@ class FieldTables(NamedTuple):
     ``mul[a][b]`` is the code of a*b, ``add[a][b]`` that of a+b,
     ``sub[a][b]`` that of a-b (so ``sub[0]`` negates), ``inv[a]`` that
     of 1/a (``inv[0]`` is None), and ``elements[a]`` the ``Element`` of
-    code a.  Every part is read-only, since one table set is shared by
-    all its users.
+    code a: ``elements`` is the interned tuple of the ring that built the
+    set.  Every part is read-only, since one table set is shared by all
+    its users, equal rings included.
     """
 
     mul: tuple[tuple[int, ...], ...]
@@ -518,8 +545,7 @@ def field_tables(ring: Ring) -> FieldTables:
     negatives = [row.index(0) for row in add]
     sub = tuple(tuple(row[y] for y in negatives) for row in add)
     inv = (None, *(row.index(1) for row in mul[1:]))
-    elements = tuple(_element(ring, x) for x in range(len(add)))
-    return FieldTables(mul, add, sub, inv, elements)
+    return FieldTables(mul, add, sub, inv, ring._elements)
 
 
 def eval_int_poly(coeffs: Sequence[int], x: int) -> int:

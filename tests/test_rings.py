@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from stablelimit import (ZZ, DualNumbers, Element, NonUnitError,
+from stablelimit import (ZZ, DualNumbers, Element, MPoly, NonUnitError,
                          NotSimpleRootError, PrimeField, QuadraticField,
-                         RingMismatchError, ZMod, hensel_lift)
-from stablelimit.rings import eval_int_poly
+                         RingMismatchError, VarRegistry, ZMod, hensel_lift)
+from stablelimit.rings import eval_int_poly, field_tables
 
 F7 = PrimeField(7)
 F49 = QuadraticField(7)
@@ -167,6 +167,180 @@ def test_elements_hash_and_immutability():
     three7, three49 = F7.from_int(3), F49.from_int(3)
     assert three7.payload == three49.payload
     assert three7 != three49 and len({three7, three49}) == 2
+
+
+def test_public_constructor_is_ring_element():
+    # Element(ring, payload) is ring.element(payload): canonical form and
+    # payload validation hold for it as for every other constructor
+    ten = Element(F7, 10)
+    assert repr(ten) == "3"
+    assert ten == F7.element(3) and hash(ten) == hash(F7.element(3))
+    with pytest.raises(TypeError):
+        Element(F7, "x")
+    pair = Element(F49, (1, 2))
+    assert pair.payload == 1 + 7 * 2 and pair == F49.element((1, 2))
+    assert pair * F49.i() == F49.element((-2, 1))   # (1+2i)i = -2+i
+    assert Element(ZZ, 10) == ZZ.element(10)
+
+
+# rings that intern their elements: every element they hand out is one of
+# ``ring._elements``, the tuple built when the ring was constructed
+INTERNED = [F7, F49, Z343]
+
+
+def assert_interned(x, ring):
+    """x is the interned element of its ring, and that ring equals
+    ``ring``; values cached per ring value, such as a table set or a
+    polynomial coefficient path, belong to the first equal ring built."""
+    assert x.ring == ring
+    assert x is x.ring._elements[x.payload]
+
+
+@pytest.mark.parametrize("ring", INTERNED, ids=repr)
+def test_operations_return_the_rings_own_elements(ring):
+    own = ring._elements
+    assert len(own) == (49 if ring is F49 else ring.modulus)
+    assert all(x.ring is ring and x.payload == k for k, x in enumerate(own))
+    rng = random.Random(3)
+    pairs = ([(x, y) for x in own for y in own] if len(own) <= 49 else
+             [(rng.choice(own), rng.choice(own)) for _ in range(3000)])
+    for x, y in pairs:
+        for z in (x + y, x - y, x * y, -x):
+            assert z is own[z.payload]
+    for x in own:
+        try:
+            inv = x.inverse()
+        except NonUnitError:
+            continue
+        assert inv is own[inv.payload]
+    assert (own[3] ** 5) is own[(own[3] ** 5).payload]
+
+
+@pytest.mark.parametrize("ring", INTERNED, ids=repr)
+def test_constructors_return_the_rings_own_elements(ring):
+    own = ring._elements
+    assert ring.zero() is own[0] and ring.one() is own[1]
+    for n in (-10, -1, 0, 2, 48, 400, 10**9):
+        assert ring.from_int(n) is own[ring.from_int(n).payload]
+        assert ring.element(n) is ring.from_int(n)
+        assert Element(ring, n) is ring.from_int(n)
+    rng = random.Random(9)
+    for _ in range(200):
+        x = ring.random_element(rng)
+        assert x is own[x.payload]
+    if ring is F49:
+        assert sorted(x.payload for x in F49.all_elements()) == list(range(49))
+        assert all(x is own[x.payload] for x in F49.all_elements())
+        assert F49.i() is own[7]
+        assert F49.conjugate(F49.i()) is own[6 * 7]
+
+
+@pytest.mark.parametrize("ring", INTERNED, ids=repr)
+def test_tables_and_polynomials_hand_out_interned_elements(ring):
+    if ring.is_field():
+        tables = field_tables(ring)
+        for k, x in enumerate(tables.elements):
+            assert x.payload == k
+            assert_interned(x, ring)
+        assert tables.elements is tables.elements[0].ring._elements
+    xy = VarRegistry(("x", "y"))
+    p = MPoly(xy, ring, {(1, 0): ring.from_int(3), (0, 2): ring.one(),
+                         (0, 0): -ring.one()})
+    for c in p.terms.values():
+        assert_interned(c, ring)
+    assert_interned(p.coefficient({"x": 1}), ring)
+    assert_interned(p.coefficient({"x": 5, "y": 5}), ring)   # absent: 0
+    value = p.evaluate({"x": ring.from_int(2), "y": ring.from_int(4)})
+    assert value == ring.from_int(3 * 2 + 16 - 1)
+    assert_interned(value, ring)
+
+
+def test_rings_above_the_limit_allocate():
+    big = ZMod(7, 5)            # 16807 elements: above the interning limit
+    ring_axiom_samples(big, 500, seed=4)
+    assert not hasattr(big, "_elements")
+    assert big.one() is not big.one()
+    assert big.from_int(5) + big.one() is not big.from_int(6)
+    assert big.from_int(5) + big.one() == big.from_int(6)
+    assert ZZ.one() is not ZZ.one()
+
+
+def test_equal_rings_give_equal_elements():
+    for make in (lambda: ZMod(7, 3), lambda: PrimeField(7),
+                 lambda: QuadraticField(7)):
+        a, b = make(), make()
+        assert a == b and a is not b
+        for n in range(-3, 60, 7):
+            x, y = a.from_int(n), b.from_int(n)
+            assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+            assert x + y == a.from_int(2 * n) == y + x
+            assert x * y == b.from_int(n * n)
+
+
+def test_interned_arithmetic_matches_a_plain_int_model():
+    # the oracle: residues mod m for Z/343 and GF(7), and pairs (a, b) for
+    # a+bi in GF(49), multiplied by (ac - bd, ad + bc) mod 7; inverses by
+    # search.  GF(49)'s own arithmetic reads only its tables.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def residues(m):
+        values = range(m)
+        return (values, lambda a: a, lambda a, b: (a + b) % m,
+                lambda a, b: (a - b) % m, lambda a, b: a * b % m, 1)
+
+    def pair_mul(u, v):
+        (a, b), (c, d) = u, v
+        return ((a * c - b * d) % 7, (a * d + b * c) % 7)
+
+    models = {
+        "Z/343": (Z343, *residues(343)),
+        "GF(7)": (F7, *residues(7)),
+        "GF(49)": (F49, [(a, b) for a in range(7) for b in range(7)],
+                   lambda u: u[0] + 7 * u[1],
+                   lambda u, v: ((u[0] + v[0]) % 7, (u[1] + v[1]) % 7),
+                   lambda u, v: ((u[0] - v[0]) % 7, (u[1] - v[1]) % 7),
+                   pair_mul, (1, 0)),
+    }
+    inverses = {name: {u: next((v for v in values if mul(u, v) == one), None)
+                       for u in values}
+                for name, (_, values, _, _, _, mul, one) in models.items()}
+
+    def check(name, u, v):
+        ring, _, code, add, sub, mul, _ = models[name]
+        own = ring._elements
+        x, y = ring.element(u), ring.element(v)
+        assert x is own[code(u)] and y is own[code(v)]
+        assert x + y is own[code(add(u, v))]
+        assert x - y is own[code(sub(u, v))]
+        assert x * y is own[code(mul(u, v))]
+        assert -x is own[code(sub(sub(u, u), u))]      # 0 - u
+        inv = inverses[name][u]
+        if inv is None:
+            with pytest.raises(NonUnitError):
+                x.inverse()
+        else:
+            assert x.inverse() is own[code(inv)]
+
+    @st.composite
+    def cases(draw):
+        name = draw(st.sampled_from(sorted(models)))
+        values = st.sampled_from(models[name][1])
+        return name, draw(values), draw(values)
+
+    @hypothesis.settings(derandomize=True, max_examples=300, deadline=None,
+                         database=None)
+    @hypothesis.given(cases())
+    def agree(case):
+        check(*case)
+
+    agree()
+    # a sample could miss one wrong table entry: the fields in full
+    for name in ("GF(7)", "GF(49)"):
+        values = models[name][1]
+        for u in values:
+            for v in values:
+                check(name, u, v)
 
 
 CUBIC = (-1, 0, 1, 1)  # r^3 + r^2 - 1
