@@ -90,10 +90,10 @@ def _row_echelon(rows: Iterable[Sequence[Element]],
     1) and the pivot column indices.  The callers have checked that every
     entry lies in ``ring``.
     """
+    tables = field_tables(ring)     # refuses a ring without tables, rows or not
     work = [[x.payload for x in row] for row in rows]
     if not work:
         return work, []
-    tables = field_tables(ring)
     mul, sub, inv = tables.mul, tables.sub, tables.inv
     nrows, ncols = len(work), len(work[0])
     pivots: list[int] = []

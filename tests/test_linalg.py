@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from stablelimit import (LinearSystem, PrimeField, QuadraticField, ZMod,
+from stablelimit import (ZZ, LinearSystem, PrimeField, QuadraticField, ZMod,
                          eliminate, rank, rowspace_equal, solve_affine)
 from stablelimit.linalg import _row_echelon, outside_span
 from stablelimit.rings import NonUnitError, field_tables
@@ -153,6 +153,16 @@ def test_fields_above_the_table_order_limit_are_refused():
         rank([[large.one(), large.zero()]], large)
     largest = PrimeField(251)
     assert rank([[largest.one(), largest.from_int(2)]], largest) == 1
+
+
+@pytest.mark.parametrize("ring", [PrimeField(257), ZZ], ids=repr)
+def test_rings_without_tables_are_refused_with_no_rows(ring):
+    # an empty system decodes nothing, but is refused all the same
+    empty = LinearSystem(["x", "y"], [], [], ring)
+    for call in (lambda: rank([], ring), lambda: eliminate(empty, ["x"]),
+                 lambda: solve_affine(empty)):
+        with pytest.raises(ValueError):
+            call()
 
 
 @pytest.mark.parametrize("ring", [F7, F49], ids=["GF7", "GF49"])

@@ -197,29 +197,13 @@ def assert_interned(x, ring):
 
 
 @pytest.mark.parametrize("ring", INTERNED, ids=repr)
-def test_operations_return_the_rings_own_elements(ring):
+def test_constructors_return_the_rings_own_elements(ring):
+    # the operations are checked against a model below
     own = ring._elements
     assert len(own) == (49 if ring is F49 else ring.modulus)
     assert all(x.ring is ring and x.payload == k for k, x in enumerate(own))
-    rng = random.Random(3)
-    pairs = ([(x, y) for x in own for y in own] if len(own) <= 49 else
-             [(rng.choice(own), rng.choice(own)) for _ in range(3000)])
-    for x, y in pairs:
-        for z in (x + y, x - y, x * y, -x):
-            assert z is own[z.payload]
-    for x in own:
-        try:
-            inv = x.inverse()
-        except NonUnitError:
-            continue
-        assert inv is own[inv.payload]
-    assert (own[3] ** 5) is own[(own[3] ** 5).payload]
-
-
-@pytest.mark.parametrize("ring", INTERNED, ids=repr)
-def test_constructors_return_the_rings_own_elements(ring):
-    own = ring._elements
     assert ring.zero() is own[0] and ring.one() is own[1]
+    assert own[3] ** 5 is own[(own[3] ** 5).payload]
     for n in (-10, -1, 0, 2, 48, 400, 10**9):
         assert ring.from_int(n) is own[ring.from_int(n).payload]
         assert ring.element(n) is ring.from_int(n)
