@@ -5,8 +5,8 @@ origin.  The operations cover exactly what the verification scenarios
 need: multiplicity and tangent cone, node/double-contact classification,
 intersection multiplicity against a parametrized smooth curve, the branch
 locus of a bidegree-(3,3) curve under one of the two rulings of a quadric
-(via the binary-cubic discriminant), and the first-order criterion for a
-deformation of a simply-tangent curve to remain tangent to an axis.
+(via the binary-cubic discriminant), and exact division of a binary form
+by a linear one.
 
 Everything is exact; no floating point, no genericity assumptions.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .linalg import LinearSystem, solve_affine
 from .poly import MPoly
 from .rings import Element
 
@@ -110,27 +109,26 @@ def _double_line(cone: MPoly, u: str, v: str) -> MPoly:
 
 
 def _divide_by_linear(target: MPoly, linear: MPoly, u: str, v: str):
-    """Quotient q with target = linear * q, or None if not divisible."""
-    ring = target.ring
-    registry = target.registry
-    deg = target.total_degree()
+    """Quotient q with target = linear * q, or None if not divisible: the
+    synthetic division of a binary form by p u + q v, with u and v swapped
+    when p = 0, checked by multiplying back."""
+    ring, registry = target.ring, target.registry
     if target.is_zero():
         return MPoly.zero(registry, ring)
-    qdeg = deg - 1
-    U, V = (MPoly.variable(registry, ring, n) for n in (u, v))
-    basis = [U ** (qdeg - k) * V ** k for k in range(qdeg + 1)]
-    prods = [linear * q for q in basis]
-    monos = sorted({e for p in prods for e in p.terms} | set(target.terms))
-    rows = [[p.terms.get(m, ring.zero()) for p in prods] for m in monos]
-    rhs = [target.terms.get(m, ring.zero()) for m in monos]
-    names = [f"q{k}" for k in range(qdeg + 1)]
-    sol = solve_affine(LinearSystem(names, rows, rhs, ring))
-    if not sol.is_consistent():
+    p, q = linear.coefficient({u: 1}), linear.coefficient({v: 1})
+    if p.is_zero():
+        u, v, p, q = v, u, q, p
+    if p.is_zero():
         return None
-    out = MPoly.zero(registry, ring)
-    for q, name in zip(basis, names):
-        out = out + q.scale(sol.particular[name])
-    return out
+    n, p_inv = target.total_degree(), p.inverse()
+    terms, c = {}, ring.zero()
+    for k in range(n):
+        c = (target.coefficient({u: n - k, v: k}) - q * c) * p_inv
+        exps = [0] * len(registry)
+        exps[registry.index[u]], exps[registry.index[v]] = n - 1 - k, k
+        terms[tuple(exps)] = c
+    quotient = MPoly(registry, ring, terms)
+    return quotient if linear * quotient == target else None
 
 
 def classify(germ: ChartGerm) -> SingularityVerdict:
@@ -277,24 +275,3 @@ def strip_monomial_content(p: MPoly, names) -> tuple[MPoly, dict[str, int]]:
             ne[i] -= mins[n]
         terms[tuple(ne)] = c
     return MPoly(p.registry, p.ring, terms), mins
-
-
-def first_order_tangency(germ: ChartGerm, gbar: MPoly) -> bool:
-    """Does the first-order deformation g + eps*gbar stay tangent to the
-    first-axis germ {v = 0}?
-
-    Requires g smooth at the origin and simply tangent to the axis (the
-    restriction g(u, 0) vanishes to order exactly 2).  The criterion is
-    the vanishing of the deformation term at the origin.
-    """
-    verdict = classify(germ)
-    if verdict.kind != "smooth":
-        raise ValueError("germ must be smooth at the origin")
-    u, v = germ.local_vars
-    restricted = germ.poly.substitute(
-        {v: MPoly.zero(germ.poly.registry, germ.poly.ring)})
-    iu = germ.poly.registry.index[u]
-    order = min((e[iu] for e in restricted.terms), default=None)
-    if order != 2:
-        raise ValueError("germ is not simply tangent to the first axis")
-    return gbar.coefficient({}).is_zero()

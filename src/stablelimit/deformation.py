@@ -307,13 +307,13 @@ def affine_row(form: Form, alpha: Element,
 @lru_cache(maxsize=None)
 def flex_rows() -> Mapping[str, tuple[Element, ...]]:
     """Value and fiber-direction derivative rows of the first curve's
-    cloud at the two transverse diagonal points (affine chart 4)."""
+    cloud at the two transverse diagonal points 1 and 2 of
+    ``cgdata.Q_POINTS`` (affine chart 4)."""
     cloud = affine_cloud("a")
     d_along_fiber = derivative(cloud, "y")
-    i_unit = F49.i()
-    points = {1: (-i_unit, i_unit), 2: (i_unit, -i_unit)}
     out = {}
-    for k, (alpha, beta) in points.items():
+    for k in (1, 2):
+        alpha, beta = map(F49.element, cgdata.Q_POINTS[k])
         out[f"van{k}"] = affine_row(cloud, alpha, beta)
         out[f"dB1Q{k}"] = affine_row(d_along_fiber, alpha, beta)
     return MappingProxyType(out)

@@ -4,7 +4,9 @@ A series is the space of bidegree-(a, b) forms in two pairs of projective
 coordinates, cut down by point conditions: passing through a point,
 having a prescribed multiplicity there, or being tangent to a prescribed
 direction.  Every condition is a linear constraint on the (a+1)(b+1)
-monomial coefficients, so dimensions are exact rank computations.
+monomial coefficients, so dimensions are exact rank computations.  The
+Taylor coefficients behind a multiplicity or tangency condition are read
+off binomial formulas, one factor of the quadric at a time.
 
 Points are pairs of projective coordinate pairs over the working field.
 No genericity is ever assumed: independence of conditions is whatever the
@@ -13,10 +15,10 @@ rank says on the concrete points.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import rank
-from .poly import MPoly, VarRegistry
 from .rings import Element, Ring
 
 Point = tuple[tuple[Element, Element], tuple[Element, Element]]
@@ -51,68 +53,45 @@ def _check_point(pt: Point) -> None:
             raise MalformedPointError("projective pair (0 : 0)")
 
 
-def _monomials(a: int, b: int):
-    return [(i, j) for i in range(a + 1) for j in range(b + 1)]
-
-
-_LOCAL = VarRegistry(("u", "v"))
-
-
-def _local_expansions(a: int, b: int, pt: Point, ring: Ring) -> list[MPoly]:
-    """Each basis monomial expanded in affine coordinates centered at pt.
-
-    The chart normalizes the larger pattern of the projective pair: for a
-    pair (p0 : p1) with p1 != 0 the affine value is p0/p1 and the local
-    coordinate u satisfies value = p0/p1 + u; when p1 = 0 the chart is at
-    infinity and u is the reciprocal coordinate.
-    """
-    _check_point(pt)
-    (a0, a1), (b0, b1) = pt
-    one = MPoly.constant(_LOCAL, ring.one())
-    u = MPoly.variable(_LOCAL, ring, "u")
-    v = MPoly.variable(_LOCAL, ring, "v")
-
-    def coords(p0, p1, var):
-        # returns (first, second) substitutions for the projective pair
-        if not p1.is_zero():
-            affine = p0 * p1.inverse()
-            return MPoly.constant(_LOCAL, affine) + var, one
-        return one, var  # point at infinity: (1 : u), u = 0 at the point
-
-    au, av = coords(a0, a1, u)
-    bu, bv = coords(b0, b1, v)
-    out = []
-    for i, j in _monomials(a, b):
-        out.append((au ** i) * (av ** (a - i)) * (bu ** j) * (bv ** (b - j)))
-    return out
+def _chart_coefficients(pair: tuple[Element, Element], d: int, k: int,
+                        ring: Ring) -> list[Element]:
+    """Coefficient of t^k in each x^i y^(d-i), i = 0..d, at the pair
+    (p0 : p1): C(i, k) (p0/p1)^(i-k) in the chart x = p0/p1 + t, y = 1, and
+    [d - i = k] at infinity (p1 = 0), where x = 1, y = t."""
+    p0, p1 = pair
+    zero = ring.zero()
+    if p1.is_zero():
+        if p0.is_zero():
+            raise MalformedPointError("projective pair (0 : 0)")
+        return [ring.one() if d - i == k else zero for i in range(d + 1)]
+    x0 = p0 * p1.inverse()
+    return [ring.from_int(comb(i, k)) * x0 ** (i - k) if i >= k else zero
+            for i in range(d + 1)]
 
 
 def _condition_rows(a: int, b: int, cond, ring: Ring) -> list[list[Element]]:
     if isinstance(cond, PassThrough):
         _check_point(cond.point)
         (a0, a1), (b0, b1) = cond.point
-        row = []
-        for i, j in _monomials(a, b):
-            row.append((a0 ** i) * (a1 ** (a - i)) * (b0 ** j) * (b1 ** (b - j)))
-        return [row]
+        return [[a0 ** i * a1 ** (a - i) * b0 ** j * b1 ** (b - j)
+                 for i in range(a + 1) for j in range(b + 1)]]
     if isinstance(cond, MultiplicityAtLeast):
         if cond.m < 1:
             raise ValueError("multiplicity must be at least 1")
-        expansions = _local_expansions(a, b, cond.point, ring)
-        rows = []
-        for du in range(cond.m):
-            for dv in range(cond.m - du):
-                rows.append([p.coefficient({"u": du, "v": dv})
-                             for p in expansions])
-        return rows
+        (A, B), m = cond.point, cond.m
+        xs = [_chart_coefficients(A, a, k, ring) for k in range(m)]
+        ys = [_chart_coefficients(B, b, k, ring) for k in range(m)]
+        return [[x * y for x in xs[du] for y in ys[dv]]
+                for du in range(m) for dv in range(m - du)]
     if isinstance(cond, TangentDirection):
         du, dv = cond.direction
         if du.is_zero() and dv.is_zero():
             raise ValueError("tangent direction must be nonzero")
-        expansions = _local_expansions(a, b, cond.point, ring)
-        row = [p.coefficient({"u": 1}) * du + p.coefficient({"v": 1}) * dv
-               for p in expansions]
-        return [row]
+        A, B = cond.point
+        x0, x1 = (_chart_coefficients(A, a, k, ring) for k in (0, 1))
+        y0, y1 = (_chart_coefficients(B, b, k, ring) for k in (0, 1))
+        return [[x1[i] * y0[j] * du + x0[i] * y1[j] * dv
+                 for i in range(a + 1) for j in range(b + 1)]]
     raise TypeError(f"unknown condition {cond!r}")
 
 
@@ -147,18 +126,16 @@ def split_sections_vanishing(points: Sequence[Point], ring: Ring) -> int:
 def distinct_fiber_counts(points: Sequence[Point]) -> tuple[int, int]:
     """Number of distinct first-factor and second-factor fibers through
     the points (the positional hypothesis behind the vanishing count)."""
-    firsts = set()
-    seconds = set()
-    for (A, B) in points:
-        firsts.add(normalize_pair(A))
-        seconds.add(normalize_pair(B))
-    return len(firsts), len(seconds)
+    return (len({normalize_pair(A) for A, _ in points}),
+            len({normalize_pair(B) for _, B in points}))
 
 
 def normalize_pair(pair: tuple[Element, Element]):
     """Canonical label of a projective pair (p0 : p1): ("affine", the int
-    payload of p0/p1), or ("infinity",)."""
+    payload of p0/p1), or ("infinity",).  (0 : 0) is refused."""
     p0, p1 = pair
     if not p1.is_zero():
         return ("affine", (p0 * p1.inverse()).payload)
+    if p0.is_zero():
+        raise MalformedPointError("projective pair (0 : 0)")
     return ("infinity",)

@@ -49,6 +49,17 @@ def test_single_scenario_json(capsys):
                            "millis"}
 
 
+def test_repeated_scenario_is_run_and_reported_once(capsys):
+    assert main(["run", "--scenario", "diophantine",
+                 "--scenario", "diophantine"]) == 0
+    assert "1/1 passed" in capsys.readouterr().out
+    assert main(["run", "--format", "json", "--scenario", "gamma",
+                 "--scenario", "expansion", "--scenario", "gamma"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [s["id"] for s in doc["scenarios"]] == ["expansion", "gamma"]
+    assert doc["summary"]["passed"] == 2
+
+
 def test_full_run_reports_the_single_failure(capsys):
     # the lattice scenario carries the one published value the exact
     # computation contradicts, so a full run exits 1

@@ -6,9 +6,10 @@ import pytest
 
 from stablelimit import MPoly, PrimeField, QuadraticField, VarRegistry, parse_poly
 from stablelimit import cgdata
+from stablelimit.linalg import LinearSystem, solve_affine
 from stablelimit.curvelocal import (ChartGerm, DegenerateProjectionError,
-                                    ZeroGermError, branch_locus, classify,
-                                    first_order_tangency,
+                                    ZeroGermError, _divide_by_linear,
+                                    branch_locus, classify,
                                     infinitely_near_multiplicity,
                                     intersection_multiplicity,
                                     multiplicity_at,
@@ -208,22 +209,7 @@ def test_branch_locus_rejects_degenerate_input():
 
 
 # ----------------------------------------------------------------------
-# first-order tangency criterion
-
-
-def test_first_order_tangency_examples():
-    g = germ("v-u^2")
-    one = parse_poly("1", UV, F49)
-    u = parse_poly("u", UV, F49)
-    assert first_order_tangency(g, one) is False
-    assert first_order_tangency(g, u) is True
-
-
-def test_first_order_tangency_preconditions():
-    with pytest.raises(ValueError):
-        first_order_tangency(germ("v-u^3"), parse_poly("u", UV, F49))
-    with pytest.raises(ValueError):
-        first_order_tangency(germ("u*v"), parse_poly("u", UV, F49))
+# the stays-tangent criterion at a diagonal point
 
 
 def test_tangency_criterion_matches_diagonal_rows():
@@ -245,3 +231,65 @@ def test_tangency_criterion_matches_diagonal_rows():
                                       alpha, beta)
     for coeff, value in zip(row, expected):
         assert coeff == value * unit
+
+
+# ----------------------------------------------------------------------
+# division by a linear form, against a linear-solve reference
+
+
+def reference_divide_by_linear(target, linear, u, v):
+    """The quotient by solving linear * q = target for the coefficients
+    of a general binary form q of one degree less: a second route to the
+    quotient, through linear algebra."""
+    ring, registry = target.ring, target.registry
+    if target.is_zero():
+        return MPoly.zero(registry, ring)
+    qdeg = target.total_degree() - 1
+    U, V = (MPoly.variable(registry, ring, n) for n in (u, v))
+    basis = [U ** (qdeg - k) * V ** k for k in range(qdeg + 1)]
+    prods = [linear * q for q in basis]
+    monos = sorted({e for p in prods for e in p.terms} | set(target.terms))
+    rows = [[p.terms.get(m, ring.zero()) for p in prods] for m in monos]
+    rhs = [target.terms.get(m, ring.zero()) for m in monos]
+    names = [f"q{k}" for k in range(qdeg + 1)]
+    sol = solve_affine(LinearSystem(names, rows, rhs, ring))
+    if not sol.is_consistent():
+        return None
+    out = MPoly.zero(registry, ring)
+    for q, name in zip(basis, names):
+        out = out + q.scale(sol.particular[name])
+    return out
+
+
+def _binary_form(rng, u, v, degree):
+    """A random binary form of the degree in the chart variables u, v."""
+    U, V = (MPoly.variable(cgdata.AB, F49, n) for n in (u, v))
+    out = MPoly.zero(cgdata.AB, F49)
+    for k in range(degree + 1):
+        out = out + (U ** (degree - k) * V ** k).scale(F49.random_element(rng))
+    return out
+
+
+def test_division_matches_the_linear_solve_reference():
+    rng = random.Random(2024)
+    divisible = 0
+    for trial in range(400):
+        u, v = cgdata.CHARTS[trial % 4 + 1]
+        U, V = (MPoly.variable(cgdata.AB, F49, n) for n in (u, v))
+        p = F49.zero() if trial % 5 == 0 else F49.random_element(rng)
+        q = F49.random_element(rng)
+        if p.is_zero() and q.is_zero():
+            q = F49.one()
+        linear = U.scale(p) + V.scale(q)
+        degree = rng.randrange(5)
+        if trial % 7 == 0:
+            target = MPoly.zero(cgdata.AB, F49)
+        elif degree > 0 and trial % 2:
+            target = linear * _binary_form(rng, u, v, degree - 1)
+        else:
+            target = _binary_form(rng, u, v, degree)
+        expected = reference_divide_by_linear(target, linear, u, v)
+        assert _divide_by_linear(target, linear, u, v) == expected, \
+            (target, linear)
+        divisible += expected is not None and not target.is_zero()
+    assert 100 < divisible < 300

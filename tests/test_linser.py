@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from stablelimit import PrimeField, QuadraticField, scenarios
+from stablelimit import MPoly, PrimeField, QuadraticField, VarRegistry, scenarios
 from stablelimit.linser import (MalformedPointError, MultiplicityAtLeast,
                                 PassThrough, TangentDirection,
                                 _condition_rows, distinct_fiber_counts,
-                                series_dimension, split_sections_vanishing)
+                                normalize_pair, series_dimension,
+                                split_sections_vanishing)
 from stablelimit.linalg import rank
 from test_deformation import _gf7_rank, _realify
 
@@ -113,6 +114,10 @@ def test_malformed_point_rejected():
         series_dimension((1, 1), [PassThrough(bad)], F49)
     with pytest.raises(MalformedPointError):
         split_sections_vanishing((bad,), F49)
+    with pytest.raises(MalformedPointError):
+        normalize_pair((ZERO, ZERO))
+    with pytest.raises(MalformedPointError):
+        distinct_fiber_counts([bad, ((ONE, ZERO), (ONE, ONE))])
 
 
 def test_points_at_infinity_handled():
@@ -120,6 +125,66 @@ def test_points_at_infinity_handled():
     assert series_dimension((1, 1), conds, F49) == 3
     conds.append(TangentDirection(pt_at_infinity_both(), (ONE, ONE)))
     assert series_dimension((1, 1), conds, F49) == 2
+
+
+# ----------------------------------------------------------------------
+# condition rows against a polynomial-expansion reference
+
+_UV = VarRegistry(("u", "v"))
+
+
+def reference_condition_rows(a, b, cond, ring):
+    """Multiplicity and tangency rows read off each basis monomial
+    expanded as a polynomial in local coordinates u, v at the point: a
+    second route to the rows, through polynomial arithmetic."""
+    one = MPoly.constant(_UV, ring.one())
+
+    def coords(p0, p1, var):
+        if not p1.is_zero():
+            return MPoly.constant(_UV, p0 * p1.inverse()) + var, one
+        return one, var
+
+    (a0, a1), (b0, b1) = cond.point
+    au, av = coords(a0, a1, MPoly.variable(_UV, ring, "u"))
+    bu, bv = coords(b0, b1, MPoly.variable(_UV, ring, "v"))
+    expansions = [au ** i * av ** (a - i) * bu ** j * bv ** (b - j)
+                  for i in range(a + 1) for j in range(b + 1)]
+    if isinstance(cond, MultiplicityAtLeast):
+        return [[p.coefficient({"u": du, "v": dv}) for p in expansions]
+                for du in range(cond.m) for dv in range(cond.m - du)]
+    du, dv = cond.direction
+    return [[p.coefficient({"u": 1}) * du + p.coefficient({"v": 1}) * dv
+             for p in expansions]]
+
+
+def _nonzero(rng, ring):
+    while True:
+        x = ring.random_element(rng)
+        if not x.is_zero():
+            return x
+
+
+def _random_pair(rng, ring):
+    """A projective pair: affine (any p0, nonzero p1) or at infinity
+    (nonzero p0, p1 = 0)."""
+    if rng.randrange(3) == 0:
+        return _nonzero(rng, ring), ring.zero()
+    return ring.random_element(rng), _nonzero(rng, ring)
+
+
+@pytest.mark.parametrize("ring", [F49, F7], ids=["GF(49)", "GF(7)"])
+def test_condition_rows_match_the_expansion_reference(ring):
+    rng = random.Random(1409)
+    for _ in range(200):
+        a, b = rng.randrange(5), rng.randrange(5)
+        point = (_random_pair(rng, ring), _random_pair(rng, ring))
+        if rng.randrange(2):
+            cond = MultiplicityAtLeast(point, rng.randrange(1, 5))
+        else:
+            direction = (ring.random_element(rng), _nonzero(rng, ring))
+            cond = TangentDirection(point, direction[::rng.choice((1, -1))])
+        assert _condition_rows(a, b, cond, ring) == \
+            reference_condition_rows(a, b, cond, ring), cond
 
 
 # ----------------------------------------------------------------------
