@@ -1,23 +1,28 @@
-"""Dense exact linear algebra over GF(p) and GF(p²), on int codes.
+"""Exact linear algebra over GF(p) and GF(p²), on int codes.
 
 Systems are affine-linear: named variables, a coefficient matrix, and a
 right-hand side, all over one exact field.  Elimination uses the fixed
-pivoting rule "first nonzero entry in column order", which makes every
-reduced form, kernel basis, and report deterministic.
+pivoting rule "first nonzero entry in column order" and reduces fully,
+which makes every reduced form, kernel basis, and report deterministic.
 
 The elimination runs on payloads, not on ``Element``s, through the
 small-field table set that ``rings.field_tables`` keeps for each field:
 a payload is its element's code there (a residue in GF(p), the int
 a + p*b for a+bi in GF(p²)), so zero is 0 and one is 1.  Rows are
-unboxed once on the way in, and the entries a caller gets back are
-decoded by the ring's ``_wrap``, which returns its interned elements.
-A field of more than 256 elements has no table set, and raises
-``ValueError``.
+unboxed once on the way in, in the same pass that checks each entry's
+ring (an equal ring is accepted) and each row's width, and the entries a
+caller gets back are decoded by the ring's ``_wrap``, which returns its
+interned elements.  A field of more than 256 elements has no table set,
+and raises ``ValueError``.  The systems are mostly zeros, so each pivot
+row is kept as the list of its nonzero entries and applied to the other
+rows only at those columns.
 
 The operations are rank, affine solving (inconsistency is a status, not
 an error), projection of the solution set onto a subset of the variables
-(``eliminate``), row-space comparison of two systems, and the test of
-candidate rows against one echelon form (``outside_span``).
+(``eliminate``), row-space comparison of two systems (a row space has
+one reduced row echelon form, so two are equal exactly when their
+reduced forms are), and the test of candidate rows against one echelon
+form (``outside_span``).
 """
 
 from __future__ import annotations
@@ -82,16 +87,40 @@ class SolutionSet:
         return self.status == "affine"
 
 
+def _foreign_payload(x: Element, ring: Ring):
+    """The payload of an entry whose ring is not ``ring`` itself: an
+    equal ring is accepted, any other raises ``RingMismatchError``."""
+    if x.ring != ring:
+        raise RingMismatchError("matrix entry from a foreign ring")
+    return x.payload
+
+
+def _unbox(rows: Iterable[Sequence[Element]], ring: Ring,
+           width: int | None = None) -> list[list[int]]:
+    """The payload rows of Element rows, in one pass that also checks
+    each entry's ring.  Every row must have ``width`` entries, or as
+    many as the first row when ``width`` is None."""
+    work = [[x.payload if x.ring is ring else _foreign_payload(x, ring)
+             for x in row] for row in rows]
+    if work and width is None:
+        width = len(work[0])
+    for row in work:
+        if len(row) != width:
+            raise ValueError(
+                f"row of width {len(row)} among rows of width {width}")
+    return work
+
+
 def _row_echelon(rows: Iterable[Sequence[Element]],
                  ring: Ring) -> tuple[list[list[int]], list[int]]:
     """Fully reduced row echelon form of the rows.
 
     Returns the rows as codes (pivot rows first, each scaled to a leading
-    1) and the pivot column indices.  The callers have checked that every
-    entry lies in ``ring``.
+    1) and the pivot column indices.  Each pivot row is applied to the
+    others only at its nonzero entries.
     """
     tables = field_tables(ring)     # refuses a ring without tables, rows or not
-    work = [[x.payload for x in row] for row in rows]
+    work = _unbox(rows, ring)
     if not work:
         return work, []
     mul, sub, inv = tables.mul, tables.sub, tables.inv
@@ -105,16 +134,19 @@ def _row_echelon(rows: Iterable[Sequence[Element]],
                 break
         else:
             continue
-        work[r], work[i] = work[i], work[r]
-        scale = mul[inv[work[r][c]]]
-        tail = [scale[y] for y in work[r][c:]]
-        work[r][c:] = tail
-        for i in range(nrows):
-            row = work[i]
+        pivot_row = work[i]
+        work[r], work[i] = pivot_row, work[r]
+        scale = mul[inv[pivot_row[c]]]
+        tail = [scale[y] for y in pivot_row[c:]]
+        pivot_row[c:] = tail
+        nonzero = [(j, y) for j, y in enumerate(tail[1:], c + 1) if y]
+        for i, row in enumerate(work):
             f = row[c]
             if f and i != r:
                 times_f = mul[f]
-                row[c:] = [sub[x][times_f[y]] for x, y in zip(row[c:], tail)]
+                row[c] = 0
+                for j, y in nonzero:
+                    row[j] = sub[row[j]][times_f[y]]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -122,16 +154,8 @@ def _row_echelon(rows: Iterable[Sequence[Element]],
     return work, pivots
 
 
-def _require_ring(rows: Iterable[Sequence[Element]], ring: Ring) -> None:
-    for row in rows:
-        for x in row:
-            if x.ring is not ring and x.ring != ring:
-                raise RingMismatchError("matrix entry from a foreign ring")
-
-
 def rank(rows: Sequence[Sequence[Element]], ring: Ring) -> int:
     """Row rank under exact Gaussian elimination."""
-    _require_ring(rows, ring)
     return len(_row_echelon(rows, ring)[1])
 
 
@@ -140,23 +164,21 @@ def outside_span(rows: Sequence[Sequence[Element]],
                  ring: Ring) -> list[bool]:
     """For each candidate row, whether it lies outside the row span of
     ``rows``: the rows are echeloned once and each candidate is reduced
-    against that form."""
-    candidates = list(candidates)
-    _require_ring(rows, ring)
-    _require_ring(candidates, ring)
+    against that form.  A candidate must be as wide as the rows."""
     reduced, pivots = _row_echelon(rows, ring)
+    work = _unbox(candidates, ring, len(reduced[0]) if reduced else None)
     tables = field_tables(ring)
     mul, sub = tables.mul, tables.sub
     out = []
-    for candidate in candidates:
-        work = [x.payload for x in candidate]
+    for candidate in work:
         for row, c in zip(reduced, pivots):
-            f = work[c]
+            f = candidate[c]
             if f:
                 # a reduced pivot row is zero at every other pivot column
                 times_f = mul[f]
-                work = [sub[x][times_f[y]] for x, y in zip(work, row)]
-        out.append(any(work))
+                candidate = [sub[x][times_f[y]]
+                             for x, y in zip(candidate, row)]
+        out.append(any(candidate))
     return out
 
 
@@ -220,16 +242,16 @@ def eliminate(system: LinearSystem, aux: Iterable[str]) -> LinearSystem:
 
 
 def rowspace_equal(s1: LinearSystem, s2: LinearSystem) -> bool:
-    """True iff the augmented row spaces coincide (mutual containment)."""
+    """True iff the augmented row spaces coincide: a row space has one
+    reduced row echelon form, so the two nonzero reduced forms agree."""
     if set(s1.variables) != set(s2.variables):
         raise ValueError("variable sets differ")
     order = s1.variables
     idx2 = [s2.variables.index(v) for v in order]
-    rows1 = [(*row, b) for row, b in zip(s1.rows, s1.rhs)]
-    rows2 = [(*(row[i] for i in idx2), b) for row, b in zip(s2.rows, s2.rhs)]
     ring = s1.ring
-    r1 = rank(rows1, ring)
-    r2 = rank(rows2, ring)
-    if r1 != r2:
-        return False
-    return rank(rows1 + rows2, ring) == r1
+    reduced1, pivots1 = _row_echelon(
+        [(*row, b) for row, b in zip(s1.rows, s1.rhs)], ring)
+    reduced2, pivots2 = _row_echelon(
+        [(*(row[i] for i in idx2), b) for row, b in zip(s2.rows, s2.rhs)],
+        ring)
+    return reduced1[:len(pivots1)] == reduced2[:len(pivots2)]

@@ -1025,10 +1025,8 @@ def multiple_fiber_scan(target: int, bound: int) -> list[tuple[int, int, int]]:
     out = []
     for m1 in range(2, bound + 1):
         for m2 in range(m1 + 1, bound + 1):
-            if gcd(m1, m2) != 1:
-                continue
             v = m1 * m2 - m1 - m2
-            if v > 0 and target % v == 0:
+            if v > 0 and target % v == 0 and gcd(m1, m2) == 1:
                 out.append((target // v, m1, m2))
     return sorted(out)
 

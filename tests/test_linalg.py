@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from stablelimit import (ZZ, LinearSystem, PrimeField, QuadraticField, ZMod,
-                         eliminate, rank, rowspace_equal, solve_affine)
+from stablelimit import (ZZ, LinearSystem, PrimeField, QuadraticField,
+                         RingMismatchError, ZMod, eliminate, rank,
+                         rowspace_equal, solve_affine)
 from stablelimit.linalg import _row_echelon, outside_span
 from stablelimit.rings import NonUnitError, field_tables
 
@@ -145,6 +146,66 @@ def test_kernel_matches_element_elimination(ring):
         assert [[elements[x] for x in row] for row in coded] == expected_rows
 
 
+def rand_sparse_mat(rng, nrows, ncols, density, ring):
+    """Seeded sparse rows like those of the deformation systems: some
+    columns zero throughout, duplicate rows (some scaled), and rows that
+    share the leading column of an earlier row but little else, so that
+    they fill in when it is subtracted."""
+    units = field_tables(ring).elements[1:]
+    zero = ring.zero()
+    zero_columns = set(rng.sample(range(ncols), max(1, ncols // 8)))
+
+    def sparse_row(p):
+        return [rng.choice(units)
+                if c not in zero_columns and rng.random() < p else zero
+                for c in range(ncols)]
+
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1 and rows:
+            s = rng.choice(units)
+            rows.append([s * x for x in rng.choice(rows)])
+        elif kind < 0.25 and rows:
+            earlier = rng.choice(rows)
+            lead = next((c for c, x in enumerate(earlier) if not x.is_zero()),
+                        None)
+            row = sparse_row(density / 4)
+            if lead is not None:
+                row[lead] = rng.choice(units)
+            rows.append(row)
+        elif kind < 0.35:
+            rows.append(sparse_row(min(1.0, 2 * density)))
+        else:
+            rows.append(sparse_row(density))
+    return rows
+
+
+@pytest.mark.parametrize("ring", [F7, F49], ids=["GF7", "GF49"])
+def test_sparse_kernel_matches_element_elimination(ring):
+    # the shapes of the derived systems (28 x 41 and 56 x 41) and of the
+    # published ones (16 x 20), and one wider shape (44 x 57)
+    rng = random.Random(67)
+    elements = field_tables(ring).elements
+    shapes = [(28, 41), (44, 57), (56, 41), (16, 20)]
+    densities = [0.05, 0.1, 0.17, 0.3, 0.5]
+    filled = 0
+    for trial in range(20):     # every shape at every density
+        nrows, ncols = shapes[trial % len(shapes)]
+        density = densities[trial % len(densities)]
+        rows = rand_sparse_mat(rng, nrows, ncols, density, ring)
+        assert any(all(row[c].is_zero() for row in rows)
+                   for c in range(ncols))
+        expected_rows, expected_pivots = reference_row_echelon(rows)
+        coded, pivots = _row_echelon(rows, ring)
+        assert pivots == expected_pivots
+        assert [[elements[x] for x in row] for row in coded] == expected_rows
+        nonzero_in = sum(not x.is_zero() for row in rows for x in row)
+        nonzero_out = sum(x != 0 for row in coded for x in row)
+        filled += nonzero_out > nonzero_in
+    assert filled   # some reduced forms are denser than their input
+
+
 def test_fields_above_the_table_order_limit_are_refused():
     # GF(257) would need three 257 x 257 tables; the limit is checked
     # before any is built, for GF(p) as for GF(p^2)
@@ -226,6 +287,59 @@ def test_kernel_needs_a_field():
     rows = [[z343.from_int(x) for x in row] for row in ((1, 2), (3, 4))]
     with pytest.raises(ValueError):
         rank(rows, z343)
+
+
+def test_rows_of_unequal_width_are_refused():
+    with pytest.raises(ValueError, match="width"):
+        rank(mat([[1, 0], [0, 0, 1]]), F7)
+
+
+def test_candidates_of_another_width_are_refused():
+    with pytest.raises(ValueError, match="width"):
+        outside_span(mat([[1, 0]]), mat([[1, 0, 1]]), F7)
+    with pytest.raises(ValueError, match="width"):
+        outside_span([], mat([[1, 0], [1]]), F7)
+
+
+@pytest.mark.parametrize("foreign", [F49, PrimeField(5), ZMod(7, 2)], ids=repr)
+def test_one_foreign_entry_is_refused(foreign):
+    # the entry's payload, 3, is a valid GF(7) code: only the ring check
+    # can tell it apart
+    rows = mat([[1, 2, 0], [0, 1, 4]])
+    bad = [list(row) for row in rows]
+    bad[1][2] = foreign.from_int(3)
+    with pytest.raises(RingMismatchError):
+        rank(bad, F7)
+    with pytest.raises(RingMismatchError):
+        outside_span(bad, mat([[1, 1, 1]]), F7)
+    with pytest.raises(RingMismatchError):
+        outside_span(rows, [bad[1]], F7)
+    names = ("x", "y")
+    s1 = LinearSystem(names, mat([[1, 2]]), [F7.one()], F7)
+    s2 = LinearSystem(names, [[foreign.from_int(1), foreign.from_int(2)]],
+                      [foreign.one()], foreign)
+    with pytest.raises(RingMismatchError):
+        rowspace_equal(s1, s2)
+
+
+def test_entries_of_an_equal_ring_are_accepted():
+    twin = PrimeField(7)
+    assert twin is not F7 and twin == F7
+    rows = mat([[1, 2, 0], [0, 1, 4], [1, 3, 4]])
+    mixed = [list(row) for row in rows]
+    mixed[1][2] = twin.from_int(4)
+    assert rank(mixed, F7) == rank(rows, F7) == 2
+    candidates = mat([[1, 1, 1], [2, 4, 0]])
+    expected = outside_span(rows, candidates, F7)
+    assert expected == [True, False]
+    assert outside_span(mixed, candidates, F7) == expected
+    assert outside_span(rows, [[twin.from_int(x.payload) for x in row]
+                               for row in candidates], F7) == expected
+    names = ("x", "y", "z")
+    s1 = LinearSystem(names, rows, [F7.one(), F7.zero(), F7.one()], F7)
+    s2 = LinearSystem(names, mat(((1, 2, 0), (0, 1, 4)), twin),
+                      [twin.one(), twin.zero()], twin)
+    assert rowspace_equal(s1, s2) and rowspace_equal(s2, s1)
 
 
 # ----------------------------------------------------------------------
@@ -380,3 +494,79 @@ def test_rowspace_variable_mismatch():
     b = LinearSystem(("y",), mat([[1]]), [F7.zero()], F7)
     with pytest.raises(ValueError):
         rowspace_equal(a, b)
+
+
+def reference_rowspace_equal(s1, s2):
+    """Row spaces by mutual containment: equal iff r1 = r2 = rank of the
+    stacked rows, eliminating three times."""
+    order = s1.variables
+    idx2 = [s2.variables.index(v) for v in order]
+    rows1 = [(*row, b) for row, b in zip(s1.rows, s1.rhs)]
+    rows2 = [(*(row[i] for i in idx2), b) for row, b in zip(s2.rows, s2.rhs)]
+    r1 = len(reference_row_echelon(rows1)[1])
+    r2 = len(reference_row_echelon(rows2)[1])
+    return r1 == r2 == len(reference_row_echelon(rows1 + rows2)[1])
+
+
+def augmented_rank(system):
+    return len(reference_row_echelon(
+        [(*row, b) for row, b in zip(system.rows, system.rhs)])[1])
+
+
+@pytest.mark.parametrize("ring", [F7, F49], ids=["GF7", "GF49"])
+def test_rowspace_equal_matches_the_three_rank_reference(ring):
+    rng = random.Random(71)
+    units = field_tables(ring).elements[1:]
+    seen = {"equal": 0, "same rank": 0, "other rank": 0, "rhs": 0}
+    for trial in range(40):
+        nrows, ncols = rng.choice([(3, 4), (6, 5), (9, 12), (16, 20)])
+        density = rng.choice([0.1, 0.3, 0.5])
+        names = tuple(f"v{i}" for i in range(ncols))
+        full = rand_sparse_mat(rng, nrows, ncols + 1, density, ring)
+        rows, rhs = [row[:-1] for row in full], [row[-1] for row in full]
+        s1 = LinearSystem(names, rows, rhs, ring)
+        kind = trial % 4
+        if kind == 0:
+            # rows permuted and scaled, and the variables reordered
+            perm = rng.sample(range(nrows), nrows)
+            scales = [rng.choice(units) for _ in range(nrows)]
+            order = rng.sample(range(ncols), ncols)
+            s2 = LinearSystem(
+                [names[j] for j in order],
+                [[scales[k] * rows[i][j] for j in order]
+                 for k, i in enumerate(perm)],
+                [scales[k] * rhs[i] for k, i in enumerate(perm)], ring)
+        elif kind == 1:
+            # one row swapped for another row
+            extra = rand_sparse_mat(rng, 1, ncols + 1, density, ring)[0]
+            s2 = LinearSystem(names, rows[1:] + [extra[:-1]],
+                              rhs[1:] + [extra[-1]], ring)
+        elif kind == 2:
+            # one row dropped or one row added
+            if rng.random() < 0.5:
+                s2 = LinearSystem(names, rows[1:], rhs[1:], ring)
+            else:
+                extra = rand_sparse_mat(rng, 1, ncols + 1, density, ring)[0]
+                s2 = LinearSystem(names, rows + [extra[:-1]],
+                                  rhs + [extra[-1]], ring)
+        else:
+            # the same coefficients, one right-hand side changed
+            changed = list(rhs)
+            i = rng.randrange(nrows)
+            changed[i] = changed[i] + rng.choice(units)
+            s2 = LinearSystem(names, rows, changed, ring)
+        expected = reference_rowspace_equal(s1, s2)
+        assert rowspace_equal(s1, s2) == expected
+        assert rowspace_equal(s2, s1) == expected
+        same_rank = augmented_rank(s1) == augmented_rank(s2)
+        if kind == 0:
+            assert expected
+            seen["equal"] += 1
+        elif kind == 3:
+            seen["rhs"] += not expected
+        elif same_rank:
+            seen["same rank"] += not expected
+        else:
+            assert not expected
+            seen["other rank"] += 1
+    assert all(seen.values()), seen

@@ -2,6 +2,7 @@
 
 import json
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -119,6 +120,26 @@ def test_provenance_tags_are_recorded():
     report = scenarios.run_scenario("diophantine")
     assert report.provenance["solutions up to bound 100"] == "published"
     assert report.provenance["regression: target 3 solution set"] == "derived"
+
+
+def reference_multiple_fiber_scan(target, bound):
+    """The scan as it was first written: the coprimality test first."""
+    out = []
+    for m1 in range(2, bound + 1):
+        for m2 in range(m1 + 1, bound + 1):
+            if gcd(m1, m2) != 1:
+                continue
+            v = m1 * m2 - m1 - m2
+            if v > 0 and target % v == 0:
+                out.append((target // v, m1, m2))
+    return sorted(out)
+
+
+def test_multiple_fiber_scan_matches_the_reference():
+    for target in range(1, 13):
+        for bound in range(2, 41):
+            assert (scenarios.multiple_fiber_scan(target, bound)
+                    == reference_multiple_fiber_scan(target, bound))
 
 
 # ----------------------------------------------------------------------
