@@ -48,7 +48,7 @@ from typing import Mapping
 
 from . import cgdata
 from .curvelocal import _divide_by_linear
-from .linalg import LinearSystem, eliminate, rank, solve_affine
+from .linalg import LinearSystem, eliminate, solve_affine
 from .poly import _MASK, MPoly, VarRegistry, unit_match
 from .rings import Element, QuadraticField
 
@@ -159,7 +159,10 @@ class DerivedSystem:
 
     @property
     def rank(self) -> int:
-        return rank(self.system.rows, F49)
+        """The rank of the projected system: the pivots of its reduced
+        form left of the right-hand-side column."""
+        n = len(self.system.variables)
+        return sum(c < n for c in self.system.reduced_form()[1])
 
     def without_cubic_condition(self) -> "DerivedSystem":
         """The sensitivity control: the same raw rows with the first
@@ -412,8 +415,10 @@ def stacked_system(unknowns, rows, named_rows: Mapping[str, tuple],
     return LinearSystem(unknowns, rows, rhs, F49)
 
 
+@lru_cache(maxsize=None)
 def build_published_system(zero_rows, unit_rows) -> LinearSystem:
-    """A published deformation system over the 19 essentials."""
+    """A published deformation system over the 19 essentials; built once
+    for each pair of row-name tuples, so its reduced form is kept."""
     return stacked_system(cgdata.ESSENTIAL_UNKNOWNS, leftover_rows(),
                           essential_diagonal_rows(), zero_rows, unit_rows)
 

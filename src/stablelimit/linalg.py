@@ -15,14 +15,21 @@ caller gets back are decoded by the ring's ``_wrap``, which returns its
 interned elements.  A field of more than 256 elements has no table set,
 and raises ``ValueError``.  The systems are mostly zeros, so each pivot
 row is kept as the list of its nonzero entries and applied to the other
-rows only at those columns.
+rows, and to the candidates of ``outside_span``, only at those columns.
+
+A ``LinearSystem`` is immutable and has one reduced form of ``[A | b]``:
+its nonzero code rows and pivot columns, eliminated on first use, kept on
+the system as tuples and shared by every later reader.  A system built
+once and kept in a cache is therefore eliminated once per process.
 
 The operations are rank, affine solving (inconsistency is a status, not
 an error), projection of the solution set onto a subset of the variables
 (``eliminate``), row-space comparison of two systems (a row space has
 one reduced row echelon form, so two are equal exactly when their
 reduced forms are), and the test of candidate rows against one echelon
-form (``outside_span``).
+form (``outside_span``).  ``solve_affine`` and ``rowspace_equal`` read
+the systems' reduced forms; ``rank``, ``eliminate`` and ``outside_span``
+eliminate the rows they are handed.
 """
 
 from __future__ import annotations
@@ -33,35 +40,72 @@ from .rings import Element, Ring, RingMismatchError, field_tables
 
 
 class LinearSystem:
-    """An affine-linear system  A x = b  with named variables.
+    """An affine-linear system  A x = b  with named variables; immutable.
 
-    ``rows`` is a tuple of tuples and ``rhs`` a tuple, so a system shared
-    through a cache cannot be changed by whoever reads it.
+    ``rows`` is a tuple of tuples and ``rhs`` a tuple, and no attribute
+    can be assigned or deleted, so a system shared through a cache cannot
+    be changed by whoever reads it.  The reduced form of ``[A | b]`` is
+    computed on first use and kept on the system (``reduced_form``).
     """
+
+    __slots__ = ("variables", "rows", "rhs", "ring", "_reduced")
 
     def __init__(self, variables: Sequence[str], rows: Iterable[Sequence[Element]],
                  rhs: Iterable[Element], ring: Ring):
-        self.variables = tuple(variables)
-        if len(set(self.variables)) != len(self.variables):
+        variables = tuple(variables)
+        if len(set(variables)) != len(variables):
             raise ValueError("variable names must be distinct")
-        self.ring = ring
-        self.rows = tuple(tuple(r) for r in rows)
-        self.rhs = tuple(rhs)
-        if len(self.rows) != len(self.rhs):
+        rows = tuple(tuple(r) for r in rows)
+        rhs = tuple(rhs)
+        if len(rows) != len(rhs):
             raise ValueError("row/rhs count mismatch")
-        for row in self.rows:
-            if len(row) != len(self.variables):
+        for row in rows:
+            if len(row) != len(variables):
                 raise ValueError("row width does not match variable count")
             for entry in row:
                 if entry.ring is not ring and entry.ring != ring:
                     raise RingMismatchError("matrix entry from a foreign ring")
-        for entry in self.rhs:
+        for entry in rhs:
             if entry.ring is not ring and entry.ring != ring:
                 raise RingMismatchError("rhs entry from a foreign ring")
+        _set_variables(self, variables)
+        _set_rows(self, rows)
+        _set_rhs(self, rhs)
+        _set_ring(self, ring)
+        _set_reduced(self, None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("linear systems are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("linear systems are immutable")
+
+    def reduced_form(self) -> tuple[tuple[tuple[int, ...], ...],
+                                    tuple[int, ...]]:
+        """The nonzero rows of the fully reduced row echelon form of
+        ``[A | b]``, as codes, and their pivot columns (column
+        ``len(variables)`` is the right-hand side).  Eliminated once, on
+        first use, and shared by every later reader."""
+        form = self._reduced
+        if form is None:
+            reduced, pivots = _row_echelon(
+                [(*row, b) for row, b in zip(self.rows, self.rhs)], self.ring)
+            form = (tuple(map(tuple, reduced[:len(pivots)])), tuple(pivots))
+            _set_reduced(self, form)
+        return form
 
     def __repr__(self):
         return (f"LinearSystem({len(self.rows)} equations, "
                 f"{len(self.variables)} variables over {self.ring!r})")
+
+
+# Systems are built, and their reduced form stored, through the slot
+# descriptors, which bypass the immutability guard in
+# ``LinearSystem.__setattr__``.
+_set_variables, _set_rows = (LinearSystem.variables.__set__,
+                             LinearSystem.rows.__set__)
+_set_rhs, _set_ring = LinearSystem.rhs.__set__, LinearSystem.ring.__set__
+_set_reduced = LinearSystem._reduced.__set__
 
 
 class SolutionSet:
@@ -164,20 +208,25 @@ def outside_span(rows: Sequence[Sequence[Element]],
                  ring: Ring) -> list[bool]:
     """For each candidate row, whether it lies outside the row span of
     ``rows``: the rows are echeloned once and each candidate is reduced
-    against that form.  A candidate must be as wide as the rows."""
+    against that form, at the nonzero entries of each pivot row.  A
+    candidate must be as wide as the rows."""
     reduced, pivots = _row_echelon(rows, ring)
     work = _unbox(candidates, ring, len(reduced[0]) if reduced else None)
     tables = field_tables(ring)
     mul, sub = tables.mul, tables.sub
+    # a reduced pivot row is 1 at its pivot, zero left of it and at every
+    # other pivot column
+    sparse = [(c, [(j, y) for j, y in enumerate(row[c + 1:], c + 1) if y])
+              for row, c in zip(reduced, pivots)]
     out = []
     for candidate in work:
-        for row, c in zip(reduced, pivots):
+        for c, nonzero in sparse:
             f = candidate[c]
             if f:
-                # a reduced pivot row is zero at every other pivot column
                 times_f = mul[f]
-                candidate = [sub[x][times_f[y]]
-                             for x, y in zip(candidate, row)]
+                candidate[c] = 0
+                for j, y in nonzero:
+                    candidate[j] = sub[candidate[j]][times_f[y]]
         out.append(any(candidate))
     return out
 
@@ -186,8 +235,7 @@ def solve_affine(system: LinearSystem) -> SolutionSet:
     """Particular solution plus kernel basis, or the inconsistent status."""
     variables = system.variables
     n = len(variables)
-    reduced, pivots = _row_echelon(
-        [(*row, b) for row, b in zip(system.rows, system.rhs)], system.ring)
+    reduced, pivots = system.reduced_form()
     if n in pivots:
         return SolutionSet(status="inconsistent", variables=variables)
     wrap, neg = system.ring._wrap, field_tables(system.ring).sub[0]
@@ -243,15 +291,16 @@ def eliminate(system: LinearSystem, aux: Iterable[str]) -> LinearSystem:
 
 def rowspace_equal(s1: LinearSystem, s2: LinearSystem) -> bool:
     """True iff the augmented row spaces coincide: a row space has one
-    reduced row echelon form, so the two nonzero reduced forms agree."""
+    reduced row echelon form, so the two systems' reduced forms agree.
+    A second system whose variables are in another order is compared
+    through a copy with its columns in the first one's order."""
+    if s2.ring is not s1.ring and s2.ring != s1.ring:
+        raise RingMismatchError("systems over different rings")
     if set(s1.variables) != set(s2.variables):
         raise ValueError("variable sets differ")
-    order = s1.variables
-    idx2 = [s2.variables.index(v) for v in order]
-    ring = s1.ring
-    reduced1, pivots1 = _row_echelon(
-        [(*row, b) for row, b in zip(s1.rows, s1.rhs)], ring)
-    reduced2, pivots2 = _row_echelon(
-        [(*(row[i] for i in idx2), b) for row, b in zip(s2.rows, s2.rhs)],
-        ring)
-    return reduced1[:len(pivots1)] == reduced2[:len(pivots2)]
+    if s2.variables != s1.variables:
+        idx2 = [s2.variables.index(v) for v in s1.variables]
+        s2 = LinearSystem(s1.variables,
+                          [[row[i] for i in idx2] for row in s2.rows],
+                          s2.rhs, s2.ring)
+    return s1.reduced_form() == s2.reduced_form()

@@ -559,9 +559,11 @@ def scenario_deform_derive() -> VerificationReport:
     return rep
 
 
+@lru_cache(maxsize=None)
 def _corrected_system(system_id: str) -> LinearSystem:
     """A published system with the 28 corrected relations in place of the
-    published elimination list (40 unknowns)."""
+    published elimination list (40 unknowns); built once, so its reduced
+    form is kept."""
     spec = next(s for s in cgdata.SYSTEM_SPECS if s.id == system_id)
     return deformation.stacked_system(
         cgdata.MAIN_UNKNOWNS, derived_system_cached(False).system.rows,

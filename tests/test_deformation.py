@@ -1,19 +1,22 @@
 """The first-order rigidity derivation and the published linear systems."""
 
+import collections
 import hashlib
 import random
+import sys
 
 import pytest
 
-from stablelimit import MPoly, PrimeField, cgdata, deformation
+from stablelimit import MPoly, PrimeField, cgdata, deformation, linalg, scenarios
 from stablelimit.deformation import F49
 from stablelimit.linalg import outside_span, rank, rowspace_equal, solve_affine
+from stablelimit.rings import field_tables
 from stablelimit.scenarios import (_chain_rule_rows, _corrected_system,
                                    _corrected_system_feasible,
                                    _direct_value_rows, _elimination_system_28,
                                    _published_system_28, curve_pair,
                                    derived_system_cached)
-from test_linalg import residuals
+from test_linalg import reference_row_echelon, residuals
 
 
 def test_classical_conditions_hold():
@@ -232,6 +235,56 @@ def test_cached_rows_are_immutable():
         system.rows[0][0] = system.rows[0][0]
     with pytest.raises(TypeError):
         system.rhs[0] = system.rhs[0]
+
+
+def full_run_systems():
+    """Every linear system whose reduced form a full run reads."""
+    systems = {"derived": derived_system_cached(False).system,
+               "weakened": derived_system_cached(True).system,
+               "published 28": _published_system_28(),
+               "elimination 28": _elimination_system_28(),
+               "corrected system-I5": _corrected_system("system-I5")}
+    for spec in cgdata.SYSTEM_SPECS + (cgdata.LEFSCHETZ_SPEC,):
+        systems[spec.id] = deformation.build_published_system(
+            spec.zero_rows, spec.unit_rows)
+    return systems
+
+
+def test_reduced_forms_of_a_full_run_match_the_reference():
+    scenarios.run_many(None)
+    elements = field_tables(F49).elements
+    systems = full_run_systems()
+    assert len(systems) == 13
+    for name, system in systems.items():
+        assert system._reduced is not None, name    # the run filled it
+        rows, pivots = system.reduced_form()
+        expected_rows, expected_pivots = reference_row_echelon(
+            [(*row, b) for row, b in zip(system.rows, system.rhs)])
+        assert pivots == tuple(expected_pivots), name
+        assert ([[elements[x] for x in row] for row in rows]
+                == expected_rows[:len(pivots)]), name
+        assert all(x.is_zero() for row in expected_rows[len(pivots):]
+                   for x in row), name
+
+
+def test_a_warm_run_eliminates_only_in_outside_span_and_bare_row_ranks(
+        monkeypatch):
+    scenarios.run_many(None)
+    eliminate_rows = linalg._row_echelon
+    callers = collections.Counter()
+
+    def recorded(rows, ring):
+        frame = sys._getframe(1)
+        name = frame.f_code.co_name
+        if name == "rank":
+            name = f"rank from {frame.f_back.f_globals['__name__']}"
+        callers[name] += 1
+        return eliminate_rows(rows, ring)
+
+    monkeypatch.setattr(linalg, "_row_echelon", recorded)
+    scenarios.run_many(None)
+    assert callers["outside_span"] == 1
+    assert set(callers) == {"outside_span", "rank from stablelimit.linser"}
 
 
 def test_value_rows_match_direct_evaluation():

@@ -282,6 +282,51 @@ def test_outside_span_matches_rank(ring):
         assert outside_span(basis, candidates, ring) == expected
 
 
+def reference_outside_span(rows, candidates, ring):
+    """The full-width loop: each candidate is reduced against the echelon
+    form with one list comprehension over every column per pivot row."""
+    reduced, pivots = _row_echelon(rows, ring)
+    tables = field_tables(ring)
+    mul, sub = tables.mul, tables.sub
+    out = []
+    for candidate in [[x.payload for x in row] for row in candidates]:
+        for row, c in zip(reduced, pivots):
+            f = candidate[c]
+            if f:
+                times_f = mul[f]
+                candidate = [sub[x][times_f[y]]
+                             for x, y in zip(candidate, row)]
+        out.append(any(candidate))
+    return out
+
+
+@pytest.mark.parametrize("ring", [F7, F49], ids=["GF7", "GF49"])
+def test_sparse_outside_span_matches_the_full_width_reference(ring):
+    # the shapes of deform-derive's test (28 derived rows, 28 candidates
+    # over 40 unknowns) and of the published systems, sparse and dense;
+    # half the candidates are combinations of the rows
+    rng = random.Random(73)
+    shapes = [(28, 40), (16, 19), (44, 57), (6, 9)]
+    densities = [0.05, 0.1, 0.17, 0.3, 0.5]
+    seen = set()
+    for trial in range(20):     # every shape at every density
+        nrows, ncols = shapes[trial % len(shapes)]
+        density = densities[trial % len(densities)]
+        rows = rand_sparse_mat(rng, nrows, ncols, density, ring)
+        candidates = rand_sparse_mat(rng, nrows // 2 + 1, ncols, density,
+                                     ring)
+        for _ in range(nrows // 2 + 1):
+            acc = [ring.zero()] * ncols
+            for row in rng.sample(rows, min(3, nrows)):
+                s = ring.random_element(rng)
+                acc = [x + s * y for x, y in zip(acc, row)]
+            candidates.append(acc)
+        expected = reference_outside_span(rows, candidates, ring)
+        assert outside_span(rows, candidates, ring) == expected
+        seen.update(expected)
+    assert seen == {False, True}
+
+
 def test_kernel_needs_a_field():
     z343 = ZMod(7, 3)
     rows = [[z343.from_int(x) for x in row] for row in ((1, 2), (3, 4))]
@@ -340,6 +385,57 @@ def test_entries_of_an_equal_ring_are_accepted():
     s2 = LinearSystem(names, mat(((1, 2, 0), (0, 1, 4)), twin),
                       [twin.one(), twin.zero()], twin)
     assert rowspace_equal(s1, s2) and rowspace_equal(s2, s1)
+
+
+# ----------------------------------------------------------------------
+# systems
+
+
+def test_system_construction_refusals():
+    one, zero = F7.one(), F7.zero()
+    with pytest.raises(ValueError, match="distinct"):
+        LinearSystem(("x", "x"), mat([[1, 2]]), [one], F7)
+    with pytest.raises(ValueError, match="count"):
+        LinearSystem(("x", "y"), mat([[1, 2]]), [one, zero], F7)
+    with pytest.raises(ValueError, match="width"):
+        LinearSystem(("x", "y"), mat([[1, 2], [1, 2, 3]]), [one, zero], F7)
+    # 3 is a valid GF(7) code in every foreign ring below: only the ring
+    # check can tell the entry apart
+    for foreign in (F49, PrimeField(5), ZMod(7, 2)):
+        bad = foreign.from_int(3)
+        with pytest.raises(RingMismatchError, match="matrix"):
+            LinearSystem(("x", "y"), [[one, bad]], [one], F7)
+        with pytest.raises(RingMismatchError, match="rhs"):
+            LinearSystem(("x", "y"), mat([[1, 2]]), [bad], F7)
+
+
+def test_system_entries_of_an_equal_ring_are_accepted():
+    twin = PrimeField(7)
+    assert twin is not F7 and twin == F7
+    system = LinearSystem(("x", "y"), [[F7.one(), twin.from_int(2)]],
+                          [twin.one()], F7)
+    assert system.ring is F7
+    assert solve_affine(system).dimension == 1
+
+
+def test_systems_are_immutable_and_memoize_tuples():
+    system = LinearSystem(("x", "y", "z"), mat([[1, 2, 0], [2, 4, 1]]),
+                          [F7.one(), F7.zero()], F7)
+    assert system._reduced is None      # eliminated on first use only
+    form = system.reduced_form()
+    assert system.reduced_form() is form
+    rows, pivots = form
+    assert pivots == (0, 2)
+    assert isinstance(rows, tuple) and isinstance(pivots, tuple)
+    assert all(isinstance(row, tuple) for row in rows)
+    for name in ("rows", "rhs", "variables", "ring", "_reduced"):
+        with pytest.raises(AttributeError):
+            setattr(system, name, getattr(system, name))
+        with pytest.raises(AttributeError):
+            delattr(system, name)
+    with pytest.raises(AttributeError):
+        system.extra = 1
+    assert system.reduced_form() is form
 
 
 # ----------------------------------------------------------------------
