@@ -237,8 +237,9 @@ def test_cached_rows_are_immutable():
         system.rhs[0] = system.rhs[0]
 
 
-def full_run_systems():
-    """Every linear system whose reduced form a full run reads."""
+def test_reduced_forms_of_a_full_run_match_the_reference():
+    scenarios.run_many(None)
+    # every linear system whose reduced form a full run reads
     systems = {"derived": derived_system_cached(False).system,
                "weakened": derived_system_cached(True).system,
                "published 28": _published_system_28(),
@@ -247,14 +248,8 @@ def full_run_systems():
     for spec in cgdata.SYSTEM_SPECS + (cgdata.LEFSCHETZ_SPEC,):
         systems[spec.id] = deformation.build_published_system(
             spec.zero_rows, spec.unit_rows)
-    return systems
-
-
-def test_reduced_forms_of_a_full_run_match_the_reference():
-    scenarios.run_many(None)
-    elements = field_tables(F49).elements
-    systems = full_run_systems()
     assert len(systems) == 13
+    elements = field_tables(F49).elements
     for name, system in systems.items():
         assert system._reduced is not None, name    # the run filled it
         rows, pivots = system.reduced_form()
