@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .poly import MPoly
-from .rings import Element
+from .rings import Element, Frozen
 
 
 class ZeroGermError(ValueError):
@@ -27,7 +27,7 @@ class DegenerateProjectionError(ValueError):
     """The curve is not generically a cubic over the chosen ruling."""
 
 
-class ChartGerm:
+class ChartGerm(Frozen):
     """A plane-curve germ at the origin of a named chart; immutable."""
 
     __slots__ = ("chart_id", "poly", "local_vars")
@@ -44,12 +44,6 @@ class ChartGerm:
         object.__setattr__(self, "chart_id", chart_id)
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "local_vars", local_vars)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("a chart germ is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("a chart germ is immutable")
 
     def _key(self):
         return self.chart_id, self.poly, self.local_vars
@@ -89,23 +83,18 @@ def _quadratic_coefficients(cone: MPoly, u: str, v: str):
 
 
 def _double_line(cone: MPoly, u: str, v: str) -> MPoly:
-    """For a rank-one binary quadratic a u^2 + b uv + c v^2, the line l
-    with cone = unit * l^2 (exists over the ground field when a or c is
-    a square; for the cases handled here a is 0 or the line is rational)."""
+    """For a nonzero binary quadratic a u^2 + b uv + c v^2 of zero
+    discriminant, the line l with cone = unit * l^2: u + (b/2a) v, or v
+    when a = 0 (then b = 0 as well)."""
     ring = cone.ring
     registry = cone.registry
-    a, b, c = _quadratic_coefficients(cone, u, v)
-    two_inv = ring.from_int(2).inverse()
-    if not a.is_zero():
-        # a(u + (b/2a) v)^2
-        shift = b * two_inv * a.inverse()
-        return (MPoly.variable(registry, ring, u)
-                + MPoly.variable(registry, ring, v).scale(shift))
-    if not c.is_zero():
-        shift = b * two_inv * c.inverse()
-        return (MPoly.variable(registry, ring, v)
-                + MPoly.variable(registry, ring, u).scale(shift))
-    raise ValueError("degenerate quadratic with zero square terms")
+    a, b, _ = _quadratic_coefficients(cone, u, v)
+    if a.is_zero():
+        return MPoly.variable(registry, ring, v)
+    # a(u + (b/2a) v)^2
+    shift = b * ring.from_int(2).inverse() * a.inverse()
+    return (MPoly.variable(registry, ring, u)
+            + MPoly.variable(registry, ring, v).scale(shift))
 
 
 def _divide_by_linear(target: MPoly, linear: MPoly, u: str, v: str):

@@ -377,15 +377,15 @@ def to_essential(row) -> tuple[Element, ...]:
     return tuple(acc)
 
 
-def rows_from_texts(texts, variables) -> list[list[Element]]:
-    """Homogeneous linear forms given as grammar text, over the variables."""
-    registry = VarRegistry(variables)
+def rows_from_texts(texts) -> list[list[Element]]:
+    """Homogeneous linear forms given as grammar text, over the 40 main
+    unknowns."""
     rows = []
     for text in texts:
-        p = cgdata.parsed(text, registry, F49)
+        p = cgdata.parsed(text, _MAIN_REG, F49)
         if p.graded_part(1) != p:
             raise ArithmeticError("expected a homogeneous linear form")
-        row = [F49.zero()] * len(variables)
+        row = [F49.zero()] * len(_MAIN_REG)
         for exps, c in p.terms.items():
             row[exps.index(1)] = c
         rows.append(row)
@@ -394,7 +394,7 @@ def rows_from_texts(texts, variables) -> list[list[Element]]:
 
 @lru_cache(maxsize=None)
 def leftover_rows() -> tuple[tuple[Element, ...], ...]:
-    rows40 = rows_from_texts(cgdata.LEFTOVER_RELATIONS, cgdata.MAIN_UNKNOWNS)
+    rows40 = rows_from_texts(cgdata.LEFTOVER_RELATIONS)
     return tuple(to_essential(r) for r in rows40)
 
 

@@ -26,20 +26,20 @@ The operations are rank, affine solving (inconsistency is a status, not
 an error), projection of the solution set onto a subset of the variables
 (``eliminate``), row-space comparison of two systems (a row space has
 one reduced row echelon form, so two are equal exactly when their
-reduced forms are), and the test of candidate rows against one echelon
-form (``outside_span``).  ``solve_affine`` and ``rowspace_equal`` read
-the systems' reduced forms; ``rank``, ``eliminate`` and ``outside_span``
-eliminate the rows they are handed.
+reduced forms are), and the test of candidate rows against the row span
+of a system's matrix (``outside_span``).  ``solve_affine``,
+``rowspace_equal`` and ``outside_span`` read the systems' reduced forms;
+``rank`` and ``eliminate`` eliminate the rows they are handed.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .rings import Element, Ring, RingMismatchError, field_tables
+from .rings import Element, Frozen, Ring, RingMismatchError, field_tables
 
 
-class LinearSystem:
+class LinearSystem(Frozen):
     """An affine-linear system  A x = b  with named variables; immutable.
 
     ``rows`` is a tuple of tuples and ``rhs`` a tuple, and no attribute
@@ -74,12 +74,6 @@ class LinearSystem:
         _set_ring(self, ring)
         _set_reduced(self, None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("linear systems are immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("linear systems are immutable")
-
     def reduced_form(self) -> tuple[tuple[tuple[int, ...], ...],
                                     tuple[int, ...]]:
         """The nonzero rows of the fully reduced row echelon form of
@@ -100,8 +94,7 @@ class LinearSystem:
 
 
 # Systems are built, and their reduced form stored, through the slot
-# descriptors, which bypass the immutability guard in
-# ``LinearSystem.__setattr__``.
+# descriptors, which bypass the immutability guard of ``Frozen``.
 _set_variables, _set_rows = (LinearSystem.variables.__set__,
                              LinearSystem.rows.__set__)
 _set_rhs, _set_ring = LinearSystem.rhs.__set__, LinearSystem.ring.__set__
@@ -203,21 +196,24 @@ def rank(rows: Sequence[Sequence[Element]], ring: Ring) -> int:
     return len(_row_echelon(rows, ring)[1])
 
 
-def outside_span(rows: Sequence[Sequence[Element]],
-                 candidates: Iterable[Sequence[Element]],
-                 ring: Ring) -> list[bool]:
+def outside_span(system: LinearSystem,
+                 candidates: Iterable[Sequence[Element]]) -> list[bool]:
     """For each candidate row, whether it lies outside the row span of
-    ``rows``: the rows are echeloned once and each candidate is reduced
-    against that form, at the nonzero entries of each pivot row.  A
-    candidate must be as wide as the rows."""
-    reduced, pivots = _row_echelon(rows, ring)
-    work = _unbox(candidates, ring, len(reduced[0]) if reduced else None)
+    the system's coefficient matrix A.  The system's reduced form of
+    ``[A | b]``, cut to the first n = ``len(variables)`` columns, is the
+    reduced form of A, plus a zero row when the system is inconsistent:
+    so only its pivot rows left of the rhs column are read, at columns
+    below n.  Each candidate is reduced against them at the nonzero
+    entries of each pivot row, and must have n entries."""
+    ring, n = system.ring, len(system.variables)
+    reduced, pivots = system.reduced_form()
+    work = _unbox(candidates, ring, n)
     tables = field_tables(ring)
     mul, sub = tables.mul, tables.sub
     # a reduced pivot row is 1 at its pivot, zero left of it and at every
     # other pivot column
-    sparse = [(c, [(j, y) for j, y in enumerate(row[c + 1:], c + 1) if y])
-              for row, c in zip(reduced, pivots)]
+    sparse = [(c, [(j, y) for j, y in enumerate(row[c + 1:n], c + 1) if y])
+              for row, c in zip(reduced, pivots) if c < n]
     out = []
     for candidate in work:
         for c, nonzero in sparse:

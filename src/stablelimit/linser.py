@@ -1,12 +1,12 @@
 """Dimension counts for linear series of bihomogeneous forms on a quadric.
 
 A series is the space of bidegree-(a, b) forms in two pairs of projective
-coordinates, cut down by point conditions: passing through a point,
-having a prescribed multiplicity there, or being tangent to a prescribed
-direction.  Every condition is a linear constraint on the (a+1)(b+1)
-monomial coefficients, so dimensions are exact rank computations.  The
-Taylor coefficients behind a multiplicity or tangency condition are read
-off binomial formulas, one factor of the quadric at a time.
+coordinates, cut down by point conditions: passing through a point, or
+being tangent to a prescribed direction there.  Every condition is a
+linear constraint on the (a+1)(b+1) monomial coefficients, so dimensions
+are exact rank computations.  The Taylor coefficients behind a tangency
+condition are read off binomial formulas, one factor of the quadric at a
+time.
 
 Points are pairs of projective coordinate pairs over the working field.
 No genericity is ever assumed: independence of conditions is whatever the
@@ -32,11 +32,6 @@ class PassThrough(NamedTuple):
     point: Point
 
 
-class MultiplicityAtLeast(NamedTuple):
-    point: Point
-    m: int
-
-
 class TangentDirection(NamedTuple):
     """Vanishing of the directional derivative in the point's affine chart."""
 
@@ -56,13 +51,12 @@ def _check_point(pt: Point) -> None:
 def _chart_coefficients(pair: tuple[Element, Element], d: int, k: int,
                         ring: Ring) -> list[Element]:
     """Coefficient of t^k in each x^i y^(d-i), i = 0..d, at the pair
-    (p0 : p1): C(i, k) (p0/p1)^(i-k) in the chart x = p0/p1 + t, y = 1, and
+    (p0 : p1), which the caller has checked is not (0 : 0):
+    C(i, k) (p0/p1)^(i-k) in the chart x = p0/p1 + t, y = 1, and
     [d - i = k] at infinity (p1 = 0), where x = 1, y = t."""
     p0, p1 = pair
     zero = ring.zero()
     if p1.is_zero():
-        if p0.is_zero():
-            raise MalformedPointError("projective pair (0 : 0)")
         return [ring.one() if d - i == k else zero for i in range(d + 1)]
     x0 = p0 * p1.inverse()
     return [ring.from_int(comb(i, k)) * x0 ** (i - k) if i >= k else zero
@@ -70,29 +64,21 @@ def _chart_coefficients(pair: tuple[Element, Element], d: int, k: int,
 
 
 def _condition_rows(a: int, b: int, cond, ring: Ring) -> list[list[Element]]:
+    if not isinstance(cond, (PassThrough, TangentDirection)):
+        raise TypeError(f"unknown condition {cond!r}")
+    _check_point(cond.point)
     if isinstance(cond, PassThrough):
-        _check_point(cond.point)
         (a0, a1), (b0, b1) = cond.point
         return [[a0 ** i * a1 ** (a - i) * b0 ** j * b1 ** (b - j)
                  for i in range(a + 1) for j in range(b + 1)]]
-    if isinstance(cond, MultiplicityAtLeast):
-        if cond.m < 1:
-            raise ValueError("multiplicity must be at least 1")
-        (A, B), m = cond.point, cond.m
-        xs = [_chart_coefficients(A, a, k, ring) for k in range(m)]
-        ys = [_chart_coefficients(B, b, k, ring) for k in range(m)]
-        return [[x * y for x in xs[du] for y in ys[dv]]
-                for du in range(m) for dv in range(m - du)]
-    if isinstance(cond, TangentDirection):
-        du, dv = cond.direction
-        if du.is_zero() and dv.is_zero():
-            raise ValueError("tangent direction must be nonzero")
-        A, B = cond.point
-        x0, x1 = (_chart_coefficients(A, a, k, ring) for k in (0, 1))
-        y0, y1 = (_chart_coefficients(B, b, k, ring) for k in (0, 1))
-        return [[x1[i] * y0[j] * du + x0[i] * y1[j] * dv
-                 for i in range(a + 1) for j in range(b + 1)]]
-    raise TypeError(f"unknown condition {cond!r}")
+    du, dv = cond.direction
+    if du.is_zero() and dv.is_zero():
+        raise ValueError("tangent direction must be nonzero")
+    A, B = cond.point
+    x0, x1 = (_chart_coefficients(A, a, k, ring) for k in (0, 1))
+    y0, y1 = (_chart_coefficients(B, b, k, ring) for k in (0, 1))
+    return [[x1[i] * y0[j] * du + x0[i] * y1[j] * dv
+             for i in range(a + 1) for j in range(b + 1)]]
 
 
 def series_dimension(bidegree: tuple[int, int],

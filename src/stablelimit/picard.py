@@ -3,7 +3,8 @@
 A lattice is a named basis with a symmetric integer intersection form and
 a distinguished canonical class.  Blowups follow the total-transform
 convention: each blowup appends one new basis vector of self-intersection
--1, orthogonal to everything else, and adds it to the canonical class.
+-1, orthogonal to everything else, and adds it to the canonical class; a
+class pulls back by appending a 0 coefficient.
 Geometric curves are then encoded as explicit integer (or rational)
 combinations, with multiplicities at the blown-up centers supplied by the
 local curve analysis; every published class identity becomes a pure
@@ -22,7 +23,9 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
+
+from .rings import Frozen
 
 
 class LatticeMismatchError(TypeError):
@@ -88,9 +91,6 @@ class Lattice:
     def basis(self, name: str) -> "DivisorClass":
         return self.cls({name: 1})
 
-    def zero(self) -> "DivisorClass":
-        return DivisorClass(self, (0,) * self.rank)
-
     def __eq__(self, other):
         return (isinstance(other, Lattice) and self.names == other.names
                 and self.gram == other.gram
@@ -103,7 +103,7 @@ class Lattice:
         return f"Lattice({', '.join(self.names)})"
 
 
-class DivisorClass:
+class DivisorClass(Frozen):
     """A class on a lattice, as its coefficient vector; immutable."""
 
     __slots__ = ("lattice", "coeffs")
@@ -117,12 +117,6 @@ class DivisorClass:
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("a divisor class is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("a divisor class is immutable")
-
     def __eq__(self, other):
         if type(other) is not DivisorClass:
             return NotImplemented
@@ -131,13 +125,6 @@ class DivisorClass:
 
     def __hash__(self):
         return hash((self.lattice, self.coeffs))
-
-    @property
-    def denominator(self) -> int:
-        d = 1
-        for c in self.coeffs:
-            d = d * c.denominator // _gcd(d, c.denominator)
-        return d
 
     def _check(self, other: "DivisorClass"):
         if self.lattice is not other.lattice and self.lattice != other.lattice:
@@ -160,23 +147,10 @@ class DivisorClass:
         s = _coefficient(scalar)
         return DivisorClass(self.lattice, tuple(s * a for a in self.coeffs))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def coefficient(self, name: str) -> int | Fraction:
-        """An int, or a Fraction when the coefficient is not an integer."""
-        return self.coeffs[self.lattice.index[name]]
-
     def __repr__(self):
         parts = [f"{c}*{n}" for n, c in zip(self.lattice.names, self.coeffs)
                  if c != 0]
         return " + ".join(parts) if parts else "0"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def intersect(a: DivisorClass, b: DivisorClass) -> int | Fraction:
@@ -197,30 +171,22 @@ def verify_class_relation(lhs: DivisorClass, rhs: DivisorClass) -> bool:
     return lhs.coeffs == rhs.coeffs
 
 
-def blowup(lattice: Lattice, name: str) -> tuple[Lattice, Callable[[DivisorClass], DivisorClass]]:
+def blowup(lattice: Lattice, name: str) -> Lattice:
     """Blow up a point: append an orthogonal (-1)-vector named ``name``.
 
-    Returns the extended lattice and the pullback map, an isometry onto
-    its image.  The new canonical class is the pullback of the old one
-    plus the new exceptional vector.  The new form is symmetric because
-    the old one is, so it is not checked again.
+    Returns the extended lattice.  The new canonical class is the
+    pullback of the old one plus the new exceptional vector.  The new
+    form is symmetric because the old one is, so it is not checked again.
     """
     if name in lattice.index:
         raise ValueError(f"basis name {name!r} already used")
     n = lattice.rank
     canonical = lattice._canonical
-    new = Lattice.__new__(Lattice)._fill(
+    return Lattice.__new__(Lattice)._fill(
         lattice.names + (name,),
         tuple(row + (0,) for row in lattice.gram) + ((0,) * n + (-1,),),
         None if canonical is None else canonical + (1,),
         lattice._support + (((n, -1),),))
-
-    def pullback(d: DivisorClass) -> DivisorClass:
-        if d.lattice is not lattice and d.lattice != lattice:
-            raise LatticeMismatchError("class is not on the blown-up lattice")
-        return DivisorClass(new, d.coeffs + (0,))
-
-    return new, pullback
 
 
 def quadric_lattice() -> Lattice:
@@ -235,15 +201,14 @@ class DoubleCoverStats(NamedTuple):
 
 
 def double_cover_stats(branch: DivisorClass, bundle: DivisorClass,
-                       canonical: DivisorClass,
-                       chi_base: int = 1) -> DoubleCoverStats:
+                       canonical: DivisorClass) -> DoubleCoverStats:
     """Numerical invariants of a double cover branched along ``branch``.
 
     Requires branch = 2 * bundle in the lattice.  For a smooth branch
-    curve on a smooth base with invariants (K, chi):
+    curve on a smooth rational base (chi = 1) with canonical class K:
 
         K_cover^2 = 2 (K + L)^2
-        chi_cover = 2 chi_base + L.(L + K) / 2
+        chi_cover = 2 + L.(L + K) / 2
 
     The class K + L is returned for downstream section counts.
     """
@@ -252,7 +217,7 @@ def double_cover_stats(branch: DivisorClass, bundle: DivisorClass,
         raise BranchParityError("branch class is not twice the bundle class")
     adjoint = canonical + bundle
     k2 = _coefficient(2 * intersect(adjoint, adjoint))
-    chi = _coefficient(2 * chi_base + Fraction(1, 2) * intersect(
+    chi = _coefficient(2 + Fraction(1, 2) * intersect(
         bundle, bundle + canonical))
     return DoubleCoverStats(k2, chi, adjoint)
 

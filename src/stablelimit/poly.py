@@ -61,7 +61,7 @@ from collections.abc import Mapping as MappingABC
 from functools import lru_cache, partial
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .rings import (Element, IntegerRing, QuadraticField, Ring,
+from .rings import (Element, Frozen, IntegerRing, QuadraticField, Ring,
                     RingMismatchError, ZMod, _power, field_tables)
 
 _FIELD_BITS = 16                      # one unsigned 16-bit field per variable
@@ -314,7 +314,7 @@ class _Terms(MappingABC):
         return coeff
 
 
-class MPoly:
+class MPoly(Frozen):
     """A sparse multivariate polynomial over an exact ring; immutable."""
 
     __slots__ = ("registry", "ring", "_coeffs", "_terms")
@@ -330,12 +330,6 @@ class MPoly:
                 if not is_zero(c):
                     clean[e] = c
         _init(self, registry, ring, coeffs, clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("polynomials are immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("polynomials are immutable")
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], Element]:
@@ -604,7 +598,7 @@ class MPoly:
 
 
 # Polynomials are built through the slot descriptors, which bypass the
-# immutability guard in ``MPoly.__setattr__``.
+# immutability guard of ``Frozen``.
 _new = object.__new__
 _set_registry, _set_ring = MPoly.registry.__set__, MPoly.ring.__set__
 _set_coeffs, _set_terms = MPoly._coeffs.__set__, MPoly._terms.__set__

@@ -11,8 +11,9 @@ exact rings:
 * ``DualNumbers(base)`` -- base[eps] with eps**2 = 0, for element
   arithmetic only: ``poly`` has no polynomials over it.
 
-Elements are immutable values carrying a reference to their ring; mixing
-elements of different rings raises ``RingMismatchError``.  Canonical form
+Elements are immutable values carrying a reference to their ring, under
+``Frozen``, the one immutability guard of the package; mixing elements
+of different rings raises ``RingMismatchError``.  Canonical form
 is the least non-negative residue in each coordinate, so ``==`` and
 ``hash`` agree with mathematical equality.  Integer payloads are read
 through ``operator.index``: a float, a string or a fraction raises
@@ -71,6 +72,22 @@ class NotSimpleRootError(ArithmeticError):
 # Rings with at most this many elements intern them: Z/343 and every
 # field that has a table set.
 _INTERN_ORDER_LIMIT = 343
+
+
+class Frozen:
+    """Base of the immutable value types (``Element``, ``MPoly``,
+    ``LinearSystem``, ``ChartGerm``, ``DivisorClass``): assigning or
+    deleting an attribute raises ``AttributeError``.  A subclass declares
+    its ``__slots__`` and fills them through the slot descriptors, which
+    bypass this guard."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class Ring:
@@ -134,7 +151,7 @@ class Ring:
         return repr(a)
 
 
-class Element:
+class Element(Frozen):
     """An immutable ring element: a ring reference plus canonical payload.
 
     The binary operations take a fast path when the other operand is an
@@ -149,9 +166,6 @@ class Element:
         """``ring.element(payload)``: the payload is validated and made
         canonical, as by every other constructor."""
         return ring.element(payload)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ring elements are immutable")
 
     def _check(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
@@ -211,8 +225,7 @@ class Element:
         return self.ring._repr_payload(self.payload)
 
 
-# ``Ring._wrap`` builds elements through the slot descriptors, which
-# bypass the immutability guard in ``Element.__setattr__``.
+# ``Ring._wrap`` builds elements through the slot descriptors.
 _set_ring = Element.ring.__set__
 _set_payload = Element.payload.__set__
 
@@ -446,9 +459,6 @@ class DualNumbers(Ring):
         if not isinstance(v, Element):
             v = self.base.element(v)
         return self._wrap((u, v))
-
-    def eps(self) -> Element:
-        return self.element((self.base.zero(), self.base.one()))
 
     def characteristic(self) -> int:
         return self.base.characteristic()

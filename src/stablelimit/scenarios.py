@@ -131,9 +131,11 @@ def fiber_param(ring):
     return (s, MPoly.zero(_S, ring))
 
 
-def diagonal_param(beta0: Element, order: int = 12):
+def diagonal_param(beta0: Element):
     """Series parametrization of the diagonal through (alpha0, beta0),
-    in coordinates already translated so the point is the origin."""
+    in coordinates already translated so the point is the origin, to
+    order 12 in the parameter."""
+    order = 12
     one = F49.one()
     u = one + beta0
     uinv = u.inverse()
@@ -461,7 +463,7 @@ def derived_system_cached(skip_cubic: bool = False):
 
 
 def _homogeneous_system(texts) -> LinearSystem:
-    rows = deformation.rows_from_texts(texts, cgdata.MAIN_UNKNOWNS)
+    rows = deformation.rows_from_texts(texts)
     zero = F49.zero()
     return LinearSystem(cgdata.MAIN_UNKNOWNS, rows, [zero] * len(rows), F49)
 
@@ -502,7 +504,7 @@ def scenario_deform_derive() -> VerificationReport:
     if not elim_equal:
         sub_items = list(cgdata.PUBLISHED_SUBSTITUTIONS)
         labels = []
-        outside = outside_span(derived.system.rows, elimination.rows, F49)
+        outside = outside_span(derived.system, elimination.rows)
         for k, row_outside in enumerate(outside):
             if row_outside:
                 if k < len(sub_items):
@@ -772,7 +774,7 @@ def _blowup_lattice():
     lat = quadric_lattice()
     names = ["n1", "n2"] + [x for k in range(1, 5) for x in (f"g{k}", f"e{k}")]
     for name in names:
-        lat, _ = blowup(lat, name)
+        lat = blowup(lat, name)
     return lat
 
 
@@ -780,8 +782,7 @@ def _extended_lattice(lat: Lattice):
     """Continue to rank 20: two infinitely-near blowups over each of the
     four tangency points of the diagonal with the branch curves."""
     for k in range(3, 7):
-        lat, _ = blowup(lat, f"c{k}")
-        lat, _ = blowup(lat, f"f{k}")
+        lat = blowup(blowup(lat, f"c{k}"), f"f{k}")
     return lat
 
 
@@ -894,7 +895,7 @@ def scenario_lattice() -> VerificationReport:
                  "data used here")
 
     # double-cover invariants, then contraction of the four (-1)-curves
-    stats = double_cover_stats(branch, bundle, K, chi_base=1)
+    stats = double_cover_stats(branch, bundle, K)
     rep.check("cover canonical square before contraction",
               str(stats.k_squared), "-4", tag="derived")
     rep.check("resolved-surface canonical square",

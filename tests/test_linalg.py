@@ -19,6 +19,14 @@ def mat(rows, ring=F7):
     return [[ring.from_int(x) for x in row] for row in rows]
 
 
+def span_system(rows, ring, ncols=None, rhs=None):
+    """The system of the rows over unknowns x0, x1, ..., with the given
+    right-hand side or a zero one."""
+    ncols = len(rows[0]) if ncols is None else ncols
+    rhs = [ring.zero()] * len(rows) if rhs is None else rhs
+    return LinearSystem([f"x{j}" for j in range(ncols)], rows, rhs, ring)
+
+
 def rand_mat(rng, nrows, ncols, ring=F7):
     return [[ring.from_int(rng.randrange(7)) for _ in range(ncols)]
             for _ in range(nrows)]
@@ -279,7 +287,8 @@ def test_outside_span_matches_rank(ring):
             candidates.append(acc)
         r = rank(basis, ring)
         expected = [rank([*basis, row], ring) != r for row in candidates]
-        assert outside_span(basis, candidates, ring) == expected
+        assert outside_span(span_system(basis, ring, ncols),
+                            candidates) == expected
 
 
 def reference_outside_span(rows, candidates, ring):
@@ -304,11 +313,12 @@ def reference_outside_span(rows, candidates, ring):
 def test_sparse_outside_span_matches_the_full_width_reference(ring):
     # the shapes of deform-derive's test (28 derived rows, 28 candidates
     # over 40 unknowns) and of the published systems, sparse and dense;
-    # half the candidates are combinations of the rows
+    # half the candidates are combinations of the rows; odd trials have a
+    # random right-hand side, which leaves some systems inconsistent
     rng = random.Random(73)
     shapes = [(28, 40), (16, 19), (44, 57), (6, 9)]
     densities = [0.05, 0.1, 0.17, 0.3, 0.5]
-    seen = set()
+    seen, consistent = set(), set()
     for trial in range(20):     # every shape at every density
         nrows, ncols = shapes[trial % len(shapes)]
         density = densities[trial % len(densities)]
@@ -321,10 +331,15 @@ def test_sparse_outside_span_matches_the_full_width_reference(ring):
                 s = ring.random_element(rng)
                 acc = [x + s * y for x, y in zip(acc, row)]
             candidates.append(acc)
+        rhs = [ring.random_element(rng) if trial % 2 else ring.zero()
+               for _ in rows]
+        system = span_system(rows, ring, rhs=rhs)
         expected = reference_outside_span(rows, candidates, ring)
-        assert outside_span(rows, candidates, ring) == expected
+        assert outside_span(system, candidates) == expected
         seen.update(expected)
+        consistent.add(ncols not in system.reduced_form()[1])
     assert seen == {False, True}
+    assert consistent == {False, True}
 
 
 def test_kernel_needs_a_field():
@@ -341,9 +356,9 @@ def test_rows_of_unequal_width_are_refused():
 
 def test_candidates_of_another_width_are_refused():
     with pytest.raises(ValueError, match="width"):
-        outside_span(mat([[1, 0]]), mat([[1, 0, 1]]), F7)
+        outside_span(span_system(mat([[1, 0]]), F7), mat([[1, 0, 1]]))
     with pytest.raises(ValueError, match="width"):
-        outside_span([], mat([[1, 0], [1]]), F7)
+        outside_span(span_system([], F7, 2), mat([[1, 0], [1]]))
 
 
 @pytest.mark.parametrize("foreign", [F49, PrimeField(5), ZMod(7, 2)], ids=repr)
@@ -356,9 +371,9 @@ def test_one_foreign_entry_is_refused(foreign):
     with pytest.raises(RingMismatchError):
         rank(bad, F7)
     with pytest.raises(RingMismatchError):
-        outside_span(bad, mat([[1, 1, 1]]), F7)
+        outside_span(span_system(bad, F7), mat([[1, 1, 1]]))
     with pytest.raises(RingMismatchError):
-        outside_span(rows, [bad[1]], F7)
+        outside_span(span_system(rows, F7), [bad[1]])
     names = ("x", "y")
     s1 = LinearSystem(names, mat([[1, 2]]), [F7.one()], F7)
     s2 = LinearSystem(names, [[foreign.from_int(1), foreign.from_int(2)]],
@@ -375,11 +390,12 @@ def test_entries_of_an_equal_ring_are_accepted():
     mixed[1][2] = twin.from_int(4)
     assert rank(mixed, F7) == rank(rows, F7) == 2
     candidates = mat([[1, 1, 1], [2, 4, 0]])
-    expected = outside_span(rows, candidates, F7)
+    expected = outside_span(span_system(rows, F7), candidates)
     assert expected == [True, False]
-    assert outside_span(mixed, candidates, F7) == expected
-    assert outside_span(rows, [[twin.from_int(x.payload) for x in row]
-                               for row in candidates], F7) == expected
+    assert outside_span(span_system(mixed, F7), candidates) == expected
+    assert outside_span(span_system(rows, F7),
+                        [[twin.from_int(x.payload) for x in row]
+                         for row in candidates]) == expected
     names = ("x", "y", "z")
     s1 = LinearSystem(names, rows, [F7.one(), F7.zero(), F7.one()], F7)
     s2 = LinearSystem(names, mat(((1, 2, 0), (0, 1, 4)), twin),

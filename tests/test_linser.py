@@ -5,8 +5,8 @@ import random
 import pytest
 
 from stablelimit import MPoly, PrimeField, QuadraticField, VarRegistry, scenarios
-from stablelimit.linser import (MalformedPointError, MultiplicityAtLeast,
-                                PassThrough, TangentDirection,
+from stablelimit.linser import (MalformedPointError, PassThrough,
+                                TangentDirection,
                                 _condition_rows, distinct_fiber_counts,
                                 normalize_pair, series_dimension,
                                 split_sections_vanishing)
@@ -78,15 +78,6 @@ def test_conditions_monotone():
         last = now
 
 
-def test_multiplicity_condition_counts():
-    # a double point imposes three conditions on (2,2) forms
-    assert series_dimension((2, 2),
-                            [MultiplicityAtLeast(pt(I, -I), 2)], F49) == 6
-    # and passing through is the m=1 case
-    assert series_dimension((2, 2),
-                            [MultiplicityAtLeast(pt(I, -I), 1)], F49) == 8
-
-
 def test_tangent_direction_is_one_condition():
     p = TANGENT_POINT
     conds = [PassThrough(p), TangentDirection(p, (ONE, F49.from_int(5)))]
@@ -134,9 +125,9 @@ _UV = VarRegistry(("u", "v"))
 
 
 def reference_condition_rows(a, b, cond, ring):
-    """Multiplicity and tangency rows read off each basis monomial
-    expanded as a polynomial in local coordinates u, v at the point: a
-    second route to the rows, through polynomial arithmetic."""
+    """Tangency rows read off each basis monomial expanded as a
+    polynomial in local coordinates u, v at the point: a second route to
+    the rows, through polynomial arithmetic."""
     one = MPoly.constant(_UV, ring.one())
 
     def coords(p0, p1, var):
@@ -149,9 +140,6 @@ def reference_condition_rows(a, b, cond, ring):
     bu, bv = coords(b0, b1, MPoly.variable(_UV, ring, "v"))
     expansions = [au ** i * av ** (a - i) * bu ** j * bv ** (b - j)
                   for i in range(a + 1) for j in range(b + 1)]
-    if isinstance(cond, MultiplicityAtLeast):
-        return [[p.coefficient({"u": du, "v": dv}) for p in expansions]
-                for du in range(cond.m) for dv in range(cond.m - du)]
     du, dv = cond.direction
     return [[p.coefficient({"u": 1}) * du + p.coefficient({"v": 1}) * dv
              for p in expansions]]
@@ -178,11 +166,8 @@ def test_condition_rows_match_the_expansion_reference(ring):
     for _ in range(200):
         a, b = rng.randrange(5), rng.randrange(5)
         point = (_random_pair(rng, ring), _random_pair(rng, ring))
-        if rng.randrange(2):
-            cond = MultiplicityAtLeast(point, rng.randrange(1, 5))
-        else:
-            direction = (ring.random_element(rng), _nonzero(rng, ring))
-            cond = TangentDirection(point, direction[::rng.choice((1, -1))])
+        direction = (ring.random_element(rng), _nonzero(rng, ring))
+        cond = TangentDirection(point, direction[::rng.choice((1, -1))])
         assert _condition_rows(a, b, cond, ring) == \
             reference_condition_rows(a, b, cond, ring), cond
 
@@ -210,8 +195,6 @@ def _examples():
     yield (1, 1), [PassThrough(p) for p in CORNERS]
     for k in range(len(MONOTONE_POINTS) + 1):
         yield (2, 2), [PassThrough(p) for p in MONOTONE_POINTS[:k]]
-    for m in (1, 2):
-        yield (2, 2), [MultiplicityAtLeast(pt(I, -I), m)]
     yield (2, 2), [PassThrough(TANGENT_POINT),
                    TangentDirection(TANGENT_POINT, (ONE, F49.from_int(5)))]
     yield (2, 3), [PassThrough(p) for p in SWAP_POINTS]

@@ -51,7 +51,7 @@ def test_ring_axioms_quick(ring):
 def test_defining_relations():
     i = F49.i()
     assert i * i == -F49.one()
-    eps = D49.eps()
+    eps = D49.element((0, 1))
     assert (eps * eps).is_zero()
     assert eps * eps == D49.zero()
 

@@ -6,15 +6,21 @@ from math import gcd
 
 import pytest
 
-from stablelimit import cgdata, scenarios
-from stablelimit.curvelocal import classify
+from stablelimit import __version__, cgdata, scenarios
+from stablelimit.curvelocal import (ChartGerm, DegenerateProjectionError,
+                                    branch_locus, classify,
+                                    infinitely_near_multiplicity,
+                                    intersection_multiplicity)
 from stablelimit.deformation import F49
-from stablelimit.linser import (MultiplicityAtLeast, PassThrough,
-                                TangentDirection, normalize_pair)
-from stablelimit.picard import double_cover_stats, quadric_lattice
-from stablelimit.poly import MPoly, parse_poly
-from stablelimit.report import render_json
-from stablelimit.rings import field_tables
+from stablelimit.linalg import LinearSystem, eliminate, solve_affine
+from stablelimit.linser import (PassThrough, TangentDirection, normalize_pair,
+                                series_dimension)
+from stablelimit.picard import (DivisorClass, Lattice, double_cover_stats,
+                                quadric_lattice)
+from stablelimit.poly import MPoly, VarRegistry, parse_poly
+from stablelimit.report import VerificationReport, render_json, render_text
+from stablelimit.rings import (PrimeField, RingMismatchError, ZMod,
+                               field_tables, hensel_lift)
 from test_poly import is_bihomogeneous
 
 # every scenario passes except the lattice one, which carries the single
@@ -41,6 +47,31 @@ def test_unknown_scenario_rejected():
         scenarios.run_scenario("no-such-id")
     with pytest.raises(KeyError):
         scenarios.run_many(["expansion", "bogus"])
+
+
+def test_a_scenario_that_raises_becomes_an_error_report(monkeypatch):
+    def broken():
+        raise ZeroDivisionError("no inverse of 0")
+
+    claim = scenarios.SCENARIOS["delta"][0]
+    monkeypatch.setitem(scenarios.SCENARIOS, "delta", (claim, broken))
+    reports = scenarios.run_many(None)
+    # the run goes on past the error, and every other report is as usual
+    assert [r.scenario_id for r in reports] == list(scenarios.SCENARIOS)
+    by_id = {r.scenario_id: r for r in reports}
+    error = by_id.pop("delta")
+    assert error.status == "error"
+    assert error.notes == ["ZeroDivisionError: no inverse of 0"]
+    assert {sid: r.status for sid, r in by_id.items()} == {
+        sid: status for sid, status in EXPECTED_STATUS.items()
+        if sid != "delta"}
+    summary = json.loads(render_json(reports, __version__))["summary"]
+    assert summary["failed"] == 2           # the lattice failure and the error
+    assert summary["passed"] == len(reports) - 2
+    lines = render_text(reports, __version__).splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith("delta "))
+    assert lines[k].split()[1] == "ERROR"
+    assert lines[k + 1].strip() == "ZeroDivisionError: no inverse of 0"
 
 
 def test_run_many_order_is_canonical():
@@ -218,22 +249,139 @@ _POINT = ((F49.one(), F49.zero()), (F49.i(), F49.one()))
     lambda: scenarios.chart_germ(scenarios.curve_pair("F49")[0], 1),
     lambda: classify(scenarios.chart_germ(scenarios.curve_pair("F49")[0], 1)),
     lambda: PassThrough(_POINT),
-    lambda: MultiplicityAtLeast(_POINT, 2),
     lambda: TangentDirection(_POINT, (F49.one(), F49.i())),
     lambda: quadric_lattice().cls({"h1": 1, "h2": -2}),
-    lambda: double_cover_stats(quadric_lattice().zero(),
-                               quadric_lattice().zero(),
+    lambda: double_cover_stats(quadric_lattice().cls({}),
+                               quadric_lattice().cls({}),
                                quadric_lattice().canonical)],
     ids=["ChartGerm", "SingularityVerdict", "PassThrough",
-         "MultiplicityAtLeast", "TangentDirection", "DivisorClass",
-         "DoubleCoverStats"])
+         "TangentDirection", "DivisorClass", "DoubleCoverStats"])
 def test_frozen_records_are_values(make):
     a, b = make(), make()
     assert a is not b and a == b and hash(a) == hash(b)
     for name in getattr(a, "_fields", None) or type(a).__slots__:
         with pytest.raises(AttributeError):
             setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
     assert a == b
+
+
+@pytest.mark.parametrize("make", [
+    F49.one,
+    lambda: parse_poly("al^2*be+3*al'", cgdata.AB, F49),
+    lambda: LinearSystem(("x", "y"), [[F49.one(), F49.i()]], [F49.one()],
+                         F49)],
+    ids=["Element", "MPoly", "LinearSystem"])
+def test_value_types_refuse_assignment_and_deletion(make):
+    # F49.one() is interned: a deleted payload would break every later one
+    a, b = make(), make()
+    before = {name: getattr(a, name) for name in type(a).__slots__}
+    for name in before:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = None
+    assert all(getattr(a, name) is value for name, value in before.items())
+    assert F49.one().payload == 1
+
+
+_UV = VarRegistry(("u", "v"))
+_UVW = VarRegistry(("u", "v", "w"))
+_F7 = PrimeField(7)
+
+
+def _uv(text, ring=F49):
+    return parse_poly(text, _UV, ring)
+
+
+def _node():
+    return ChartGerm("c", _uv("u*v+u^3"), ("u", "v"))
+
+
+def _system(rows, rhs):
+    return LinearSystem(("x", "y")[:len(rows[0])],
+                        [[_F7.from_int(x) for x in row] for row in rows],
+                        [_F7.from_int(x) for x in rhs], _F7)
+
+
+# every validation raise that a full run and the other tests never reach
+@pytest.mark.parametrize("error, call", [
+    pytest.param(KeyError, lambda: ChartGerm("c", _uv("u"), ("u", "z")),
+                 id="ChartGerm-variable-outside-the-registry"),
+    pytest.param(ValueError, lambda: ChartGerm(
+        "c", parse_poly("u+w", _UVW, F49), ("u", "v")),
+                 id="ChartGerm-non-chart-variable"),
+    pytest.param(ValueError, lambda: classify(
+        ChartGerm("c", _uv("u*v", PrimeField(2)), ("u", "v"))),
+                 id="classify-characteristic-2"),
+    pytest.param(ValueError, lambda: intersection_multiplicity(
+        _node(), (_uv("u"), _uv("v"))),
+                 id="intersection_multiplicity-not-univariate"),
+    pytest.param(ValueError, lambda: infinitely_near_multiplicity(
+        _node(), (F49.zero(), F49.zero())),
+                 id="infinitely_near_multiplicity-zero-direction"),
+    pytest.param(DegenerateProjectionError, lambda: branch_locus(
+        parse_poly("al^2*al'*be^3", cgdata.AB, F49), cgdata.FIRST_PAIR,
+        cgdata.SECOND_PAIR),
+                 id="branch_locus-no-leading-or-trailing-coefficient"),
+    pytest.param(DegenerateProjectionError, lambda: branch_locus(
+        parse_poly("al^3*be^3", cgdata.AB, F49), cgdata.FIRST_PAIR,
+        cgdata.SECOND_PAIR),
+                 id="branch_locus-zero-discriminant"),
+    pytest.param(ValueError, lambda: series_dimension(
+        (1, 1), [TangentDirection(_POINT, (F49.zero(), F49.zero()))], F49),
+                 id="linser-zero-tangent-direction"),
+    pytest.param(TypeError, lambda: series_dimension((1, 1), [_POINT], F49),
+                 id="linser-unknown-condition"),
+    pytest.param(ValueError, lambda: Lattice(("a", "a"), ((0, 1), (1, 0))),
+                 id="Lattice-duplicate-names"),
+    pytest.param(ValueError, lambda: Lattice(("a", "b"), ((0, 1),)),
+                 id="Lattice-gram-shape"),
+    pytest.param(ValueError, lambda: Lattice(("a", "b"), ((0, 1), (2, 0))),
+                 id="Lattice-asymmetric-gram"),
+    pytest.param(ValueError, lambda: Lattice(("a",), ((1,),)).canonical,
+                 id="Lattice-no-canonical-class"),
+    pytest.param(ValueError, lambda: DivisorClass(quadric_lattice(), (1,)),
+                 id="DivisorClass-length"),
+    pytest.param(RingMismatchError, lambda: MPoly(_UV, F49,
+                                                  {(1, 0): _F7.one()}),
+                 id="MPoly-foreign-coefficient"),
+    pytest.param(RingMismatchError, lambda: _uv("u") + parse_poly(
+        "u", _UVW, F49), id="MPoly-other-registry"),
+    pytest.param(RingMismatchError, lambda: _uv("u") + _uv("u", _F7),
+                 id="MPoly-other-ring"),
+    pytest.param(ValueError, lambda: _uv("u") ** -1,
+                 id="MPoly-negative-power"),
+    pytest.param(KeyError, lambda: MPoly.variable(_UV, F49, "z"),
+                 id="MPoly-variable-unknown"),
+    pytest.param(KeyError, lambda: _uv("u").partial_derivative("z"),
+                 id="MPoly-partial_derivative-unknown"),
+    pytest.param(KeyError, lambda: _uv("u*v").evaluate({"u": F49.one()}),
+                 id="MPoly-evaluate-unbound"),
+    pytest.param(KeyError, lambda: _uv("u").terms[(0, 1)],
+                 id="MPoly-terms-absent"),
+    pytest.param(ValueError, lambda: VerificationReport("x").check(
+        "k", 1, 1, tag="guessed"), id="report-check-unknown-tag"),
+    pytest.param(RingMismatchError, lambda: F49.one() + 1,
+                 id="Element-non-Element-operand"),
+    pytest.param(ValueError, lambda: ZMod(6), id="ZMod-non-prime"),
+    pytest.param(ValueError, lambda: ZMod(7, 0), id="ZMod-exponent-below-1"),
+    pytest.param(ValueError, lambda: hensel_lift([-2, 0, 1], 6, 2, 2),
+                 id="hensel_lift-non-prime"),
+    pytest.param(ValueError, lambda: hensel_lift([-2, 0, 1], 7, 3, 0),
+                 id="hensel_lift-exponent-below-1"),
+    pytest.param(KeyError, lambda: eliminate(_system([[1, 2]], [0]), ["z"]),
+                 id="eliminate-unknown-auxiliary"),
+    pytest.param(ValueError, lambda: solve_affine(
+        _system([[1], [1]], [0, 1])).dimension,
+                 id="SolutionSet-dimension-inconsistent"),
+])
+def test_validation_refusals(error, call):
+    with pytest.raises(error):
+        call()
 
 
 # ----------------------------------------------------------------------
