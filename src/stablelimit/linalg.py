@@ -20,7 +20,8 @@ rows, and to the candidates of ``outside_span``, only at those columns.
 A ``LinearSystem`` is immutable and has one reduced form of ``[A | b]``:
 its nonzero code rows and pivot columns, eliminated on first use, kept on
 the system as tuples and shared by every later reader.  A system built
-once and kept in a cache is therefore eliminated once per process.
+once and kept in a cache is therefore eliminated once per process, and
+the system ``eliminate`` returns is born with its form.
 
 The operations are rank, affine solving (inconsistency is a status, not
 an error), projection of the solution set onto a subset of the variables
@@ -258,9 +259,13 @@ def solve_affine(system: LinearSystem) -> SolutionSet:
 def eliminate(system: LinearSystem, aux: Iterable[str]) -> LinearSystem:
     """Project the solution set onto the non-auxiliary variables.
 
-    Columns are reordered so the auxiliaries come first; after forward
+    Columns are reordered so the auxiliaries come first; after full
     elimination, the rows with no auxiliary support describe exactly the
-    projection (this is where exactness over a field matters).
+    projection (this is where exactness over a field matters).  Cut to
+    the kept columns and the rhs, those rows are already the fully
+    reduced form of the projected ``[A | b]``, with every pivot moved
+    left by the number of auxiliaries, so the returned system keeps them
+    as its reduced form.
     """
     aux = list(aux)
     for name in aux:
@@ -276,13 +281,15 @@ def eliminate(system: LinearSystem, aux: Iterable[str]) -> LinearSystem:
          for row, b in zip(system.rows, system.rhs)], ring)
     wrap = ring._wrap
     na = len(aux)
-    out_rows, out_rhs = [], []
-    for row, c in zip(reduced, pivots):
-        if c < na:
-            continue  # row still involves an auxiliary; not part of the projection
-        out_rows.append([wrap(x) for x in row[na:-1]])
-        out_rhs.append(wrap(row[-1]))
-    return LinearSystem(keep, out_rows, out_rhs, ring)
+    # the pivots ascend, and a row with a pivot left of na still involves
+    # an auxiliary: the projection is the pivot rows after those
+    first = sum(c < na for c in pivots)
+    rows = tuple(tuple(row[na:]) for row in reduced[first:len(pivots)])
+    projected = LinearSystem(keep, [[wrap(x) for x in row[:-1]]
+                                    for row in rows],
+                             [wrap(row[-1]) for row in rows], ring)
+    _set_reduced(projected, (rows, tuple(c - na for c in pivots[first:])))
+    return projected
 
 
 def rowspace_equal(s1: LinearSystem, s2: LinearSystem) -> bool:

@@ -25,7 +25,10 @@ Inside, ``MPoly`` stores ``{packed monomial: raw coefficient}``:
 
 ``substitute`` is the one polynomial rewrite: a Taylor shift, a change of
 chart, and a pullback into another registry along a parametrization (of
-the quadric, of the diagonal, of a branch) are each one call.
+the quadric, of the diagonal, of a branch) are each one call.  It builds
+one power ladder per binding on raw terms and runs Horner's scheme over
+the bindings: the terms that differ only in one binding's exponent are
+summed first, and each group costs one product.
 
 ``Element``s are built only at the boundary: ``coefficient``, the value of
 ``evaluate``, and the ``terms`` view.  ``terms`` is a read-only mapping from
@@ -506,29 +509,44 @@ class MPoly(Frozen):
             unbound = self.variables_used() - bindings.keys()
             if unbound:
                 raise KeyError(f"no binding for {sorted(unbound)}")
+        top, one, addmul = target._degree_shift, coeffs.one, coeffs.addmul
+        # Horner's scheme over the bindings, the last one first.  Each
+        # binding has a power ladder on raw terms, ladder[k] = value ** k,
+        # grown one product per rung up to the largest exponent in use.
+        # A group holds the image of the terms that agree everywhere but in
+        # the bindings already done; each binding merges the groups that
+        # differ only in its exponent, with one product per group, so the
+        # terms that differ only in the last binding's exponent are summed
+        # with additions alone.  Groups stay unfinished: a term whose image
+        # cancels still leaves its monomial, and one degree check at the
+        # end covers every term.
+        groups = {e: {0: c} for e, c in self._terms.items()}
+        for name in reversed(list(bindings)):
+            i, value = registry.index[name], bindings[name]
+            shift, unit = registry._shifts[i], registry._unit(i)
+            ladder, merged = [{0: one}], {}
+            for e, group in groups.items():
+                k = (e >> shift) & _MASK
+                while len(ladder) <= k:
+                    ladder.append(_product(coeffs, top, ladder[-1],
+                                           value._terms))
+                e -= k * unit
+                total = merged.get(e)
+                if total is None:
+                    merged[e] = total = {}
+                a, b = ladder[k], group
+                if len(a) > len(b):
+                    a, b = b, a
+                for e1, c1 in a.items():
+                    addmul(total, e1, c1, b)
+            groups = merged
         # in another registry every used variable is bound, so each
         # residual is 0, the constant monomial of any registry
-        top = target._degree_shift
-        # (shift, unit, value, {exponent: value ** exponent}) per binding
-        bound = [(registry._shifts[registry.index[n]],
-                  registry._unit(registry.index[n]), v, {})
-                 for n, v in bindings.items()]
-        addmul = coeffs.addmul
         acc = {}
-        for e, c in self._terms.items():
-            residual, piece = e, None
-            for shift, unit, value, powers in bound:
-                k = (e >> shift) & _MASK
-                if k:
-                    residual -= k * unit
-                    power = powers.get(k)
-                    if power is None:
-                        power = powers[k] = value ** k
-                    piece = power if piece is None else piece * power
-            terms = {0: coeffs.one} if piece is None else piece._terms
-            if terms:
-                _check_degree((residual >> top) + (max(terms) >> top))
-                addmul(acc, residual, c, terms)
+        for residual, group in groups.items():
+            addmul(acc, residual, one, group)
+        if acc:
+            _check_degree(max(acc) >> top)
         return _init(_new(MPoly), target, self.ring, coeffs,
                      coeffs.finish(acc))
 
@@ -614,13 +632,14 @@ def _init(p: MPoly, registry: VarRegistry, ring: Ring, coeffs: _Coeffs,
 
 
 def unit_match(p: MPoly, target: MPoly) -> Element | None:
-    """The unit u with p = u * target, fixed from the leading monomial of
-    the target and then verified everywhere; None if no unit works."""
-    for exps, c in target.sorted_terms():
-        cp = p.terms.get(exps)
+    """The unit u with p = u * target, fixed from one stored term of the
+    target (a unit that works is unique, so any term fixes it) and then
+    verified everywhere; None if no unit works."""
+    for e, c in target._terms.items():
+        cp = p._terms.get(e)
         if cp is None:
             return None
-        u = cp * c.inverse()
+        u = p._coeffs.wrap(cp) * target._coeffs.wrap(c).inverse()
         return u if (target.scale(u) - p).is_zero() else None
     return None
 

@@ -132,23 +132,17 @@ def fiber_param(ring):
 
 
 def diagonal_param(beta0: Element):
-    """Series parametrization of the diagonal through (alpha0, beta0),
-    in coordinates already translated so the point is the origin, to
-    order 12 in the parameter."""
-    order = 12
-    one = F49.one()
-    u = one + beta0
-    uinv = u.inverse()
-    s = MPoly.variable(_S, F49, "s")
-    inv_series = MPoly.zero(_S, F49)
-    for k in range(order + 1):
-        inv_series = inv_series + MPoly(_S, F49,
-                                        {(k,): uinv * ((-uinv) ** k)})
-    alpha0 = (one - beta0) * uinv
-    numerator = MPoly.constant(_S, one - beta0) - s
-    alpha_s = (numerator * inv_series).truncate("s", order) \
-        - MPoly.constant(_S, alpha0)
-    return (alpha_s, s)
+    """Series parametrization of the diagonal alpha = (1-beta)/(1+beta)
+    through (alpha0, beta0), in coordinates already translated so the
+    point is the origin, to order 12 in the parameter: with u = 1 + beta0,
+    alpha(s) - alpha0 = 2/(u+s) - 2/u = 2 * sum_{k>=1} (-s)^k / u^(k+1)."""
+    ratio = -(F49.one() + beta0).inverse()
+    coeff = F49.from_int(-2) * ratio            # 2/u
+    terms = {}
+    for k in range(1, 13):
+        coeff = coeff * ratio
+        terms[(k,)] = coeff
+    return (MPoly(_S, F49, terms), MPoly.variable(_S, F49, "s"))
 
 
 # ----------------------------------------------------------------------
@@ -277,14 +271,11 @@ def scenario_delta() -> VerificationReport:
 
     # the root set over GF(49), with the diagonal's alpha-coordinates,
     # must match the published six points up to one global conjugation
+    one, elements = F49.one(), field_tables(F49).elements
     computed = set()
-    one = F49.one()
-    for x in F49.all_elements():
-        on1 = d1.evaluate({"be": x}).is_zero()
-        on2 = d2.evaluate({"be": x}).is_zero()
-        if on1 or on2:
-            alpha = (one - x) * (one + x).inverse()
-            computed.add((alpha, x))
+    for code in {*root_codes(d1), *root_codes(d2)}:
+        x = elements[code]
+        computed.add(((one - x) * (one + x).inverse(), x))
     published = {q_point(k) for k in range(1, 7)}
     conjugated = {conjugate_point(q_point(k)) for k in range(1, 7)}
     if computed == published:
@@ -298,17 +289,25 @@ def scenario_delta() -> VerificationReport:
 
     # quadratic factors: no roots over GF(7), two roots over GF(49)
     for label, text in (("first", "be^2+4*be+6"), ("second", "be^2+6*be+6")):
-        q7 = cgdata.parsed(text, _BE, F7)
-        roots7 = sum(1 for v in range(7)
-                     if q7.evaluate({"be": F7.from_int(v)}).is_zero())
-        q49 = cgdata.parsed(text, _BE, F49)
-        roots49 = sum(1 for x in F49.all_elements()
-                      if q49.evaluate({"be": x}).is_zero())
-        rep.check(f"{label} quadratic: roots over GF(7)", roots7, 0,
+        roots7 = root_codes(cgdata.parsed(text, _BE, F7))
+        roots49 = root_codes(cgdata.parsed(text, _BE, F49))
+        rep.check(f"{label} quadratic: roots over GF(7)", len(roots7), 0,
                   tag="derived")
-        rep.check(f"{label} quadratic: roots over GF(49)", roots49, 2,
+        rep.check(f"{label} quadratic: roots over GF(49)", len(roots49), 2,
                   tag="derived")
     return rep
+
+
+def root_codes(poly: MPoly) -> list[int]:
+    """The codes of the elements of a small field at which a univariate
+    polynomial over it vanishes: Horner on the field tables at every
+    element of the field."""
+    tables = field_tables(poly.ring)
+    coeffs = [0] * (poly.total_degree() + 1)
+    for (k,), c in poly.terms.items():
+        coeffs[k] = c.payload
+    horner = tables.horner
+    return [x for x in range(len(tables.elements)) if horner(coeffs, x) == 0]
 
 
 # ----------------------------------------------------------------------
@@ -996,16 +995,18 @@ def _extend(lat1: Lattice, cls: DivisorClass, extra: dict) -> DivisorClass:
     return lat1.cls(coeffs)
 
 
-def _origin_conditions() -> list:
+@lru_cache(maxsize=None)
+def _origin_conditions() -> tuple:
     """Passage through the four chart origins with the tangent-cone
-    direction at each: the conditions of the adjoint and gamma counts."""
+    direction at each: the conditions of the adjoint and gamma counts,
+    built once per process (the counts themselves run every time)."""
     zero = F49.zero()
     conditions = []
     for chart in (1, 2, 3, 4):
         pt = chart_point(chart, zero, zero)
         conditions.append(PassThrough(pt))
         conditions.append(TangentDirection(pt, _cone_direction(chart)))
-    return conditions
+    return tuple(conditions)
 
 
 def _cone_direction(chart: int):
@@ -1024,10 +1025,24 @@ def _cone_direction(chart: int):
 
 def multiple_fiber_scan(target: int, bound: int) -> list[tuple[int, int, int]]:
     """All (lambda, m1, m2) with lambda*(m1*m2 - m1 - m2) = target,
-    2 <= m1 < m2 <= bound coprime, lambda >= 1, by exhaustive scan."""
+    2 <= m1 < m2 <= bound coprime, lambda >= 1, by exhaustive scan.
+
+    With lambda >= 1 the target must be positive, and v = m1*m2 - m1 - m2
+    a positive divisor of it, so v <= target.  For fixed m1 the value
+    v = (m1 - 1)*m2 - m1 grows with m2, so v <= target exactly when
+    m2 <= (target + m1) // (m1 - 1): each row stops there, and the scan
+    stops at the first m1 whose row is empty, since that bound falls as
+    m1 grows.  Every pair it skips has v > target, so the scan misses no
+    solution.
+    """
     out = []
+    if target < 1:
+        return out
     for m1 in range(2, bound + 1):
-        for m2 in range(m1 + 1, bound + 1):
+        top = min(bound, (target + m1) // (m1 - 1))
+        if top <= m1:
+            break
+        for m2 in range(m1 + 1, top + 1):
             v = m1 * m2 - m1 - m2
             if v > 0 and target % v == 0 and gcd(m1, m2) == 1:
                 out.append((target // v, m1, m2))

@@ -569,6 +569,13 @@ def test_eliminate_against_enumeration_oracle():
         proj_rhs = [b.payload for b in projected.rhs]
         computed = enumerate_solutions(proj_rows, proj_rhs, len(keep))
         assert computed == oracle
+        # the projection is born with its reduced form, the reference's
+        expected_rows, expected_pivots = reference_row_echelon(
+            [(*row, b) for row, b in zip(projected.rows, projected.rhs)])
+        assert projected._reduced == (
+            tuple(tuple(x.payload for x in row)
+                  for row in expected_rows[:len(expected_pivots)]),
+            tuple(expected_pivots))
         cases += 1
 
 

@@ -541,6 +541,109 @@ def test_substitution_into_another_registry_binds_every_used_variable():
         p.substitute({"x": s, "y": MPoly.variable(ST, Z343, "s")})
 
 
+def reference_substitute(p, bindings):
+    """``substitute`` as it was first written, without its checks of the
+    arguments: one product of the bound powers per term, each power
+    ``value ** k`` by squaring, memoized per binding."""
+    registry, coeffs = p.registry, p._coeffs
+    target = next((v.registry for v in bindings.values()), registry)
+    top = target._degree_shift
+    bound = [(registry._shifts[registry.index[n]],
+              registry._unit(registry.index[n]), v, {})
+             for n, v in bindings.items()]
+    acc = {}
+    for e, c in p._terms.items():
+        residual, piece = e, None
+        for shift, unit, value, powers in bound:
+            k = (e >> shift) & poly._MASK
+            if k:
+                residual -= k * unit
+                power = powers.get(k)
+                if power is None:
+                    power = powers[k] = value ** k
+                piece = power if piece is None else piece * power
+        terms = {0: coeffs.one} if piece is None else piece._terms
+        if terms:
+            poly._check_degree((residual >> top) + (max(terms) >> top))
+            coeffs.addmul(acc, residual, c, terms)
+    return poly._init(poly._new(MPoly), target, p.ring, coeffs,
+                      coeffs.finish(acc))
+
+
+def outcome(substitution, *args):
+    """The result of a substitution, or ``OverflowError`` if it raised
+    that."""
+    try:
+        return substitution(*args)
+    except OverflowError:
+        return OverflowError
+
+
+def assert_same_terms(result, expected):
+    assert result.registry == expected.registry
+    assert result.ring == expected.ring
+    assert result._terms == expected._terms
+
+
+@pytest.mark.parametrize("key", ["ZZ", "Z/343", "GF(7)", "GF(49)"])
+@poly_property(lambda key: (polys(key), st.sets(st.sampled_from(XYZ.names)),
+                            *[polys(key, max_terms=3, max_exp=3)] * 3))
+def test_substitute_matches_the_reference_in_its_own_registry(p, names, sx,
+                                                              sy, sz):
+    # the variables left out of the bindings pass through
+    values = {"x": sx, "y": sy, "z": sz}
+    sigma = {name: values[name] for name in sorted(names)}
+    assert_same_terms(p.substitute(sigma), reference_substitute(p, sigma))
+
+
+@pytest.mark.parametrize("key", ["ZZ", "Z/343", "GF(7)", "GF(49)"])
+@poly_property(lambda key: (polys(key), *[polys(key, 3, 3, ST)] * 3))
+def test_substitute_matches_the_reference_into_another_registry(p, sx, sy,
+                                                                sz):
+    sigma = {"x": sx, "y": sy, "z": sz}
+    assert_same_terms(p.substitute(sigma), reference_substitute(p, sigma))
+
+
+@pytest.mark.parametrize("key", ["ZZ", "Z/343", "GF(7)", "GF(49)"])
+@poly_property(lambda key: (polys(key), points(key)))
+def test_translate_matches_the_reference(p, offsets):
+    shift = {name: MPoly.variable(XYZ, p.ring, name)
+             + MPoly.constant(XYZ, off) for name, off in offsets.items()}
+    assert_same_terms(p.translate(offsets), reference_substitute(p, shift))
+
+
+def near_the_bound(key, registry):
+    """Polynomials of total degree close to ``MAX_DEGREE``: a small one
+    times a power of one variable."""
+    ring = COEFFS[key][0]
+    return st.tuples(polys(key, 3, 2, registry), st.sampled_from(registry.names),
+                     st.integers(MAX_DEGREE // 5, MAX_DEGREE - 3)).map(
+        lambda args: args[0] * MPoly.variable(registry, ring, args[1])
+        ** args[2])
+
+
+# over a domain the degree of a product is the sum of the degrees, so the
+# per-term route and the ladders raise on exactly the same inputs
+@pytest.mark.parametrize("key", ["ZZ", "GF(7)", "GF(49)"])
+@poly_property(lambda key: (polys(key), st.sets(st.sampled_from(XYZ.names)),
+                            *[st.one_of(polys(key, 3, 2),
+                                        near_the_bound(key, XYZ))] * 3,
+                            *[st.one_of(polys(key, 3, 2, ST),
+                                        near_the_bound(key, ST))] * 3))
+def test_substitute_overflows_where_the_reference_does(p, names, sx, sy, sz,
+                                                       tx, ty, tz):
+    own = {"x": sx, "y": sy, "z": sz}
+    own = {name: own[name] for name in sorted(names)}
+    other = {"x": tx, "y": ty, "z": tz}
+    for sigma in (own, other):
+        result = outcome(p.substitute, sigma)
+        expected = outcome(reference_substitute, p, sigma)
+        if expected is OverflowError:
+            assert result is OverflowError
+        else:
+            assert_same_terms(result, expected)
+
+
 @pytest.mark.parametrize("key", ["ZZ", "GF(7)", "Z/343", "GF(49)"])
 @poly_property(lambda key: (polys(key), polys(key), points(key)))
 def test_property_evaluation_is_multiplicative(p, q, point):

@@ -1,6 +1,7 @@
 """Scenario-level behavior: statuses, flags, determinism, sensitivity."""
 
 import json
+import random
 from itertools import product
 from math import gcd
 
@@ -167,10 +168,88 @@ def reference_multiple_fiber_scan(target, bound):
 
 
 def test_multiple_fiber_scan_matches_the_reference():
-    for target in range(1, 13):
-        for bound in range(2, 41):
-            assert (scenarios.multiple_fiber_scan(target, bound)
-                    == reference_multiple_fiber_scan(target, bound))
+    for target in range(1, 41):
+        # the solutions up to a smaller bound are those with m2 <= bound
+        widest = reference_multiple_fiber_scan(target, 100)
+        for bound in range(2, 101):
+            assert scenarios.multiple_fiber_scan(target, bound) == [
+                solution for solution in widest if solution[2] <= bound]
+
+
+@pytest.mark.parametrize("target, bound", [(0, 5), (-2, 6), (-1, 100)])
+def test_multiple_fiber_scan_has_no_solution_below_target_one(target, bound):
+    # lambda >= 1 and m1*m2 - m1 - m2 >= 1 make the target at least 1
+    assert scenarios.multiple_fiber_scan(target, bound) == []
+
+
+# ----------------------------------------------------------------------
+# the root scans of the delta scenario
+
+
+def evaluation_roots(poly):
+    """The codes of the elements at which ``poly`` vanishes, each tested
+    through ``MPoly.evaluate``."""
+    (name,) = poly.registry.names
+    elements = field_tables(poly.ring).elements
+    return [code for code, x in enumerate(elements)
+            if poly.evaluate({name: x}).is_zero()]
+
+
+def delta_polynomials():
+    d1, d2 = map(scenarios.delta_restrict, scenarios.curve_pair("F49"))
+    quadratics = [scenarios.cgdata.parsed(text, scenarios._BE, ring)
+                  for text in ("be^2+4*be+6", "be^2+6*be+6")
+                  for ring in (scenarios.F7, F49)]
+    return [d1, d2, *quadratics]
+
+
+@pytest.mark.parametrize("ring", [PrimeField(7), F49], ids=["GF7", "GF49"])
+def test_root_codes_match_evaluation_at_every_element(ring):
+    rng = random.Random(18)
+    polys = [p for p in delta_polynomials() if p.ring == ring]
+    for _ in range(60):
+        degree = rng.randrange(0, 9)
+        polys.append(MPoly(scenarios._BE, ring, {
+            (k,): ring.random_element(rng) for k in range(degree + 1)
+            if rng.random() < 0.7}))
+    polys.append(MPoly.zero(scenarios._BE, ring))
+    found = [scenarios.root_codes(poly) for poly in polys]
+    assert found == [evaluation_roots(poly) for poly in polys]
+    # polynomials with roots and without them are both among the cases
+    assert any(found) and not all(found)
+
+
+# ----------------------------------------------------------------------
+# the diagonal parametrization
+
+
+def reference_diagonal_param(beta0):
+    """The diagonal's series as it was first built: the 13-term series
+    of 1/(u+s), u = 1 + beta0, times the numerator 1 - beta0 - s,
+    truncated at order 12, less alpha0."""
+    order, S = 12, scenarios._S
+    one = F49.one()
+    uinv = (one + beta0).inverse()
+    s = MPoly.variable(S, F49, "s")
+    inv_series = MPoly.zero(S, F49)
+    for k in range(order + 1):
+        inv_series = inv_series + MPoly(S, F49, {(k,): uinv * ((-uinv) ** k)})
+    alpha0 = (one - beta0) * uinv
+    numerator = MPoly.constant(S, one - beta0) - s
+    alpha_s = (numerator * inv_series).truncate("s", order) \
+        - MPoly.constant(S, alpha0)
+    return (alpha_s, s)
+
+
+def test_diagonal_param_matches_the_series_route_at_every_beta():
+    checked = 0
+    for beta in F49.all_elements():
+        if (F49.one() + beta).is_zero():
+            continue
+        assert scenarios.diagonal_param(beta) == \
+            reference_diagonal_param(beta)
+        checked += 1
+    assert checked == 48
 
 
 # ----------------------------------------------------------------------
