@@ -64,8 +64,9 @@ from collections.abc import Mapping as MappingABC
 from functools import lru_cache, partial
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .rings import (Element, Frozen, IntegerRing, QuadraticField, Ring,
-                    RingMismatchError, ZMod, _power, field_tables)
+from .rings import (Element, Frozen, IntegerRing, NonUnitError,
+                    QuadraticField, Ring, RingMismatchError, ZMod, _power,
+                    field_tables)
 
 _FIELD_BITS = 16                      # one unsigned 16-bit field per variable
 MAX_DEGREE = (1 << _FIELD_BITS) - 1   # bound on the total degree of a term
@@ -494,6 +495,10 @@ class MPoly(Frozen):
         result lives there, and every variable used must be bound.  Raises
         ``KeyError`` for an unknown or an unbound used variable, and
         ``RingMismatchError`` for a foreign ring or two registries.
+        Raises ``OverflowError`` when the image of a term passes
+        ``MAX_DEGREE``, counted as the sum of the degrees of its powers:
+        over a domain that is its degree, while over Z/p^k two powers
+        can multiply to zero, and the bound still counts their degrees.
         """
         registry, coeffs = self.registry, self._coeffs
         target = next((v.registry for v in bindings.values()), registry)
@@ -633,14 +638,24 @@ def _init(p: MPoly, registry: VarRegistry, ring: Ring, coeffs: _Coeffs,
 
 def unit_match(p: MPoly, target: MPoly) -> Element | None:
     """The unit u with p = u * target, fixed from one stored term of the
-    target (a unit that works is unique, so any term fixes it) and then
-    verified everywhere; None if no unit works."""
+    target and then verified everywhere; None if no unit works.  A unit
+    that works is unique, so any term whose coefficient is a unit fixes
+    it: over a field the first one does.  Raises ``NonUnitError`` when no
+    coefficient of the target is a unit (over ZZ and Z/p^k)."""
+    error = None
     for e, c in target._terms.items():
+        try:
+            inverse = target._coeffs.wrap(c).inverse()
+        except NonUnitError as exc:
+            error = exc
+            continue
         cp = p._terms.get(e)
         if cp is None:
             return None
-        u = p._coeffs.wrap(cp) * target._coeffs.wrap(c).inverse()
+        u = p._coeffs.wrap(cp) * inverse
         return u if (target.scale(u) - p).is_zero() else None
+    if error is not None:
+        raise error
     return None
 
 

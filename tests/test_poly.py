@@ -16,6 +16,7 @@ from stablelimit import (ZZ, DualNumbers, MPoly, ParseError, PrimeField,
                          parse_poly)
 from stablelimit import cgdata, poly
 from stablelimit.poly import MAX_DEGREE
+from stablelimit.rings import NonUnitError
 from stablelimit.scenarios import build_quintic, curve_pair
 
 F7 = PrimeField(7)
@@ -332,6 +333,49 @@ def test_substitute_unbound_passthrough():
     assert q == parse_poly("y^2+z", XYZT, F7)
 
 
+def reference_unit_match(p, target):
+    """``unit_match`` as it was first written: the unit fixed at the
+    leading monomial of the target in graded reverse lexicographic
+    order."""
+    for exps, c in target.sorted_terms():
+        cp = p.terms.get(exps)
+        if cp is None:
+            return None
+        u = cp * c.inverse()
+        return u if (target.scale(u) - p).is_zero() else None
+    return None
+
+
+@pytest.mark.parametrize("ring", [F7, F49], ids=["GF7", "GF49"])
+def test_unit_match_matches_the_leading_term_reference(ring):
+    rng = random.Random(18)
+    reg = VarRegistry(("x", "y", "z"))
+    matched = 0
+    for _ in range(200):
+        target = rand_poly(reg, ring, rng)
+        scale = ring.random_element(rng)
+        p = (target.scale(scale) if rng.random() < 0.6
+             else target.scale(scale) + rand_poly(reg, ring, rng, 2))
+        u = poly.unit_match(p, target)
+        assert u == reference_unit_match(p, target)
+        matched += u is not None
+    assert 0 < matched < 200
+
+
+def test_unit_match_over_the_integers_skips_coefficients_that_are_not_units():
+    reg = VarRegistry(("x",))
+
+    def match(p, target):
+        return poly.unit_match(parse_poly(p, reg, ZZ),
+                               parse_poly(target, reg, ZZ))
+
+    # the constant term of the target is stored first, and 2 is no unit
+    assert match("-2-x", "2+x") == ZZ.from_int(-1)
+    assert match("2-x", "2+x") is None
+    with pytest.raises(NonUnitError):
+        match("-2-4*x", "2+4*x")
+
+
 # ----------------------------------------------------------------------
 # derivative, graded parts, translation
 
@@ -616,7 +660,8 @@ def near_the_bound(key, registry):
     """Polynomials of total degree close to ``MAX_DEGREE``: a small one
     times a power of one variable."""
     ring = COEFFS[key][0]
-    return st.tuples(polys(key, 3, 2, registry), st.sampled_from(registry.names),
+    return st.tuples(polys(key, 3, 2, registry),
+                     st.sampled_from(registry.names),
                      st.integers(MAX_DEGREE // 5, MAX_DEGREE - 3)).map(
         lambda args: args[0] * MPoly.variable(registry, ring, args[1])
         ** args[2])
