@@ -15,6 +15,7 @@ rank says on the concrete points.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
@@ -63,29 +64,32 @@ def _chart_coefficients(pair: tuple[Element, Element], d: int, k: int,
             for i in range(d + 1)]
 
 
-def _condition_rows(a: int, b: int, cond, ring: Ring) -> list[list[Element]]:
+# bounded: any caller's points reach it; typed: a bare tuple is refused
+@lru_cache(maxsize=256, typed=True)
+def _condition_rows(a: int, b: int, cond,
+                    ring: Ring) -> tuple[tuple[Element, ...], ...]:
     if not isinstance(cond, (PassThrough, TangentDirection)):
         raise TypeError(f"unknown condition {cond!r}")
     _check_point(cond.point)
     if isinstance(cond, PassThrough):
         (a0, a1), (b0, b1) = cond.point
-        return [[a0 ** i * a1 ** (a - i) * b0 ** j * b1 ** (b - j)
-                 for i in range(a + 1) for j in range(b + 1)]]
+        return (tuple(a0 ** i * a1 ** (a - i) * b0 ** j * b1 ** (b - j)
+                      for i in range(a + 1) for j in range(b + 1)),)
     du, dv = cond.direction
     if du.is_zero() and dv.is_zero():
         raise ValueError("tangent direction must be nonzero")
     A, B = cond.point
     x0, x1 = (_chart_coefficients(A, a, k, ring) for k in (0, 1))
     y0, y1 = (_chart_coefficients(B, b, k, ring) for k in (0, 1))
-    return [[x1[i] * y0[j] * du + x0[i] * y1[j] * dv
-             for i in range(a + 1) for j in range(b + 1)]]
+    return (tuple(x1[i] * y0[j] * du + x0[i] * y1[j] * dv
+                  for i in range(a + 1) for j in range(b + 1)),)
 
 
 def series_dimension(bidegree: tuple[int, int],
                      conditions: Iterable[Condition], ring: Ring) -> int:
     """Dimension of the space of bidegree forms satisfying the conditions."""
     a, b = bidegree
-    rows: list[list[Element]] = []
+    rows: list[tuple[Element, ...]] = []
     for cond in conditions:
         rows.extend(_condition_rows(a, b, cond, ring))
     n = (a + 1) * (b + 1)

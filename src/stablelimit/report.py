@@ -9,10 +9,12 @@ Reports are deterministic apart from the timing field.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _string
 
 
 PROVENANCE_TAGS = ("published", "derived", "definitional")
+
+_NONFINITE = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
 
 
 class VerificationReport:
@@ -35,14 +37,15 @@ class VerificationReport:
         """Record a computed/expected pair; a mismatch fails the report."""
         if tag not in PROVENANCE_TAGS:
             raise ValueError(f"unknown provenance tag {tag!r}")
-        self.computed[key] = _plain(computed)
-        self.expected[key] = _plain(expected)
+        computed, expected = _plain(computed), _plain(expected)
+        self.computed[key] = computed
+        self.expected[key] = expected
         self.provenance[key] = tag
-        ok = _plain(computed) == _plain(expected)
+        ok = computed == expected
         if not ok:
             self.status = "fail"
             self.notes.append(f"mismatch at {key}: computed "
-                              f"{_plain(computed)!r}, expected {_plain(expected)!r}")
+                              f"{computed!r}, expected {expected!r}")
         return ok
 
     def require(self, key: str, condition: bool, note: str = "") -> bool:
@@ -106,7 +109,39 @@ def render_json(reports, version: str) -> str:
             "flagged": flagged,
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=False)
+    return _render(doc, "")
+
+
+def _render(value, indent: str) -> str:
+    """The text of ``json.dumps(value, indent=2)``, without the pure-Python
+    encoder that ``json`` falls back to when it indents.  Object keys must
+    be strings; any other non-JSON value raises ``TypeError``."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        return _NONFINITE.get(value) or float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items, ends = [inner + _render(v, inner) for v in value], "[]"
+    elif isinstance(value, dict):
+        # _string raises TypeError for a key that is not a string
+        items = [f"{inner}{_string(k)}: {_render(v, inner)}"
+                 for k, v in value.items()]
+        ends = "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
+    if not items:
+        return ends
+    return f"{ends[0]}\n" + ",\n".join(items) + f"\n{indent}{ends[1]}"
 
 
 def render_text(reports, version: str) -> str:

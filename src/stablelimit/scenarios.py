@@ -2,11 +2,13 @@
 
 Each scenario re-derives one finite claim from first principles and
 compares the result with the published value, producing a structured
-report.  Scenarios are pure and deterministic; expensive intermediates
-(the symbolic rigidity derivation, the diagonal rows) are cached and
-shared.  A scenario that needs a published value states it under the
-provenance tag "published"; values frozen from an independent oracle of
-this package carry "derived".
+report.  Scenarios are pure and deterministic.  Constant inputs are
+cached: a curve, restriction, germ, branch locus or linear system built
+only from published constants is an ``lru_cache``d pure function with an
+immutable value.  Verdicts run every time: unit matches, classifications,
+multiplicities, contact orders, ranks and every ``check``.  A published
+value carries the provenance tag "published"; values frozen from an
+independent oracle of this package carry "derived".
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ def coefficient_value(name: str, ring, r: Element) -> Element:
             + ring.from_int(c2) * r * r)
 
 
+@lru_cache(maxsize=None)
 def build_quintic(ring, r: Element) -> MPoly:
     """The quintic family member at parameter r, over the given ring."""
     values = {n: coefficient_value(n, ring, r) for n in cgdata.COEFF_POLYS}
@@ -70,6 +73,7 @@ def degeneration_forms(ring_key: str):
                  for t in (cgdata.F1, cgdata.F2, cgdata.F3, cgdata.F5))
 
 
+@lru_cache(maxsize=None)
 def restrict_to_quadric(p: MPoly) -> MPoly:
     """Pull a form in x,y,z,t back along the quadric parametrization."""
     return p.substitute({name: cgdata.parsed(text, cgdata.AB, p.ring)
@@ -83,6 +87,14 @@ def curve_pair(ring_key: str) -> tuple[MPoly, MPoly]:
             cgdata.parsed(cgdata.G2, cgdata.AB, ring))
 
 
+@lru_cache(maxsize=None)
+def union_product(ring_key: str) -> MPoly:
+    """The curve union g1 * g2."""
+    g1, g2 = curve_pair(ring_key)
+    return g1 * g2
+
+
+@lru_cache(maxsize=None)
 def delta_restrict(g: MPoly) -> MPoly:
     """Restriction to the diagonal with denominators cleared: substitute
     the first-factor pair (1-be, 1+be) at be' = 1, a polynomial in be."""
@@ -95,6 +107,7 @@ def delta_restrict(g: MPoly) -> MPoly:
     })
 
 
+@lru_cache(maxsize=None)
 def chart_germ(g: MPoly, chart: int) -> ChartGerm:
     """The germ of a bidegree form at a chart origin."""
     return ChartGerm(f"chart{chart}", dehomogenize(g, chart),
@@ -115,6 +128,7 @@ def chart_point(chart: int, a: Element, b: Element):
             (b, one) if v == "be" else (one, b))
 
 
+@lru_cache(maxsize=None)
 def translated_germ(g: MPoly, alpha: Element, beta: Element) -> ChartGerm:
     """Germ of g at an affine point of chart 4, moved to the origin."""
     moved = dehomogenize(g, 4).translate({"al": alpha, "be": beta})
@@ -131,6 +145,7 @@ def fiber_param(ring):
     return (s, MPoly.zero(_S, ring))
 
 
+@lru_cache(maxsize=None)
 def diagonal_param(beta0: Element):
     """Series parametrization of the diagonal alpha = (1-beta)/(1+beta)
     through (alpha0, beta0), in coordinates already translated so the
@@ -212,7 +227,7 @@ def scenario_branch() -> VerificationReport:
     section = f3 * f3 - four * f1 * f5
     restricted = restrict_to_quadric(section)
     g1, g2 = curve_pair("F7")
-    u = unit_match(restricted, g1 * g2)
+    u = unit_match(restricted, union_product("F7"))
     rep.require("discriminant section restricts to unit * g1 * g2",
                 u is not None)
     rep.note(f"splitting unit: {u!r}")
@@ -254,7 +269,7 @@ def scenario_delta() -> VerificationReport:
     # the diagonal is the plane section of the quadric: its chart-4
     # equation must be the restriction of the linear form
     f1, _, _, _ = degeneration_forms("F7")
-    f1_chart4 = dehomogenize(restrict_to_quadric(f1), 4)
+    f1_chart4 = chart_germ(restrict_to_quadric(f1), 4).poly
     chart_eq = cgdata.parsed(cgdata.DELTA_CHART4, cgdata.AB, F7)
     rep.require("diagonal chart equation is the plane restricted to the "
                 "quadric", unit_match(f1_chart4, chart_eq) is not None)
@@ -335,8 +350,7 @@ def rational_singular_points() -> frozenset:
     coordinate on the field tables; the partials only where the germ
     vanishes.
     """
-    g1, g2 = curve_pair("F49")
-    product = g1 * g2
+    product = union_product("F49")
     tables = field_tables(F49)
     horner, elements = tables.horner, tables.elements
     found = set()
@@ -424,10 +438,9 @@ def scenario_singularities() -> VerificationReport:
         rep.check(f"chart {chart}: double-point classification",
                   verdict.kind, "tacnode_or_degeneration", tag="derived")
 
-    product = g1 * g2
     for k in (1, 2):
         alpha, beta = q_point(k)
-        verdict = classify(translated_germ(product, alpha, beta))
+        verdict = classify(translated_germ(union_product("F49"), alpha, beta))
         rep.check(f"union at transverse point {k}", verdict.kind, "node")
 
     # multiplicity profile of the first curve across the chart origins
@@ -680,6 +693,12 @@ def scenario_basis_count() -> VerificationReport:
 # scenario: ramification
 
 
+@lru_cache(maxsize=None)
+def _branch_locus(g: MPoly, moving, base) -> MPoly:
+    """The branch locus of a constant curve, computed once per process."""
+    return branch_locus(g, moving, base)
+
+
 def scenario_ramification() -> VerificationReport:
     rep = VerificationReport(
         "ramification",
@@ -698,8 +717,8 @@ def scenario_ramification() -> VerificationReport:
     }
     curves = {"g1": g1, "g2": g2}
     for (curve, ruling), target_text in expectations.items():
-        disc = branch_locus(curves[curve], moving_of[ruling],
-                            second_of[ruling])
+        disc = _branch_locus(curves[curve], moving_of[ruling],
+                             second_of[ruling])
         target = cgdata.parsed(target_text, cgdata.AB, F7)
         rep.require(f"branch locus of {curve}, {ruling} ruling, is "
                     f"unit * {target_text}", unit_match(disc, target) is not None)
@@ -707,8 +726,8 @@ def scenario_ramification() -> VerificationReport:
     # the doubled branch points are exactly the transverse diagonal
     # points, each a double root of the discriminant
     i_unit = F49.i()
-    disc1 = branch_locus(curve_pair("F49")[0], cgdata.FIRST_PAIR,
-                         cgdata.SECOND_PAIR)
+    disc1 = _branch_locus(curve_pair("F49")[0], cgdata.FIRST_PAIR,
+                          cgdata.SECOND_PAIR)
     for label, beta in (("+i", i_unit), ("-i", -i_unit)):
         vals = {"be": beta, "be'": F49.one(),
                 "al": F49.zero(), "al'": F49.zero()}
@@ -753,6 +772,7 @@ def scenario_ramification() -> VerificationReport:
     return rep
 
 
+@lru_cache(maxsize=None)
 def _swap_rulings(g: MPoly) -> MPoly:
     """Exchange the two projective factors."""
     ring = g.ring

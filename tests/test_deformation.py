@@ -7,10 +7,11 @@ import sys
 
 import pytest
 
-from stablelimit import MPoly, PrimeField, cgdata, deformation, linalg, scenarios
+from stablelimit import (MPoly, PrimeField, cgdata, deformation, linalg,
+                         linser, scenarios)
 from stablelimit.deformation import F49
 from stablelimit.linalg import outside_span, rank, rowspace_equal, solve_affine
-from stablelimit.rings import field_tables
+from stablelimit.rings import Frozen, field_tables
 from stablelimit.scenarios import (_chain_rule_rows, _corrected_system,
                                    _corrected_system_feasible,
                                    _direct_value_rows, _elimination_system_28,
@@ -235,6 +236,45 @@ def test_cached_rows_are_immutable():
         system.rows[0][0] = system.rows[0][0]
     with pytest.raises(TypeError):
         system.rhs[0] = system.rhs[0]
+    # the constant curve inputs that a full run caches: each call returns
+    # the one shared value, so each must be a frozen value or a tuple of
+    # them
+    scenarios.run_many(None)
+    f1 = scenarios.degeneration_forms("F7")[0]
+    g1, g2 = curve_pair("F49")
+    alpha, beta = scenarios.q_point(1)
+    origin = scenarios._origin_conditions()[1]
+    for build, args in (
+            (scenarios.build_quintic, (scenarios.F7, scenarios.F7.from_int(
+                cgdata.SIMPLE_ROOT_MOD_P))),
+            (scenarios.restrict_to_quadric, (f1,)),
+            (scenarios.union_product, ("F49",)),
+            (scenarios.delta_restrict, (g1,)),
+            (scenarios.chart_germ, (g1, 1)),
+            (scenarios.translated_germ, (g1, alpha, beta)),
+            (scenarios.diagonal_param, (beta,)),
+            (scenarios._swap_rulings, (g2,)),
+            (scenarios._branch_locus, (g1, cgdata.FIRST_PAIR,
+                                       cgdata.SECOND_PAIR)),
+            (linser._condition_rows, (2, 2, origin, F49))):
+        value = build(*args)
+        assert build(*args) is value, build.__name__
+        _assert_immutable(value)
+
+
+def _assert_immutable(value):
+    """A tuple of frozen values, or one frozen value, each of whose
+    attributes refuses assignment and deletion."""
+    if type(value) is tuple:
+        for item in value:
+            _assert_immutable(item)
+        return
+    assert isinstance(value, Frozen), type(value)
+    for name in type(value).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
 
 
 def test_reduced_forms_of_a_full_run_match_the_reference():
@@ -281,6 +321,38 @@ def test_a_warm_run_eliminates_only_in_outside_span_and_bare_row_ranks(
     # outside_span reads the derived system's kept form, so the bare
     # rows that linser ranks are all that a warm run eliminates
     assert set(callers) == {"rank from stablelimit.linser"}
+
+
+def test_a_warm_run_builds_no_constant_curve_input(monkeypatch):
+    statuses = [r.status for r in scenarios.run_many(None)]
+    calls = collections.Counter()
+
+    def recorded(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[f"{name} from {sys._getframe(1).f_code.co_name}"] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((MPoly, "substitute"), (MPoly, "translate"),
+                        (scenarios, "dehomogenize"),
+                        (deformation, "dehomogenize"),
+                        (scenarios, "branch_locus")):
+        recorded(owner, name)
+    caches = {f"{module.__name__}.{name}": fn
+              for module in (scenarios, linser)
+              for name, fn in vars(module).items()
+              if hasattr(fn, "cache_info")}
+    assert {"stablelimit.linser._condition_rows",
+            "stablelimit.scenarios._branch_locus"} <= caches.keys()
+    misses = {name: fn.cache_info().misses for name, fn in caches.items()}
+    assert [r.status for r in scenarios.run_many(None)] == statuses
+    # the seven pullbacks of the contact orders are the only polynomial
+    # rewrites left, and no cache builds anything
+    assert calls == {"substitute from intersection_multiplicity": 7}
+    assert {name: fn.cache_info().misses
+            for name, fn in caches.items()} == misses
 
 
 def test_value_rows_match_direct_evaluation():

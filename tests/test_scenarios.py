@@ -12,7 +12,7 @@ from stablelimit.curvelocal import (ChartGerm, DegenerateProjectionError,
                                     branch_locus, classify,
                                     infinitely_near_multiplicity,
                                     intersection_multiplicity)
-from stablelimit.deformation import F49
+from stablelimit.deformation import F49, dehomogenize
 from stablelimit.linalg import LinearSystem, eliminate, solve_affine
 from stablelimit.linser import (PassThrough, TangentDirection, normalize_pair,
                                 series_dimension)
@@ -325,7 +325,10 @@ _POINT = ((F49.one(), F49.zero()), (F49.i(), F49.one()))
 
 
 @pytest.mark.parametrize("make", [
-    lambda: scenarios.chart_germ(scenarios.curve_pair("F49")[0], 1),
+    # the record, not the cached helper: chart_germ returns one germ
+    lambda: ChartGerm("chart1",
+                      dehomogenize(scenarios.curve_pair("F49")[0], 1),
+                      cgdata.CHARTS[1]),
     lambda: classify(scenarios.chart_germ(scenarios.curve_pair("F49")[0], 1)),
     lambda: PassThrough(_POINT),
     lambda: TangentDirection(_POINT, (F49.one(), F49.i())),
