@@ -321,7 +321,7 @@ class _Terms(MappingABC):
 class MPoly(Frozen):
     """A sparse multivariate polynomial over an exact ring; immutable."""
 
-    __slots__ = ("registry", "ring", "_coeffs", "_terms")
+    __slots__ = ("registry", "ring", "_coeffs", "_terms", "_hash")
 
     def __init__(self, registry: VarRegistry, ring: Ring,
                  terms: Mapping[tuple[int, ...], Element] | None = None):
@@ -424,7 +424,12 @@ class MPoly(Frozen):
                 and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.registry, frozenset(self._terms.items())))
+        # computed on first use and kept in the ``_hash`` slot
+        value = self._hash
+        if value is None:
+            value = hash((self.registry, frozenset(self._terms.items())))
+            _set_hash(self, value)
+        return value
 
     # ------------------------------------------------------------------
     # structure
@@ -625,6 +630,7 @@ class MPoly(Frozen):
 _new = object.__new__
 _set_registry, _set_ring = MPoly.registry.__set__, MPoly.ring.__set__
 _set_coeffs, _set_terms = MPoly._coeffs.__set__, MPoly._terms.__set__
+_set_hash = MPoly._hash.__set__
 
 
 def _init(p: MPoly, registry: VarRegistry, ring: Ring, coeffs: _Coeffs,
@@ -633,6 +639,7 @@ def _init(p: MPoly, registry: VarRegistry, ring: Ring, coeffs: _Coeffs,
     _set_ring(p, ring)
     _set_coeffs(p, coeffs)
     _set_terms(p, terms)
+    _set_hash(p, None)
     return p
 
 

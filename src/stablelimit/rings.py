@@ -25,8 +25,14 @@ is also the element's code in the field's table set.  ``field_tables``
 builds that set (products, sums, differences, inverses, and the element
 of each code) once per field value, in the manner of the table-based
 small fields of FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 35(3),
-2008).  GF(p)[i] has no other arithmetic: its ring operations read the
-tables, which it builds when it is constructed.  Exact elimination
+2008).  GF(p) and GF(p)[i] of at most ``_TABLE_ORDER_LIMIT`` (256)
+elements build it when they are constructed and keep it as
+``ring.tables``; a larger GF(p)[i] is refused.  The GF(p) and GF(p)[i]
+operators ``+``, ``-`` (binary and unary) and ``*`` of ``Element`` read
+the table set themselves, ``ring._elements[tables.add[a][b]]`` and so on,
+with no call into the ring.  Every other ring (``ZZ``, Z/p^k for k > 1,
+GF(p) above the limit, the dual numbers) goes through its payload
+methods ``_add``, ``_sub``, ``_neg`` and ``_mul``.  Exact elimination
 (``linalg``), polynomials over GF(p)[i] (``poly``) and the rational
 singular-point scan (``scenarios``) run on the same codes.
 
@@ -34,11 +40,12 @@ singular-point scan (``scenarios``) run on the same codes.
 ``Element``; ``Element(ring, payload)`` is ``ring.element(payload)``.
 A ``ZMod`` or ``QuadraticField`` of at most ``_INTERN_ORDER_LIMIT`` (343)
 elements, GF(7), GF(49) and Z/343 among them, builds the tuple of its
-elements once, when it is constructed, and its ``_wrap`` indexes that
-tuple: its arithmetic and its constructors hand out those elements
-and allocate nothing.  ``ZZ``, larger ``ZMod`` rings and the dual
-numbers allocate a new element each time.  Which elements are the same object is not part
-of the interface: compare them with ``==``, never with ``is``.
+elements once, when it is constructed, as ``ring._elements``, and its
+``_wrap`` indexes that tuple: its arithmetic and its constructors hand
+out those elements and allocate nothing.  The rings that allocate a new
+element for each result are ``ZZ``, ``ZMod`` rings above the limit and
+the dual numbers.  Which elements are the same object is not part of the
+interface: compare them with ``==``, never with ``is``.
 
 The module also provides ``hensel_lift``, the p-power-at-a-time refinement
 of a simple root of a univariate integer polynomial.
@@ -50,7 +57,7 @@ import operator
 import random
 from functools import lru_cache
 from operator import index
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 
 class RingMismatchError(TypeError):
@@ -75,11 +82,11 @@ _INTERN_ORDER_LIMIT = 343
 
 
 class Frozen:
-    """Base of the immutable value types (``Element``, ``MPoly``,
-    ``LinearSystem``, ``ChartGerm``, ``DivisorClass``): assigning or
-    deleting an attribute raises ``AttributeError``.  A subclass declares
-    its ``__slots__`` and fills them through the slot descriptors, which
-    bypass this guard."""
+    """Base of the immutable value types (``Element``, ``FieldTables``,
+    ``MPoly``, ``LinearSystem``, ``ChartGerm``, ``DivisorClass``):
+    assigning or deleting an attribute raises ``AttributeError``.  A
+    subclass declares its ``__slots__`` and fills them through the slot
+    descriptors, which bypass this guard."""
 
     __slots__ = ()
 
@@ -91,7 +98,14 @@ class Frozen:
 
 
 class Ring:
-    """Common interface of all coefficient rings."""
+    """Common interface of all coefficient rings.
+
+    ``tables`` is the ``field_tables`` set of a field that keeps one,
+    GF(p) and GF(p)[i] up to ``_TABLE_ORDER_LIMIT`` elements, and None
+    for every other ring; the ``Element`` operators read it in place of
+    the payload methods."""
+
+    tables = None
 
     def element(self, payload):
         raise NotImplementedError
@@ -131,9 +145,13 @@ class Ring:
     def random_element(self, rng: random.Random):
         raise NotImplementedError
 
-    # payload-level arithmetic; Element dispatches here
+    # payload-level arithmetic of a ring without tables; Element
+    # dispatches here
     def _add(self, a, b):
         raise NotImplementedError
+
+    def _sub(self, a, b):
+        return self._add(a, self._neg(b))
 
     def _neg(self, a):
         raise NotImplementedError
@@ -157,7 +175,10 @@ class Element(Frozen):
     The binary operations take a fast path when the other operand is an
     ``Element`` of the very same ring object; any other operand goes
     through ``_check``, which accepts an equal ring and raises
-    ``RingMismatchError`` otherwise.
+    ``RingMismatchError`` otherwise.  Over a ring with ``tables`` the
+    result is read off the code tables and is always an element of
+    ``self.ring``, the operating ring, even when ``other`` belongs to an
+    equal ring built apart from it.
     """
 
     __slots__ = ("ring", "payload")
@@ -179,22 +200,34 @@ class Element(Frozen):
         ring = self.ring
         if other.__class__ is not Element or other.ring is not ring:
             other = self._check(other)
+        tables = ring.tables
+        if tables is not None:
+            return ring._elements[tables.add[self.payload][other.payload]]
         return ring._wrap(ring._add(self.payload, other.payload))
 
     def __sub__(self, other):
         ring = self.ring
         if other.__class__ is not Element or other.ring is not ring:
             other = self._check(other)
-        return ring._wrap(ring._add(self.payload, ring._neg(other.payload)))
+        tables = ring.tables
+        if tables is not None:
+            return ring._elements[tables.sub[self.payload][other.payload]]
+        return ring._wrap(ring._sub(self.payload, other.payload))
 
     def __neg__(self):
         ring = self.ring
+        tables = ring.tables
+        if tables is not None:
+            return ring._elements[tables.sub[0][self.payload]]
         return ring._wrap(ring._neg(self.payload))
 
     def __mul__(self, other):
         ring = self.ring
         if other.__class__ is not Element or other.ring is not ring:
             other = self._check(other)
+        tables = ring.tables
+        if tables is not None:
+            return ring._elements[tables.mul[self.payload][other.payload]]
         return ring._wrap(ring._mul(self.payload, other.payload))
 
     def __pow__(self, n: int):
@@ -257,6 +290,9 @@ class IntegerRing(Ring):
     def _add(self, a, b):
         return a + b
 
+    def _sub(self, a, b):
+        return a - b
+
     def _neg(self, a):
         return -a
 
@@ -296,7 +332,9 @@ def _is_prime(n: int) -> bool:
 
 
 class ZMod(Ring):
-    """Integers modulo p**k for a prime p and k >= 1."""
+    """Integers modulo p**k for a prime p and k >= 1.  The field GF(p)
+    builds its table set when it is constructed, if p is at most
+    ``_TABLE_ORDER_LIMIT``."""
 
     def __init__(self, p: int, k: int = 1):
         if not _is_prime(p):
@@ -307,6 +345,8 @@ class ZMod(Ring):
         self.k = k
         self.modulus = p ** k
         self._intern(self.modulus)
+        self.tables = (field_tables(self) if k == 1
+                       and p <= _TABLE_ORDER_LIMIT else None)
 
     def element(self, payload: int) -> Element:
         return self._wrap(index(payload) % self.modulus)
@@ -322,6 +362,9 @@ class ZMod(Ring):
 
     def _add(self, a, b):
         return (a + b) % self.modulus
+
+    def _sub(self, a, b):
+        return (a - b) % self.modulus
 
     def _neg(self, a):
         return (-a) % self.modulus
@@ -362,7 +405,8 @@ class QuadraticField(Ring):
     """GF(p)[i] with i**2 = -1; a field iff -1 is a non-square mod p.
 
     The payload of a + b*i is the int a + p*b, its code in ``tables``,
-    the table set of ``field_tables``, which every operation reads.  The
+    the table set of ``field_tables``, which the ``Element`` operators
+    and ``_invert`` read: the ring has no other arithmetic.  The
     order p**2 is at most ``_TABLE_ORDER_LIMIT``.  ``element`` takes a
     pair (a, b) for a + b*i, and an int n as the image of n, not as a
     code.
@@ -405,15 +449,6 @@ class QuadraticField(Ring):
 
     def conjugate(self, x: Element) -> Element:
         return self.element((x.payload % self.p, -(x.payload // self.p)))
-
-    def _add(self, a, b):
-        return self.tables.add[a][b]
-
-    def _neg(self, a):
-        return self.tables.sub[0][a]
-
-    def _mul(self, a, b):
-        return self.tables.mul[a][b]
 
     def _invert(self, a):
         inv = self.tables.inv[a]
@@ -505,7 +540,7 @@ class DualNumbers(Ring):
         return hash(("DualNumbers", self.base))
 
 
-class FieldTables(NamedTuple):
+class FieldTables(Frozen):
     """Arithmetic of one small field on the codes 0 .. q-1, which are the
     payloads of its elements.
 
@@ -513,15 +548,19 @@ class FieldTables(NamedTuple):
     ``sub[a][b]`` that of a-b (so ``sub[0]`` negates), ``inv[a]`` that
     of 1/a (``inv[0]`` is None), and ``elements[a]`` the ``Element`` of
     code a: ``elements`` is the interned tuple of the ring that built the
-    set.  Every part is read-only, since one table set is shared by all
-    its users, equal rings included.
+    set.  One table set is shared by all its users, equal rings included,
+    so every part is a tuple and the set is ``Frozen``; the ``Element``
+    operators read the codes here and hand out the operating ring's own
+    elements, ``ring._elements[code]``, never ``elements``.  The parts
+    are slots: an attribute read reaches them faster than the fields of
+    a named tuple, and the operators read one on every call.
     """
 
-    mul: tuple[tuple[int, ...], ...]
-    add: tuple[tuple[int, ...], ...]
-    sub: tuple[tuple[int, ...], ...]
-    inv: tuple[int | None, ...]
-    elements: tuple[Element, ...]
+    __slots__ = ("mul", "add", "sub", "inv", "elements")
+
+    def __init__(self, mul, add, sub, inv, elements):
+        for name, part in zip(self.__slots__, (mul, add, sub, inv, elements)):
+            object.__setattr__(self, name, part)
 
     def horner(self, coeffs: Sequence[int], x: int) -> int:
         """Code of the sum of coeffs[k] * x**k, coefficients low degree

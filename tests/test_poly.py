@@ -214,6 +214,21 @@ def test_hash_agrees_with_equality():
     assert a != parse_poly("x^2+y^2+z^2+x*y", XYZT, ZMod(7, 2))
 
 
+def test_hash_is_computed_once_and_cannot_be_set(monkeypatch):
+    p = parse_poly("x^2+y^2+z^2+x*y", XYZT, F7)
+    plain = hash((XYZT, frozenset(p._terms.items())))
+    built = []
+    monkeypatch.setattr(poly, "frozenset",
+                        lambda items: built.append(1) or frozenset(items),
+                        raising=False)
+    assert hash(p) == hash(p) == plain and len(built) == 1
+    with pytest.raises(AttributeError):
+        p._hash = 0
+    with pytest.raises(AttributeError):
+        del p._hash
+    assert hash(p) == plain and len(built) == 1
+
+
 def test_cached_curves_cannot_be_changed():
     g1 = curve_pair("F49")[0]
     before = str(g1)

@@ -1,5 +1,6 @@
 """Exact-ring arithmetic: axioms, canonical forms, Hensel lifting."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -261,31 +262,40 @@ def test_equal_rings_give_equal_elements():
             assert x * y == b.from_int(n * n)
 
 
+def _residues(m):
+    values = range(m)
+    return (values, lambda a: a, lambda a, b: (a + b) % m,
+            lambda a, b: (a - b) % m, lambda a, b: a * b % m, 1)
+
+
+def _pair_mul(u, v):
+    (a, b), (c, d) = u, v
+    return ((a * c - b * d) % 7, (a * d + b * c) % 7)
+
+
+# The plain int models of the interned rings, as (values, code of a value,
+# add, sub, mul, one): residues mod m for Z/343 and GF(7), and pairs
+# (a, b) for a+bi in GF(49), multiplied by (ac - bd, ad + bc) mod 7.
+PLAIN_MODELS = {
+    "Z/343": _residues(343),
+    "GF(7)": _residues(7),
+    "GF(49)": ([(a, b) for a in range(7) for b in range(7)],
+               lambda u: u[0] + 7 * u[1],
+               lambda u, v: ((u[0] + v[0]) % 7, (u[1] + v[1]) % 7),
+               lambda u, v: ((u[0] - v[0]) % 7, (u[1] - v[1]) % 7),
+               _pair_mul, (1, 0)),
+}
+
+
 def test_interned_arithmetic_matches_a_plain_int_model():
-    # the oracle: residues mod m for Z/343 and GF(7), and pairs (a, b) for
-    # a+bi in GF(49), multiplied by (ac - bd, ad + bc) mod 7; inverses by
-    # search.  GF(49)'s own arithmetic reads only its tables.
+    # the oracle: the plain models above; inverses by search.  The
+    # operators of GF(7) and GF(49) read only the field's tables.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    def residues(m):
-        values = range(m)
-        return (values, lambda a: a, lambda a, b: (a + b) % m,
-                lambda a, b: (a - b) % m, lambda a, b: a * b % m, 1)
-
-    def pair_mul(u, v):
-        (a, b), (c, d) = u, v
-        return ((a * c - b * d) % 7, (a * d + b * c) % 7)
-
-    models = {
-        "Z/343": (Z343, *residues(343)),
-        "GF(7)": (F7, *residues(7)),
-        "GF(49)": (F49, [(a, b) for a in range(7) for b in range(7)],
-                   lambda u: u[0] + 7 * u[1],
-                   lambda u, v: ((u[0] + v[0]) % 7, (u[1] + v[1]) % 7),
-                   lambda u, v: ((u[0] - v[0]) % 7, (u[1] - v[1]) % 7),
-                   pair_mul, (1, 0)),
-    }
+    models = {name: (ring, *PLAIN_MODELS[name])
+              for name, ring in (("Z/343", Z343), ("GF(7)", F7),
+                                 ("GF(49)", F49))}
     inverses = {name: {u: next((v for v in values if mul(u, v) == one), None)
                        for u in values}
                 for name, (_, values, _, _, _, mul, one) in models.items()}
@@ -325,6 +335,70 @@ def test_interned_arithmetic_matches_a_plain_int_model():
         for u in values:
             for v in values:
                 check(name, u, v)
+
+
+@pytest.mark.parametrize("make, name", [(lambda: PrimeField(7), "GF(7)"),
+                                        (lambda: QuadraticField(7), "GF(49)")],
+                         ids=["GF7", "GF49"])
+def test_table_field_operators_match_the_pair_model_on_every_pair(make, name):
+    # Two equal rings built apart share the table set of the first equal
+    # ring ever built, elements included; each operator must still hand
+    # out an element of its own left operand's ring.
+    a, b = make(), make()
+    assert a == b and a is not b and a.tables is b.tables
+    own = a._elements
+    assert a.tables.elements is not own
+    values, code, add, sub, mul, _ = PLAIN_MODELS[name]
+    for u in values:
+        x = a.element(u)
+        assert -x is own[code(sub(sub(u, u), u))]      # 0 - u
+        for v in values:
+            y = b.element(v)
+            assert x + y is own[code(add(u, v))]
+            assert x - y is own[code(sub(u, v))]
+            assert x * y is own[code(mul(u, v))]
+            assert y - x is b._elements[code(sub(v, u))]
+    # GF(7) and GF(49) share the codes 0..6, but not a ring
+    other = F49 if name == "GF(7)" else F7
+    for op in (operator.add, operator.sub, operator.mul):
+        for left, right in ((a, other), (other, a)):
+            with pytest.raises(RingMismatchError):
+                op(left.from_int(3), right.from_int(3))
+
+
+def test_element_operators_see_every_ring_operation(monkeypatch):
+    # The benchmark counts ring operations by wrapping these attributes of
+    # ``Element`` (``_install_counters`` of bench/layers.py).  An operator
+    # that reached another one without going through ``Element``, or one
+    # that calls another operator, would make a count differ from the
+    # operations performed.
+    counts = {}
+    for attr in ("__add__", "__sub__", "__neg__", "__mul__", "inverse"):
+        def counted(*args, fn=getattr(Element, attr),
+                    cell=counts.setdefault(attr, [0])):
+            cell[0] += 1
+            return fn(*args)
+        monkeypatch.setattr(Element, attr, counted)
+    rng = random.Random(20)
+    for ring in (F7, F49, Z343, ZZ):
+        for cell in counts.values():
+            cell[0] = 0
+        expected = dict.fromkeys(counts, 0)
+        for _ in range(40):
+            x, y = ring.random_element(rng), ring.random_element(rng)
+            s, d, n, p = x + y, x - y, -x, x * y
+            q = s * d - n * p
+            assert type(q) is Element and q == x * x - y * y + x * p
+            for attr, k in (("__add__", 2), ("__sub__", 3), ("__neg__", 1),
+                            ("__mul__", 6), ("inverse", 1)):
+                expected[attr] += k
+            try:
+                inv = x.inverse()
+            except NonUnitError:
+                continue
+            assert inv * x == ring.one()
+            expected["__mul__"] += 1
+        assert {attr: cell[0] for attr, cell in counts.items()} == expected, ring
 
 
 CUBIC = (-1, 0, 1, 1)  # r^3 + r^2 - 1
