@@ -369,9 +369,8 @@ def test_table_field_operators_match_the_pair_model_on_every_pair(make, name):
 def test_element_operators_see_every_ring_operation(monkeypatch):
     # The benchmark counts ring operations by wrapping these attributes of
     # ``Element`` (``_install_counters`` of bench/layers.py).  An operator
-    # that reached another one without going through ``Element``, or one
-    # that calls another operator, would make a count differ from the
-    # operations performed.
+    # that calls another one would be counted twice, and a result reached
+    # around the operators not at all.
     counts = {}
     for attr in ("__add__", "__sub__", "__neg__", "__mul__", "inverse"):
         def counted(*args, fn=getattr(Element, attr),
