@@ -28,12 +28,16 @@ rows impose the first curve's cubic-divisibility condition, and the
 weakened negative control is the same raw rows without those, eliminated
 on its own.  Independently the module builds the diagonal-point value
 and derivative rows used by the published deformation systems, each a
-linear form evaluated at a point, pushes each of them down to the 19
-essential unknowns once, and solves those systems over GF(49).
+coefficient cloud or its derivative at a point, pushes each of them down
+to the 19 essential unknowns once, and solves those systems over GF(49).
 
 The derivation reads the packed terms of ``poly.MPoly`` directly where it
 only moves exponents or copies coefficients (``dehomogenize``,
-``_monomial_rows``).
+``_monomial_rows``).  The constant rows are computed on GF(49) codes: the
+diagonal cloud from its binomial closed form, each point with one power
+ladder per coordinate, and the published linear forms and the
+substitution map from their packed terms.  Rows leave the module as
+tuples of interned ``Element``s.
 
 Everything below is derived symbolically from the two curve equations;
 the published displays enter only as comparison targets in the scenario
@@ -43,6 +47,7 @@ layer.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from types import MappingProxyType
 from typing import Mapping
 
@@ -82,19 +87,6 @@ def _times(factor: MPoly, form: Form) -> dict[str, MPoly]:
 
 def _graded(form: Form, degree: int, names) -> dict[str, MPoly]:
     return {name: p.graded_part(degree, names) for name, p in form.items()}
-
-
-def derivative(form: Form, var: str) -> dict[str, MPoly]:
-    """A linear form with each entry differentiated in ``var``."""
-    return {name: p.partial_derivative(var) for name, p in form.items()}
-
-
-def _row_at(form: Form, point: Mapping[str, Element]) -> tuple[Element, ...]:
-    """Each entry of a linear form evaluated at a point, as a row over
-    the 40 main unknowns."""
-    zero = F49.zero()
-    return tuple(form[n].evaluate(point) if n in form else zero
-                 for n in cgdata.MAIN_UNKNOWNS)
 
 
 def _monomial_rows(form: Form) -> list[list[Element]]:
@@ -244,7 +236,39 @@ def derive_rigidity_system() -> DerivedSystem:
 
 
 # ----------------------------------------------------------------------
-# diagonal-point rows
+# diagonal-point rows, on GF(49) codes
+#
+# A row entry is the value at a point of one polynomial of a coefficient
+# cloud, or of its derivative, summed on the codes of ``F49.tables`` from
+# one power ladder per coordinate of the point.
+
+_MAIN_REG = VarRegistry(cgdata.MAIN_UNKNOWNS)
+_CLOUD = [(i, j) for i in range(4) for j in range(4)]
+
+
+def _ladders(x: Element, top: int) -> tuple[list[int], list[int]]:
+    """The codes of x**k and of its derivative k * x**(k-1), for k = 0 ..
+    ``top``."""
+    mul = F49.tables.mul
+    powers = [1]
+    for _ in range(top):
+        powers.append(mul[x.payload][powers[-1]])
+    slopes = [0] + [mul[F49.from_int(k).payload][powers[k - 1]]
+                    for k in range(1, top + 1)]
+    return powers, slopes
+
+
+def cloud_row(prefix: str, codes) -> tuple[Element, ...]:
+    """A row over the 40 main unknowns: the 16 ``codes``, in the order of
+    ``_CLOUD``, at the unknowns prefix{i}{j} of one cloud, and 0 at the
+    others.  The cloud's unknowns stand in that order in
+    ``cgdata.MAIN_UNKNOWNS``."""
+    elements = F49._elements
+    start = _MAIN_REG.index[f"{prefix}00"]
+    row = [elements[0]] * len(_MAIN_REG)
+    row[start:start + len(_CLOUD)] = map(elements.__getitem__, codes)
+    return tuple(row)
+
 
 _X = VarRegistry(("x",))
 
@@ -253,11 +277,19 @@ _X = VarRegistry(("x",))
 def diagonal_cloud(prefix: str) -> Mapping[str, MPoly]:
     """Coefficient cloud restricted to the diagonal curve, denominators
     cleared: substitute the first-factor coordinates (1-x, 1+x).  A linear
-    form over the cloud's 16 unknowns with entries in x."""
-    return MappingProxyType({
-        f"{prefix}{i}{j}": cgdata.parsed(f"(1+x)^{3 - i}*(1-x)^{i}*x^{j}",
-                                         _X, F49)
-        for i in range(4) for j in range(4)})
+    form over the cloud's 16 unknowns with entries in x.  The entry of
+    prefix{i}{j} is (1+x)^(3-i) * (1-x)^i * x^j, whose coefficient of
+    x^(j+m) is the sum over s of (-1)^s * C(i, s) * C(3-i, m-s)."""
+    cloud = {}
+    for i in range(4):
+        binomial = [
+            F49.from_int(sum((-1) ** s * comb(i, s) * comb(3 - i, m - s)
+                             for s in range(m + 1)))
+            for m in range(4)]
+        for j in range(4):
+            cloud[f"{prefix}{i}{j}"] = MPoly(_X, F49, {
+                (j + m,): c for m, c in enumerate(binomial)})
+    return MappingProxyType(cloud)
 
 
 def q_beta(k: int) -> Element:
@@ -265,46 +297,64 @@ def q_beta(k: int) -> Element:
     return F49.element(cgdata.Q_POINTS[k][1])
 
 
+def _diagonal_row(prefix: str, beta: Element,
+                  slope: bool = False) -> tuple[Element, ...]:
+    """The diagonal cloud at ``beta``, or with ``slope`` its derivative in
+    x there, as a row over the 40 main unknowns; read off the packed terms
+    of the cloud (the exponent of x is the low field of a monomial)."""
+    mul, add = F49.tables.mul, F49.tables.add
+    powers, slopes = _ladders(beta, 6)
+    ladder = slopes if slope else powers
+    cloud = diagonal_cloud(prefix)
+    codes = []
+    for i, j in _CLOUD:
+        acc = 0
+        for e, c in cloud[f"{prefix}{i}{j}"]._terms.items():
+            acc = add[acc][mul[c][ladder[e & _MASK]]]
+        codes.append(acc)
+    return cloud_row(prefix, codes)
+
+
 @lru_cache(maxsize=None)
 def diagonal_rows() -> Mapping[str, tuple[Element, ...]]:
     """The published value/derivative rows at the six diagonal points,
     as linear forms over the 40 main unknowns."""
-    g1hat = diagonal_cloud("a")
-    g2hat = diagonal_cloud("b")
-    dg1hat = derivative(g1hat, "x")
-    dg2hat = derivative(g2hat, "x")
-
-    def at(form: Form, k: int) -> tuple[Element, ...]:
-        return _row_at(form, {"x": q_beta(k)})
+    def at(prefix: str, k: int, slope: bool = False):
+        return _diagonal_row(prefix, q_beta(k), slope)
 
     rows = {
-        "B1Q1": at(g1hat, 1), "B1Q2": at(g1hat, 2),
-        "B2Q1": at(g2hat, 1), "B2Q2": at(g2hat, 2),
-        "B1Q3": at(g1hat, 3), "B1Q4": at(g1hat, 4),
-        "B2Q5": at(g2hat, 5), "B2Q6": at(g2hat, 6),
-        "dB1Q3": at(dg1hat, 3), "dB1Q4": at(dg1hat, 4),
-        "dB2Q5": at(dg2hat, 5), "dB2Q6": at(dg2hat, 6),
+        "B1Q1": at("a", 1), "B1Q2": at("a", 2),
+        "B2Q1": at("b", 1), "B2Q2": at("b", 2),
+        "B1Q3": at("a", 3), "B1Q4": at("a", 4),
+        "B2Q5": at("b", 5), "B2Q6": at("b", 6),
+        "dB1Q3": at("a", 3, True), "dB1Q4": at("a", 4, True),
+        "dB2Q5": at("b", 5, True), "dB2Q6": at("b", 6, True),
     }
     rows.update(flex_rows())
     return MappingProxyType(rows)
 
 
-_YX = VarRegistry(("y", "x"))
+def affine_codes(alpha: Element, beta: Element,
+                 along: str | None = None) -> list[int]:
+    """The affine coefficient cloud of a curve at (alpha, beta): the codes
+    of the monomials y^i x^j, in the order of ``_CLOUD``, where y = al and
+    x = be are the affine coordinates of chart 4 and the unknown
+    prefix{i}{j} stands for y^i x^j.  With ``along`` "y" or "x", the codes
+    of the monomials' derivatives in that coordinate."""
+    mul = F49.tables.mul
+    ys, dys = _ladders(alpha, 3)
+    xs, dxs = _ladders(beta, 3)
+    if along == "y":
+        ys = dys
+    elif along == "x":
+        xs = dxs
+    return [mul[ys[i]][xs[j]] for i, j in _CLOUD]
 
 
-def affine_cloud(prefix: str) -> dict[str, MPoly]:
-    """A curve's coefficient cloud in the affine coordinates y = al,
-    x = be of chart 4, as a linear form with entries in (y, x)."""
-    one = F49.one()
-    return {f"{prefix}{i}{j}": MPoly(_YX, F49, {(i, j): one})
-            for i in range(4) for j in range(4)}
-
-
-def affine_row(form: Form, alpha: Element,
-               beta: Element) -> tuple[Element, ...]:
-    """The linear form of an affine cloud at (alpha, beta), as a row over
-    the 40 main unknowns."""
-    return _row_at(form, {"y": alpha, "x": beta})
+def affine_row(prefix: str, alpha: Element, beta: Element,
+               along: str | None = None) -> tuple[Element, ...]:
+    """``affine_codes`` as a row over the 40 main unknowns."""
+    return cloud_row(prefix, affine_codes(alpha, beta, along))
 
 
 @lru_cache(maxsize=None)
@@ -312,21 +362,16 @@ def flex_rows() -> Mapping[str, tuple[Element, ...]]:
     """Value and fiber-direction derivative rows of the first curve's
     cloud at the two transverse diagonal points 1 and 2 of
     ``cgdata.Q_POINTS`` (affine chart 4)."""
-    cloud = affine_cloud("a")
-    d_along_fiber = derivative(cloud, "y")
     out = {}
     for k in (1, 2):
         alpha, beta = map(F49.element, cgdata.Q_POINTS[k])
-        out[f"van{k}"] = affine_row(cloud, alpha, beta)
-        out[f"dB1Q{k}"] = affine_row(d_along_fiber, alpha, beta)
+        out[f"van{k}"] = affine_row("a", alpha, beta)
+        out[f"dB1Q{k}"] = affine_row("a", alpha, beta, along="y")
     return MappingProxyType(out)
 
 
 # ----------------------------------------------------------------------
 # substitution maps and the published systems
-
-_MAIN_REG = VarRegistry(cgdata.MAIN_UNKNOWNS)
-
 
 @lru_cache(maxsize=None)
 def published_substitution_map() -> Mapping[str, MPoly]:
@@ -351,43 +396,63 @@ def published_substitution_map() -> Mapping[str, MPoly]:
     return MappingProxyType(maps)
 
 
+# the column of each main unknown, keyed by its packed monomial
+_UNIT_COLUMN = {unit: _MAIN_REG.index[name]
+                for name, unit in _MAIN_REG._units.items()}
+
+
+def _linear_codes(p: MPoly) -> dict[int, int]:
+    """The code of each nonzero coefficient of a homogeneous linear form
+    over the main unknowns, keyed by the unknown's column; read off the
+    packed terms.  Any other polynomial raises ``ArithmeticError``."""
+    codes = {}
+    for e, c in p._terms.items():
+        column = _UNIT_COLUMN.get(e)
+        if column is None:
+            raise ArithmeticError("expected a homogeneous linear form")
+        codes[column] = c
+    return codes
+
+
 @lru_cache(maxsize=None)
-def essential_coefficients() -> Mapping[str, tuple[tuple[int, Element], ...]]:
+def essential_coefficients() -> Mapping[str, tuple[tuple[int, int], ...]]:
     """Each main unknown's nonzero coefficients on the 19 essentials, as
-    (position, coefficient) pairs: an essential is itself, and a dependent
-    unknown is read once from the published substitution map."""
-    table = {v: ((k, F49.one()),)
-             for k, v in enumerate(cgdata.ESSENTIAL_UNKNOWNS)}
+    (position, code) pairs in order of position: an essential is itself,
+    and a dependent unknown is read once from the published substitution
+    map."""
+    position = {_MAIN_REG.index[v]: k
+                for k, v in enumerate(cgdata.ESSENTIAL_UNKNOWNS)}
+    table = {v: ((k, 1),) for k, v in enumerate(cgdata.ESSENTIAL_UNKNOWNS)}
     for name, p in published_substitution_map().items():
-        coeffs = (p.coefficient({v: 1}) for v in cgdata.ESSENTIAL_UNKNOWNS)
-        table[name] = tuple((k, c) for k, c in enumerate(coeffs)
-                            if not c.is_zero())
+        table[name] = tuple(sorted((position[column], c) for column, c
+                                   in _linear_codes(p).items()))
     return MappingProxyType(table)
 
 
 def to_essential(row) -> tuple[Element, ...]:
     """Push a 40-unknown row down to the 19 essentials via the published
-    substitution map."""
+    substitution map, on the codes."""
     table = essential_coefficients()
-    acc = [F49.zero()] * len(cgdata.ESSENTIAL_UNKNOWNS)
+    mul, add = F49.tables.mul, F49.tables.add
+    acc = [0] * len(cgdata.ESSENTIAL_UNKNOWNS)
     for name, coeff in zip(cgdata.MAIN_UNKNOWNS, row):
-        if not coeff.is_zero():
+        if coeff.payload:
+            times = mul[coeff.payload]
             for k, c in table[name]:
-                acc[k] = acc[k] + coeff * c
-    return tuple(acc)
+                acc[k] = add[acc[k]][times[c]]
+    return tuple(map(F49._elements.__getitem__, acc))
 
 
 def rows_from_texts(texts) -> list[list[Element]]:
     """Homogeneous linear forms given as grammar text, over the 40 main
     unknowns."""
+    elements = F49._elements
     rows = []
     for text in texts:
-        p = cgdata.parsed(text, _MAIN_REG, F49)
-        if p.graded_part(1) != p:
-            raise ArithmeticError("expected a homogeneous linear form")
-        row = [F49.zero()] * len(_MAIN_REG)
-        for exps, c in p.terms.items():
-            row[exps.index(1)] = c
+        row = [elements[0]] * len(_MAIN_REG)
+        for column, c in _linear_codes(cgdata.parsed(text, _MAIN_REG,
+                                                     F49)).items():
+            row[column] = elements[c]
         rows.append(row)
     return rows
 

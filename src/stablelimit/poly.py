@@ -46,13 +46,18 @@ The grammar accepted by ``parse_poly`` is deliberately tiny::
 
 Whitespace is insignificant and there is no implicit multiplication.
 Integer literals map into the coefficient ring through its canonical
-``from_int``.  The parser builds raw terms, through the raw product of
-``MPoly.__mul__``, and one ``MPoly`` at the end; a power is checked
-against the degree bound first and then taken by squaring through that
-product.  ``parse_poly`` is not cached; ``cgdata.parsed`` parses each
-published text once per process.  GF(p)[i] text is write-only: ``str``
-prints ``(a+bi)`` for a coefficient with an imaginary part, which
-``parse_poly`` rejects.
+``from_int``.  The parser reads each term once, into raw terms, and
+builds one ``MPoly`` at the end.  Its tokens come from one ``findall``; a
+token's line and column are found only when a ``ParseError`` is raised,
+and an unexpected character is reported before any other error.  A term
+whose factors are integers and variables becomes one raw coefficient and
+one packed monomial with no polynomial product; a parenthesised factor
+goes through the raw product of ``MPoly.__mul__``.  A power is checked
+against the degree bound first and then taken by squaring.
+``parse_poly`` is not cached; ``cgdata.parsed`` parses each published
+text once per process.  GF(p)[i] text is write-only: ``str`` prints
+``(a+bi)`` for a coefficient with an imaginary part, which ``parse_poly``
+rejects.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ import re
 import struct
 from collections.abc import Mapping as MappingABC
 from functools import lru_cache, partial
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rings import (Element, Frozen, IntegerRing, NonUnitError,
@@ -93,6 +99,7 @@ class VarRegistry:
                                                "little")
         self._shifts = tuple(range(0, _FIELD_BITS * len(names), _FIELD_BITS))
         self._degree_shift = _FIELD_BITS * len(names)
+        self._units = {name: self._unit(i) for i, name in enumerate(names)}
 
     def __len__(self):
         return len(self.names)
@@ -698,115 +705,169 @@ class ParseError(ValueError):
         super().__init__(f"{message} (line {line}, column {column})")
 
 
-# whitespace, an integer, a name (a letter, then letters, digits and
-# primes), an operator, or any other character, which is an error
-_TOKEN = re.compile(r"(?P<WS>\s+)|(?P<INT>\d+)|(?P<NAME>[^\W\d_](?:[^\W_]|')*)"
-                    r"|(?P<OP>[-+*^()])|(?P<BAD>.)", re.DOTALL)
+# an integer, a name (a letter, then letters, digits and primes), an
+# operator, or any other character, which is an error; each after optional
+# whitespace.  One ``findall`` gives the text of every token.
+_TOKEN = re.compile(r"\s*(\d+|[^\W\d_](?:[^\W_]|')*|[-+*^()]|\S)")
+_OPERATORS = frozenset("-+*^()")
 
 
-def _tokens(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) of each token, then of the end.  The kind of
-    an operator is the operator itself."""
-    tokens = [(m.group() if kind == "OP" else kind, m.group(), m.start())
-              for m in _TOKEN.finditer(text)
-              if (kind := m.lastgroup) != "WS"]
-    for kind, token, offset in tokens:
-        if kind == "BAD":
-            raise _parse_error(f"unexpected character {token!r}", text, offset)
-    tokens.append(("EOF", "", len(text)))
-    return tokens
+def _is_bad(token: str) -> bool:
+    """A token that no rule reads: one character that is not an operator
+    and does not start an integer or a name."""
+    return bool(token) and not token[0].isalnum() and token not in _OPERATORS
 
 
-def _parse_error(message: str, text: str, offset: int) -> ParseError:
+def _parse_error(message: str, text: str, k: int) -> ParseError:
+    """A ``ParseError`` at token k of ``text``, or at its end when there
+    are at most k tokens; only here are token offsets found."""
+    offset = next((m.start(1) for m in islice(_TOKEN.finditer(text), k, None)),
+                  len(text))
     line = text.count("\n", 0, offset) + 1
     return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 class _Parser:
     """Recursive descent straight into raw terms: every rule returns the
-    canonical ``{packed monomial: raw coefficient}`` of what it read."""
+    canonical ``{packed monomial: raw coefficient}`` of what it read.  A
+    token is its text, and the end of the input is the empty token."""
 
-    def __init__(self, text: str, registry: VarRegistry, ring: Ring):
+    def __init__(self, text: str, tokens: list[str], registry: VarRegistry,
+                 ring: Ring):
         self.text = text
-        self.tokens = _tokens(text)
+        self.tokens = tokens
         self.k = 0
-        self.registry = registry
+        self.units = registry._units
         self.coeffs = _coeffs(ring)
         self.top = registry._degree_shift
 
-    def error(self, message: str, tok) -> ParseError:
-        return _parse_error(message, self.text, tok[2])
-
-    def peek(self):
-        return self.tokens[self.k]
-
-    def take(self, kind: str):
-        tok = self.tokens[self.k]
-        if tok[0] != kind:
-            raise self.error(f"expected {kind}, found {tok[1]!r}", tok)
-        self.k += 1
-        return tok
+    def error(self, message: str) -> ParseError:
+        return _parse_error(message, self.text, self.k)
 
     def parse_expr(self) -> dict:
-        coeffs = self.coeffs
+        tokens, coeffs = self.tokens, self.coeffs
         sign = coeffs.one
-        if self.peek()[0] == "-":
+        if tokens[self.k] == "-":
             self.k += 1
             sign = coeffs.minus_one
         acc = {}
         coeffs.addmul(acc, 0, sign, self.parse_term())
-        while (op := self.peek()[0]) in ("+", "-"):
+        while (op := tokens[self.k]) == "+" or op == "-":
             self.k += 1
             sign = coeffs.one if op == "+" else coeffs.minus_one
             coeffs.addmul(acc, 0, sign, self.parse_term())
         return coeffs.finish(acc)
 
     def parse_term(self) -> dict:
-        terms = self.parse_factor()
-        while self.peek()[0] == "*":
+        """Integer and variable factors are folded into one raw coefficient
+        and one packed monomial, each product checked against the degree
+        bound as ``_product`` checks it: only while neither side is zero.
+        From the first parenthesised factor on, the rest of the term is
+        multiplied out by ``_product``."""
+        tokens, coeffs = self.tokens, self.coeffs
+        if tokens[self.k] == "(":
+            return self.parse_product(self.parse_factor())
+        c, e = self.parse_monomial()
+        zero = coeffs.is_zero(c)
+        while tokens[self.k] == "*":
+            self.k += 1
+            if tokens[self.k] == "(":
+                return self.parse_product(_product(
+                    coeffs, self.top, {} if zero else {e: c},
+                    self.parse_factor()))
+            c2, e2 = self.parse_monomial()
+            if zero:
+                continue
+            if coeffs.is_zero(c2):
+                zero = True
+                continue
+            _check_degree((e >> self.top) + (e2 >> self.top))
+            c, e = coeffs.mul(c, c2), e + e2
+            zero = coeffs.is_zero(c)
+        return {} if zero else {e: c}
+
+    def parse_product(self, terms: dict) -> dict:
+        """The rest of a term, multiplied onto ``terms``."""
+        while self.tokens[self.k] == "*":
             self.k += 1
             terms = _product(self.coeffs, self.top, terms, self.parse_factor())
         return terms
 
     def parse_factor(self) -> dict:
-        base = self.parse_base()
-        if self.peek()[0] != "^":
-            return base
+        coeffs = self.coeffs
+        if self.tokens[self.k] != "(":
+            c, e = self.parse_monomial()
+            return {} if coeffs.is_zero(c) else {e: c}
         self.k += 1
-        n = int(self.take("INT")[1])
-        coeffs, top = self.coeffs, self.top
+        base = self.parse_expr()
+        if (tok := self.tokens[self.k]) != ")":
+            raise self.error(f"expected ), found {tok!r}")
+        self.k += 1
+        n = self.parse_exponent()
+        if n is None:
+            return base
         if not n:
-            return {0: coeffs.one}          # 0^0 = 1 as well
+            return {0: coeffs.one}
         # the degree first, so that a power above the bound costs no product
-        _check_degree((max(base, default=0) >> top) * n)
-        return _power(partial(_product, coeffs, top), base, n)
+        _check_degree((max(base, default=0) >> self.top) * n)
+        return _power(partial(_product, coeffs, self.top), base, n)
 
-    def parse_base(self) -> dict:
-        tok = self.peek()
-        if tok[0] == "INT":
-            self.k += 1
-            c = self.coeffs.from_int(int(tok[1]))
-            return {} if self.coeffs.is_zero(c) else {0: c}
-        if tok[0] == "NAME":
-            self.k += 1
-            if tok[1] not in self.registry:
-                raise self.error(f"unknown variable {tok[1]!r}", tok)
-            i = self.registry.index[tok[1]]
-            return {self.registry._unit(i): self.coeffs.one}
-        if tok[0] == "(":
-            self.k += 1
-            inner = self.parse_expr()
-            self.take(")")
-            return inner
-        raise self.error(
-            f"expected a value, found {tok[1] or 'end of input'!r}", tok)
+    def parse_monomial(self) -> tuple:
+        """An integer or a variable and its power, as (raw coefficient,
+        packed monomial); the coefficient may be zero."""
+        tok = self.tokens[self.k]
+        coeffs = self.coeffs
+        e = self.units.get(tok)
+        if e is not None:
+            c = coeffs.one
+        elif tok[:1].isdecimal():
+            c, e = coeffs.from_int(int(tok)), 0
+        elif tok[:1].isalnum():
+            raise self.error(f"unknown variable {tok!r}")
+        else:
+            raise self.error(
+                f"expected a value, found {tok or 'end of input'!r}")
+        self.k += 1
+        n = self.parse_exponent()
+        if n is None:
+            return c, e
+        if not n:
+            return coeffs.one, 0            # 0^0 = 1 as well
+        if e:
+            # the degree first, as for any power
+            _check_degree((e >> self.top) * n)
+            return c, e * n
+        return _power(coeffs.mul, c, n), 0
+
+    def parse_exponent(self) -> int | None:
+        """The uint after a '^', or None when no '^' follows."""
+        tokens = self.tokens
+        if tokens[self.k] != "^":
+            return None
+        self.k += 1
+        tok = tokens[self.k]
+        if not tok[:1].isdecimal():
+            raise self.error(f"expected INT, found {tok!r}")
+        self.k += 1
+        return int(tok)
 
 
 def parse_poly(text: str, registry: VarRegistry, ring: Ring) -> MPoly:
     """Parse polynomial text over the given registry and ring."""
-    parser = _Parser(text, registry, ring)
-    terms = parser.parse_expr()
-    tok = parser.peek()
-    if tok[0] != "EOF":
-        raise parser.error(f"trailing input starting at {tok[1]!r}", tok)
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
+    try:
+        parser = _Parser(text, tokens, registry, ring)
+        terms = parser.parse_expr()
+        if tokens[parser.k]:
+            raise parser.error(
+                f"trailing input starting at {tokens[parser.k]!r}")
+    except Exception:
+        # No rule reads a bad token, so a text with one always ends here,
+        # and its first bad token is reported before any other failure.
+        bad = next((k for k, tok in enumerate(tokens) if _is_bad(tok)), None)
+        if bad is None:
+            raise
+        raise _parse_error(f"unexpected character {tokens[bad]!r}", text,
+                           bad) from None
     return _init(_new(MPoly), registry, ring, parser.coeffs, terms)

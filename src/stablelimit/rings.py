@@ -28,11 +28,12 @@ small fields of FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 35(3),
 2008).  GF(p) and GF(p)[i] of at most ``_TABLE_ORDER_LIMIT`` (256)
 elements build it when they are constructed and keep it as
 ``ring.tables``; a larger GF(p)[i] is refused.  The GF(p) and GF(p)[i]
-operators ``+``, ``-`` (binary and unary) and ``*`` of ``Element`` read
-the table set themselves, ``ring._elements[tables.add[a][b]]`` and so on,
-with no call into the ring.  Every other ring (``ZZ``, Z/p^k for k > 1,
-GF(p) above the limit, the dual numbers) goes through its payload
-methods ``_add``, ``_sub``, ``_neg`` and ``_mul``.  Exact elimination
+operators ``+``, ``-`` (binary and unary) and ``*`` of ``Element``, and
+its ``inverse``, read the table set themselves,
+``ring._elements[tables.add[a][b]]`` and so on, with no call into the
+ring.  Every other ring (``ZZ``, Z/p^k for k > 1, GF(p) above the limit,
+the dual numbers) goes through its payload methods ``_add``, ``_sub``,
+``_neg``, ``_mul`` and ``_invert``.  Exact elimination
 (``linalg``), polynomials over GF(p)[i] (``poly``) and the rational
 singular-point scan (``scenarios``) run on the same codes.
 
@@ -239,6 +240,12 @@ class Element(Frozen):
 
     def inverse(self) -> "Element":
         ring = self.ring
+        tables = ring.tables
+        if tables is not None:
+            code = tables.inv[self.payload]
+            if code is None:
+                raise NonUnitError(self)
+            return ring._elements[code]
         return ring._wrap(ring._invert(self.payload))
 
     def is_zero(self) -> bool:
@@ -406,7 +413,7 @@ class QuadraticField(Ring):
 
     The payload of a + b*i is the int a + p*b, its code in ``tables``,
     the table set of ``field_tables``, which the ``Element`` operators
-    and ``_invert`` read: the ring has no other arithmetic.  The
+    and ``inverse`` read: the ring has no other arithmetic.  The
     order p**2 is at most ``_TABLE_ORDER_LIMIT``.  ``element`` takes a
     pair (a, b) for a + b*i, and an int n as the image of n, not as a
     code.
@@ -449,12 +456,6 @@ class QuadraticField(Ring):
 
     def conjugate(self, x: Element) -> Element:
         return self.element((x.payload % self.p, -(x.payload // self.p)))
-
-    def _invert(self, a):
-        inv = self.tables.inv[a]
-        if inv is None:
-            raise NonUnitError(self._wrap(a))
-        return inv
 
     def _is_zero(self, a):
         return a == 0

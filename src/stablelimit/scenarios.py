@@ -595,9 +595,8 @@ def _direct_value_rows() -> Mapping[str, tuple[Element, ...]]:
     at the six points' affine coordinates."""
     out = {}
     for tag, prefix in (("1", "a"), ("2", "b")):
-        cloud = deformation.affine_cloud(prefix)
         for k in range(1, 7):
-            out[f"val{tag}@{k}"] = deformation.affine_row(cloud, *q_point(k))
+            out[f"val{tag}@{k}"] = deformation.affine_row(prefix, *q_point(k))
     return MappingProxyType(out)
 
 
@@ -605,26 +604,24 @@ def _direct_value_rows() -> Mapping[str, tuple[Element, ...]]:
 def _chain_rule_rows() -> Mapping[str, tuple[Element, ...]]:
     """Derivative rows rebuilt by the product/chain rule on
     (1+be)^3 * cloud(alpha(be), be) instead of differentiating the
-    cleared polynomial: an independent construction path."""
+    cleared polynomial: an independent construction path.  With
+    u = 1+be and alpha = (1-be)/u, so that alpha' = -2/u^2, the derivative
+    is 3u^2 * cloud - 2u * cloud_y + u^3 * cloud_x, summed on the codes."""
     out = {}
     one = F49.one()
+    mul, add = F49.tables.mul, F49.tables.add
     for tag, prefix, points in (("1", "a", (3, 4)), ("2", "b", (5, 6))):
-        cloud = deformation.affine_cloud(prefix)
-        d_alpha = deformation.derivative(cloud, "y")
-        d_beta = deformation.derivative(cloud, "x")
         for k in points:
             beta = deformation.q_beta(k)
-            alpha = (one - beta) * (one + beta).inverse()
             u = one + beta
-            row_val, row_da, row_db = (
-                deformation.affine_row(p, alpha, beta)
-                for p in (cloud, d_alpha, d_beta))
-            three_u2 = F49.from_int(3) * u * u
-            minus_two_u = F49.from_int(-2) * u
-            u3 = u ** 3
-            out[f"dB{tag}Q{k}"] = tuple(
-                three_u2 * a + minus_two_u * b + u3 * c
-                for a, b, c in zip(row_val, row_da, row_db))
+            alpha = (one - beta) * u.inverse()
+            w_val, w_da, w_db = (w.payload for w in (
+                F49.from_int(3) * u * u, F49.from_int(-2) * u, u ** 3))
+            val, da, db = (deformation.affine_codes(alpha, beta, along)
+                           for along in (None, "y", "x"))
+            out[f"dB{tag}Q{k}"] = deformation.cloud_row(prefix, [
+                add[add[mul[w_val][a]][mul[w_da][b]]][mul[w_db][c]]
+                for a, b, c in zip(val, da, db)])
     return MappingProxyType(out)
 
 

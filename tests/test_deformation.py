@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from stablelimit import (MPoly, PrimeField, cgdata, deformation, linalg,
+from stablelimit import (MPoly, PrimeField, VarRegistry, cgdata,
+                         deformation, linalg, parse_poly, poly,
                          linser, scenarios)
 from stablelimit.deformation import F49
 from stablelimit.linalg import outside_span, rank, rowspace_equal, solve_affine
@@ -17,6 +18,7 @@ from stablelimit.scenarios import (_chain_rule_rows, _corrected_system,
                                    _direct_value_rows, _elimination_system_28,
                                    _published_system_28, curve_pair,
                                    derived_system_cached)
+from test_cli import _python
 from test_linalg import reference_row_echelon, residuals
 
 
@@ -419,3 +421,222 @@ def test_substitution_map_resolves_to_essentials():
     essentials = set(cgdata.ESSENTIAL_UNKNOWNS)
     for var, p in maps.items():
         assert p.variables_used() <= essentials
+
+
+# ----------------------------------------------------------------------
+# the constant rows against the parse-and-evaluate route they replaced:
+# clouds as polynomials, each row entry one ``MPoly.evaluate``, and the
+# linear forms read through ``MPoly.coefficient`` and the ``terms`` view
+
+
+_X = VarRegistry(("x",))
+_YX = VarRegistry(("y", "x"))
+_MAIN_REG = VarRegistry(cgdata.MAIN_UNKNOWNS)
+
+
+def reference_diagonal_cloud(prefix):
+    return {f"{prefix}{i}{j}": parse_poly(f"(1+x)^{3 - i}*(1-x)^{i}*x^{j}",
+                                          _X, F49)
+            for i in range(4) for j in range(4)}
+
+
+def reference_affine_cloud(prefix):
+    one = F49.one()
+    return {f"{prefix}{i}{j}": MPoly(_YX, F49, {(i, j): one})
+            for i in range(4) for j in range(4)}
+
+
+def reference_derivative(form, var):
+    return {name: p.partial_derivative(var) for name, p in form.items()}
+
+
+def reference_row_at(form, point):
+    zero = F49.zero()
+    return tuple(form[n].evaluate(point) if n in form else zero
+                 for n in cgdata.MAIN_UNKNOWNS)
+
+
+def reference_affine_row(form, alpha, beta):
+    return reference_row_at(form, {"y": alpha, "x": beta})
+
+
+def reference_flex_rows():
+    cloud = reference_affine_cloud("a")
+    d_along_fiber = reference_derivative(cloud, "y")
+    out = {}
+    for k in (1, 2):
+        alpha, beta = map(F49.element, cgdata.Q_POINTS[k])
+        out[f"van{k}"] = reference_affine_row(cloud, alpha, beta)
+        out[f"dB1Q{k}"] = reference_affine_row(d_along_fiber, alpha, beta)
+    return out
+
+
+def reference_diagonal_rows():
+    g1hat = reference_diagonal_cloud("a")
+    g2hat = reference_diagonal_cloud("b")
+    dg1hat = reference_derivative(g1hat, "x")
+    dg2hat = reference_derivative(g2hat, "x")
+
+    def at(form, k):
+        return reference_row_at(form, {"x": deformation.q_beta(k)})
+
+    rows = {
+        "B1Q1": at(g1hat, 1), "B1Q2": at(g1hat, 2),
+        "B2Q1": at(g2hat, 1), "B2Q2": at(g2hat, 2),
+        "B1Q3": at(g1hat, 3), "B1Q4": at(g1hat, 4),
+        "B2Q5": at(g2hat, 5), "B2Q6": at(g2hat, 6),
+        "dB1Q3": at(dg1hat, 3), "dB1Q4": at(dg1hat, 4),
+        "dB2Q5": at(dg2hat, 5), "dB2Q6": at(dg2hat, 6),
+    }
+    rows.update(reference_flex_rows())
+    return rows
+
+
+def reference_direct_value_rows():
+    return {f"val{tag}@{k}": reference_affine_row(
+                reference_affine_cloud(prefix), *scenarios.q_point(k))
+            for tag, prefix in (("1", "a"), ("2", "b")) for k in range(1, 7)}
+
+
+def reference_chain_rule_rows():
+    out = {}
+    one = F49.one()
+    for tag, prefix, points in (("1", "a", (3, 4)), ("2", "b", (5, 6))):
+        cloud = reference_affine_cloud(prefix)
+        d_alpha = reference_derivative(cloud, "y")
+        d_beta = reference_derivative(cloud, "x")
+        for k in points:
+            beta = deformation.q_beta(k)
+            alpha = (one - beta) * (one + beta).inverse()
+            u = one + beta
+            row_val, row_da, row_db = (reference_affine_row(p, alpha, beta)
+                                       for p in (cloud, d_alpha, d_beta))
+            three_u2 = F49.from_int(3) * u * u
+            minus_two_u = F49.from_int(-2) * u
+            u3 = u ** 3
+            out[f"dB{tag}Q{k}"] = tuple(
+                three_u2 * a + minus_two_u * b + u3 * c
+                for a, b, c in zip(row_val, row_da, row_db))
+    return out
+
+
+def reference_essential_coefficients():
+    table = {v: ((k, F49.one()),)
+             for k, v in enumerate(cgdata.ESSENTIAL_UNKNOWNS)}
+    for name, p in deformation.published_substitution_map().items():
+        coeffs = (p.coefficient({v: 1}) for v in cgdata.ESSENTIAL_UNKNOWNS)
+        table[name] = tuple((k, c) for k, c in enumerate(coeffs)
+                            if not c.is_zero())
+    return table
+
+
+def reference_to_essential(row):
+    table = reference_essential_coefficients()
+    acc = [F49.zero()] * len(cgdata.ESSENTIAL_UNKNOWNS)
+    for name, coeff in zip(cgdata.MAIN_UNKNOWNS, row):
+        if not coeff.is_zero():
+            for k, c in table[name]:
+                acc[k] = acc[k] + coeff * c
+    return tuple(acc)
+
+
+def reference_rows_from_texts(texts):
+    rows = []
+    for text in texts:
+        p = parse_poly(text, _MAIN_REG, F49)
+        assert p.graded_part(1) == p
+        row = [F49.zero()] * len(_MAIN_REG)
+        for exps, c in p.terms.items():
+            row[exps.index(1)] = c
+        rows.append(row)
+    return rows
+
+
+def _assert_interned_rows(rows):
+    for row in rows:
+        assert all(x is F49._elements[x.payload] for x in row)
+
+
+def test_diagonal_cloud_matches_the_parsed_products():
+    for prefix in ("a", "b"):
+        cloud = deformation.diagonal_cloud(prefix)
+        assert list(cloud) == list(reference_diagonal_cloud(prefix))
+        assert dict(cloud) == reference_diagonal_cloud(prefix)
+
+
+def test_constant_rows_match_the_parse_and_evaluate_reference():
+    for rows, reference in (
+            (deformation.diagonal_rows(), reference_diagonal_rows()),
+            (deformation.flex_rows(), reference_flex_rows()),
+            (_direct_value_rows(), reference_direct_value_rows()),
+            (_chain_rule_rows(), reference_chain_rule_rows())):
+        assert list(rows) == list(reference)
+        for name, row in rows.items():
+            assert type(row) is tuple and row == reference[name], name
+        _assert_interned_rows(rows.values())
+    # the table of the push-down: codes against the coefficient route
+    assert {name: tuple((k, c.payload) for k, c in pairs)
+            for name, pairs in reference_essential_coefficients().items()} \
+        == dict(deformation.essential_coefficients())
+    # the pushed-down rows, and the rows read from published texts
+    pushed = deformation.essential_diagonal_rows()
+    assert dict(pushed) == {
+        name: reference_to_essential(row)
+        for name, row in reference_diagonal_rows().items()}
+    assert list(deformation.leftover_rows()) == [
+        reference_to_essential(row)
+        for row in reference_rows_from_texts(cgdata.LEFTOVER_RELATIONS)]
+    _assert_interned_rows([*pushed.values(), *deformation.leftover_rows()])
+    texts = (*cgdata.PUBLISHED_28, *cgdata.LEFTOVER_RELATIONS,
+             *(f"{var}-({text})"
+               for var, text in cgdata.PUBLISHED_SUBSTITUTIONS.items()))
+    rows = deformation.rows_from_texts(texts)
+    assert rows == reference_rows_from_texts(texts)
+    _assert_interned_rows(rows)
+    # a row of random codes pushes down as the element route does
+    rng = random.Random(21)
+    for _ in range(20):
+        row = [F49.random_element(rng) for _ in cgdata.MAIN_UNKNOWNS]
+        assert deformation.to_essential(row) == reference_to_essential(row)
+
+
+# One full run in a fresh process, under a profile hook that counts the
+# parses and every ``MPoly.evaluate`` made from the deformation module or
+# from the two cross-check row builders of ``scenarios``.
+_COLD_COUNTS = """
+import sys
+from stablelimit import deformation, poly, scenarios
+builders = {scenarios._direct_value_rows.__wrapped__.__code__,
+            scenarios._chain_rule_rows.__wrapped__.__code__}
+parse, evaluate = poly.parse_poly.__code__, poly.MPoly.evaluate.__code__
+counts = {"parse_poly": 0, "evaluate": 0, "evaluate from a row builder": 0}
+
+def hook(frame, event, arg):
+    if event != "call":
+        return
+    if frame.f_code is parse:
+        counts["parse_poly"] += 1
+    elif frame.f_code is evaluate:
+        counts["evaluate"] += 1
+        caller = frame.f_back
+        while caller is not None and not (
+                caller.f_code in builders
+                or caller.f_code.co_filename == deformation.__file__):
+            caller = caller.f_back
+        counts["evaluate from a row builder"] += caller is not None
+
+sys.setprofile(hook)
+scenarios.run_many(None)
+sys.setprofile(None)
+print(counts)
+"""
+
+
+def test_a_cold_run_parses_112_texts_and_evaluates_no_constant_row():
+    proc = _python("-c", _COLD_COUNTS)
+    assert proc.returncode == 0, proc.stderr
+    counts = eval(proc.stdout)
+    # the published texts only: the 16 products of the diagonal cloud come
+    # from their closed form
+    assert counts["parse_poly"] == 112
+    assert counts["evaluate from a row builder"] == 0

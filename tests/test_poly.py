@@ -60,6 +60,9 @@ def test_parse_simple_forms():
     assert parse_poly("x - x", XYZT, F7).is_zero()
     assert parse_poly("-x^2+3*(y-z)*t", XYZT, F7) == \
         parse_poly("6*x^2+3*y*t+4*z*t", XYZT, F7)
+    # integer and variable factors on both sides of a parenthesised one
+    assert parse_poly("2*x^2*(y+1)^2*3*z", XYZT, F7) == \
+        parse_poly("6*x^2*y^2*z+5*x^2*y*z+6*x^2*z", XYZT, F7)
 
 
 def test_parse_print_roundtrip_random():
@@ -170,6 +173,17 @@ def test_parse_raises_a_literal_to_a_power_by_squaring(monkeypatch):
     ("(x+y", "expected ), found '' (line 1, column 5)"),
     ("x^-2", "expected INT, found '-' (line 1, column 3)"),
     ("x+#", "unexpected character '#' (line 1, column 3)"),
+    # an unexpected character is reported first, wherever it stands
+    ("\n\n  x*(y+#)", "unexpected character '#' (line 3, column 8)"),
+    ("  x  +  # ", "unexpected character '#' (line 1, column 9)"),
+    ("x^65536*y+#", "unexpected character '#' (line 1, column 11)"),
+    ("(x+1)^65536 _", "unexpected character '_' (line 1, column 13)"),
+    ("x^", "expected INT, found '' (line 1, column 3)"),
+    ("x^2^3", "trailing input starting at '^' (line 1, column 4)"),
+    ("3x", "trailing input starting at 'x' (line 1, column 2)"),
+    ("(x))", "trailing input starting at ')' (line 1, column 4)"),
+    ("--x", "expected a value, found '-' (line 1, column 2)"),
+    ("", "expected a value, found 'end of input' (line 1, column 1)"),
 ])
 def test_parse_error_messages_and_positions(text, message):
     with pytest.raises(ParseError) as err:

@@ -342,16 +342,25 @@ def test_interned_arithmetic_matches_a_plain_int_model():
                          ids=["GF7", "GF49"])
 def test_table_field_operators_match_the_pair_model_on_every_pair(make, name):
     # Two equal rings built apart share the table set of the first equal
-    # ring ever built, elements included; each operator must still hand
-    # out an element of its own left operand's ring.
+    # ring ever built, elements included; each operator, and ``inverse``,
+    # must still hand out an element of its own left operand's ring.
     a, b = make(), make()
     assert a == b and a is not b and a.tables is b.tables
     own = a._elements
     assert a.tables.elements is not own
-    values, code, add, sub, mul, _ = PLAIN_MODELS[name]
+    values, code, add, sub, mul, one = PLAIN_MODELS[name]
     for u in values:
         x = a.element(u)
         assert -x is own[code(sub(sub(u, u), u))]      # 0 - u
+        # the inverse by search: none for zero, one for every other value
+        inv = [v for v in values if mul(u, v) == one]
+        if code(u) == 0:
+            assert inv == []
+            with pytest.raises(NonUnitError):
+                x.inverse()
+        else:
+            assert len(inv) == 1 and x.inverse() is own[code(inv[0])]
+            assert b.element(u).inverse() is b._elements[code(inv[0])]
         for v in values:
             y = b.element(v)
             assert x + y is own[code(add(u, v))]
