@@ -31,13 +31,14 @@ and derivative rows used by the published deformation systems, each a
 coefficient cloud or its derivative at a point, pushes each of them down
 to the 19 essential unknowns once, and solves those systems over GF(49).
 
-The derivation reads the packed terms of ``poly.MPoly`` directly where it
-only moves exponents or copies coefficients (``dehomogenize``,
-``_monomial_rows``).  The constant rows are computed on GF(49) codes: the
-diagonal cloud from its binomial closed form, each point with one power
-ladder per coordinate, and the published linear forms and the
-substitution map from their packed terms.  Rows leave the module as
-tuples of interned ``Element``s.
+The packed monomials of ``poly.MPoly`` stay inside ``poly``: this module
+reads polynomials through their ``terms`` view and changes charts with
+``MPoly.dehomogenize``.  The derivation changes each curve to each chart
+once and builds each cloud in chart coordinates.  The constant rows are
+computed on GF(49) codes: the diagonal cloud from its binomial closed
+form, each point with one power ladder per coordinate, and the published
+linear forms and the substitution map from the codes of their terms.
+Rows leave the module as tuples of interned ``Element``s.
 
 Everything below is derived symbolically from the two curve equations;
 the published displays enter only as comparison targets in the scenario
@@ -54,7 +55,7 @@ from typing import Mapping
 from . import cgdata
 from .curvelocal import _divide_by_linear
 from .linalg import LinearSystem, eliminate, solve_affine
-from .poly import _MASK, MPoly, VarRegistry, unit_match
+from .poly import MPoly, VarRegistry, unit_match
 from .rings import Element, QuadraticField
 
 
@@ -86,48 +87,33 @@ def _times(factor: MPoly, form: Form) -> dict[str, MPoly]:
 
 
 def _graded(form: Form, degree: int, names) -> dict[str, MPoly]:
-    return {name: p.graded_part(degree, names) for name, p in form.items()}
+    """The nonzero graded parts of a linear form's entries."""
+    return {name: part for name, p in form.items()
+            if not (part := p.graded_part(degree, names)).is_zero()}
 
 
 def _monomial_rows(form: Form) -> list[list[Element]]:
     """One row per monomial of a linear form over ``cgdata.AB``, in sorted
     order of exponent vectors: the coefficients of the unknowns at that
-    monomial.  Only the distinct monomials are decoded, to sort them."""
+    monomial."""
     zero = F49.zero()
-    rows: dict[int, list[Element]] = {}
+    rows: dict[tuple[int, ...], list[Element]] = {}
     for name, p in form.items():
-        column, wrap = _COLUMN[name], p._coeffs.wrap
-        for e, c in p._terms.items():
-            rows.setdefault(e, [zero] * len(_ALL_UNKNOWNS))[column] = wrap(c)
-    packed = list(rows)
-    return [rows[e] for _, e in sorted(zip(cgdata.AB._unpack_all(packed),
-                                           packed))]
+        column = _COLUMN[name]
+        for exps, c in p.terms.items():
+            rows.setdefault(exps, [zero] * len(_ALL_UNKNOWNS))[column] = c
+    return [rows[exps] for exps in sorted(rows)]
 
 
-def _coefficient_form(prefix: str) -> dict[str, MPoly]:
-    """A bidegree-(3,3) coefficient cloud: unknown -> its monomial."""
+def _coefficient_form(prefix: str, chart: int) -> dict[str, MPoly]:
+    """A bidegree-(3,3) coefficient cloud in the coordinates of a chart:
+    unknown -> its monomial, with the two coordinates that the chart does
+    not keep set to 1."""
     one = F49.one()
-    return {f"{prefix}{i}{j}": MPoly(cgdata.AB, F49,
-                                     {(i, 3 - i, j, 3 - j): one})
-            for i in range(4) for j in range(4)}
-
-
-def dehomogenize(p: MPoly, chart: int) -> MPoly:
-    """Set the two coordinates that a chart does not keep to 1: their
-    exponents become 0, and the coefficients that then collide add up.
-    Each packed monomial loses the exponent fields of the dropped
-    coordinates, and their share of the total degree."""
-    registry = p.registry
-    dropped = [(shift, registry._unit(i))
-               for i, (name, shift) in enumerate(zip(registry.names,
-                                                     registry._shifts))
-               if name not in cgdata.CHARTS[chart]]
-    coeffs = p._coeffs
-    acc: dict = {}
-    for e, c in p._terms.items():
-        cut = sum(((e >> shift) & _MASK) * unit for shift, unit in dropped)
-        coeffs.addmul(acc, -cut, coeffs.one, {e: c})
-    return p._like(coeffs.finish(acc))
+    kept = [name in cgdata.CHARTS[chart] for name in cgdata.AB.names]
+    return {f"{prefix}{i}{j}": MPoly(cgdata.AB, F49, {
+        tuple(e if k else 0 for e, k in zip((i, 3 - i, j, 3 - j), kept)): one})
+        for i in range(4) for j in range(4)}
 
 
 class DerivedSystem:
@@ -172,7 +158,6 @@ def derive_rigidity_system() -> DerivedSystem:
     control from the same rows."""
     curves = {1: cgdata.parsed(cgdata.G1, cgdata.AB, F49),
               2: cgdata.parsed(cgdata.G2, cgdata.AB, F49)}
-    clouds = {1: _coefficient_form("a"), 2: _coefficient_form("b")}
     rows: list[list[Element]] = []
     cubic_rows: list[int] = []
     classical_ok = True
@@ -180,12 +165,17 @@ def derive_rigidity_system() -> DerivedSystem:
 
     def deformed(tag: int, chart: int) -> tuple[MPoly, dict[str, MPoly]]:
         """A curve in a chart: classical part, first-order part."""
-        u, v = cgdata.CHARTS[chart]
-        g = dehomogenize(curves[tag], chart)
-        form = {n: dehomogenize(p, chart) for n, p in clouds[tag].items()}
+        kept = u, v = cgdata.CHARTS[chart]
+        g = curves[tag].dehomogenize(kept)
+        form = _coefficient_form({1: "a", 2: "b"}[tag], chart)
         form[f"c{chart}"] = g.partial_derivative(u)
         form[f"d{chart}"] = g.partial_derivative(v)
         return g, form
+
+    # each curve in each chart, built once: a double chart of one curve
+    # reads the other curve there too
+    charts = {(tag, chart): deformed(tag, chart)
+              for tag in (1, 2) for chart in (1, 2, 3, 4)}
 
     def impose(classical: MPoly, first_order: Form) -> range:
         """Record a condition; returns the positions of its rows."""
@@ -200,14 +190,14 @@ def derive_rigidity_system() -> DerivedSystem:
             (2, 1, cgdata.CURVE2_DOUBLE_CHARTS, "n'")):
         for chart in (1, 2, 3, 4):
             u, v = uv = cgdata.CHARTS[chart]
-            g, form = deformed(tag, chart)
+            g, form = charts[(tag, chart)]
             # passes through the point
             impose(g.graded_part(0, uv), _graded(form, 0, uv))
             if chart not in double_charts:
                 continue
             # singular at the point
             impose(g.graded_part(1, uv), _graded(form, 1, uv))
-            gp, gp_form = deformed(partner, chart)
+            gp, gp_form = charts[(partner, chart)]
             p1, p1_form = gp.graded_part(1, uv), _graded(gp_form, 1, uv)
             g2, p1_sq = g.graded_part(2, uv), p1 * p1
             lam = unit_match(g2, p1_sq)
@@ -292,25 +282,26 @@ def diagonal_cloud(prefix: str) -> Mapping[str, MPoly]:
     return MappingProxyType(cloud)
 
 
-def q_beta(k: int) -> Element:
-    """The be-coordinate of the k-th diagonal point of ``cgdata.Q_POINTS``."""
-    return F49.element(cgdata.Q_POINTS[k][1])
+def q_point(k: int) -> tuple[Element, Element]:
+    """The k-th diagonal point of ``cgdata.Q_POINTS``: its affine
+    coordinates (al, be) in chart 4."""
+    return tuple(map(F49.element, cgdata.Q_POINTS[k]))
 
 
-def _diagonal_row(prefix: str, beta: Element,
+def _diagonal_row(prefix: str, cloud, beta: Element,
                   slope: bool = False) -> tuple[Element, ...]:
     """The diagonal cloud at ``beta``, or with ``slope`` its derivative in
-    x there, as a row over the 40 main unknowns; read off the packed terms
-    of the cloud (the exponent of x is the low field of a monomial)."""
+    x there, as a row over the 40 main unknowns.  ``cloud`` holds the
+    (exponent of x, code) pairs of each entry of ``diagonal_cloud(prefix)``,
+    in the order of ``_CLOUD``."""
     mul, add = F49.tables.mul, F49.tables.add
     powers, slopes = _ladders(beta, 6)
     ladder = slopes if slope else powers
-    cloud = diagonal_cloud(prefix)
     codes = []
-    for i, j in _CLOUD:
+    for terms in cloud:
         acc = 0
-        for e, c in cloud[f"{prefix}{i}{j}"]._terms.items():
-            acc = add[acc][mul[c][ladder[e & _MASK]]]
+        for e, c in terms:
+            acc = add[acc][mul[c][ladder[e]]]
         codes.append(acc)
     return cloud_row(prefix, codes)
 
@@ -319,8 +310,13 @@ def _diagonal_row(prefix: str, beta: Element,
 def diagonal_rows() -> Mapping[str, tuple[Element, ...]]:
     """The published value/derivative rows at the six diagonal points,
     as linear forms over the 40 main unknowns."""
+    # each cloud entry is decoded once, for the six rows that read it
+    clouds = {prefix: [[(e, c.payload) for (e,), c in p.terms.items()]
+                       for p in diagonal_cloud(prefix).values()]
+              for prefix in ("a", "b")}
+
     def at(prefix: str, k: int, slope: bool = False):
-        return _diagonal_row(prefix, q_beta(k), slope)
+        return _diagonal_row(prefix, clouds[prefix], q_point(k)[1], slope)
 
     rows = {
         "B1Q1": at("a", 1), "B1Q2": at("a", 2),
@@ -364,9 +360,8 @@ def flex_rows() -> Mapping[str, tuple[Element, ...]]:
     ``cgdata.Q_POINTS`` (affine chart 4)."""
     out = {}
     for k in (1, 2):
-        alpha, beta = map(F49.element, cgdata.Q_POINTS[k])
-        out[f"van{k}"] = affine_row("a", alpha, beta)
-        out[f"dB1Q{k}"] = affine_row("a", alpha, beta, along="y")
+        out[f"van{k}"] = affine_row("a", *q_point(k))
+        out[f"dB1Q{k}"] = affine_row("a", *q_point(k), along="y")
     return MappingProxyType(out)
 
 
@@ -396,21 +391,16 @@ def published_substitution_map() -> Mapping[str, MPoly]:
     return MappingProxyType(maps)
 
 
-# the column of each main unknown, keyed by its packed monomial
-_UNIT_COLUMN = {unit: _MAIN_REG.index[name]
-                for name, unit in _MAIN_REG._units.items()}
-
-
 def _linear_codes(p: MPoly) -> dict[int, int]:
     """The code of each nonzero coefficient of a homogeneous linear form
-    over the main unknowns, keyed by the unknown's column; read off the
-    packed terms.  Any other polynomial raises ``ArithmeticError``."""
+    over the main unknowns, keyed by the unknown's column: the position
+    of the one exponent of its term.  Any other polynomial raises
+    ``ArithmeticError``."""
     codes = {}
-    for e, c in p._terms.items():
-        column = _UNIT_COLUMN.get(e)
-        if column is None:
+    for exps, c in p.terms.items():
+        if sum(exps) != 1:
             raise ArithmeticError("expected a homogeneous linear form")
-        codes[column] = c
+        codes[exps.index(1)] = c.payload
     return codes
 
 

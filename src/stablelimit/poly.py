@@ -5,7 +5,8 @@ one ring and one variable registry.  The registry fixes the variable
 order, and with it the graded reverse lexicographic order used for
 canonical printing.
 
-Inside, ``MPoly`` stores ``{packed monomial: raw coefficient}``:
+Inside, ``MPoly`` stores ``{packed monomial: raw coefficient}``, a layout
+that no other module reads (they use ``terms`` and the methods):
 
 * A monomial is packed into one int, in the manner of Monagan and Pearce
   ("Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -23,12 +24,14 @@ Inside, ``MPoly`` stores ``{packed monomial: raw coefficient}``:
   and products are reduced once per operation rather than once per step.
   The dual numbers have no polynomials.
 
-``substitute`` is the one polynomial rewrite: a Taylor shift, a change of
-chart, and a pullback into another registry along a parametrization (of
-the quadric, of the diagonal, of a branch) are each one call.  It builds
-one power ladder per binding on raw terms and runs Horner's scheme over
-the bindings: the terms that differ only in one binding's exponent are
-summed first, and each group costs one product.
+``substitute`` is the general polynomial rewrite: a Taylor shift and a
+pullback into another registry along a parametrization (of the quadric,
+of the diagonal, of a branch) are each one call.  It builds one power
+ladder per binding on raw terms and runs Horner's scheme over the
+bindings: the terms that differ only in one binding's exponent are
+summed first, and each group costs one product.  A change of chart sets
+the dropped variables to 1; ``dehomogenize`` does that by cutting their
+exponent fields out of each packed monomial, with no product.
 
 ``Element``s are built only at the boundary: ``coefficient``, the value of
 ``evaluate``, and the ``terms`` view.  ``terms`` is a read-only mapping from
@@ -566,6 +569,26 @@ class MPoly(Frozen):
             _check_degree(max(acc) >> top)
         return _init(_new(MPoly), target, self.ring, coeffs,
                      coeffs.finish(acc))
+
+    def dehomogenize(self, kept: Iterable[str]) -> "MPoly":
+        """Set every variable outside ``kept`` to 1, as substituting the
+        constant 1 would: each packed monomial loses the exponent fields of
+        the dropped variables and their share of the total degree, and the
+        coefficients that then collide add up."""
+        registry, coeffs = self.registry, self._coeffs
+        kept = set(kept)
+        unknown = kept - registry.index.keys()
+        if unknown:
+            raise KeyError(f"unknown variables {sorted(unknown)}")
+        dropped = [(shift, registry._unit(i))
+                   for i, (name, shift) in enumerate(zip(registry.names,
+                                                         registry._shifts))
+                   if name not in kept]
+        acc = {}
+        for e, c in self._terms.items():
+            cut = sum(((e >> shift) & _MASK) * unit for shift, unit in dropped)
+            coeffs.addmul(acc, -cut, coeffs.one, {e: c})
+        return self._like(coeffs.finish(acc))
 
     def translate(self, offsets: Mapping[str, Element]) -> "MPoly":
         """Taylor shift: evaluate(translate(p, a), x) = evaluate(p, x + a)."""

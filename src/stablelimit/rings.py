@@ -449,11 +449,6 @@ class QuadraticField(Ring):
     def random_element(self, rng: random.Random) -> Element:
         return self.element((rng.randrange(self.p), rng.randrange(self.p)))
 
-    def all_elements(self):
-        for a in range(self.p):
-            for b in range(self.p):
-                yield self.element((a, b))
-
     def conjugate(self, x: Element) -> Element:
         return self.element((x.payload % self.p, -(x.payload // self.p)))
 

@@ -24,7 +24,7 @@ from . import cgdata, deformation
 from .curvelocal import (ChartGerm, _divide_by_linear, branch_locus, classify,
                          infinitely_near_multiplicity,
                          intersection_multiplicity, multiplicity_at)
-from .deformation import F49, dehomogenize
+from .deformation import F49, q_point
 from .linalg import LinearSystem, outside_span, rowspace_equal, solve_affine
 from .linser import (PassThrough, TangentDirection, distinct_fiber_counts,
                      normalize_pair, series_dimension,
@@ -110,12 +110,8 @@ def delta_restrict(g: MPoly) -> MPoly:
 @lru_cache(maxsize=None)
 def chart_germ(g: MPoly, chart: int) -> ChartGerm:
     """The germ of a bidegree form at a chart origin."""
-    return ChartGerm(f"chart{chart}", dehomogenize(g, chart),
+    return ChartGerm(f"chart{chart}", g.dehomogenize(cgdata.CHARTS[chart]),
                      cgdata.CHARTS[chart])
-
-
-def q_point(k: int) -> tuple[Element, Element]:
-    return tuple(map(F49.element, cgdata.Q_POINTS[k]))
 
 
 def chart_point(chart: int, a: Element, b: Element):
@@ -131,8 +127,9 @@ def chart_point(chart: int, a: Element, b: Element):
 @lru_cache(maxsize=None)
 def translated_germ(g: MPoly, alpha: Element, beta: Element) -> ChartGerm:
     """Germ of g at an affine point of chart 4, moved to the origin."""
-    moved = dehomogenize(g, 4).translate({"al": alpha, "be": beta})
-    return ChartGerm("chart4", moved, ("al", "be"))
+    chart4 = cgdata.CHARTS[4]
+    moved = g.dehomogenize(chart4).translate({"al": alpha, "be": beta})
+    return ChartGerm("chart4", moved, chart4)
 
 
 _S = VarRegistry(("s",))
@@ -549,7 +546,7 @@ def scenario_deform_derive() -> VerificationReport:
                            ("B2Q1", "2", 1), ("B2Q2", "2", 2),
                            ("B1Q3", "1", 3), ("B1Q4", "1", 4),
                            ("B2Q5", "2", 5), ("B2Q6", "2", 6)):
-        scale = (F49.one() + deformation.q_beta(k)) ** 3
+        scale = (F49.one() + q_point(k)[1]) ** 3
         same = all((a - scale * b).is_zero()
                    for a, b in zip(drows[name], direct[f"val{curve}@{k}"]))
         rep.require(f"{name}: cleared row is the unit multiple of the "
@@ -612,7 +609,7 @@ def _chain_rule_rows() -> Mapping[str, tuple[Element, ...]]:
     mul, add = F49.tables.mul, F49.tables.add
     for tag, prefix, points in (("1", "a", (3, 4)), ("2", "b", (5, 6))):
         for k in points:
-            beta = deformation.q_beta(k)
+            beta = q_point(k)[1]
             u = one + beta
             alpha = (one - beta) * u.inverse()
             w_val, w_da, w_db = (w.payload for w in (
@@ -728,10 +725,10 @@ def scenario_ramification() -> VerificationReport:
     for label, beta in (("+i", i_unit), ("-i", -i_unit)):
         vals = {"be": beta, "be'": F49.one(),
                 "al": F49.zero(), "al'": F49.zero()}
+        slope = disc1.partial_derivative("be")
         v0 = disc1.evaluate(vals)
-        v1 = disc1.partial_derivative("be").evaluate(vals)
-        v2 = disc1.partial_derivative("be").partial_derivative("be") \
-            .evaluate(vals)
+        v1 = slope.evaluate(vals)
+        v2 = slope.partial_derivative("be").evaluate(vals)
         rep.require(f"discriminant vanishes to order exactly 2 at {label}",
                     v0.is_zero() and v1.is_zero() and not v2.is_zero())
 
@@ -924,8 +921,7 @@ def scenario_lattice() -> VerificationReport:
               _origin_conditions(), F49), 0)
 
     # canonical class of the resolved surface: six times it is a fiber
-    gamma = sum(gbar[1:], gbar[0])
-    six_k = 6 * (stats.adjoint) - 3 * gamma
+    six_k = 6 * (stats.adjoint) - 3 * sum_g
     rep.check("six times the resolved canonical class is the fiber class",
               verify_class_relation(six_k, fiber), True)
     per_basis = all(intersect(six_k, lat.basis(n)) ==
@@ -950,8 +946,8 @@ def scenario_lattice() -> VerificationReport:
     b2_ext = _extend(lat1, b2, {"c5": -1, "f5": -1, "c6": -1, "f6": -1})
     gbar_ext = [_extend(lat1, g, {}) for g in gbar]
     cbar = [lat1.cls({f"c{k}": 1, f"f{k}": -1}) for k in range(3, 7)]
-    branch1 = b1_ext + b2_ext + sum(gbar_ext[1:], gbar_ext[0]) \
-        + sum(cbar[1:], cbar[0])
+    sum_c = sum(cbar[1:], cbar[0])
+    branch1 = b1_ext + b2_ext + sum(gbar_ext[1:], gbar_ext[0]) + sum_c
     rep.check("diagonal is disjoint from the extended branch curve",
               str(intersect(delta1, branch1)), "0", tag="derived")
     rep.check("diagonal self-intersection upstairs (etale preimage)",
@@ -988,18 +984,12 @@ def scenario_lattice() -> VerificationReport:
               ["1", "1", "1", "1"], tag="definitional")
 
     # extended-lattice canonical bookkeeping
-    L1 = lat1.cls({"h1": 3, "h2": 3, "n1": -1, "n2": -1,
-                   "g1": -1, "g2": -1, "g3": -1, "g4": -1,
-                   "e1": -2, "e2": -2, "e3": -2, "e4": -2,
-                   "f3": -1, "f4": -1, "f5": -1, "f6": -1})
+    L1 = _extend(lat1, bundle, {"f3": -1, "f4": -1, "f5": -1, "f6": -1})
     rep.check("extended branch is twice the extended bundle",
               verify_class_relation(branch1, 2 * L1), True, tag="derived")
     K1 = lat1.canonical
-    sum_c = sum(cbar[1:], cbar[0])
     sum_f = sum(fbars[1:], fbars[0])
-    sum_e1 = _extend(lat1, ebar[0], {})
-    for e in ebar[1:]:
-        sum_e1 = sum_e1 + _extend(lat1, e, {})
+    sum_e1 = _extend(lat1, sum_e, {})
     adjoint_display = lat1.cls({"h1": 1, "h2": 1}) - sum_e1 + sum_c + sum_f
     rep.check("adjoint display on the extended lattice",
               verify_class_relation(K1 + L1, adjoint_display), True)

@@ -84,8 +84,25 @@ def test_dehomogenize_matches_substitution():
         forms += [_random_bidegree_33(rng, ring) for _ in range(10)]
     for p in forms:
         for chart in (1, 2, 3, 4):
-            assert deformation.dehomogenize(p, chart) == \
+            assert p.dehomogenize(cgdata.CHARTS[chart]) == \
                 _dehomogenize_by_substitution(p, chart)
+    with pytest.raises(KeyError):
+        g1.dehomogenize(("al", "x"))
+
+
+def test_a_derivation_changes_each_curve_to_each_chart_once(monkeypatch):
+    dehomogenize = MPoly.dehomogenize
+    charts = collections.Counter()
+
+    def recorded(p, kept):
+        charts[tuple(kept)] += 1
+        return dehomogenize(p, kept)
+
+    monkeypatch.setattr(MPoly, "dehomogenize", recorded)
+    deformation.derive_rigidity_system()
+    # the two curves in the four charts; the clouds are built in chart
+    # coordinates
+    assert charts == {kept: 2 for kept in cgdata.CHARTS.values()}
 
 
 def test_tangent_cone_scales():
@@ -338,8 +355,7 @@ def test_a_warm_run_builds_no_constant_curve_input(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     for owner, name in ((MPoly, "substitute"), (MPoly, "translate"),
-                        (scenarios, "dehomogenize"),
-                        (deformation, "dehomogenize"),
+                        (MPoly, "dehomogenize"),
                         (scenarios, "branch_locus")):
         recorded(owner, name)
     caches = {f"{module.__name__}.{name}": fn
@@ -361,7 +377,7 @@ def test_value_rows_match_direct_evaluation():
     rows = deformation.diagonal_rows()
     direct = _direct_value_rows()
     for name, k in (("B1Q1", 1), ("B1Q2", 2), ("B1Q3", 3), ("B1Q4", 4)):
-        unit = (F49.one() + deformation.q_beta(k)) ** 3
+        unit = (F49.one() + deformation.q_point(k)[1]) ** 3
         assert all((a - unit * b).is_zero()
                    for a, b in zip(rows[name], direct[f"val1@{k}"]))
 
@@ -478,7 +494,7 @@ def reference_diagonal_rows():
     dg2hat = reference_derivative(g2hat, "x")
 
     def at(form, k):
-        return reference_row_at(form, {"x": deformation.q_beta(k)})
+        return reference_row_at(form, {"x": deformation.q_point(k)[1]})
 
     rows = {
         "B1Q1": at(g1hat, 1), "B1Q2": at(g1hat, 2),
@@ -506,7 +522,7 @@ def reference_chain_rule_rows():
         d_alpha = reference_derivative(cloud, "y")
         d_beta = reference_derivative(cloud, "x")
         for k in points:
-            beta = deformation.q_beta(k)
+            beta = deformation.q_point(k)[1]
             alpha = (one - beta) * (one + beta).inverse()
             u = one + beta
             row_val, row_da, row_db = (reference_affine_row(p, alpha, beta)
@@ -601,21 +617,26 @@ def test_constant_rows_match_the_parse_and_evaluate_reference():
 
 
 # One full run in a fresh process, under a profile hook that counts the
-# parses and every ``MPoly.evaluate`` made from the deformation module or
-# from the two cross-check row builders of ``scenarios``.
+# parses, the chart changes and every ``MPoly.evaluate`` made from the
+# deformation module or from the two cross-check row builders of
+# ``scenarios``.
 _COLD_COUNTS = """
 import sys
 from stablelimit import deformation, poly, scenarios
 builders = {scenarios._direct_value_rows.__wrapped__.__code__,
             scenarios._chain_rule_rows.__wrapped__.__code__}
 parse, evaluate = poly.parse_poly.__code__, poly.MPoly.evaluate.__code__
-counts = {"parse_poly": 0, "evaluate": 0, "evaluate from a row builder": 0}
+dehomogenize = poly.MPoly.dehomogenize.__code__
+counts = {"parse_poly": 0, "dehomogenize": 0, "evaluate": 0,
+          "evaluate from a row builder": 0}
 
 def hook(frame, event, arg):
     if event != "call":
         return
     if frame.f_code is parse:
         counts["parse_poly"] += 1
+    elif frame.f_code is dehomogenize:
+        counts["dehomogenize"] += 1
     elif frame.f_code is evaluate:
         counts["evaluate"] += 1
         caller = frame.f_back
@@ -639,4 +660,6 @@ def test_a_cold_run_parses_112_texts_and_evaluates_no_constant_row():
     # the published texts only: the 16 products of the diagonal cloud come
     # from their closed form
     assert counts["parse_poly"] == 112
+    # 8 in the derivation, 21 from the scenarios' cached germs
+    assert counts["dehomogenize"] == 29
     assert counts["evaluate from a row builder"] == 0

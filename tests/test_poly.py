@@ -1,7 +1,9 @@
 """Sparse polynomials: parser, ring operations, calculus, restriction."""
 
+import ast
 import functools
 import operator
+import pathlib
 import random
 
 import pytest
@@ -453,6 +455,31 @@ def test_translate_examples():
     reg = VarRegistry(("x",))
     p = parse_poly("x^2", reg, F7)
     assert p.translate({"x": F7.one()}) == parse_poly("x^2+2*x+1", reg, F7)
+
+
+# what only ``poly`` may know of a polynomial: its packed monomials and
+# raw coefficients, and the registry's packing of exponent vectors
+_PACKED_LAYOUT = {"_terms", "_coeffs", "_unpack_all", "_units", "_unit",
+                  "_shifts", "_degree_shift"}
+
+
+def test_only_poly_reads_the_packed_monomial_layout():
+    package = pathlib.Path(poly.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.level, node.module) in {(1, "poly"),
+                                                      (0, "stablelimit.poly")}):
+                found += [(path.name, node.lineno, alias.name)
+                          for alias in node.names
+                          if alias.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute)
+                  and node.attr in _PACKED_LAYOUT):
+                found.append((path.name, node.lineno, node.attr))
+    assert found == []
 
 
 def test_rings_without_a_coefficient_path_have_no_polynomials():

@@ -12,7 +12,7 @@ from stablelimit.curvelocal import (ChartGerm, DegenerateProjectionError,
                                     branch_locus, classify,
                                     infinitely_near_multiplicity,
                                     intersection_multiplicity)
-from stablelimit.deformation import F49, dehomogenize
+from stablelimit.deformation import F49
 from stablelimit.linalg import LinearSystem, eliminate, solve_affine
 from stablelimit.linser import (PassThrough, TangentDirection, normalize_pair,
                                 series_dimension)
@@ -23,6 +23,7 @@ from stablelimit.report import VerificationReport, render_json, render_text
 from stablelimit.rings import (PrimeField, RingMismatchError, ZMod,
                                field_tables, hensel_lift)
 from test_poly import is_bihomogeneous
+from test_rings import all_elements
 
 # every scenario passes except the lattice one, which carries the single
 # published intersection number that the exact computation contradicts
@@ -243,7 +244,7 @@ def reference_diagonal_param(beta0):
 
 def test_diagonal_param_matches_the_series_route_at_every_beta():
     checked = 0
-    for beta in F49.all_elements():
+    for beta in all_elements(F49):
         if (F49.one() + beta).is_zero():
             continue
         assert scenarios.diagonal_param(beta) == \
@@ -259,7 +260,7 @@ def test_diagonal_param_matches_the_series_route_at_every_beta():
 def projective_line():
     """One normalized representative (p0 : p1) of each point of P^1(GF(49))."""
     zero, one = F49.zero(), F49.one()
-    return [(x, one) for x in F49.all_elements()] + [(one, zero)]
+    return [(x, one) for x in all_elements(F49)] + [(one, zero)]
 
 
 def test_singular_points_match_homogeneous_partials():
@@ -327,7 +328,8 @@ _POINT = ((F49.one(), F49.zero()), (F49.i(), F49.one()))
 @pytest.mark.parametrize("make", [
     # the record, not the cached helper: chart_germ returns one germ
     lambda: ChartGerm("chart1",
-                      dehomogenize(scenarios.curve_pair("F49")[0], 1),
+                      scenarios.curve_pair("F49")[0].dehomogenize(
+                          cgdata.CHARTS[1]),
                       cgdata.CHARTS[1]),
     lambda: classify(scenarios.chart_germ(scenarios.curve_pair("F49")[0], 1)),
     lambda: PassThrough(_POINT),
