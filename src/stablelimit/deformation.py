@@ -288,20 +288,19 @@ def q_point(k: int) -> tuple[Element, Element]:
     return tuple(map(F49.element, cgdata.Q_POINTS[k]))
 
 
-def _diagonal_row(prefix: str, cloud, beta: Element,
+def _diagonal_row(prefix: str, k: int,
                   slope: bool = False) -> tuple[Element, ...]:
-    """The diagonal cloud at ``beta``, or with ``slope`` its derivative in
-    x there, as a row over the 40 main unknowns.  ``cloud`` holds the
-    (exponent of x, code) pairs of each entry of ``diagonal_cloud(prefix)``,
-    in the order of ``_CLOUD``."""
+    """``diagonal_cloud(prefix)`` at x = be of the k-th diagonal point, or
+    with ``slope`` its derivative in x there, as a row over the 40 main
+    unknowns."""
     mul, add = F49.tables.mul, F49.tables.add
-    powers, slopes = _ladders(beta, 6)
+    powers, slopes = _ladders(q_point(k)[1], 6)
     ladder = slopes if slope else powers
     codes = []
-    for terms in cloud:
+    for p in diagonal_cloud(prefix).values():
         acc = 0
-        for e, c in terms:
-            acc = add[acc][mul[c][ladder[e]]]
+        for (e,), c in p.terms.items():
+            acc = add[acc][mul[c.payload][ladder[e]]]
         codes.append(acc)
     return cloud_row(prefix, codes)
 
@@ -310,14 +309,7 @@ def _diagonal_row(prefix: str, cloud, beta: Element,
 def diagonal_rows() -> Mapping[str, tuple[Element, ...]]:
     """The published value/derivative rows at the six diagonal points,
     as linear forms over the 40 main unknowns."""
-    # each cloud entry is decoded once, for the six rows that read it
-    clouds = {prefix: [[(e, c.payload) for (e,), c in p.terms.items()]
-                       for p in diagonal_cloud(prefix).values()]
-              for prefix in ("a", "b")}
-
-    def at(prefix: str, k: int, slope: bool = False):
-        return _diagonal_row(prefix, clouds[prefix], q_point(k)[1], slope)
-
+    at = _diagonal_row
     rows = {
         "B1Q1": at("a", 1), "B1Q2": at("a", 2),
         "B2Q1": at("b", 1), "B2Q2": at("b", 2),

@@ -34,10 +34,12 @@ the dropped variables to 1; ``dehomogenize`` does that by cutting their
 exponent fields out of each packed monomial, with no product.
 
 ``Element``s are built only at the boundary: ``coefficient``, the value of
-``evaluate``, and the ``terms`` view.  ``terms`` is a read-only mapping from
-exponent tuples to ``Element``s, decoded on access.  Polynomials are
-immutable: the view has no setters and attributes cannot be assigned, so
-an ``lru_cache``d polynomial can be shared safely.
+``evaluate``, and ``terms``.  ``terms`` is a read-only mapping from
+exponent tuples to ``Element``s, decoded once, on first read, and kept
+with the polynomial; like any dict it raises ``TypeError`` for an
+unhashable key.  Polynomials are immutable: the mapping has no setters
+and attributes cannot be assigned, so an ``lru_cache``d polynomial can be
+shared safely.
 
 The grammar accepted by ``parse_poly`` is deliberately tiny::
 
@@ -68,9 +70,9 @@ from __future__ import annotations
 import operator
 import re
 import struct
-from collections.abc import Mapping as MappingABC
 from functools import lru_cache, partial
 from itertools import islice
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rings import (Element, Frozen, IntegerRing, NonUnitError,
@@ -293,45 +295,10 @@ def _product(coeffs: _Coeffs, top: int, a: dict, b: dict) -> dict:
 # polynomials
 
 
-class _Terms(MappingABC):
-    """Read-only view of a polynomial's terms: exponent tuple -> Element,
-    decoded on access."""
-
-    __slots__ = ("_poly",)
-
-    def __init__(self, poly: "MPoly"):
-        self._poly = poly
-
-    def __len__(self):
-        return len(self._poly._terms)
-
-    def __iter__(self):
-        return self._poly.registry._unpack_all(self._poly._terms)
-
-    def items(self):
-        p = self._poly
-        return list(zip(p.registry._unpack_all(p._terms),
-                        map(p._coeffs.wrap, p._terms.values())))
-
-    def get(self, exps, default=None):
-        p = self._poly
-        try:
-            raw = p._terms.get(p.registry._pack(exps))
-        except (TypeError, ValueError, OverflowError):
-            return default
-        return default if raw is None else p._coeffs.wrap(raw)
-
-    def __getitem__(self, exps):
-        coeff = self.get(exps)
-        if coeff is None:
-            raise KeyError(exps)
-        return coeff
-
-
 class MPoly(Frozen):
     """A sparse multivariate polynomial over an exact ring; immutable."""
 
-    __slots__ = ("registry", "ring", "_coeffs", "_terms", "_hash")
+    __slots__ = ("registry", "ring", "_coeffs", "_terms", "_hash", "_decoded")
 
     def __init__(self, registry: VarRegistry, ring: Ring,
                  terms: Mapping[tuple[int, ...], Element] | None = None):
@@ -347,8 +314,15 @@ class MPoly(Frozen):
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], Element]:
-        """Read-only view: exponent tuple -> nonzero coefficient."""
-        return _Terms(self)
+        """Read-only mapping: exponent tuple -> nonzero coefficient."""
+        # decoded on first read and kept in the ``_decoded`` slot
+        decoded = self._decoded
+        if decoded is None:
+            decoded = MappingProxyType(dict(zip(
+                self.registry._unpack_all(self._terms),
+                map(self._coeffs.wrap, self._terms.values()))))
+            _set_decoded(self, decoded)
+        return decoded
 
     def _like(self, terms: dict) -> "MPoly":
         """A polynomial over this one's registry and ring, with canonical
@@ -491,12 +465,8 @@ class MPoly(Frozen):
                 acc[e - unit] = coeffs.mul(c, coeffs.from_int(k))
         return self._like(coeffs.finish(acc))
 
-    def graded_part(self, degree: int, names: Iterable[str] | None = None) -> "MPoly":
+    def graded_part(self, degree: int, names: Iterable[str]) -> "MPoly":
         """Sum of terms of total degree exactly ``degree`` in ``names``."""
-        if names is None:
-            top = self.registry._degree_shift
-            return self._like({e: c for e, c in self._terms.items()
-                               if e >> top == degree})
         shifts = [self.registry._shifts[self.registry.index[n]]
                   for n in names]
         return self._like({e: c for e, c in self._terms.items()
@@ -660,7 +630,7 @@ class MPoly(Frozen):
 _new = object.__new__
 _set_registry, _set_ring = MPoly.registry.__set__, MPoly.ring.__set__
 _set_coeffs, _set_terms = MPoly._coeffs.__set__, MPoly._terms.__set__
-_set_hash = MPoly._hash.__set__
+_set_hash, _set_decoded = MPoly._hash.__set__, MPoly._decoded.__set__
 
 
 def _init(p: MPoly, registry: VarRegistry, ring: Ring, coeffs: _Coeffs,
@@ -670,6 +640,7 @@ def _init(p: MPoly, registry: VarRegistry, ring: Ring, coeffs: _Coeffs,
     _set_coeffs(p, coeffs)
     _set_terms(p, terms)
     _set_hash(p, None)
+    _set_decoded(p, None)
     return p
 
 
@@ -690,6 +661,10 @@ def unit_match(p: MPoly, target: MPoly) -> Element | None:
         if cp is None:
             return None
         u = p._coeffs.wrap(cp) * inverse
+        try:
+            u.inverse()
+        except NonUnitError:
+            return None     # only a non-unit could match
         return u if (target.scale(u) - p).is_zero() else None
     if error is not None:
         raise error

@@ -373,6 +373,22 @@ def test_a_warm_run_builds_no_constant_curve_input(monkeypatch):
             for name, fn in caches.items()} == misses
 
 
+def test_a_warm_run_decodes_only_the_polynomials_it_builds(monkeypatch):
+    scenarios.run_many(None)
+    unpack_all = VarRegistry._unpack_all
+    callers = collections.Counter()
+
+    def recorded(registry, packed):
+        callers[sys._getframe(2).f_code.co_name] += 1
+        return unpack_all(registry, packed)
+
+    monkeypatch.setattr(VarRegistry, "_unpack_all", recorded)
+    scenarios.run_many(None)
+    # every cached polynomial kept its terms from the first run; the seven
+    # contact-order pullbacks and the expansion's fresh target are new
+    assert callers == {"intersection_multiplicity": 7, "scenario_expansion": 1}
+
+
 def test_value_rows_match_direct_evaluation():
     rows = deformation.diagonal_rows()
     direct = _direct_value_rows()
@@ -560,7 +576,7 @@ def reference_rows_from_texts(texts):
     rows = []
     for text in texts:
         p = parse_poly(text, _MAIN_REG, F49)
-        assert p.graded_part(1) == p
+        assert p.graded_part(1, p.registry.names) == p
         row = [F49.zero()] * len(_MAIN_REG)
         for exps, c in p.terms.items():
             row[exps.index(1)] = c

@@ -245,6 +245,30 @@ def test_hash_is_computed_once_and_cannot_be_set(monkeypatch):
     assert hash(p) == plain and len(built) == 1
 
 
+def test_terms_are_decoded_once_and_kept(monkeypatch):
+    p = parse_poly("x^2+3*y*z+t-1", XYZT, F7)
+    unpack_all = VarRegistry._unpack_all
+    decoded = []
+
+    def recorded(registry, packed):
+        decoded.append(registry)
+        return unpack_all(registry, packed)
+
+    monkeypatch.setattr(VarRegistry, "_unpack_all", recorded)
+    first = p.terms
+    for _ in range(3):
+        assert len(p.terms) == 4 and set(p.terms) == set(first)
+        assert p.terms.get((2, 0, 0, 0)) == F7.one()
+        assert p.terms.get((9, 0, 0, 0)) is None
+        assert dict(p.terms.items()) == dict(first)
+    p.sorted_terms()
+    assert p.terms is first and decoded == [XYZT]
+    with pytest.raises(AttributeError):
+        p._decoded = None
+    with pytest.raises(TypeError):
+        p.terms[[2, 0, 0, 0]]
+
+
 def test_cached_curves_cannot_be_changed():
     g1 = curve_pair("F49")[0]
     before = str(g1)
@@ -394,17 +418,21 @@ def test_unit_match_matches_the_leading_term_reference(ring):
 
 
 def test_unit_match_over_the_integers_skips_coefficients_that_are_not_units():
-    reg = VarRegistry(("x",))
+    reg = VarRegistry(("x", "y"))
 
-    def match(p, target):
-        return poly.unit_match(parse_poly(p, reg, ZZ),
-                               parse_poly(target, reg, ZZ))
+    def match(p, target, ring=ZZ):
+        return poly.unit_match(parse_poly(p, reg, ring),
+                               parse_poly(target, reg, ring))
 
     # the constant term of the target is stored first, and 2 is no unit
     assert match("-2-x", "2+x") == ZZ.from_int(-1)
     assert match("2-x", "2+x") is None
     with pytest.raises(NonUnitError):
         match("-2-4*x", "2+4*x")
+    # a multiple of the target by a non-unit is no unit match
+    assert match("-4-2*x", "2+x") is None
+    assert match("7*x+7*y", "x+y", Z343) is None
+    assert match("8*x+8*y", "x+y", Z343) == Z343.from_int(8)
 
 
 # ----------------------------------------------------------------------
@@ -457,10 +485,11 @@ def test_translate_examples():
     assert p.translate({"x": F7.one()}) == parse_poly("x^2+2*x+1", reg, F7)
 
 
-# what only ``poly`` may know of a polynomial: its packed monomials and
-# raw coefficients, and the registry's packing of exponent vectors
+# what only ``poly`` may know of a polynomial: its packed monomials, raw
+# coefficients and kept decoded terms, and the registry's packing of
+# exponent vectors
 _PACKED_LAYOUT = {"_terms", "_coeffs", "_unpack_all", "_units", "_unit",
-                  "_shifts", "_degree_shift"}
+                  "_shifts", "_degree_shift", "_decoded"}
 
 
 def test_only_poly_reads_the_packed_monomial_layout():
