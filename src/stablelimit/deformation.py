@@ -34,11 +34,12 @@ to the 19 essential unknowns once, and solves those systems over GF(49).
 The packed monomials of ``poly.MPoly`` stay inside ``poly``: this module
 reads polynomials through their ``terms`` view and changes charts with
 ``MPoly.dehomogenize``.  The derivation changes each curve to each chart
-once and builds each cloud in chart coordinates.  The constant rows are
-computed on GF(49) codes: the diagonal cloud from its binomial closed
-form, each point with one power ladder per coordinate, and the published
-linear forms and the substitution map from the codes of their terms.
-Rows leave the module as tuples of interned ``Element``s.
+once and builds each cloud in chart coordinates.  Point rows of a cloud
+come from ``linser.condition_row``; the diagonal rows, which the scenario
+layer checks against them, keep their own route on GF(49) codes: the
+binomial closed form and one power ladder.  Published linear forms are
+read from the codes of their terms.  Rows are tuples of interned
+``Element``s.
 
 Everything below is derived symbolically from the two curve equations;
 the published displays enter only as comparison targets in the scenario
@@ -55,6 +56,7 @@ from typing import Mapping
 from . import cgdata
 from .curvelocal import _divide_by_linear
 from .linalg import LinearSystem, eliminate, solve_affine
+from .linser import PassThrough, TangentDirection, condition_row
 from .poly import MPoly, VarRegistry, unit_match
 from .rings import Element, QuadraticField
 
@@ -124,12 +126,11 @@ class DerivedSystem:
     first curve's cubic-divisibility condition.
     """
 
-    def __init__(self, rows, classical_ok, scales, cubic_rows=frozenset()):
+    def __init__(self, rows, classical_ok, cubic_rows=frozenset()):
         zero = F49.zero()
         self.raw = LinearSystem(_ALL_UNKNOWNS, rows,
                                 [zero] * len(rows), F49)
         self.classical_ok = classical_ok
-        self.tangent_scales = scales
         self.cubic_rows = cubic_rows
         # over cgdata.MAIN_UNKNOWNS in order: eliminate keeps the order of
         # the columns it does not project out
@@ -149,7 +150,7 @@ class DerivedSystem:
         re-checked, it is this system's."""
         rows = [row for k, row in enumerate(self.raw.rows)
                 if k not in self.cubic_rows]
-        return DerivedSystem(rows, self.classical_ok, self.tangent_scales)
+        return DerivedSystem(rows, self.classical_ok)
 
 
 def derive_rigidity_system() -> DerivedSystem:
@@ -161,7 +162,6 @@ def derive_rigidity_system() -> DerivedSystem:
     rows: list[list[Element]] = []
     cubic_rows: list[int] = []
     classical_ok = True
-    scales: dict[tuple[int, int], Element] = {}
 
     def deformed(tag: int, chart: int) -> tuple[MPoly, dict[str, MPoly]]:
         """A curve in a chart: classical part, first-order part."""
@@ -203,7 +203,6 @@ def derive_rigidity_system() -> DerivedSystem:
             lam = unit_match(g2, p1_sq)
             if lam is None:
                 raise ArithmeticError("quadratic parts are not proportional")
-            scales[(tag, chart)] = lam
             # G2 = (lam + m') * P1^2
             impose(g2 - p1_sq.scale(lam),
                    _add(_graded(form, 2, uv),
@@ -222,18 +221,17 @@ def derive_rigidity_system() -> DerivedSystem:
                            _add(_graded(form, 3, uv), _times(-h, p1_form), h1))
             if tag == 1:
                 cubic_rows.extend(cubic)
-    return DerivedSystem(rows, classical_ok, scales, frozenset(cubic_rows))
+    return DerivedSystem(rows, classical_ok, frozenset(cubic_rows))
 
 
 # ----------------------------------------------------------------------
-# diagonal-point rows, on GF(49) codes
+# point rows of a coefficient cloud
 #
 # A row entry is the value at a point of one polynomial of a coefficient
-# cloud, or of its derivative, summed on the codes of ``F49.tables`` from
-# one power ladder per coordinate of the point.
+# cloud, or of its derivative: from ``linser.condition_row`` in chart 4,
+# and from the cleared cloud's terms and one power ladder on the diagonal.
 
 _MAIN_REG = VarRegistry(cgdata.MAIN_UNKNOWNS)
-_CLOUD = [(i, j) for i in range(4) for j in range(4)]
 
 
 def _ladders(x: Element, top: int) -> tuple[list[int], list[int]]:
@@ -248,15 +246,13 @@ def _ladders(x: Element, top: int) -> tuple[list[int], list[int]]:
     return powers, slopes
 
 
-def cloud_row(prefix: str, codes) -> tuple[Element, ...]:
-    """A row over the 40 main unknowns: the 16 ``codes``, in the order of
-    ``_CLOUD``, at the unknowns prefix{i}{j} of one cloud, and 0 at the
-    others.  The cloud's unknowns stand in that order in
-    ``cgdata.MAIN_UNKNOWNS``."""
-    elements = F49._elements
+def cloud_row(prefix: str, entries) -> tuple[Element, ...]:
+    """A row over the 40 main unknowns: the 16 ``entries`` at the unknowns
+    prefix{i}{j} of one cloud, i outer and j inner, and 0 at the others.
+    The cloud's unknowns stand in that order in ``cgdata.MAIN_UNKNOWNS``."""
     start = _MAIN_REG.index[f"{prefix}00"]
-    row = [elements[0]] * len(_MAIN_REG)
-    row[start:start + len(_CLOUD)] = map(elements.__getitem__, codes)
+    row = [F49.zero()] * len(_MAIN_REG)
+    row[start:start + 16] = entries
     return tuple(row)
 
 
@@ -296,13 +292,13 @@ def _diagonal_row(prefix: str, k: int,
     mul, add = F49.tables.mul, F49.tables.add
     powers, slopes = _ladders(q_point(k)[1], 6)
     ladder = slopes if slope else powers
-    codes = []
+    entries = []
     for p in diagonal_cloud(prefix).values():
         acc = 0
         for (e,), c in p.terms.items():
             acc = add[acc][mul[c.payload][ladder[e]]]
-        codes.append(acc)
-    return cloud_row(prefix, codes)
+        entries.append(F49._elements[acc])
+    return cloud_row(prefix, entries)
 
 
 @lru_cache(maxsize=None)
@@ -322,27 +318,15 @@ def diagonal_rows() -> Mapping[str, tuple[Element, ...]]:
     return MappingProxyType(rows)
 
 
-def affine_codes(alpha: Element, beta: Element,
-                 along: str | None = None) -> list[int]:
-    """The affine coefficient cloud of a curve at (alpha, beta): the codes
-    of the monomials y^i x^j, in the order of ``_CLOUD``, where y = al and
-    x = be are the affine coordinates of chart 4 and the unknown
-    prefix{i}{j} stands for y^i x^j.  With ``along`` "y" or "x", the codes
-    of the monomials' derivatives in that coordinate."""
-    mul = F49.tables.mul
-    ys, dys = _ladders(alpha, 3)
-    xs, dxs = _ladders(beta, 3)
-    if along == "y":
-        ys = dys
-    elif along == "x":
-        xs = dxs
-    return [mul[ys[i]][xs[j]] for i, j in _CLOUD]
-
-
-def affine_row(prefix: str, alpha: Element, beta: Element,
-               along: str | None = None) -> tuple[Element, ...]:
-    """``affine_codes`` as a row over the 40 main unknowns."""
-    return cloud_row(prefix, affine_codes(alpha, beta, along))
+def point_row(prefix: str, alpha: Element, beta: Element,
+              direction=None) -> tuple[Element, ...]:
+    """``linser.condition_row`` of a cloud at the point (alpha, beta) of
+    chart 4, where prefix{i}{j} stands for y^i x^j with y = al, x = be: its
+    value, or its derivative along the tangent vector ``direction``."""
+    point = ((alpha, F49.one()), (beta, F49.one()))
+    cond = (PassThrough(point) if direction is None
+            else TangentDirection(point, direction))
+    return cloud_row(prefix, condition_row(3, 3, cond, F49))
 
 
 @lru_cache(maxsize=None)
@@ -350,10 +334,11 @@ def flex_rows() -> Mapping[str, tuple[Element, ...]]:
     """Value and fiber-direction derivative rows of the first curve's
     cloud at the two transverse diagonal points 1 and 2 of
     ``cgdata.Q_POINTS`` (affine chart 4)."""
+    fiber = (F49.one(), F49.zero())
     out = {}
     for k in (1, 2):
-        out[f"van{k}"] = affine_row("a", *q_point(k))
-        out[f"dB1Q{k}"] = affine_row("a", *q_point(k), along="y")
+        out[f"van{k}"] = point_row("a", *q_point(k))
+        out[f"dB1Q{k}"] = point_row("a", *q_point(k), fiber)
     return MappingProxyType(out)
 
 

@@ -4,9 +4,10 @@ A series is the space of bidegree-(a, b) forms in two pairs of projective
 coordinates, cut down by point conditions: passing through a point, or
 being tangent to a prescribed direction there.  Every condition is a
 linear constraint on the (a+1)(b+1) monomial coefficients, so dimensions
-are exact rank computations.  The Taylor coefficients behind a tangency
-condition are read off binomial formulas, one factor of the quadric at a
-time.
+are exact rank computations.  ``condition_row``, the package's one
+formula for a form's value or derivative at a point, also builds the
+deformation module's point rows; the Taylor coefficients behind a
+tangency are read off binomial formulas, one factor at a time.
 
 Points are pairs of projective coordinate pairs over the working field.
 No genericity is ever assumed: independence of conditions is whatever the
@@ -66,32 +67,33 @@ def _chart_coefficients(pair: tuple[Element, Element], d: int, k: int,
 
 # bounded: any caller's points reach it; typed: a bare tuple is refused
 @lru_cache(maxsize=256, typed=True)
-def _condition_rows(a: int, b: int, cond,
-                    ring: Ring) -> tuple[tuple[Element, ...], ...]:
+def condition_row(a: int, b: int, cond, ring: Ring) -> tuple[Element, ...]:
+    """The row that ``cond`` imposes on the bidegree-(a, b) monomials
+    x^i y^(a-i) z^j w^(b-j), i outer and j inner: their values at the
+    point, or their derivatives along the direction in its affine chart."""
     if not isinstance(cond, (PassThrough, TangentDirection)):
         raise TypeError(f"unknown condition {cond!r}")
     _check_point(cond.point)
+    A, B = cond.point
     if isinstance(cond, PassThrough):
-        (a0, a1), (b0, b1) = cond.point
-        return (tuple(a0 ** i * a1 ** (a - i) * b0 ** j * b1 ** (b - j)
-                      for i in range(a + 1) for j in range(b + 1)),)
+        xs, ys = ([p ** i * q ** (d - i) for i in range(d + 1)]
+                  for (p, q), d in ((A, a), (B, b)))
+        return tuple(x * y for x in xs for y in ys)
     du, dv = cond.direction
     if du.is_zero() and dv.is_zero():
         raise ValueError("tangent direction must be nonzero")
-    A, B = cond.point
     x0, x1 = (_chart_coefficients(A, a, k, ring) for k in (0, 1))
-    y0, y1 = (_chart_coefficients(B, b, k, ring) for k in (0, 1))
-    return (tuple(x1[i] * y0[j] * du + x0[i] * y1[j] * dv
-                  for i in range(a + 1) for j in range(b + 1)),)
+    y0, y1 = ([y * w for y in _chart_coefficients(B, b, k, ring)]
+              for k, w in ((0, du), (1, dv)))
+    return tuple(x1[i] * y0[j] + x0[i] * y1[j]
+                 for i in range(a + 1) for j in range(b + 1))
 
 
 def series_dimension(bidegree: tuple[int, int],
                      conditions: Iterable[Condition], ring: Ring) -> int:
     """Dimension of the space of bidegree forms satisfying the conditions."""
     a, b = bidegree
-    rows: list[tuple[Element, ...]] = []
-    for cond in conditions:
-        rows.extend(_condition_rows(a, b, cond, ring))
+    rows = [condition_row(a, b, cond, ring) for cond in conditions]
     n = (a + 1) * (b + 1)
     if not rows:
         return n
@@ -101,13 +103,11 @@ def series_dimension(bidegree: tuple[int, int],
 def split_sections_vanishing(points: Sequence[Point], ring: Ring) -> int:
     """Pairs of forms of bidegrees (0,2) and (2,0) both vanishing at the
     listed points; the building block of the rank-two cotangent count."""
-    zero = ring.zero()
+    zero = (ring.zero(),) * 3
     rows = []
     for pt in points:
-        _check_point(pt)
-        (a0, a1), (b0, b1) = pt
-        rows.append([b0 ** j * b1 ** (2 - j) for j in range(3)] + [zero] * 3)
-        rows.append([zero] * 3 + [a0 ** i * a1 ** (2 - i) for i in range(3)])
+        rows.append(condition_row(0, 2, PassThrough(pt), ring) + zero)
+        rows.append(zero + condition_row(2, 0, PassThrough(pt), ring))
     if not rows:
         return 6
     return 6 - rank(rows, ring)

@@ -59,6 +59,8 @@ class Lattice:
             raise ValueError("gram matrix must be symmetric")
         if canonical:
             canonical = tuple(map(operator.index, canonical))
+            if len(canonical) != n:
+                raise ValueError("canonical vector length mismatch")
         self._fill(names, gram, canonical or None,
                    tuple(tuple((j, g) for j, g in enumerate(row) if g)
                          for row in gram))

@@ -648,8 +648,9 @@ def unit_match(p: MPoly, target: MPoly) -> Element | None:
     """The unit u with p = u * target, fixed from one stored term of the
     target and then verified everywhere; None if no unit works.  A unit
     that works is unique, so any term whose coefficient is a unit fixes
-    it: over a field the first one does.  Raises ``NonUnitError`` when no
-    coefficient of the target is a unit (over ZZ and Z/p^k)."""
+    it: over a field the first one does.  A zero target matches nothing,
+    not even a zero ``p``.  Raises ``NonUnitError`` when no coefficient of
+    the target is a unit (over ZZ and Z/p^k)."""
     error = None
     for e, c in target._terms.items():
         try:

@@ -593,7 +593,7 @@ def _direct_value_rows() -> Mapping[str, tuple[Element, ...]]:
     out = {}
     for tag, prefix in (("1", "a"), ("2", "b")):
         for k in range(1, 7):
-            out[f"val{tag}@{k}"] = deformation.affine_row(prefix, *q_point(k))
+            out[f"val{tag}@{k}"] = deformation.point_row(prefix, *q_point(k))
     return MappingProxyType(out)
 
 
@@ -603,22 +603,21 @@ def _chain_rule_rows() -> Mapping[str, tuple[Element, ...]]:
     (1+be)^3 * cloud(alpha(be), be) instead of differentiating the
     cleared polynomial: an independent construction path.  With
     u = 1+be and alpha = (1-be)/u, so that alpha' = -2/u^2, the derivative
-    is 3u^2 * cloud - 2u * cloud_y + u^3 * cloud_x, summed on the codes."""
+    is 3u^2 * cloud - 2u * cloud_y + u^3 * cloud_x: the value row, and the
+    derivative along the diagonal's tangent vector (-2u, u^3)."""
     out = {}
     one = F49.one()
-    mul, add = F49.tables.mul, F49.tables.add
     for tag, prefix, points in (("1", "a", (3, 4)), ("2", "b", (5, 6))):
         for k in points:
             beta = q_point(k)[1]
             u = one + beta
             alpha = (one - beta) * u.inverse()
-            w_val, w_da, w_db = (w.payload for w in (
-                F49.from_int(3) * u * u, F49.from_int(-2) * u, u ** 3))
-            val, da, db = (deformation.affine_codes(alpha, beta, along)
-                           for along in (None, "y", "x"))
-            out[f"dB{tag}Q{k}"] = deformation.cloud_row(prefix, [
-                add[add[mul[w_val][a]][mul[w_da][b]]][mul[w_db][c]]
-                for a, b, c in zip(val, da, db)])
+            three_u2 = F49.from_int(3) * u * u
+            value = deformation.point_row(prefix, alpha, beta)
+            along = deformation.point_row(prefix, alpha, beta,
+                                          (F49.from_int(-2) * u, u ** 3))
+            out[f"dB{tag}Q{k}"] = tuple(three_u2 * a + b
+                                        for a, b in zip(value, along))
     return MappingProxyType(out)
 
 

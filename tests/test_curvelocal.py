@@ -227,7 +227,7 @@ def test_tangency_criterion_matches_diagonal_rows():
     # the row is the linear form gbar |-> gbar(point), up to the chart
     # unit: evaluate the basis cloud directly and compare
     unit = (F49.one() + beta) ** 3
-    expected = deformation.affine_row("a", alpha, beta)
+    expected = deformation.point_row("a", alpha, beta)
     for coeff, value in zip(row, expected):
         assert coeff == value * unit
 

@@ -106,12 +106,17 @@ def test_a_derivation_changes_each_curve_to_each_chart_once(monkeypatch):
 
 
 def test_tangent_cone_scales():
-    derived = derived_system_cached(False)
-    # the four proportionality constants of the quadratic parts
-    assert derived.tangent_scales[(1, 1)] == F49.from_int(3)
-    assert derived.tangent_scales[(1, 4)] == F49.from_int(4)
-    assert derived.tangent_scales[(2, 2)] == F49.from_int(3)
-    assert derived.tangent_scales[(2, 3)] == F49.from_int(3)
+    # the four proportionality constants of the quadratic parts: each
+    # double point's quadratic part over the square of the partner
+    # curve's linear part there
+    curves = dict(zip((1, 2), curve_pair("F49")))
+    for (tag, chart), scale in {(1, 1): 3, (1, 4): 4,
+                                (2, 2): 3, (2, 3): 3}.items():
+        uv = cgdata.CHARTS[chart]
+        g, partner = (curves[t].dehomogenize(uv) for t in (tag, 3 - tag))
+        linear = partner.graded_part(1, uv)
+        assert poly.unit_match(g.graded_part(2, uv), linear * linear) == \
+            F49.from_int(scale)
 
 
 # (row count, sha256 of the entries' (a, b) pairs) of the raw rows, as
@@ -275,7 +280,7 @@ def test_cached_rows_are_immutable():
             (scenarios._swap_rulings, (g2,)),
             (scenarios._branch_locus, (g1, cgdata.FIRST_PAIR,
                                        cgdata.SECOND_PAIR)),
-            (linser._condition_rows, (2, 2, origin, F49))):
+            (linser.condition_row, (2, 2, origin, F49))):
         value = build(*args)
         assert build(*args) is value, build.__name__
         _assert_immutable(value)
@@ -362,7 +367,7 @@ def test_a_warm_run_builds_no_constant_curve_input(monkeypatch):
               for module in (scenarios, linser)
               for name, fn in vars(module).items()
               if hasattr(fn, "cache_info")}
-    assert {"stablelimit.linser._condition_rows",
+    assert {"stablelimit.linser.condition_row",
             "stablelimit.scenarios._branch_locus"} <= caches.keys()
     misses = {name: fn.cache_info().misses for name, fn in caches.items()}
     assert [r.status for r in scenarios.run_many(None)] == statuses

@@ -6,8 +6,8 @@ import pytest
 
 from stablelimit import MPoly, PrimeField, QuadraticField, VarRegistry, scenarios
 from stablelimit.linser import (MalformedPointError, PassThrough,
-                                TangentDirection,
-                                _condition_rows, distinct_fiber_counts,
+                                TangentDirection, condition_row,
+                                distinct_fiber_counts,
                                 normalize_pair, series_dimension,
                                 split_sections_vanishing)
 from stablelimit.linalg import rank
@@ -122,12 +122,21 @@ def test_points_at_infinity_handled():
 # condition rows against a polynomial-expansion reference
 
 _UV = VarRegistry(("u", "v"))
+_XYZW = VarRegistry(("x", "y", "z", "w"))
 
 
-def reference_condition_rows(a, b, cond, ring):
-    """Tangency rows read off each basis monomial expanded as a
+def reference_value_row(a, b, point, ring):
+    """The pass-through row: each bihomogeneous basis monomial
+    x^i y^(a-i) z^j w^(b-j) evaluated at the projective point."""
+    at = dict(zip(_XYZW.names, (*point[0], *point[1])))
+    return [MPoly(_XYZW, ring, {(i, a - i, j, b - j): ring.one()}).evaluate(at)
+            for i in range(a + 1) for j in range(b + 1)]
+
+
+def reference_tangency_row(a, b, cond, ring):
+    """The tangency row read off each basis monomial expanded as a
     polynomial in local coordinates u, v at the point: a second route to
-    the rows, through polynomial arithmetic."""
+    the row, through polynomial arithmetic."""
     one = MPoly.constant(_UV, ring.one())
 
     def coords(p0, p1, var):
@@ -141,8 +150,8 @@ def reference_condition_rows(a, b, cond, ring):
     expansions = [au ** i * av ** (a - i) * bu ** j * bv ** (b - j)
                   for i in range(a + 1) for j in range(b + 1)]
     du, dv = cond.direction
-    return [[p.coefficient({"u": 1}) * du + p.coefficient({"v": 1}) * dv
-             for p in expansions]]
+    return [p.coefficient({"u": 1}) * du + p.coefficient({"v": 1}) * dv
+            for p in expansions]
 
 
 def _nonzero(rng, ring):
@@ -169,8 +178,20 @@ def test_condition_rows_match_the_expansion_reference(ring):
         direction = (ring.random_element(rng), _nonzero(rng, ring))
         cond = TangentDirection(point, direction[::rng.choice((1, -1))])
         # the rows are cached, so they come back as tuples
-        assert _condition_rows(a, b, cond, ring) == tuple(
-            map(tuple, reference_condition_rows(a, b, cond, ring))), cond
+        assert condition_row(a, b, cond, ring) == tuple(
+            reference_tangency_row(a, b, cond, ring)), cond
+        cond = PassThrough(point)
+        assert condition_row(a, b, cond, ring) == tuple(
+            reference_value_row(a, b, point, ring)), cond
+    # at infinity in both factors, in one of them and in neither, with
+    # pairs that are not scaled to (p : 1)
+    two, three = ring.from_int(2), ring.from_int(3)
+    points = [(A, B) for A in ((ring.one(), ring.zero()), (two, three))
+              for B in ((three, ring.zero()), (ring.zero(), two))]
+    for point in points:
+        for a, b in ((0, 2), (2, 0), (3, 3)):
+            assert condition_row(a, b, PassThrough(point), ring) == tuple(
+                reference_value_row(a, b, point, ring)), point
 
 
 # ----------------------------------------------------------------------
@@ -181,8 +202,7 @@ def _oracle_dimension(bidegree, conditions, ring) -> int:
     """(a+1)(b+1) minus the rank of the GF(49) condition rows, which is
     half the rank sympy finds for them realified over GF(7)."""
     a, b = bidegree
-    rows = [row for cond in conditions
-            for row in _condition_rows(a, b, cond, ring)]
+    rows = [condition_row(a, b, cond, ring) for cond in conditions]
     if not rows:
         return (a + 1) * (b + 1)
     real_rank = _gf7_rank(_realify(rows))

@@ -428,6 +428,12 @@ def _system(rows, rhs):
                  id="Lattice-asymmetric-gram"),
     pytest.param(ValueError, lambda: Lattice(("a",), ((1,),)).canonical,
                  id="Lattice-no-canonical-class"),
+    pytest.param(ValueError, lambda: Lattice(("h1", "h2"), ((0, 1), (1, 0)),
+                                             (-2,)),
+                 id="Lattice-short-canonical"),
+    pytest.param(ValueError, lambda: Lattice(("h1", "h2"), ((0, 1), (1, 0)),
+                                             (-2, -2, 0)),
+                 id="Lattice-long-canonical"),
     pytest.param(ValueError, lambda: DivisorClass(quadric_lattice(), (1,)),
                  id="DivisorClass-length"),
     pytest.param(RingMismatchError, lambda: MPoly(_UV, F49,
