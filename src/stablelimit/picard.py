@@ -57,11 +57,11 @@ class Lattice:
             raise ValueError("gram matrix shape mismatch")
         if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
             raise ValueError("gram matrix must be symmetric")
-        if canonical:
+        if canonical is not None:
             canonical = tuple(map(operator.index, canonical))
             if len(canonical) != n:
                 raise ValueError("canonical vector length mismatch")
-        self._fill(names, gram, canonical or None,
+        self._fill(names, gram, canonical,
                    tuple(tuple((j, g) for j, g in enumerate(row) if g)
                          for row in gram))
 

@@ -432,6 +432,9 @@ def _system(rows, rhs):
                                              (-2,)),
                  id="Lattice-short-canonical"),
     pytest.param(ValueError, lambda: Lattice(("h1", "h2"), ((0, 1), (1, 0)),
+                                             ()),
+                 id="Lattice-empty-canonical"),
+    pytest.param(ValueError, lambda: Lattice(("h1", "h2"), ((0, 1), (1, 0)),
                                              (-2, -2, 0)),
                  id="Lattice-long-canonical"),
     pytest.param(ValueError, lambda: DivisorClass(quadric_lattice(), (1,)),
