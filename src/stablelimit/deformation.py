@@ -4,42 +4,43 @@ The two bidegree-(3,3) curves carry a fixed singularity pattern: each has
 two double points of tacnodal type whose tangent cones match the other
 curve's tangent line.  A first-order deformation moves the base point of
 chart k by (c_k, d_k) and adds a general coefficient cloud to each
-equation.  Every quantity met below is a classical polynomial plus a
-first-order part that is linear in the unknowns, kept as a *linear form*
-``{unknown: polynomial in the chart coordinates}``.  The derivation only
-multiplies classical polynomials by first-order parts, so the Leibniz rule
-gives every first-order part directly; in chart (u, v) a curve g with
-cloud gbar has first-order part  c*dg/du + d*dg/dv + gbar.  Preserving the
-pattern imposes, per double point:
+equation; in chart (u, v) a curve g with cloud gbar has first-order part
+c*dg/du + d*dg/dv + gbar, kept as a *linear form* ``{unknown: polynomial
+in the chart coordinates}``.  Preserving the pattern imposes passage
+through each displaced base point and, at a double point, that the curve
+is singular there, that its quadratic part G2 is a multiple of the square
+of the partner's deformed tangent line p1 = alpha*u + beta*v, and that
+its cubic part G3 is divisible by p1.  Each condition is read against
+monomial weights at a point: passage and singularity at the origin, the
+rest at the root r = (beta, -alpha) of p1, with w a coordinate in which
+d_w p1 != 0.  A binary quadratic is a multiple of p1^2 exactly when it
+and its w-derivative vanish at r, and a binary cubic is divisible by p1
+exactly when it vanishes at r; with P1' the first-order part of p1, the
+rows are
 
-  * the deformed curve passes through the displaced point,
-  * it is singular there,
-  * its quadratic part is proportional to the square of the partner
-    curve's deformed linear part,
-  * its cubic part is divisible by that deformed linear part,
+  G2'(r),   d_w G2'(r) - s * P1'(r),   G3'(r) - h(r) * P1'(r),
 
-and, per smooth base point, passage through the displaced point.  The
-classical part of each condition must vanish, and each chart monomial of
-its first-order part is one row.  After projecting out the
-proportionality and quotient auxiliaries, this module produces the
-resulting homogeneous linear system in the 40 coefficient and
-displacement unknowns.  The derivation runs once: it records which raw
-rows impose the first curve's cubic-divisibility condition, and the
-weakened negative control is the same raw rows without those, eliminated
-on its own.  Independently the module builds the diagonal-point value
-and derivative rows used by the published deformation systems, each a
-coefficient cloud or its derivative at a point, pushes each of them down
-to the 19 essential unknowns once, and solves those systems over GF(49).
+with s = d_w d_w G2 / d_w p1 and h(r) = d_w G3(r) / d_w p1.  So the
+system has 28 rows over the 40 coefficient and displacement unknowns and
+no auxiliary unknown.  ``DerivedSystem.classical_ok`` records whether
+every classical part vanished and every s was nonzero.  The derivation
+runs once; the weakened negative control is its rows without the first
+curve's cubic ones.
+
+Independently the module builds the diagonal-point value and derivative
+rows used by the published deformation systems, each a coefficient cloud
+or its derivative at a point, pushes each of them down to the 19
+essential unknowns once, and solves those systems over GF(49).
 
 The packed monomials of ``poly.MPoly`` stay inside ``poly``: this module
-reads polynomials through their ``terms`` view and changes charts with
-``MPoly.dehomogenize``.  The derivation changes each curve to each chart
-once and builds each cloud in chart coordinates.  Point rows of a cloud
-come from ``linser.condition_row``; the diagonal rows, which the scenario
-layer checks against them, keep their own route on GF(49) codes: the
-binomial closed form and one power ladder.  Published linear forms are
-read from the codes of their terms.  Rows are tuples of interned
-``Element``s.
+reads polynomials through their ``terms`` view, not ``MPoly.evaluate``,
+and changes charts with ``MPoly.dehomogenize``.  The derivation changes
+each curve to each chart once and builds each cloud in chart coordinates.
+Point rows of a cloud come from ``linser.condition_row``; the diagonal
+rows, which the scenario layer checks against them, keep their own route
+on GF(49) codes: the binomial closed form and one power ladder.
+Published linear forms are read from the codes of their terms.  Rows are
+tuples of interned ``Element``s.
 
 Everything below is derived symbolically from the two curve equations;
 the published displays enter only as comparison targets in the scenario
@@ -54,57 +55,58 @@ from types import MappingProxyType
 from typing import Mapping
 
 from . import cgdata
-from .curvelocal import _divide_by_linear
-from .linalg import LinearSystem, eliminate, solve_affine
+from .linalg import LinearSystem, solve_affine
 from .linser import PassThrough, TangentDirection, condition_row
-from .poly import MPoly, VarRegistry, unit_match
+from .poly import MPoly, VarRegistry
 from .rings import Element, QuadraticField
 
 
 F49 = QuadraticField(cgdata.PRIME)
 
-AUX_UNKNOWNS = tuple(
-    [f"m'{k}" for k in cgdata.CURVE1_DOUBLE_CHARTS]
-    + [f"n'{k}" for k in cgdata.CURVE2_DOUBLE_CHARTS]
-    + [f"h1u{k}q{t}" for k in cgdata.CURVE1_DOUBLE_CHARTS for t in range(3)]
-    + [f"h2u{k}q{t}" for k in cgdata.CURVE2_DOUBLE_CHARTS for t in range(3)]
-)
-_ALL_UNKNOWNS = cgdata.MAIN_UNKNOWNS + AUX_UNKNOWNS
-_COLUMN = {name: k for k, name in enumerate(_ALL_UNKNOWNS)}
+_MAIN_REG = VarRegistry(cgdata.MAIN_UNKNOWNS)
 
 # A linear form over the unknowns: unknown -> polynomial coefficient.
 Form = Mapping[str, MPoly]
+# Monomial weights: exponent vector over ``cgdata.AB`` -> its weight.
+Weights = Mapping[tuple[int, ...], Element]
 
 
-def _add(*forms: Form) -> dict[str, MPoly]:
-    out: dict[str, MPoly] = {}
-    for form in forms:
-        for name, p in form.items():
-            out[name] = out[name] + p if name in out else p
+def _weights(uv, degree: int, point, along: int | None) -> Weights:
+    """The chart monomials u^i v^j of one degree, weighted by their values
+    at ``point``, or, with ``along`` 0 (u) or 1 (v), by their derivatives
+    in that coordinate there (0 for a monomial free of it)."""
+    x, y = point
+    out = {}
+    for i in range(degree + 1):
+        exps = [i, degree - i]
+        monomial = [0] * len(cgdata.AB)
+        for name, e in zip(uv, exps):
+            monomial[cgdata.AB.index[name]] = e
+        weight = F49.one()
+        if along is not None:
+            weight = F49.from_int(exps[along])
+            exps[along] = max(exps[along] - 1, 0)
+        out[tuple(monomial)] = weight * x ** exps[0] * y ** exps[1]
     return out
 
 
-def _times(factor: MPoly, form: Form) -> dict[str, MPoly]:
-    return {name: factor * p for name, p in form.items()}
+def _read(p: MPoly, weights: Weights) -> Element:
+    """The sum of c * weights[m] over the terms c*m of p whose monomial m
+    has a weight."""
+    acc = F49.zero()
+    for exps, c in p.terms.items():
+        if exps in weights:
+            acc += c * weights[exps]
+    return acc
 
 
-def _graded(form: Form, degree: int, names) -> dict[str, MPoly]:
-    """The nonzero graded parts of a linear form's entries."""
-    return {name: part for name, p in form.items()
-            if not (part := p.graded_part(degree, names)).is_zero()}
-
-
-def _monomial_rows(form: Form) -> list[list[Element]]:
-    """One row per monomial of a linear form over ``cgdata.AB``, in sorted
-    order of exponent vectors: the coefficients of the unknowns at that
-    monomial."""
-    zero = F49.zero()
-    rows: dict[tuple[int, ...], list[Element]] = {}
+def _row(form: Form, weights: Weights) -> list[Element]:
+    """A linear form read against monomial weights: a row over the 40 main
+    unknowns."""
+    row = [F49.zero()] * len(_MAIN_REG)
     for name, p in form.items():
-        column = _COLUMN[name]
-        for exps, c in p.terms.items():
-            rows.setdefault(exps, [zero] * len(_ALL_UNKNOWNS))[column] = c
-    return [rows[exps] for exps in sorted(rows)]
+        row[_MAIN_REG.index[name]] = _read(p, weights)
+    return row
 
 
 def _coefficient_form(prefix: str, chart: int) -> dict[str, MPoly]:
@@ -119,36 +121,32 @@ def _coefficient_form(prefix: str, chart: int) -> dict[str, MPoly]:
 
 
 class DerivedSystem:
-    """Output of the symbolic derivation: the raw rows over all 56
-    unknowns, and their projection onto the 40 main unknowns.
+    """Output of the symbolic derivation: the homogeneous rigidity system
+    over the 40 main unknowns, one row per imposed condition, and whether
+    the classical part of every condition held.
 
-    ``cubic_rows`` holds the positions of the raw rows that impose the
-    first curve's cubic-divisibility condition.
+    ``cubic_rows`` holds the positions of the rows that impose the first
+    curve's cubic-divisibility condition, one per double point.
     """
 
     def __init__(self, rows, classical_ok, cubic_rows=frozenset()):
-        zero = F49.zero()
-        self.raw = LinearSystem(_ALL_UNKNOWNS, rows,
-                                [zero] * len(rows), F49)
+        self.system = LinearSystem(cgdata.MAIN_UNKNOWNS, rows,
+                                   [F49.zero()] * len(rows), F49)
         self.classical_ok = classical_ok
         self.cubic_rows = cubic_rows
-        # over cgdata.MAIN_UNKNOWNS in order: eliminate keeps the order of
-        # the columns it does not project out
-        self.system = eliminate(self.raw, AUX_UNKNOWNS)
 
     @property
     def rank(self) -> int:
-        """The rank of the projected system: the pivots of its reduced
-        form left of the right-hand-side column."""
-        n = len(self.system.variables)
-        return sum(c < n for c in self.system.reduced_form()[1])
+        """The rank of the system: the pivots of its reduced form, none of
+        them in the zero right-hand-side column."""
+        return len(self.system.reduced_form()[1])
 
     def without_cubic_condition(self) -> "DerivedSystem":
-        """The sensitivity control: the same raw rows with the first
-        curve's cubic-divisibility rows left out, eliminated anew; its row
-        space must be strictly smaller.  The classical part is not
-        re-checked, it is this system's."""
-        rows = [row for k, row in enumerate(self.raw.rows)
+        """The sensitivity control: the same rows with the first curve's
+        cubic-divisibility rows left out; its row space must be strictly
+        smaller.  The classical part is not re-checked, it is this
+        system's."""
+        rows = [row for k, row in enumerate(self.system.rows)
                 if k not in self.cubic_rows]
         return DerivedSystem(rows, self.classical_ok)
 
@@ -159,6 +157,8 @@ def derive_rigidity_system() -> DerivedSystem:
     control from the same rows."""
     curves = {1: cgdata.parsed(cgdata.G1, cgdata.AB, F49),
               2: cgdata.parsed(cgdata.G2, cgdata.AB, F49)}
+    zero, one = F49.zero(), F49.one()
+    origin = (zero, zero)
     rows: list[list[Element]] = []
     cubic_rows: list[int] = []
     classical_ok = True
@@ -177,50 +177,52 @@ def derive_rigidity_system() -> DerivedSystem:
     charts = {(tag, chart): deformed(tag, chart)
               for tag in (1, 2) for chart in (1, 2, 3, 4)}
 
-    def impose(classical: MPoly, first_order: Form) -> range:
-        """Record a condition; returns the positions of its rows."""
+    def impose(classical: Element, row: list[Element]) -> None:
+        """Record a condition, whose classical part must vanish."""
         nonlocal classical_ok
         classical_ok = classical_ok and classical.is_zero()
-        start = len(rows)
-        rows.extend(_monomial_rows(first_order))
-        return range(start, len(rows))
+        rows.append(row)
 
-    for tag, partner, double_charts, scale_aux in (
-            (1, 2, cgdata.CURVE1_DOUBLE_CHARTS, "m'"),
-            (2, 1, cgdata.CURVE2_DOUBLE_CHARTS, "n'")):
+    for tag, partner, double_charts in (
+            (1, 2, cgdata.CURVE1_DOUBLE_CHARTS),
+            (2, 1, cgdata.CURVE2_DOUBLE_CHARTS)):
         for chart in (1, 2, 3, 4):
-            u, v = uv = cgdata.CHARTS[chart]
+            uv = cgdata.CHARTS[chart]
             g, form = charts[(tag, chart)]
-            # passes through the point
-            impose(g.graded_part(0, uv), _graded(form, 0, uv))
+            # passes through the point, and at a double point is singular
+            at_origin = [_weights(uv, 0, origin, None)]
+            if chart in double_charts:
+                at_origin += [_weights(uv, 1, origin, w) for w in (0, 1)]
+            for weights in at_origin:
+                impose(_read(g, weights), _row(form, weights))
             if chart not in double_charts:
                 continue
-            # singular at the point
-            impose(g.graded_part(1, uv), _graded(form, 1, uv))
+            # the partner's tangent line p1 = alpha*u + beta*v has the root
+            # r = (beta, -alpha); w is a coordinate with d_w p1 != 0
             gp, gp_form = charts[(partner, chart)]
-            p1, p1_form = gp.graded_part(1, uv), _graded(gp_form, 1, uv)
-            g2, p1_sq = g.graded_part(2, uv), p1 * p1
-            lam = unit_match(g2, p1_sq)
-            if lam is None:
-                raise ArithmeticError("quadratic parts are not proportional")
-            # G2 = (lam + m') * P1^2
-            impose(g2 - p1_sq.scale(lam),
-                   _add(_graded(form, 2, uv),
-                        _times(p1.scale(F49.from_int(-2) * lam), p1_form),
-                        {f"{scale_aux}{chart}": -p1_sq}))
-            g3 = g.graded_part(3, uv)
-            h = _divide_by_linear(g3, p1, u, v)
-            if h is None:
-                raise ArithmeticError(
-                    "cubic part is not divisible by the tangent line")
-            # G3 = P1 * (h + h1), h1 a general quadratic form in u, v
-            U, V = (MPoly.variable(cgdata.AB, F49, n) for n in uv)
-            h1 = {f"h{tag}u{chart}q{t}": -(p1 * m)
-                  for t, m in enumerate((U * U, U * V, V * V))}
-            cubic = impose(g3 - p1 * h,
-                           _add(_graded(form, 3, uv), _times(-h, p1_form), h1))
+            alpha, beta = (_read(gp, weights) for weights in at_origin[1:])
+            w = 0 if not alpha.is_zero() else 1
+            # 1 / d_w p1, and 0 when p1 = 0, which fails the check s != 0
+            inverse = F49._elements[
+                F49.tables.inv[(alpha, beta)[w].payload] or 0]
+            root = (beta, -alpha)
+            tangent = _row(gp_form, _weights(uv, 1, root, None))    # P1'(r)
+            # G2 = lambda p1^2 with lambda != 0: G2 and d_w G2 vanish at r,
+            # and the first-order part follows p1 at the rate
+            # s = d_w d_w G2 / d_w p1 = 2 lambda d_w p1
+            unit = ((one, zero), (zero, one))[w]
+            s = _read(g, _weights(uv, 2, unit, w)) * inverse
+            classical_ok = classical_ok and not s.is_zero()
+            # G3 = p1 h: G3 vanishes at r, and h(r) = d_w G3(r) / d_w p1
+            h = _read(g, _weights(uv, 3, root, w)) * inverse
+            for weights, scale in ((_weights(uv, 2, root, None), zero),
+                                   (_weights(uv, 2, root, w), s),
+                                   (_weights(uv, 3, root, None), h)):
+                impose(_read(g, weights), [
+                    a - scale * b
+                    for a, b in zip(_row(form, weights), tangent)])
             if tag == 1:
-                cubic_rows.extend(cubic)
+                cubic_rows.append(len(rows) - 1)
     return DerivedSystem(rows, classical_ok, frozenset(cubic_rows))
 
 
@@ -230,8 +232,6 @@ def derive_rigidity_system() -> DerivedSystem:
 # A row entry is the value at a point of one polynomial of a coefficient
 # cloud, or of its derivative: from ``linser.condition_row`` in chart 4,
 # and from the cleared cloud's terms and one power ladder on the diagonal.
-
-_MAIN_REG = VarRegistry(cgdata.MAIN_UNKNOWNS)
 
 
 def _ladders(x: Element, top: int) -> tuple[list[int], list[int]]:

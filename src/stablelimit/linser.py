@@ -94,10 +94,7 @@ def series_dimension(bidegree: tuple[int, int],
     """Dimension of the space of bidegree forms satisfying the conditions."""
     a, b = bidegree
     rows = [condition_row(a, b, cond, ring) for cond in conditions]
-    n = (a + 1) * (b + 1)
-    if not rows:
-        return n
-    return n - rank(rows, ring)
+    return (a + 1) * (b + 1) - rank(rows, ring)
 
 
 def split_sections_vanishing(points: Sequence[Point], ring: Ring) -> int:
@@ -108,8 +105,6 @@ def split_sections_vanishing(points: Sequence[Point], ring: Ring) -> int:
     for pt in points:
         rows.append(condition_row(0, 2, PassThrough(pt), ring) + zero)
         rows.append(zero + condition_row(2, 0, PassThrough(pt), ring))
-    if not rows:
-        return 6
     return 6 - rank(rows, ring)
 
 

@@ -16,6 +16,8 @@ PROVENANCE_TAGS = ("published", "derived", "definitional")
 
 _NONFINITE = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
 
+_UNSTATED = object()    # no expected value given to ``record``
+
 
 class VerificationReport:
     __slots__ = ("scenario_id", "status", "citation", "computed", "expected",
@@ -33,14 +35,21 @@ class VerificationReport:
         self.notes = []
         self.millis = 0.0
 
-    def check(self, key: str, computed, expected, tag: str = "published") -> bool:
-        """Record a computed/expected pair; a mismatch fails the report."""
+    def record(self, key: str, computed, tag: str,
+               expected=_UNSTATED) -> None:
+        """Record a computed value under its provenance tag and, when one
+        is given, the value expected of it; pass or fail is not decided."""
         if tag not in PROVENANCE_TAGS:
             raise ValueError(f"unknown provenance tag {tag!r}")
-        computed, expected = _plain(computed), _plain(expected)
-        self.computed[key] = computed
-        self.expected[key] = expected
+        self.computed[key] = _plain(computed)
+        if expected is not _UNSTATED:
+            self.expected[key] = _plain(expected)
         self.provenance[key] = tag
+
+    def check(self, key: str, computed, expected, tag: str = "published") -> bool:
+        """Record a computed/expected pair; a mismatch fails the report."""
+        self.record(key, computed, tag, expected)
+        computed, expected = self.computed[key], self.expected[key]
         ok = computed == expected
         if not ok:
             self.status = "fail"
@@ -50,9 +59,7 @@ class VerificationReport:
 
     def require(self, key: str, condition: bool, note: str = "") -> bool:
         """Record a boolean check; False fails the report."""
-        self.computed[key] = bool(condition)
-        self.expected[key] = True
-        self.provenance[key] = "definitional"
+        self.record(key, bool(condition), "definitional", True)
         if not condition:
             self.status = "fail"
             if note:

@@ -10,6 +10,7 @@ import pytest
 from stablelimit import (MPoly, PrimeField, VarRegistry, cgdata,
                          deformation, linalg, parse_poly, poly,
                          linser, scenarios)
+from stablelimit.curvelocal import _divide_by_linear
 from stablelimit.deformation import F49
 from stablelimit.linalg import outside_span, rank, rowspace_equal, solve_affine
 from stablelimit.rings import Frozen, field_tables
@@ -29,7 +30,7 @@ def test_classical_conditions_hold():
 
 def test_derived_system_has_rank_28():
     derived = derived_system_cached(False)
-    # eliminating the auxiliaries leaves the main unknowns in order
+    # the rows are read over the main unknowns, in order
     for system in (derived, derived_system_cached(True)):
         assert system.system.variables == cgdata.MAIN_UNKNOWNS
     assert derived.rank == 28
@@ -119,13 +120,123 @@ def test_tangent_cone_scales():
             F49.from_int(scale)
 
 
-# (row count, sha256 of the entries' (a, b) pairs) of the raw rows, as
-# the earlier two-pass derivation made them: the full system, and the
-# weakened control with the first curve's cubic condition left out
-RAW_ROWS = {False: (44, "0f8de186f90fe72391afbfa2f1c5853d"
-                        "1545746e0eb0dcb1abf8b7726bd7a41b"),
-            True: (36, "2ff75297695fa4cece1f7d2be4e57b47"
-                       "e1a9b65de8eef74b11fc014668528eb1")}
+# ----------------------------------------------------------------------
+# the rigidity system as the auxiliary-unknown route derives it: the
+# proportionality scale m' (n') of each quadratic part and the quadratic
+# quotient h1 of each cubic part are unknowns of their own, each chart
+# monomial of a condition is one row over the 56 unknowns, and
+# ``linalg.eliminate`` projects the 16 auxiliaries out
+
+
+def reference_derive_with_auxiliaries(skip_cubic):
+    aux = tuple(
+        [f"m'{k}" for k in cgdata.CURVE1_DOUBLE_CHARTS]
+        + [f"n'{k}" for k in cgdata.CURVE2_DOUBLE_CHARTS]
+        + [f"h1u{k}q{t}" for k in cgdata.CURVE1_DOUBLE_CHARTS
+           for t in range(3)]
+        + [f"h2u{k}q{t}" for k in cgdata.CURVE2_DOUBLE_CHARTS
+           for t in range(3)])
+    unknowns = cgdata.MAIN_UNKNOWNS + aux
+    column = {name: k for k, name in enumerate(unknowns)}
+
+    def add(*forms):
+        out = {}
+        for form in forms:
+            for name, p in form.items():
+                out[name] = out[name] + p if name in out else p
+        return out
+
+    def times(factor, form):
+        return {name: factor * p for name, p in form.items()}
+
+    def graded(form, degree, names):
+        return {name: part for name, p in form.items()
+                if not (part := p.graded_part(degree, names)).is_zero()}
+
+    def monomial_rows(form):
+        rows = {}
+        for name, p in form.items():
+            for exps, c in p.terms.items():
+                rows.setdefault(exps, [F49.zero()] * len(unknowns))[
+                    column[name]] = c
+        return [rows[exps] for exps in sorted(rows)]
+
+    curves = dict(zip((1, 2), curve_pair("F49")))
+    rows = []
+
+    def deformed(tag, chart):
+        u, v = cgdata.CHARTS[chart]
+        g = curves[tag].dehomogenize((u, v))
+        form = deformation._coefficient_form({1: "a", 2: "b"}[tag], chart)
+        form[f"c{chart}"] = g.partial_derivative(u)
+        form[f"d{chart}"] = g.partial_derivative(v)
+        return g, form
+
+    def impose(classical, first_order):
+        assert classical.is_zero()
+        rows.extend(monomial_rows(first_order))
+
+    for tag, partner, double_charts, scale_aux in (
+            (1, 2, cgdata.CURVE1_DOUBLE_CHARTS, "m'"),
+            (2, 1, cgdata.CURVE2_DOUBLE_CHARTS, "n'")):
+        for chart in (1, 2, 3, 4):
+            u, v = uv = cgdata.CHARTS[chart]
+            g, form = deformed(tag, chart)
+            impose(g.graded_part(0, uv), graded(form, 0, uv))
+            if chart not in double_charts:
+                continue
+            impose(g.graded_part(1, uv), graded(form, 1, uv))
+            gp, gp_form = deformed(partner, chart)
+            p1, p1_form = gp.graded_part(1, uv), graded(gp_form, 1, uv)
+            g2, p1_sq = g.graded_part(2, uv), p1 * p1
+            lam = poly.unit_match(g2, p1_sq)
+            # G2 = (lam + m') * P1^2
+            impose(g2 - p1_sq.scale(lam),
+                   add(graded(form, 2, uv),
+                       times(p1.scale(F49.from_int(-2) * lam), p1_form),
+                       {f"{scale_aux}{chart}": -p1_sq}))
+            if skip_cubic and tag == 1:
+                continue
+            g3 = g.graded_part(3, uv)
+            h = _divide_by_linear(g3, p1, u, v)
+            # G3 = P1 * (h + h1), h1 a general quadratic form in u, v
+            U, V = (MPoly.variable(cgdata.AB, F49, n) for n in uv)
+            h1 = {f"h{tag}u{chart}q{t}": -(p1 * m)
+                  for t, m in enumerate((U * U, U * V, V * V))}
+            impose(g3 - p1 * h,
+                   add(graded(form, 3, uv), times(-h, p1_form), h1))
+    return linalg.eliminate(
+        linalg.LinearSystem(unknowns, rows, [F49.zero()] * len(rows), F49),
+        aux)
+
+
+def test_root_evaluation_matches_the_auxiliary_reference():
+    for skip_cubic in (False, True):
+        derived = derived_system_cached(skip_cubic).system
+        reference = reference_derive_with_auxiliaries(skip_cubic)
+        assert reference.variables == derived.variables
+        assert derived.reduced_form() == reference.reduced_form()
+
+
+def test_a_changed_cubic_coefficient_fails_the_classical_check(monkeypatch):
+    assert deformation.derive_rigidity_system().classical_ok
+    # al*al'^2*be^2*be' is u^2 v in chart 1 (al', be') and u v^2 in chart
+    # 4 (al, be), and of degree 4 and 2 in the smooth charts 2 and 3: only
+    # the cubic parts at the first curve's double points change, and the
+    # partner's tangent lines do not
+    g1 = cgdata.G1 + "+al*al'^2*be^2*be'"
+    monkeypatch.setattr(cgdata, "G1", g1)
+    assert not deformation.derive_rigidity_system().classical_ok
+
+
+# (row count, sha256 of the entries' (a, b) pairs) of the derived rows,
+# one per condition read at a point or at the root of a tangent line: the
+# full system, and the weakened control with the first curve's cubic
+# condition left out
+RAW_ROWS = {False: (28, "1aef6e3d2f7a6a7f8ac68d4de3006c54"
+                        "903e491c4f61721eb78ee5ae52bcceb3"),
+            True: (26, "573dac117d03de516f58c5c90aff4da9"
+                       "9894f91dcb057132157bf2203d62fb84")}
 
 
 def _pair(x) -> tuple[int, int]:
@@ -140,18 +251,18 @@ def _payload_digest(rows) -> str:
 
 def test_raw_rows_are_pinned():
     for skip_cubic, (count, digest) in RAW_ROWS.items():
-        rows = derived_system_cached(skip_cubic).raw.rows
+        rows = derived_system_cached(skip_cubic).system.rows
         assert (len(rows), _payload_digest(rows)) == (count, digest)
 
 
 def test_weakened_rows_are_the_full_rows_without_the_cubic_ones():
     derived = derived_system_cached(False)
     # the first curve's cubic condition at its double points, charts 1
-    # and 4: four rows each
-    cubic = {6, 7, 8, 9, 18, 19, 20, 21}
+    # and 4: one row each, the last of the six rows of each double chart
+    cubic = {5, 13}
     assert derived.cubic_rows == cubic
-    assert derived_system_cached(True).raw.rows == tuple(
-        row for k, row in enumerate(derived.raw.rows) if k not in cubic)
+    assert derived_system_cached(True).system.rows == tuple(
+        row for k, row in enumerate(derived.system.rows) if k not in cubic)
 
 
 def test_weakened_derivation_shrinks():

@@ -9,6 +9,7 @@ from stablelimit import (ZZ, LinearSystem, PrimeField, QuadraticField,
                          RingMismatchError, ZMod, eliminate, rank,
                          rowspace_equal, solve_affine)
 from stablelimit.linalg import _row_echelon, outside_span
+from stablelimit.linser import series_dimension, split_sections_vanishing
 from stablelimit.rings import NonUnitError, field_tables
 
 F7 = PrimeField(7)
@@ -224,12 +225,16 @@ def test_fields_above_the_table_order_limit_are_refused():
     assert rank([[largest.one(), largest.from_int(2)]], largest) == 1
 
 
-@pytest.mark.parametrize("ring", [PrimeField(257), ZZ], ids=repr)
+@pytest.mark.parametrize("ring", [PrimeField(257), ZZ, ZMod(7, 3)],
+                         ids=repr)
 def test_rings_without_tables_are_refused_with_no_rows(ring):
-    # an empty system decodes nothing, but is refused all the same
+    # an empty system decodes nothing, but is refused all the same, and so
+    # is a dimension count with no conditions
     empty = LinearSystem(["x", "y"], [], [], ring)
     for call in (lambda: rank([], ring), lambda: eliminate(empty, ["x"]),
-                 lambda: solve_affine(empty)):
+                 lambda: solve_affine(empty),
+                 lambda: series_dimension((1, 1), (), ring),
+                 lambda: split_sections_vanishing((), ring)):
         with pytest.raises(ValueError):
             call()
 

@@ -51,3 +51,19 @@ def test_render_json_of_a_full_run_matches_json_dumps(monkeypatch):
 def test_render_refuses_values_json_cannot_encode(value):
     with pytest.raises(TypeError):
         report._render(value, "")
+
+
+def test_record_keeps_a_value_without_deciding():
+    rep = report.VerificationReport("r")
+    rep.record("bare", ("x", 1), "derived")
+    rep.record("stated", 3, "published", 4)
+    # a mismatch is recorded, not judged
+    assert rep.status == "pass" and not rep.notes
+    assert rep.computed == {"bare": ["x", 1], "stated": 3}
+    assert rep.expected == {"stated": 4}
+    assert rep.provenance == {"bare": "derived", "stated": "published"}
+    for record in (lambda: rep.record("k", 1, "guessed"),
+                   lambda: rep.check("k", 1, 1, tag="guessed")):
+        with pytest.raises(ValueError, match="provenance tag"):
+            record()
+    assert "k" not in rep.computed
