@@ -75,7 +75,3 @@ def main(argv=None) -> int:
         print(payload)
 
     return 0 if all(r.passed for r in reports) else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

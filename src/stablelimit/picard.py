@@ -12,7 +12,8 @@ vector equality.
 
 A coefficient is an ``int``, and a ``Fraction`` only when it is not an
 integer, so statements like "six times the canonical class is a fiber"
-are tested exactly while integer classes stay on int arithmetic.  Any
+are tested exactly while integer classes stay on int arithmetic;
+``fractions`` is imported only when a coefficient is not an integer.  Any
 other scalar type, a float included, raises ``TypeError``.  The
 determinant and the signature of the form are computed by integer
 elimination (Bareiss's fraction-free scheme, and symmetric congruence
@@ -22,10 +23,12 @@ scaled by the pivot's absolute value).
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .rings import Frozen
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class LatticeMismatchError(TypeError):
@@ -38,8 +41,10 @@ class BranchParityError(ValueError):
 
 def _coefficient(c) -> int | Fraction:
     """``c`` as an int, or as a Fraction when it is not an integer."""
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
+    if not isinstance(c, int):
+        from fractions import Fraction
+        if isinstance(c, Fraction):
+            return c.numerator if c.denominator == 1 else c
     return operator.index(c)
 
 
@@ -219,8 +224,12 @@ def double_cover_stats(branch: DivisorClass, bundle: DivisorClass,
         raise BranchParityError("branch class is not twice the bundle class")
     adjoint = canonical + bundle
     k2 = _coefficient(2 * intersect(adjoint, adjoint))
-    chi = _coefficient(2 + Fraction(1, 2) * intersect(
-        bundle, bundle + canonical))
+    t = intersect(bundle, bundle + canonical)
+    if t % 2:
+        from fractions import Fraction
+        chi = 2 + Fraction(t, 2)
+    else:
+        chi = 2 + t // 2
     return DoubleCoverStats(k2, chi, adjoint)
 
 

@@ -9,7 +9,7 @@ Reports are deterministic apart from the timing field.
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii as _string
+from _json import encode_basestring_ascii as _string
 
 
 PROVENANCE_TAGS = ("published", "derived", "definitional")

@@ -55,7 +55,6 @@ of a simple root of a univariate integer polynomial.
 from __future__ import annotations
 
 import operator
-import random
 from functools import lru_cache
 from operator import index
 from typing import Sequence
@@ -143,7 +142,7 @@ class Ring:
     def is_field(self) -> bool:
         return False
 
-    def random_element(self, rng: random.Random):
+    def random_element(self, rng: "random.Random"):
         raise NotImplementedError
 
     # payload-level arithmetic of a ring without tables; Element
@@ -291,7 +290,7 @@ class IntegerRing(Ring):
     def characteristic(self) -> int:
         return 0
 
-    def random_element(self, rng: random.Random) -> Element:
+    def random_element(self, rng: "random.Random") -> Element:
         return self.element(rng.randint(-10**6, 10**6))
 
     def _add(self, a, b):
@@ -364,7 +363,7 @@ class ZMod(Ring):
     def is_field(self) -> bool:
         return self.k == 1
 
-    def random_element(self, rng: random.Random) -> Element:
+    def random_element(self, rng: "random.Random") -> Element:
         return self.element(rng.randrange(self.modulus))
 
     def _add(self, a, b):
@@ -446,7 +445,7 @@ class QuadraticField(Ring):
     def order(self) -> int:
         return self.p * self.p
 
-    def random_element(self, rng: random.Random) -> Element:
+    def random_element(self, rng: "random.Random") -> Element:
         return self.element((rng.randrange(self.p), rng.randrange(self.p)))
 
     def conjugate(self, x: Element) -> Element:
@@ -494,7 +493,7 @@ class DualNumbers(Ring):
     def characteristic(self) -> int:
         return self.base.characteristic()
 
-    def random_element(self, rng: random.Random) -> Element:
+    def random_element(self, rng: "random.Random") -> Element:
         return self.element((self.base.random_element(rng),
                              self.base.random_element(rng)))
 

@@ -19,7 +19,6 @@ carry "derived".
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd
 from types import MappingProxyType
@@ -922,11 +921,10 @@ def scenario_lattice() -> VerificationReport:
     per_basis = all(intersect(six_k, lat.basis(n)) ==
                     intersect(fiber, lat.basis(n)) for n in lat.names)
     rep.check("fiber identity against every basis class", per_basis, True)
-    third = Fraction(1, 3) * fiber
-    half = Fraction(1, 2) * fiber
+    # F/6 = -F + F/2 + 2*(F/3), multiplied through by 6
     rep.check("multiple-fiber decomposition",
               verify_class_relation(
-                  Fraction(1, 6) * fiber, -1 * fiber + half + 2 * third),
+                  fiber, -6 * fiber + 3 * fiber + 2 * (2 * fiber)),
               True, tag="definitional")
 
     # extended lattice: the diagonal separates from the branch curve

@@ -1,7 +1,9 @@
 """Command-line interface: formats, exit codes, output files."""
 
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -92,14 +94,74 @@ def test_cold_run_in_reversed_order():
         GOLDEN_REPORT.read_text(encoding="utf-8")
 
 
-def test_import_leaves_out_dataclasses_and_inspect():
-    proc = _python("-c", "import sys; before = set(sys.modules); "
-                         "import stablelimit.cli; "
-                         "print(*sorted(set(sys.modules) - before))")
-    assert proc.returncode == 0, proc.stderr
-    added = set(proc.stdout.split())
-    assert "stablelimit.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+# The top-level stdlib modules that a cold ``python -S -m stablelimit run``
+# may import beyond a bare ``python -S``: the package's own imports, the
+# runpy and importlib of ``-m``, argparse with gettext, locale and shutil
+# (with shutil's compression modules), and what typing and re import.
+# sre_compile, sre_constants and sre_parse are re's modules in Python 3.10.
+COLD_RUN_STDLIB = frozenset("""
+    __future__ _bz2 _collections _collections_abc _compression _functools
+    _json _locale _lzma _operator _sre _stat _struct _typing argparse bz2
+    collections contextlib copyreg enum errno fnmatch functools gc
+    genericpath gettext importlib itertools keyword locale lzma math
+    operator os posixpath re reprlib runpy shutil sre_compile sre_constants
+    sre_parse stat struct time types typing warnings zlib
+""".split())
+
+
+def _stdlib_imports(*args):
+    """A fresh ``python -S -X importtime`` process, and the top-level
+    names of the stdlib modules that it imported."""
+    proc = _python("-S", "-X", "importtime", *args)
+    names = {line.rpartition("|")[2].strip().partition(".")[0]
+             for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return proc, names & sys.stdlib_module_names
+
+
+def test_a_cold_run_imports_only_the_listed_stdlib_modules():
+    # without site, nothing that site imports first can hide a module
+    # that a full run pulls in
+    _, bare = _stdlib_imports("-c", "pass")
+    proc, run = _stdlib_imports("-m", "stablelimit", "run", "--format", "json")
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["summary"]["failed"] == 1
+    unlisted = run - bare - COLD_RUN_STDLIB
+    assert not unlisted, sorted(unlisted)
+    assert not COLD_RUN_STDLIB & {"fractions", "decimal", "numbers", "json",
+                                  "dataclasses", "inspect", "random"}
+    # the package itself is imported, so the probe sees what it imports
+    assert {"argparse", "_json"} <= run - bare
+
+
+def test_a_cold_run_rejects_an_unknown_id_with_exit_code_2():
+    proc = _python("-m", "stablelimit", "run", "--scenario", "no-such-id")
+    assert proc.returncode == 2
+    assert "no-such-id" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_a_cold_run_writes_the_golden_report_to_its_out_file(tmp_path):
+    target = tmp_path / "report.json"
+    proc = _python("-m", "stablelimit", "run", "--format", "json",
+                   "--out", str(target))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    text = re.sub(r'"millis": [-+.0-9e]+', '"millis": 0.0',
+                  target.read_text(encoding="utf-8"))
+    assert text == GOLDEN_REPORT.read_text(encoding="utf-8")
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    frozen = gc.get_freeze_count()
+    try:
+        for enabled in (False, True):
+            (gc.enable if enabled else gc.disable)()
+            assert main(["run", "--scenario", "gamma"]) == 0
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == frozen
+    finally:
+        gc.enable()
 
 
 def test_text_summary_line(capsys):

@@ -111,6 +111,18 @@ def test_malformed_point_rejected():
         distinct_fiber_counts([bad, ((ONE, ZERO), (ONE, ONE))])
 
 
+def test_normalize_pair_labels_proportional_pairs_alike():
+    # (x : 1) and (2x : 2) are one point of P^1; a label built from p0
+    # and p1 other than as p0/p1 tells them apart
+    two = F49.from_int(2)
+    for a in range(7):
+        for b in range(7):
+            x = F49.element((a, b))
+            if not x.is_zero():
+                assert normalize_pair((x, ONE)) == \
+                    normalize_pair((two * x, two)), x
+
+
 def test_points_at_infinity_handled():
     conds = [PassThrough(pt_at_infinity_both())]
     assert series_dimension((1, 1), conds, F49) == 3
