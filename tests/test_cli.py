@@ -105,7 +105,7 @@ COLD_RUN_STDLIB = frozenset("""
     collections contextlib copyreg enum errno fnmatch functools gc
     genericpath gettext importlib itertools keyword locale lzma math
     operator os posixpath re reprlib runpy shutil sre_compile sre_constants
-    sre_parse stat struct time types typing warnings zlib
+    sre_parse stat struct types typing warnings zlib
 """.split())
 
 
