@@ -4,28 +4,31 @@ The two bidegree-(3,3) curves carry a fixed singularity pattern: each has
 two double points of tacnodal type whose tangent cones match the other
 curve's tangent line.  A first-order deformation moves the base point of
 chart k by (c_k, d_k) and adds a general coefficient cloud to each
-equation; in chart (u, v) a curve g with cloud gbar has first-order part
-c*dg/du + d*dg/dv + gbar, kept as a *linear form* ``{unknown: polynomial
-in the chart coordinates}``.  Preserving the pattern imposes passage
-through each displaced base point and, at a double point, that the curve
-is singular there, that its quadratic part G2 is a multiple of the square
-of the partner's deformed tangent line p1 = alpha*u + beta*v, and that
-its cubic part G3 is divisible by p1.  Each condition is read against
-monomial weights at a point: passage and singularity at the origin, the
-rest at the root r = (beta, -alpha) of p1, with w a coordinate in which
-d_w p1 != 0.  A binary quadratic is a multiple of p1^2 exactly when it
-and its w-derivative vanish at r, and a binary cubic is divisible by p1
-exactly when it vanishes at r; with P1' the first-order part of p1, the
-rows are
+equation.  ``chart_curve`` gives a curve g in chart (u, v) with its
+first-order part c*dg/du + d*dg/dv + gbar, kept as a *linear form*
+``{unknown: polynomial in the chart coordinates}``.  Preserving the pattern
+imposes passage through each displaced base point and, at a double point,
+that the curve is singular there, that its quadratic part G2 is a multiple
+of the square of the partner's deformed tangent line p1 = alpha*u +
+beta*v, and that its cubic part G3 is divisible by p1.  Each condition is
+read against monomial weights at a point: passage and singularity at the
+origin, the rest at the root r = (beta, -alpha) of p1, with w a coordinate
+in which d_w p1 != 0.  A binary quadratic is a multiple of p1^2 exactly
+when it and its w-derivative vanish at r, and a binary cubic is divisible
+by p1 exactly when it vanishes at r.  With P1' the first-order part of
+p1, ``tacnode_rows`` gives the five rows of one double point from the
+chart and the two curves' classical parts and forms: the two singular
+rows, then
 
   G2'(r),   d_w G2'(r) - s * P1'(r),   G3'(r) - h(r) * P1'(r),
 
-with s = d_w d_w G2 / d_w p1 and h(r) = d_w G3(r) / d_w p1.  So the
-system has 28 rows over the 40 coefficient and displacement unknowns and
-no auxiliary unknown.  ``DerivedSystem.classical_ok`` records whether
-every classical part vanished and every s was nonzero.  The derivation
-runs once; the weakened negative control is its rows without the first
-curve's cubic ones.
+with s = d_w d_w G2 / d_w p1 and h(r) = d_w G3(r) / d_w p1, and whether
+every classical part vanished and s was nonzero.
+``derive_rigidity_system`` stacks the eight passage rows and the rows of
+the four double points: 28 rows over the 40 coefficient and displacement
+unknowns, held with ``classical_ok`` in an immutable ``DerivedSystem``.
+The weakened negative control is those rows without the first curve's
+cubic ones.
 
 Independently the module builds the diagonal-point value and derivative
 rows used by the published deformation systems, each a coefficient cloud
@@ -37,7 +40,7 @@ reads polynomials through their ``terms`` view, not ``MPoly.evaluate``,
 and changes charts with ``MPoly.dehomogenize``.  The derivation changes
 each curve to each chart once and builds each cloud in chart coordinates.
 Point rows of a cloud come from ``linser.condition_row``; the diagonal
-rows, which the scenario layer checks against them, keep their own route
+rows, which the scenario layer checks against them, have their own route
 on GF(49) codes: the binomial closed form and one power ladder.
 Published linear forms are read from the codes of their terms.  Rows are
 tuples of interned ``Element``s.
@@ -58,7 +61,7 @@ from . import cgdata
 from .linalg import LinearSystem, solve_affine
 from .linser import PassThrough, TangentDirection, condition_row
 from .poly import MPoly, VarRegistry
-from .rings import Element, QuadraticField
+from .rings import Element, Frozen, QuadraticField
 
 
 F49 = QuadraticField(cgdata.PRIME)
@@ -120,20 +123,23 @@ def _coefficient_form(prefix: str, chart: int) -> dict[str, MPoly]:
         for i in range(4) for j in range(4)}
 
 
-class DerivedSystem:
+class DerivedSystem(Frozen):
     """Output of the symbolic derivation: the homogeneous rigidity system
     over the 40 main unknowns, one row per imposed condition, and whether
-    the classical part of every condition held.
+    the classical part of every condition held; immutable, so the one
+    cached derivation cannot be changed by whoever reads it.
 
     ``cubic_rows`` holds the positions of the rows that impose the first
     curve's cubic-divisibility condition, one per double point.
     """
 
+    __slots__ = ("system", "classical_ok", "cubic_rows")
+
     def __init__(self, rows, classical_ok, cubic_rows=frozenset()):
-        self.system = LinearSystem(cgdata.MAIN_UNKNOWNS, rows,
-                                   [F49.zero()] * len(rows), F49)
-        self.classical_ok = classical_ok
-        self.cubic_rows = cubic_rows
+        _set_system(self, LinearSystem(cgdata.MAIN_UNKNOWNS, rows,
+                                       [F49.zero()] * len(rows), F49))
+        _set_classical_ok(self, classical_ok)
+        _set_cubic_rows(self, cubic_rows)
 
     @property
     def rank(self) -> int:
@@ -151,78 +157,86 @@ class DerivedSystem:
         return DerivedSystem(rows, self.classical_ok)
 
 
+# filled through the slot descriptors, which bypass the guard of ``Frozen``
+_set_system, _set_classical_ok, _set_cubic_rows = (
+    getattr(DerivedSystem, name).__set__ for name in DerivedSystem.__slots__)
+
+
+def chart_curve(curve: MPoly, prefix: str,
+                chart: int) -> tuple[MPoly, dict[str, MPoly]]:
+    """A bidegree-(3,3) curve in the coordinates (u, v) of a chart: its
+    classical part g, and its first-order form, the coefficient cloud
+    ``prefix`` plus c_chart * dg/du + d_chart * dg/dv."""
+    kept = u, v = cgdata.CHARTS[chart]
+    g = curve.dehomogenize(kept)
+    form = _coefficient_form(prefix, chart)
+    form[f"c{chart}"] = g.partial_derivative(u)
+    form[f"d{chart}"] = g.partial_derivative(v)
+    return g, form
+
+
+def tacnode_rows(chart: int, g: MPoly, form: Form, gp: MPoly,
+                 gp_form: Form) -> tuple[list[list[Element]], bool]:
+    """The five rows of a double point at the origin of a chart, for the
+    curve (g, form) and its partner (gp, gp_form): the two singular rows,
+    then G2'(r), d_w G2'(r) - s * P1'(r) and G3'(r) - h(r) * P1'(r).  Also
+    whether every classical part vanished and s != 0."""
+    uv = cgdata.CHARTS[chart]
+    zero, one = F49.zero(), F49.one()
+    singular = [_weights(uv, 1, (zero, zero), w) for w in (0, 1)]
+    # the partner's tangent line p1 = alpha*u + beta*v has the root
+    # r = (beta, -alpha); w is a coordinate with d_w p1 != 0
+    alpha, beta = (_read(gp, weights) for weights in singular)
+    w = 0 if not alpha.is_zero() else 1
+    # 1 / d_w p1, and 0 when p1 = 0, which fails the check s != 0
+    inverse = F49._elements[F49.tables.inv[(alpha, beta)[w].payload] or 0]
+    root = (beta, -alpha)
+    tangent = _row(gp_form, _weights(uv, 1, root, None))       # P1'(r)
+    # G2 = lambda p1^2 with lambda != 0: G2 and d_w G2 vanish at r, and
+    # the first-order part follows p1 at the rate
+    # s = d_w d_w G2 / d_w p1 = 2 lambda d_w p1
+    s = _read(g, _weights(uv, 2, ((one, zero), (zero, one))[w], w)) * inverse
+    # G3 = p1 h: G3 vanishes at r, and h(r) = d_w G3(r) / d_w p1
+    h = _read(g, _weights(uv, 3, root, w)) * inverse
+    rows = [_row(form, weights) for weights in singular]
+    classical = [_read(g, weights) for weights in singular]
+    for weights, scale in ((_weights(uv, 2, root, None), zero),
+                           (_weights(uv, 2, root, w), s),
+                           (_weights(uv, 3, root, None), h)):
+        classical.append(_read(g, weights))
+        rows.append([a - scale * b
+                     for a, b in zip(_row(form, weights), tangent)])
+    return rows, not s.is_zero() and all(c.is_zero() for c in classical)
+
+
 def derive_rigidity_system() -> DerivedSystem:
     """Build the first-order rigidity system from the curve equations, in
-    one pass; ``DerivedSystem.without_cubic_condition`` gives the weakened
-    control from the same rows."""
-    curves = {1: cgdata.parsed(cgdata.G1, cgdata.AB, F49),
-              2: cgdata.parsed(cgdata.G2, cgdata.AB, F49)}
-    zero, one = F49.zero(), F49.one()
-    origin = (zero, zero)
-    rows: list[list[Element]] = []
-    cubic_rows: list[int] = []
-    classical_ok = True
-
-    def deformed(tag: int, chart: int) -> tuple[MPoly, dict[str, MPoly]]:
-        """A curve in a chart: classical part, first-order part."""
-        kept = u, v = cgdata.CHARTS[chart]
-        g = curves[tag].dehomogenize(kept)
-        form = _coefficient_form({1: "a", 2: "b"}[tag], chart)
-        form[f"c{chart}"] = g.partial_derivative(u)
-        form[f"d{chart}"] = g.partial_derivative(v)
-        return g, form
-
+    one pass: per curve and chart the passage row, and at each double
+    point the ``tacnode_rows``.  ``DerivedSystem.without_cubic_condition``
+    gives the weakened control from the same rows."""
+    curves = {"a": cgdata.parsed(cgdata.G1, cgdata.AB, F49),
+              "b": cgdata.parsed(cgdata.G2, cgdata.AB, F49)}
     # each curve in each chart, built once: a double chart of one curve
     # reads the other curve there too
-    charts = {(tag, chart): deformed(tag, chart)
-              for tag in (1, 2) for chart in (1, 2, 3, 4)}
-
-    def impose(classical: Element, row: list[Element]) -> None:
-        """Record a condition, whose classical part must vanish."""
-        nonlocal classical_ok
-        classical_ok = classical_ok and classical.is_zero()
-        rows.append(row)
-
-    for tag, partner, double_charts in (
-            (1, 2, cgdata.CURVE1_DOUBLE_CHARTS),
-            (2, 1, cgdata.CURVE2_DOUBLE_CHARTS)):
+    charts = {(prefix, chart): chart_curve(curve, prefix, chart)
+              for prefix, curve in curves.items() for chart in (1, 2, 3, 4)}
+    # passage through a chart's origin: the constant term
+    passage = {(0,) * len(cgdata.AB): F49.one()}
+    rows, cubic_rows, classical_ok = [], [], True
+    for prefix, partner, double_charts in (
+            ("a", "b", cgdata.CURVE1_DOUBLE_CHARTS),
+            ("b", "a", cgdata.CURVE2_DOUBLE_CHARTS)):
         for chart in (1, 2, 3, 4):
-            uv = cgdata.CHARTS[chart]
-            g, form = charts[(tag, chart)]
-            # passes through the point, and at a double point is singular
-            at_origin = [_weights(uv, 0, origin, None)]
+            g, form = charts[(prefix, chart)]
+            classical_ok = classical_ok and _read(g, passage).is_zero()
+            rows.append(_row(form, passage))
             if chart in double_charts:
-                at_origin += [_weights(uv, 1, origin, w) for w in (0, 1)]
-            for weights in at_origin:
-                impose(_read(g, weights), _row(form, weights))
-            if chart not in double_charts:
-                continue
-            # the partner's tangent line p1 = alpha*u + beta*v has the root
-            # r = (beta, -alpha); w is a coordinate with d_w p1 != 0
-            gp, gp_form = charts[(partner, chart)]
-            alpha, beta = (_read(gp, weights) for weights in at_origin[1:])
-            w = 0 if not alpha.is_zero() else 1
-            # 1 / d_w p1, and 0 when p1 = 0, which fails the check s != 0
-            inverse = F49._elements[
-                F49.tables.inv[(alpha, beta)[w].payload] or 0]
-            root = (beta, -alpha)
-            tangent = _row(gp_form, _weights(uv, 1, root, None))    # P1'(r)
-            # G2 = lambda p1^2 with lambda != 0: G2 and d_w G2 vanish at r,
-            # and the first-order part follows p1 at the rate
-            # s = d_w d_w G2 / d_w p1 = 2 lambda d_w p1
-            unit = ((one, zero), (zero, one))[w]
-            s = _read(g, _weights(uv, 2, unit, w)) * inverse
-            classical_ok = classical_ok and not s.is_zero()
-            # G3 = p1 h: G3 vanishes at r, and h(r) = d_w G3(r) / d_w p1
-            h = _read(g, _weights(uv, 3, root, w)) * inverse
-            for weights, scale in ((_weights(uv, 2, root, None), zero),
-                                   (_weights(uv, 2, root, w), s),
-                                   (_weights(uv, 3, root, None), h)):
-                impose(_read(g, weights), [
-                    a - scale * b
-                    for a, b in zip(_row(form, weights), tangent)])
-            if tag == 1:
-                cubic_rows.append(len(rows) - 1)
+                tacnode, ok = tacnode_rows(chart, g, form,
+                                           *charts[(partner, chart)])
+                rows += tacnode
+                classical_ok = classical_ok and ok
+                if prefix == "a":
+                    cubic_rows.append(len(rows) - 1)
     return DerivedSystem(rows, classical_ok, frozenset(cubic_rows))
 
 

@@ -5,30 +5,23 @@ a distinguished canonical class.  Blowups follow the total-transform
 convention: each blowup appends one new basis vector of self-intersection
 -1, orthogonal to everything else, and adds it to the canonical class; a
 class pulls back by appending a 0 coefficient.
-Geometric curves are then encoded as explicit integer (or rational)
-combinations, with multiplicities at the blown-up centers supplied by the
-local curve analysis; every published class identity becomes a pure
-vector equality.
+Geometric curves are then encoded as explicit integer combinations, with
+multiplicities at the blown-up centers supplied by the local curve
+analysis; every published class identity becomes a pure vector equality.
 
-A coefficient is an ``int``, and a ``Fraction`` only when it is not an
-integer, so statements like "six times the canonical class is a fiber"
-are tested exactly while integer classes stay on int arithmetic;
-``fractions`` is imported only when a coefficient is not an integer.  Any
-other scalar type, a float included, raises ``TypeError``.  The
-determinant and the signature of the form are computed by integer
-elimination (Bareiss's fraction-free scheme, and symmetric congruence
-scaled by the pivot's absolute value).
+A coefficient is an ``int``: any scalar without ``__index__``, a float or a
+``Fraction`` included, raises ``TypeError``.  The determinant and the
+signature of the form are computed by integer elimination (Bareiss's
+fraction-free scheme, and symmetric congruence scaled by the pivot's
+absolute value).
 """
 
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .rings import Frozen
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class LatticeMismatchError(TypeError):
@@ -37,15 +30,6 @@ class LatticeMismatchError(TypeError):
 
 class BranchParityError(ValueError):
     """A double-cover branch class is not twice the given bundle class."""
-
-
-def _coefficient(c) -> int | Fraction:
-    """``c`` as an int, or as a Fraction when it is not an integer."""
-    if not isinstance(c, int):
-        from fractions import Fraction
-        if isinstance(c, Fraction):
-            return c.numerator if c.denominator == 1 else c
-    return operator.index(c)
 
 
 class Lattice:
@@ -89,7 +73,7 @@ class Lattice:
             raise ValueError("lattice has no canonical class set")
         return DivisorClass(self, self._canonical)
 
-    def cls(self, coeffs: Mapping[str, int | Fraction]) -> "DivisorClass":
+    def cls(self, coeffs: Mapping[str, int]) -> "DivisorClass":
         vec = [0] * self.rank
         for name, c in coeffs.items():
             vec[self.index[name]] = c
@@ -115,12 +99,12 @@ class DivisorClass(Frozen):
 
     __slots__ = ("lattice", "coeffs")
 
-    def __init__(self, lattice: Lattice, coeffs: Sequence[int | Fraction]):
+    def __init__(self, lattice: Lattice, coeffs: Sequence[int]):
         coeffs = tuple(coeffs)
         if len(coeffs) != lattice.rank:
             raise ValueError("coefficient vector length mismatch")
         if not all(type(c) is int for c in coeffs):
-            coeffs = tuple(map(_coefficient, coeffs))
+            coeffs = tuple(map(operator.index, coeffs))
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -150,8 +134,8 @@ class DivisorClass(Frozen):
     def __neg__(self) -> "DivisorClass":
         return DivisorClass(self.lattice, tuple(-a for a in self.coeffs))
 
-    def __rmul__(self, scalar: int | Fraction) -> "DivisorClass":
-        s = _coefficient(scalar)
+    def __rmul__(self, scalar: int) -> "DivisorClass":
+        s = operator.index(scalar)
         return DivisorClass(self.lattice, tuple(s * a for a in self.coeffs))
 
     def __repr__(self):
@@ -160,7 +144,7 @@ class DivisorClass(Frozen):
         return " + ".join(parts) if parts else "0"
 
 
-def intersect(a: DivisorClass, b: DivisorClass) -> int | Fraction:
+def intersect(a: DivisorClass, b: DivisorClass) -> int:
     """Value of the intersection pairing; symmetric and bilinear."""
     a._check(b)
     bc = b.coeffs
@@ -169,7 +153,7 @@ def intersect(a: DivisorClass, b: DivisorClass) -> int | Fraction:
         if ca:
             for j, g in support:
                 total += ca * g * bc[j]
-    return _coefficient(total)
+    return total
 
 
 def verify_class_relation(lhs: DivisorClass, rhs: DivisorClass) -> bool:
@@ -202,8 +186,8 @@ def quadric_lattice() -> Lattice:
 
 
 class DoubleCoverStats(NamedTuple):
-    k_squared: int | Fraction
-    chi: int | Fraction
+    k_squared: int
+    chi: int
     adjoint: DivisorClass  # K + L, the class controlling the genus-zero count
 
 
@@ -217,20 +201,19 @@ def double_cover_stats(branch: DivisorClass, bundle: DivisorClass,
         K_cover^2 = 2 (K + L)^2
         chi_cover = 2 + L.(L + K) / 2
 
-    The class K + L is returned for downstream section counts.
+    The class K + L is returned for downstream section counts.  By
+    Riemann-Roch L.(L + K) is even when K is a surface's canonical class;
+    an odd value raises ``ValueError``.
     """
     branch._check(bundle)
     if not verify_class_relation(branch, 2 * bundle):
         raise BranchParityError("branch class is not twice the bundle class")
     adjoint = canonical + bundle
-    k2 = _coefficient(2 * intersect(adjoint, adjoint))
     t = intersect(bundle, bundle + canonical)
     if t % 2:
-        from fractions import Fraction
-        chi = 2 + Fraction(t, 2)
-    else:
-        chi = 2 + t // 2
-    return DoubleCoverStats(k2, chi, adjoint)
+        raise ValueError(f"L.(L + K) = {t} is odd: K is not canonical")
+    return DoubleCoverStats(2 * intersect(adjoint, adjoint), 2 + t // 2,
+                            adjoint)
 
 
 def gram_determinant(lattice: Lattice) -> int:

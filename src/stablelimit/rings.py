@@ -83,10 +83,10 @@ _INTERN_ORDER_LIMIT = 343
 
 class Frozen:
     """Base of the immutable value types (``Element``, ``FieldTables``,
-    ``MPoly``, ``LinearSystem``, ``ChartGerm``, ``DivisorClass``):
-    assigning or deleting an attribute raises ``AttributeError``.  A
-    subclass declares its ``__slots__`` and fills them through the slot
-    descriptors, which bypass this guard."""
+    ``MPoly``, ``LinearSystem``, ``DerivedSystem``, ``ChartGerm``,
+    ``DivisorClass``): assigning or deleting an attribute raises
+    ``AttributeError``.  A subclass declares its ``__slots__`` and fills
+    them through the slot descriptors, which bypass this guard."""
 
     __slots__ = ()
 

@@ -121,93 +121,98 @@ def test_tangent_cone_scales():
 
 
 # ----------------------------------------------------------------------
-# the rigidity system as the auxiliary-unknown route derives it: the
-# proportionality scale m' (n') of each quadratic part and the quadratic
-# quotient h1 of each cubic part are unknowns of their own, each chart
-# monomial of a condition is one row over the 56 unknowns, and
-# ``linalg.eliminate`` projects the 16 auxiliaries out
+# the rows of one double point as the auxiliary-unknown route derives
+# them: the proportionality scale m' of the quadratic part and the
+# quadratic quotient h1 of the cubic part are unknowns of their own, each
+# chart monomial of a condition is one row over the 44 unknowns, and
+# ``linalg.eliminate`` projects the four auxiliaries out
+
+AUXILIARIES = ("m'", "h1q0", "h1q1", "h1q2")
 
 
-def reference_derive_with_auxiliaries(skip_cubic):
-    aux = tuple(
-        [f"m'{k}" for k in cgdata.CURVE1_DOUBLE_CHARTS]
-        + [f"n'{k}" for k in cgdata.CURVE2_DOUBLE_CHARTS]
-        + [f"h1u{k}q{t}" for k in cgdata.CURVE1_DOUBLE_CHARTS
-           for t in range(3)]
-        + [f"h2u{k}q{t}" for k in cgdata.CURVE2_DOUBLE_CHARTS
-           for t in range(3)])
-    unknowns = cgdata.MAIN_UNKNOWNS + aux
-    column = {name: k for k, name in enumerate(unknowns)}
-
-    def add(*forms):
-        out = {}
-        for form in forms:
-            for name, p in form.items():
-                out[name] = out[name] + p if name in out else p
-        return out
-
-    def times(factor, form):
-        return {name: factor * p for name, p in form.items()}
-
-    def graded(form, degree, names):
-        return {name: part for name, p in form.items()
-                if not (part := p.graded_part(degree, names)).is_zero()}
-
-    def monomial_rows(form):
-        rows = {}
+def _add(*forms):
+    out = {}
+    for form in forms:
         for name, p in form.items():
-            for exps, c in p.terms.items():
-                rows.setdefault(exps, [F49.zero()] * len(unknowns))[
-                    column[name]] = c
-        return [rows[exps] for exps in sorted(rows)]
+            out[name] = out[name] + p if name in out else p
+    return out
 
-    curves = dict(zip((1, 2), curve_pair("F49")))
+
+def _times(factor, form):
+    return {name: factor * p for name, p in form.items()}
+
+
+def _graded(form, degree, names):
+    return {name: part for name, p in form.items()
+            if not (part := p.graded_part(degree, names)).is_zero()}
+
+
+def _monomial_rows(form, unknowns):
+    """One row over ``unknowns`` per chart monomial of a linear form."""
+    rows = {}
+    for name, p in form.items():
+        for exps, c in p.terms.items():
+            rows.setdefault(exps, [F49.zero()] * len(unknowns))[
+                unknowns.index(name)] = c
+    return [rows[exps] for exps in sorted(rows)]
+
+
+def reference_tacnode_rows(chart, g, form, gp, gp_form, cubic=True):
+    """The conditions at the double point of (g, form) at the origin of a
+    chart, with (gp, gp_form) the partner, projected onto the 40 main
+    unknowns; with ``cubic`` False, the cubic condition is left out."""
+    u, v = uv = cgdata.CHARTS[chart]
+    unknowns = cgdata.MAIN_UNKNOWNS + AUXILIARIES
     rows = []
-
-    def deformed(tag, chart):
-        u, v = cgdata.CHARTS[chart]
-        g = curves[tag].dehomogenize((u, v))
-        form = deformation._coefficient_form({1: "a", 2: "b"}[tag], chart)
-        form[f"c{chart}"] = g.partial_derivative(u)
-        form[f"d{chart}"] = g.partial_derivative(v)
-        return g, form
 
     def impose(classical, first_order):
         assert classical.is_zero()
-        rows.extend(monomial_rows(first_order))
+        rows.extend(_monomial_rows(first_order, unknowns))
 
-    for tag, partner, double_charts, scale_aux in (
-            (1, 2, cgdata.CURVE1_DOUBLE_CHARTS, "m'"),
-            (2, 1, cgdata.CURVE2_DOUBLE_CHARTS, "n'")):
-        for chart in (1, 2, 3, 4):
-            u, v = uv = cgdata.CHARTS[chart]
-            g, form = deformed(tag, chart)
-            impose(g.graded_part(0, uv), graded(form, 0, uv))
-            if chart not in double_charts:
-                continue
-            impose(g.graded_part(1, uv), graded(form, 1, uv))
-            gp, gp_form = deformed(partner, chart)
-            p1, p1_form = gp.graded_part(1, uv), graded(gp_form, 1, uv)
-            g2, p1_sq = g.graded_part(2, uv), p1 * p1
-            lam = poly.unit_match(g2, p1_sq)
-            # G2 = (lam + m') * P1^2
-            impose(g2 - p1_sq.scale(lam),
-                   add(graded(form, 2, uv),
-                       times(p1.scale(F49.from_int(-2) * lam), p1_form),
-                       {f"{scale_aux}{chart}": -p1_sq}))
-            if skip_cubic and tag == 1:
-                continue
-            g3 = g.graded_part(3, uv)
-            h = _divide_by_linear(g3, p1, u, v)
-            # G3 = P1 * (h + h1), h1 a general quadratic form in u, v
-            U, V = (MPoly.variable(cgdata.AB, F49, n) for n in uv)
-            h1 = {f"h{tag}u{chart}q{t}": -(p1 * m)
-                  for t, m in enumerate((U * U, U * V, V * V))}
-            impose(g3 - p1 * h,
-                   add(graded(form, 3, uv), times(-h, p1_form), h1))
+    impose(g.graded_part(1, uv), _graded(form, 1, uv))
+    p1, p1_form = gp.graded_part(1, uv), _graded(gp_form, 1, uv)
+    g2, p1_sq = g.graded_part(2, uv), p1 * p1
+    lam = poly.unit_match(g2, p1_sq)
+    # G2 = (lam + m') * P1^2
+    impose(g2 - p1_sq.scale(lam),
+           _add(_graded(form, 2, uv),
+                _times(p1.scale(F49.from_int(-2) * lam), p1_form),
+                {"m'": -p1_sq}))
+    if cubic:
+        g3 = g.graded_part(3, uv)
+        h = _divide_by_linear(g3, p1, u, v)
+        # G3 = P1 * (h + h1), h1 a general quadratic form in u, v
+        U, V = (MPoly.variable(cgdata.AB, F49, n) for n in uv)
+        h1 = {f"h1q{t}": -(p1 * m)
+              for t, m in enumerate((U * U, U * V, V * V))}
+        impose(g3 - p1 * h,
+               _add(_graded(form, 3, uv), _times(-h, p1_form), h1))
     return linalg.eliminate(
         linalg.LinearSystem(unknowns, rows, [F49.zero()] * len(rows), F49),
-        aux)
+        AUXILIARIES)
+
+
+def reference_derive_with_auxiliaries(skip_cubic):
+    """The published pair's passage rows, stacked with the auxiliary
+    route's rows at its four double points."""
+    curves = dict(zip("ab", curve_pair("F49")))
+    charts = {(prefix, chart): deformation.chart_curve(curve, prefix, chart)
+              for prefix, curve in curves.items() for chart in (1, 2, 3, 4)}
+    rows = []
+    for prefix, partner, double_charts in (
+            ("a", "b", cgdata.CURVE1_DOUBLE_CHARTS),
+            ("b", "a", cgdata.CURVE2_DOUBLE_CHARTS)):
+        for chart in (1, 2, 3, 4):
+            g, form = charts[(prefix, chart)]
+            passage = _graded(form, 0, cgdata.CHARTS[chart])
+            assert g.graded_part(0, cgdata.CHARTS[chart]).is_zero()
+            rows += _monomial_rows(passage, cgdata.MAIN_UNKNOWNS)
+            if chart in double_charts:
+                rows += reference_tacnode_rows(
+                    chart, g, form, *charts[(partner, chart)],
+                    cubic=not (skip_cubic and prefix == "a")).rows
+    return linalg.LinearSystem(cgdata.MAIN_UNKNOWNS, rows,
+                               [F49.zero()] * len(rows), F49)
 
 
 def test_root_evaluation_matches_the_auxiliary_reference():
@@ -216,6 +221,76 @@ def test_root_evaluation_matches_the_auxiliary_reference():
         reference = reference_derive_with_auxiliaries(skip_cubic)
         assert reference.variables == derived.variables
         assert derived.reduced_form() == reference.reduced_form()
+
+
+def _curve(germ, chart):
+    """The bidegree-(3,3) curve whose germ in the coordinates (u, v) of a
+    chart is ``germ``, a polynomial of degree at most 3 in each."""
+    u, v = (cgdata.AB.index[n] for n in cgdata.CHARTS[chart])
+    terms = {}
+    for exps, c in germ.terms.items():
+        # al, al' carry u's degree and be, be' carry v's, each up to 3
+        full = [3 - exps[u]] * 2 + [3 - exps[v]] * 2
+        full[u], full[v] = exps[u], exps[v]
+        terms[tuple(full)] = c
+    return MPoly(cgdata.AB, F49, terms)
+
+
+def _germ_rows(chart, g, gp, route=deformation.tacnode_rows):
+    """``route`` at the double point of the curve with germ g, whose
+    partner has germ gp, at the origin of a chart."""
+    return route(chart,
+                 *deformation.chart_curve(_curve(g, chart), "a", chart),
+                 *deformation.chart_curve(_curve(gp, chart), "b", chart))
+
+
+@pytest.mark.parametrize("w", (0, 1), ids="w{}".format)
+@pytest.mark.parametrize("chart", (1, 2, 3, 4), ids="chart{}".format)
+def test_tacnode_rows_match_the_auxiliary_route_on_random_germs(chart, w):
+    """Germs g = lam p1^2 + p1 h + (degree >= 4) and gp = p1 + (degree
+    >= 2) in the (3,3) box, with p1 = alpha u + beta v, lam != 0, and
+    alpha = 0 exactly when w = 1."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    elements = st.sampled_from(F49._elements)
+    units = st.sampled_from(F49._elements[1:])
+    U, V = (MPoly.variable(cgdata.AB, F49, n) for n in cgdata.CHARTS[chart])
+
+    def form(draw, degrees):
+        return sum(((U ** i * V ** j).scale(draw(elements))
+                    for i in range(4) for j in range(4) if i + j in degrees),
+                   MPoly.zero(cgdata.AB, F49))
+
+    @st.composite
+    def germs(draw):
+        alpha = F49.zero() if w else draw(units)
+        p1 = U.scale(alpha) + V.scale(draw(units) if w else draw(elements))
+        g = (p1 * p1).scale(draw(units)) + p1 * form(draw, {2}) \
+            + form(draw, range(4, 7))
+        return g, p1 + form(draw, range(2, 7))
+
+    @hypothesis.settings(derandomize=True, max_examples=25, deadline=None,
+                         database=None)
+    @hypothesis.given(germs())
+    def agree(germ):
+        rows, classical_ok = _germ_rows(chart, *germ)
+        assert classical_ok
+        reference = _germ_rows(chart, *germ, route=reference_tacnode_rows)
+        assert linalg.LinearSystem(
+            cgdata.MAIN_UNKNOWNS, rows, [F49.zero()] * len(rows),
+            F49).reduced_form() == reference.reduced_form()
+
+    agree()
+
+
+def test_tacnode_rows_refuse_a_germ_off_the_pattern():
+    U, V = (MPoly.variable(cgdata.AB, F49, n) for n in cgdata.CHARTS[1])
+    p1 = U + V
+    assert _germ_rows(1, p1 * p1, p1)[1]
+    for g, gp in ((p1 * p1, U * V),              # a zero tangent line
+                  (p1 * p1 + U * V, p1),         # G2 not a multiple of p1^2
+                  (p1 * p1 + U ** 3, p1)):       # G3 not divisible by p1
+        assert not _germ_rows(1, g, gp)[1]
 
 
 def test_a_changed_cubic_coefficient_fails_the_classical_check(monkeypatch):
@@ -391,7 +466,9 @@ def test_cached_rows_are_immutable():
             (scenarios._swap_rulings, (g2,)),
             (scenarios._branch_locus, (g1, cgdata.FIRST_PAIR,
                                        cgdata.SECOND_PAIR)),
-            (linser.condition_row, (2, 2, origin, F49))):
+            (linser.condition_row, (2, 2, origin, F49)),
+            (scenarios.derived_system_cached, (False,)),
+            (scenarios.derived_system_cached, (True,))):
         value = build(*args)
         assert build(*args) is value, build.__name__
         _assert_immutable(value)

@@ -69,12 +69,6 @@ def test_class_relation_and_mismatch():
         intersect(a, other.basis("e"))
 
 
-def test_rational_classes_have_denominators():
-    lat = quadric_lattice()
-    c = lat.cls({"h1": Fraction(1, 6), "h2": Fraction(1, 2)})
-    assert verify_class_relation(6 * c, lat.cls({"h1": 1, "h2": 3}))
-
-
 def test_double_cover_trivial_branch():
     # empty branch: two disjoint copies of the quadric
     q = quadric_lattice()
@@ -91,7 +85,7 @@ def euler_characteristic_oracle(a, b):
     e_cover = 2 * 4 - e_branch
     q = quadric_lattice()
     branch = q.cls({"h1": a, "h2": b})
-    bundle = q.cls({"h1": Fraction(a, 2), "h2": Fraction(b, 2)})
+    bundle = q.cls({"h1": a // 2, "h2": b // 2})
     stats = double_cover_stats(branch, bundle, q.canonical)
     assert (stats.k_squared + e_cover) % 12 == 0
     return stats.k_squared, Fraction(stats.k_squared + e_cover, 12), stats.chi
@@ -117,6 +111,15 @@ def test_double_cover_branch_parity_error():
         double_cover_stats(branch, bundle, q.canonical)
 
 
+def test_double_cover_rejects_an_odd_adjunction_number():
+    # L.(L + K) is even for a surface's canonical class K; with the class
+    # (1, 0) in its place, L = (1, 1) gives L.(L + K) = 3
+    q = quadric_lattice()
+    bundle = q.cls({"h1": 1, "h2": 1})
+    with pytest.raises(ValueError, match="odd"):
+        double_cover_stats(2 * bundle, bundle, q.cls({"h1": 1}))
+
+
 def test_signature_of_negative_definite_block():
     lat = Lattice(("a", "b"), ((-2, 1), (1, -2)))
     assert signature(lat) == (0, 2)
@@ -126,22 +129,18 @@ def test_signature_of_negative_definite_block():
 def test_integer_classes_keep_int_coefficients():
     q = quadric_lattice()
     lat = blowup(q, "e")
-    c = lat.cls({"h1": 2, "e": Fraction(9, 3)})
+    # an integer of another type, a bool here, is stored as an int
+    c = lat.cls({"h1": 2, "e": True})
     for d in (c, lat.cls({}), lat.canonical, lat.basis("e"), lat.basis("h1"),
-              3 * c, Fraction(4, 2) * c, c + c, c - c, -c):
+              3 * c, True * c, c + c, c - c, -c):
         assert all(type(x) is int for x in d.coeffs), d
-    # a coefficient is a Fraction only where it is not an integer
-    half = Fraction(1, 2) * c
-    assert [type(x) for x in half.coeffs] == [int, int, Fraction]
-    assert type((half + half).coeffs[lat.index["e"]]) is int
     assert type(intersect(c, c)) is int
-    assert intersect(half, half) == Fraction(-9, 4)
 
 
 def test_classes_reject_non_rational_scalars():
     q = quadric_lattice()
     h1 = q.basis("h1")
-    for bad in (0.5, 1.0, "1"):
+    for bad in (0.5, 1.0, "1", Fraction(1, 2)):
         with pytest.raises(TypeError):
             q.cls({"h1": bad})
         with pytest.raises(TypeError):
