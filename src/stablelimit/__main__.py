@@ -1,4 +1,6 @@
 import gc
+import os
+import sys
 
 
 def main() -> int:
@@ -7,6 +9,12 @@ def main() -> int:
     gc.disable()    # the process ends after one run: its cycles die with it
     from .cli import main as cli_main
     code = cli_main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # cli has reported the failed write, whose bytes stay buffered;
+        # shutdown's own flush then writes them nowhere, not failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     gc.freeze()     # interpreter shutdown then skips every object still alive
     return code
 
