@@ -76,6 +76,8 @@ def main(argv=None) -> int:
     try:
         command, ids, fmt, out = read_argv(
             sys.argv[1:] if argv is None else argv)
+        if out == "":       # most likely a shell variable that was not set
+            raise ValueError("--out needs a path")
     except ValueError as exc:
         print(__doc__ or "", f"stablelimit: error: {exc}", sep="\n",
               file=sys.stderr)

@@ -5,8 +5,8 @@ origin.  The operations cover exactly what the verification scenarios
 need: multiplicity and tangent cone, node/double-contact classification,
 intersection multiplicity against a parametrized smooth curve, the branch
 locus of a bidegree-(3,3) curve under one of the two rulings of a quadric
-(via the binary-cubic discriminant), and exact division of a binary form
-by a linear one.
+(via the binary-cubic discriminant), and whether a linear form divides a
+binary form: exactly when the form vanishes at the line's root.
 
 Everything is exact; no floating point, no genericity assumptions.
 """
@@ -75,49 +75,22 @@ def tangent_cone(germ: ChartGerm) -> MPoly:
     return germ.poly.graded_part(multiplicity_at(germ), germ.local_vars)
 
 
-def _quadratic_coefficients(cone: MPoly, u: str, v: str):
-    a = cone.coefficient({u: 2})
-    b = cone.coefficient({u: 1, v: 1})
-    c = cone.coefficient({v: 2})
-    return a, b, c
+def line_root(line: MPoly, u: str, v: str) -> tuple[Element, Element]:
+    """The root (q, -p) of the linear form p u + q v."""
+    return line.coefficient({v: 1}), -line.coefficient({u: 1})
 
 
-def _double_line(cone: MPoly, u: str, v: str) -> MPoly:
-    """For a nonzero binary quadratic a u^2 + b uv + c v^2 of zero
-    discriminant, the line l with cone = unit * l^2: u + (b/2a) v, or v
-    when a = 0 (then b = 0 as well)."""
-    ring = cone.ring
-    registry = cone.registry
-    a, b, _ = _quadratic_coefficients(cone, u, v)
-    if a.is_zero():
-        return MPoly.variable(registry, ring, v)
-    # a(u + (b/2a) v)^2
-    shift = b * ring.from_int(2).inverse() * a.inverse()
-    return (MPoly.variable(registry, ring, u)
-            + MPoly.variable(registry, ring, v).scale(shift))
-
-
-def _divide_by_linear(target: MPoly, linear: MPoly, u: str, v: str):
-    """Quotient q with target = linear * q, or None if not divisible: the
-    synthetic division of a binary form by p u + q v, with u and v swapped
-    when p = 0, checked by multiplying back."""
-    ring, registry = target.ring, target.registry
-    if target.is_zero():
-        return MPoly.zero(registry, ring)
-    p, q = linear.coefficient({u: 1}), linear.coefficient({v: 1})
-    if p.is_zero():
-        u, v, p, q = v, u, q, p
-    if p.is_zero():
-        return None
-    n, p_inv = target.total_degree(), p.inverse()
-    terms, c = {}, ring.zero()
-    for k in range(n):
-        c = (target.coefficient({u: n - k, v: k}) - q * c) * p_inv
-        exps = [0] * len(registry)
-        exps[registry.index[u]], exps[registry.index[v]] = n - 1 - k, k
-        terms[tuple(exps)] = c
-    quotient = MPoly(registry, ring, terms)
-    return quotient if linear * quotient == target else None
+def divides(line: MPoly, form: MPoly, u: str, v: str) -> bool:
+    """Whether the linear form p u + q v divides the binary form: exactly
+    when the form vanishes at the line's root (q, -p) (Fulton, *Algebraic
+    Curves*, ch. 2).  The zero form is divisible by every line, and the
+    zero line divides only the zero form."""
+    if form.is_zero():
+        return True
+    root = line_root(line, u, v)
+    if root[0].is_zero() and root[1].is_zero():
+        return False
+    return form.evaluate(dict(zip((u, v), root))).is_zero()
 
 
 def classify(germ: ChartGerm) -> SingularityVerdict:
@@ -141,14 +114,17 @@ def classify(germ: ChartGerm) -> SingularityVerdict:
     if mult > 2:
         return SingularityVerdict(mult, cone, "other")
     u, v = germ.local_vars
-    a, b, c = _quadratic_coefficients(cone, u, v)
+    a, b, c = (cone.coefficient(m) for m in ({u: 2}, {u: 1, v: 1}, {v: 2}))
     four = ring.from_int(4)
     disc = b * b - four * a * c
     if not disc.is_zero():
         return SingularityVerdict(2, cone, "node")
-    line = _double_line(cone, u, v)
+    # cone = unit * line^2 for the line 2a u + b v, or v when a = 0 (then
+    # b = 0 as well)
+    U, V = (MPoly.variable(cone.registry, ring, n) for n in (u, v))
+    line = V if a.is_zero() else U.scale(ring.from_int(2) * a) + V.scale(b)
     cubic = germ.poly.graded_part(3, germ.local_vars)
-    if _divide_by_linear(cubic, line, u, v) is not None:
+    if divides(line, cubic, u, v):
         return SingularityVerdict(2, cone, "tacnode_or_degeneration")
     return SingularityVerdict(2, cone, "other")
 

@@ -7,7 +7,10 @@ linear constraint on the (a+1)(b+1) monomial coefficients, so dimensions
 are exact rank computations.  ``condition_row``, the package's one
 formula for a form's value or derivative at a point, also builds the
 deformation module's point rows; the Taylor coefficients behind a
-tangency are read off binomial formulas, one factor at a time.
+tangency are read off binomial formulas, one factor at a time.  A pair of
+forms of bidegrees (0, 2) and (2, 0) vanishing at the same points is
+counted as the sum of the two series' dimensions: the pair's conditions
+form a block-diagonal matrix, whose rank is the sum of its blocks' ranks.
 
 Points are pairs of projective coordinate pairs over the working field.
 No genericity is ever assumed: independence of conditions is whatever the
@@ -100,12 +103,9 @@ def series_dimension(bidegree: tuple[int, int],
 def split_sections_vanishing(points: Sequence[Point], ring: Ring) -> int:
     """Pairs of forms of bidegrees (0,2) and (2,0) both vanishing at the
     listed points; the building block of the rank-two cotangent count."""
-    zero = (ring.zero(),) * 3
-    rows = []
-    for pt in points:
-        rows.append(condition_row(0, 2, PassThrough(pt), ring) + zero)
-        rows.append(zero + condition_row(2, 0, PassThrough(pt), ring))
-    return 6 - rank(rows, ring)
+    conds = [PassThrough(pt) for pt in points]
+    return (series_dimension((0, 2), conds, ring)
+            + series_dimension((2, 0), conds, ring))
 
 
 def distinct_fiber_counts(points: Sequence[Point]) -> tuple[int, int]:

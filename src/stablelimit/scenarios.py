@@ -25,9 +25,10 @@ from types import MappingProxyType
 from typing import Mapping
 
 from . import cgdata, deformation
-from .curvelocal import (ChartGerm, _divide_by_linear, branch_locus, classify,
+from .curvelocal import (ChartGerm, branch_locus, classify, divides,
                          infinitely_near_multiplicity,
-                         intersection_multiplicity, multiplicity_at)
+                         intersection_multiplicity, line_root,
+                         multiplicity_at)
 from .deformation import F49, q_point
 from .linalg import LinearSystem, outside_span, rowspace_equal, solve_affine
 from .linser import (PassThrough, TangentDirection, distinct_fiber_counts,
@@ -434,7 +435,7 @@ def scenario_singularities() -> VerificationReport:
         cubic = germ.poly.graded_part(3, (u, v))
         rep.require(
             f"chart {chart}: cubic part divisible by the tangent line",
-            _divide_by_linear(cubic, line, u, v) is not None)
+            divides(line, cubic, u, v))
         verdict = classify(germ)
         rep.check(f"chart {chart}: double-point classification",
                   verdict.kind, "tacnode_or_degeneration", tag="derived")
@@ -1011,12 +1012,8 @@ def _origin_conditions() -> tuple:
 
 def _cone_direction(chart: int):
     smooth = _double_and_smooth(*curve_pair("F49"))[chart][2]
-    line = chart_germ(smooth, chart).poly.graded_part(
-        1, cgdata.CHARTS[chart])
-    u, v = cgdata.CHARTS[chart]
-    p = line.coefficient({u: 1})
-    q = line.coefficient({v: 1})
-    return (q, -p)
+    uv = cgdata.CHARTS[chart]
+    return line_root(chart_germ(smooth, chart).poly.graded_part(1, uv), *uv)
 
 
 # ----------------------------------------------------------------------

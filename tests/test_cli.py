@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import stablelimit
-from stablelimit import cli
+from stablelimit import cli, scenarios
 from stablelimit.cli import main, read_argv
 from stablelimit.scenarios import SCENARIOS
 
@@ -195,6 +195,18 @@ def test_a_refused_command_line_prints_the_usage_and_reason_and_exits_2(
     assert err == f"{cli.__doc__}\nstablelimit: error: {reason}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--out="], ["run", "--scenario", "gamma", "--out", ""],
+    ["run", "--out", "r.json", "--o="],
+], ids=["equals", "separate", "last-wins"])
+def test_an_empty_out_path_is_refused_before_any_scenario_runs(
+        argv, capsys, monkeypatch):
+    monkeypatch.setattr(scenarios, "run_many", None)
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"{cli.__doc__}\nstablelimit: error: --out needs a path\n")
+
+
 def test_list_prints_all_ids(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -332,6 +344,22 @@ def test_a_cold_run_writes_the_golden_report_to_its_out_file(tmp_path):
     text = re.sub(r'"millis": [-+.0-9e]+', '"millis": 0.0',
                   target.read_text(encoding="utf-8"))
     assert text == GOLDEN_REPORT.read_text(encoding="utf-8")
+
+
+def test_a_full_run_leaves_the_committed_statements_unexecuted():
+    """Each scope's count of statements that a full run leaves unexecuted
+    equals ``tests/unexecuted.json``, so a change that deletes dead code,
+    or leaves more code unrun, updates that file in the same diff
+    (``PYTHONPATH=src python tests/unexecuted.py --json``)."""
+    here = Path(__file__).parent
+    proc = _python(str(here / "unexecuted.py"), "--json")
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    committed = json.loads((here / "unexecuted.json").read_text())
+    # scope: (committed count, count found now)
+    assert {scope: (committed.get(scope, 0), found.get(scope, 0))
+            for scope in committed.keys() | found.keys()
+            if committed.get(scope) != found.get(scope)} == {}
 
 
 def test_main_leaves_the_collector_as_it_found_it(capsys):

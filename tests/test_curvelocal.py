@@ -8,8 +8,8 @@ from stablelimit import MPoly, PrimeField, QuadraticField, VarRegistry, parse_po
 from stablelimit import cgdata
 from stablelimit.linalg import LinearSystem, solve_affine
 from stablelimit.curvelocal import (ChartGerm, DegenerateProjectionError,
-                                    ZeroGermError, _divide_by_linear,
-                                    branch_locus, classify,
+                                    ZeroGermError, branch_locus, classify,
+                                    divides,
                                     infinitely_near_multiplicity,
                                     intersection_multiplicity,
                                     multiplicity_at,
@@ -54,6 +54,12 @@ def test_classification_examples():
     assert classify(germ("u^2+v^3")).kind == "other"          # cusp
     assert classify(germ("u+v^2")).kind == "smooth"
     assert classify(germ("u^3+v^3")).kind == "other"
+    # a double line with a = 0 (the line is v), and one in both u and v
+    assert classify(germ("v^2+u^3")).kind == "other"
+    assert classify(germ("v^2+u^2*v")).kind == "tacnode_or_degeneration"
+    assert classify(germ("(u+2*v)^2+(u+2*v)*u^2")).kind == \
+        "tacnode_or_degeneration"
+    assert classify(germ("(u+2*v)^2+v^3")).kind == "other"
 
 
 def test_classification_at_transverse_points():
@@ -233,7 +239,7 @@ def test_tangency_criterion_matches_diagonal_rows():
 
 
 # ----------------------------------------------------------------------
-# division by a linear form, against a linear-solve reference
+# divisibility by a linear form, against a linear-solve reference
 
 
 def reference_divide_by_linear(target, linear, u, v):
@@ -288,7 +294,13 @@ def test_division_matches_the_linear_solve_reference():
         else:
             target = _binary_form(rng, u, v, degree)
         expected = reference_divide_by_linear(target, linear, u, v)
-        assert _divide_by_linear(target, linear, u, v) == expected, \
+        assert divides(linear, target, u, v) == (expected is not None), \
             (target, linear)
         divisible += expected is not None and not target.is_zero()
     assert 100 < divisible < 300
+    # the zero line divides the zero form and no other
+    zero = MPoly.zero(cgdata.AB, F49)
+    for target in (zero, parse_poly("al^2+3*al*be", cgdata.AB, F49)):
+        expected = reference_divide_by_linear(target, zero, "al", "be")
+        assert divides(zero, target, "al", "be") == (expected is not None) \
+            == target.is_zero()

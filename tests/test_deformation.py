@@ -10,7 +10,6 @@ import pytest
 from stablelimit import (MPoly, PrimeField, VarRegistry, cgdata,
                          deformation, linalg, parse_poly, poly,
                          linser, scenarios)
-from stablelimit.curvelocal import _divide_by_linear
 from stablelimit.deformation import F49
 from stablelimit.linalg import outside_span, rank, rowspace_equal, solve_affine
 from stablelimit.rings import Frozen, field_tables
@@ -20,6 +19,7 @@ from stablelimit.scenarios import (_chain_rule_rows, _corrected_system,
                                    _published_system_28, curve_pair,
                                    derived_system_cached)
 from test_cli import _python
+from test_curvelocal import reference_divide_by_linear
 from test_linalg import reference_row_echelon, residuals
 
 
@@ -180,7 +180,7 @@ def reference_tacnode_rows(chart, g, form, gp, gp_form, cubic=True):
                 {"m'": -p1_sq}))
     if cubic:
         g3 = g.graded_part(3, uv)
-        h = _divide_by_linear(g3, p1, u, v)
+        h = reference_divide_by_linear(g3, p1, u, v)
         # G3 = P1 * (h + h1), h1 a general quadratic form in u, v
         U, V = (MPoly.variable(cgdata.AB, F49, n) for n in uv)
         h1 = {f"h1q{t}": -(p1 * m)
