@@ -54,11 +54,8 @@ _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 def _statements(tree: ast.Module):
     """Each statement that is not a docstring, with its scope's qualname."""
     def walk(node, qualname, in_function):
-        body = getattr(node, "body", None)
-        doc = body[0] if (isinstance(node, (ast.Module, *_SCOPES)) and body
-                          and isinstance(body[0], ast.Expr)
-                          and isinstance(body[0].value, ast.Constant)
-                          and isinstance(body[0].value.value, str)) else None
+        doc = (node.body[0] if isinstance(node, (ast.Module, *_SCOPES))
+               and ast.get_docstring(node, clean=False) is not None else None)
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.stmt) and child is not doc:
                 yield child, qualname or "<module>"
