@@ -84,7 +84,10 @@ def divides(line: MPoly, form: MPoly, u: str, v: str) -> bool:
     """Whether the linear form p u + q v divides the binary form: exactly
     when the form vanishes at the line's root (q, -p) (Fulton, *Algebraic
     Curves*, ch. 2).  The zero form is divisible by every line, and the
-    zero line divides only the zero form."""
+    zero line divides only the zero form.  A form that is not binary in u
+    and v (homogeneous, and in them alone) raises ``ValueError``."""
+    if form.graded_part(form.total_degree(), (u, v)) != form:
+        raise ValueError(f"not a binary form in {u} and {v}: {form}")
     if form.is_zero():
         return True
     root = line_root(line, u, v)
@@ -135,24 +138,14 @@ def intersection_multiplicity(germ: ChartGerm,
     """Vanishing order of the germ pulled back along a parametrized curve.
 
     ``param`` gives the two chart coordinates as polynomials in a single
-    parameter vanishing at 0 (truncated power series are fine as long as
-    ``truncation`` exceeds the contact order being measured).  Returns
-    None when the pullback vanishes identically to the stated precision:
-    the germ contains the parametrized branch.
+    parameter s vanishing at 0.  Precision rule: the order is read off the
+    coefficients of s^0 .. s^truncation of the pullback (``pullback_order``;
+    all of them when ``truncation`` is None), so truncated series are fine
+    when ``truncation`` is at least the contact order and below their own
+    precision.  None: the pullback vanishes there (the germ holds the branch).
     """
-    pu, pv = param
-    if pu.registry != pv.registry or len(pu.registry) != 1:
-        raise ValueError("parametrization must be univariate")
-    for comp in (pu, pv):
-        if not comp.coefficient({}).is_zero():
-            raise ValueError("parametrization must pass through the origin")
-    u, v = germ.local_vars
-    out = germ.poly.substitute({u: pu, v: pv})
-    if truncation is not None:
-        out = out.truncate(pu.registry.names[0], truncation)
-    if out.is_zero():
-        return None
-    return min(e[0] for e in out.terms)
+    return germ.poly.pullback_order(dict(zip(germ.local_vars, param)),
+                                    truncation)
 
 
 def infinitely_near_multiplicity(germ: ChartGerm,

@@ -10,10 +10,12 @@ multiplicities at the blown-up centers supplied by the local curve
 analysis; every published class identity becomes a pure vector equality.
 
 A coefficient is an ``int``: any scalar without ``__index__``, a float or a
-``Fraction`` included, raises ``TypeError``.  The determinant and the
-signature of the form are computed by integer elimination (Bareiss's
-fraction-free scheme, and symmetric congruence scaled by the pivot's
-absolute value).
+``Fraction`` included, raises ``TypeError`` in the constructor, which
+``Lattice.cls`` calls, and on the scalar of ``n * D``.  A sum, difference,
+negative or multiple of classes has int coefficients already and skips that
+check.  The determinant and the signature of the form are computed by
+integer elimination (Bareiss's fraction-free scheme, and symmetric
+congruence scaled by the pivot's absolute value).
 """
 
 from __future__ import annotations
@@ -117,26 +119,32 @@ class DivisorClass(Frozen):
     def __hash__(self):
         return hash((self.lattice, self.coeffs))
 
+    def _like(self, coeffs: tuple) -> "DivisorClass":
+        """A class on this lattice from ints of its rank, set through the
+        slot descriptors: no immutability guard and no int check."""
+        c = object.__new__(DivisorClass)
+        DivisorClass.lattice.__set__(c, self.lattice)
+        DivisorClass.coeffs.__set__(c, coeffs)
+        return c
+
     def _check(self, other: "DivisorClass"):
         if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise LatticeMismatchError("classes on different lattices")
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._check(other)
-        return DivisorClass(self.lattice, tuple(
-            a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._like(tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         self._check(other)
-        return DivisorClass(self.lattice, tuple(
-            a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._like(tuple(map(operator.sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.lattice, tuple(-a for a in self.coeffs))
+        return self._like(tuple(map(operator.neg, self.coeffs)))
 
     def __rmul__(self, scalar: int) -> "DivisorClass":
         s = operator.index(scalar)
-        return DivisorClass(self.lattice, tuple(s * a for a in self.coeffs))
+        return self._like(tuple(s * a for a in self.coeffs))
 
     def __repr__(self):
         parts = [f"{c}*{n}" for n, c in zip(self.lattice.names, self.coeffs)

@@ -153,7 +153,7 @@ def _is_valid_var(name: str) -> bool:
     return all(ch.isalnum() or ch == "'" for ch in name[1:])
 
 
-def _grevlex_key(exps: tuple[int, ...]):
+def grevlex_key(exps: tuple[int, ...]):
     # descending total degree, ties broken reverse-lexicographically:
     # of two monomials with equal degree the larger is the one whose
     # last differing exponent is smaller.
@@ -434,11 +434,6 @@ class MPoly(Frozen):
         return coeffs.wrap(self._terms.get(self.registry._pack(exps),
                                            coeffs.zero))
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Element]]:
-        """Terms in descending graded reverse lexicographic order."""
-        return sorted(self.terms.items(),
-                      key=lambda t: _grevlex_key(t[0]), reverse=True)
-
     def variables_used(self) -> set[str]:
         union = 0
         for e in self._terms:
@@ -467,10 +462,14 @@ class MPoly(Frozen):
 
     def graded_part(self, degree: int, names: Iterable[str]) -> "MPoly":
         """Sum of terms of total degree exactly ``degree`` in ``names``."""
-        shifts = [self.registry._shifts[self.registry.index[n]]
-                  for n in names]
+        registry, top = self.registry, self.registry._degree_shift
+        mask = sum({_MASK << registry._shifts[registry.index[n]]
+                    for n in names})
+        # times fold, the sum of 1 << 16 k for 0 < k <= len(registry), the
+        # selected fields add up in the degree field without carrying
+        fold = ((1 << top) - 1) // _MASK << _FIELD_BITS
         return self._like({e: c for e, c in self._terms.items()
-                           if sum((e >> s) & _MASK for s in shifts) == degree})
+                           if ((e & mask) * fold >> top) & _MASK == degree})
 
     def substitute(self, bindings: Mapping[str, "MPoly"]) -> "MPoly":
         """Ring-homomorphic substitution of polynomials for variables.
@@ -485,6 +484,53 @@ class MPoly(Frozen):
         over a domain that is its degree, while over Z/p^k two powers
         can multiply to zero, and the bound still counts their degrees.
         """
+        coeffs, target = self._coeffs, self._target(bindings)
+        top = target._degree_shift
+        groups = self._horner({n: v._terms for n, v in bindings.items()},
+                              {e: {0: c} for e, c in self._terms.items()},
+                              partial(_product, coeffs, top))
+        # in another registry every used variable is bound, so each
+        # residual is 0, the constant monomial of any registry
+        acc = {}
+        for residual, group in groups.items():
+            coeffs.addmul(acc, residual, coeffs.one, group)
+        if acc:
+            _check_degree(max(acc) >> top)
+        return _init(_new(MPoly), target, self.ring, coeffs,
+                     coeffs.finish(acc))
+
+    def pullback_order(self, bindings: Mapping[str, "MPoly"],
+                       truncation: int | None = None) -> int | None:
+        """The least exponent of s below s^(truncation + 1), or below the
+        degree bound, in ``substitute(bindings)`` for series bindings in s
+        vanishing at 0; None if there is none.  Exactly so, though only the
+        coefficients below s^n are computed, for n = 4, 8, ...: terms of
+        degree n or more are skipped, and the bindings and their powers are
+        cut below s^n.  Raises as ``substitute``, ``ValueError`` for other
+        bindings, and ``OverflowError`` for a cap above ``MAX_DEGREE``."""
+        coeffs, target = self._coeffs, self._target(bindings)
+        if not bindings or len(target) != 1 or any(
+                0 in v._terms for v in bindings.values()):
+            raise ValueError("bindings must be series in s without constant")
+        cap = 1 + self.total_degree() * max(
+            0, *(v.total_degree() for v in bindings.values()))
+        cap = cap if truncation is None else min(cap, truncation + 1)
+        _check_degree(cap - 1)
+        top, out, n = self.registry._degree_shift, [], 0
+        while not out and n < cap:
+            n = min(max(2 * n, 4), cap)
+            limit = n * target._unit(0)         # s^n
+            groups = self._horner(
+                {name: {e: c for e, c in v._terms.items() if e < limit}
+                 for name, v in bindings.items()},
+                {e: {0: c} for e, c in self._terms.items() if e >> top < n},
+                lambda a, b: {e: c for e, c in _product(
+                    coeffs, target._degree_shift, a, b).items() if e < limit})
+            out = [e for e in coeffs.finish(groups.get(0, {})) if e < limit]
+        return min(out) >> target._degree_shift if out else None
+
+    def _target(self, bindings: Mapping[str, "MPoly"]) -> VarRegistry:
+        """The registry of the bindings, checked as ``substitute`` says."""
         registry, coeffs = self.registry, self._coeffs
         target = next((v.registry for v in bindings.values()), registry)
         for name, value in bindings.items():
@@ -499,18 +545,17 @@ class MPoly(Frozen):
             unbound = self.variables_used() - bindings.keys()
             if unbound:
                 raise KeyError(f"no binding for {sorted(unbound)}")
-        top, one, addmul = target._degree_shift, coeffs.one, coeffs.addmul
-        # Horner's scheme over the bindings, the last one first.  Each
-        # binding has a power ladder on raw terms, ladder[k] = value ** k,
-        # grown one product per rung up to the largest exponent in use.
-        # A group holds the image of the terms that agree everywhere but in
-        # the bindings already done; each binding merges the groups that
-        # differ only in its exponent, with one product per group, so the
-        # terms that differ only in the last binding's exponent are summed
-        # with additions alone.  Groups stay unfinished: a term whose image
-        # cancels still leaves its monomial, and one degree check at the
-        # end covers every term.
-        groups = {e: {0: c} for e, c in self._terms.items()}
+        return target
+
+    def _horner(self, bindings: Mapping[str, dict], groups: dict,
+                power) -> dict:
+        """Horner's scheme over the bindings' raw terms, the last first: a
+        binding merges the groups (images of the terms that agree but in the
+        bindings done) that differ only in its exponent k, each times
+        ladder[k] = value ** k, a rung per ``power(ladder[-1], value)``.
+        Groups stay unfinished: an image that cancels keeps its monomial."""
+        registry, one, addmul = (self.registry, self._coeffs.one,
+                                 self._coeffs.addmul)
         for name in reversed(list(bindings)):
             i, value = registry.index[name], bindings[name]
             shift, unit = registry._shifts[i], registry._unit(i)
@@ -518,8 +563,7 @@ class MPoly(Frozen):
             for e, group in groups.items():
                 k = (e >> shift) & _MASK
                 while len(ladder) <= k:
-                    ladder.append(_product(coeffs, top, ladder[-1],
-                                           value._terms))
+                    ladder.append(power(ladder[-1], value))
                 e -= k * unit
                 total = merged.get(e)
                 if total is None:
@@ -530,15 +574,7 @@ class MPoly(Frozen):
                 for e1, c1 in a.items():
                     addmul(total, e1, c1, b)
             groups = merged
-        # in another registry every used variable is bound, so each
-        # residual is 0, the constant monomial of any registry
-        acc = {}
-        for residual, group in groups.items():
-            addmul(acc, residual, one, group)
-        if acc:
-            _check_degree(max(acc) >> top)
-        return _init(_new(MPoly), target, self.ring, coeffs,
-                     coeffs.finish(acc))
+        return groups
 
     def dehomogenize(self, kept: Iterable[str]) -> "MPoly":
         """Set every variable outside ``kept`` to 1, as substituting the
@@ -593,12 +629,6 @@ class MPoly(Frozen):
             ladders.append((shift, ladder))
         return coeffs.wrap(coeffs.evaluate(self._terms, ladders))
 
-    def truncate(self, name: str, max_degree: int) -> "MPoly":
-        """Drop all terms whose exponent of ``name`` exceeds ``max_degree``."""
-        shift = self.registry._shifts[self.registry.index[name]]
-        return self._like({e: c for e, c in self._terms.items()
-                           if (e >> shift) & _MASK <= max_degree})
-
     # ------------------------------------------------------------------
     # printing
 
@@ -606,7 +636,8 @@ class MPoly(Frozen):
         if not self._terms:
             return "0"
         parts = []
-        for exps, coeff in self.sorted_terms():
+        for exps, coeff in sorted(self.terms.items(), reverse=True,
+                                  key=lambda t: grevlex_key(t[0])):
             factors = []
             for i, e in enumerate(exps):
                 if e == 1:

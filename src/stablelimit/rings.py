@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from operator import index
+from operator import index, itemgetter
 from typing import Sequence
 
 
@@ -570,9 +570,10 @@ class FieldTables(Frozen):
 @lru_cache(maxsize=None)
 def field_tables(ring: Ring) -> FieldTables:
     """The table set of GF(p) or GF(p)[i], built once per ring value from
-    the rule i**2 = -1 applied to the codes a + p*b (b = 0 in GF(p)).
-    A field of more than ``_TABLE_ORDER_LIMIT`` elements raises
-    ``ValueError`` before any table is built."""
+    logarithms to a generator g of the units, found by the rule i**2 = -1 on
+    the codes a + p*b (b = 0 in GF(p)): a * c = g**(log a + log c) and
+    a + c = a (1 + c/a), each row one ``itemgetter``.  A field of more than
+    ``_TABLE_ORDER_LIMIT`` elements raises ``ValueError`` first."""
     if not ring.is_field():
         raise ValueError(f"small-field tables need a field, not {ring!r}")
     p = ring.characteristic()
@@ -580,15 +581,23 @@ def field_tables(ring: Ring) -> FieldTables:
     if q > _TABLE_ORDER_LIMIT:
         raise ValueError(f"{ring!r} has {q} elements, above the table "
                          f"order limit {_TABLE_ORDER_LIMIT}")
-    pairs = [(c % p, c // p) for c in range(q)]
-    add = tuple(tuple((a + c) % p + p * ((b + d) % p) for c, d in pairs)
-                for a, b in pairs)
-    mul = tuple(tuple((a * c - b * d) % p + p * ((a * d + b * c) % p)
-                      for c, d in pairs)
-                for a, b in pairs)
-    negatives = [row.index(0) for row in add]
-    sub = tuple(tuple(row[y] for y in negatives) for row in add)
-    inv = (None, *(row.index(1) for row in mul[1:]))
+    # (a + bi)(c + di) = ac - bd + (ad + bc)i on the codes a + p*b
+    times = lambda x, y: ((x % p * (y % p) - x // p * (y // p)) % p
+                          + p * ((x % p * (y // p) + x // p * (y % p)) % p))
+    for g in range(1, q):       # the first code whose powers fill the units
+        powers = [1]
+        while (x := times(powers[-1], g)) != 1:
+            powers.append(x)
+        if len(powers) == q - 1:
+            break
+    exp = powers * 2 + [0] * (q - 1)    # log 0 points into the zeros
+    log = [powers.index(c) if c else 2 * q - 2 for c in range(q)]
+    mul = ((0,) * q, *map(itemgetter(*log), (exp[k:] for k in log[1:])))
+    inv = (None, *(exp[q - 1 - k] for k in log[1:]))
+    plus_one = tuple(c + 1 - p * ((c + 1) % p == 0) for c in range(q))
+    add = (tuple(range(q)), *(itemgetter(*itemgetter(*mul[inv[a]])(plus_one))(
+        mul[a]) for a in range(1, q)))
+    sub = tuple(map(itemgetter(*[row.index(0) for row in add]), add))
     return FieldTables(mul, add, sub, inv, ring._elements)
 
 

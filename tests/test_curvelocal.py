@@ -16,6 +16,7 @@ from stablelimit.curvelocal import (ChartGerm, DegenerateProjectionError,
                                     strip_monomial_content)
 from stablelimit.scenarios import (chart_germ, curve_pair, diagonal_param,
                                    fiber_param, q_point, translated_germ)
+from test_poly import sorted_terms
 
 F7 = PrimeField(7)
 F49 = QuadraticField(7)
@@ -150,6 +151,78 @@ def test_param_must_pass_through_origin():
         intersection_multiplicity(germ("u+v"), param("1+s", "0"))
 
 
+def test_contact_orders_at_and_beyond_each_precision():
+    # v - u^k against the u-axis: order k, found at the first precision
+    # (below s^4) for k < 4 and at a doubled one otherwise; a pure power at
+    # the precision itself is skipped without reading its power
+    for k in (1, 3, 4, 5, 8, 9):
+        g = germ(f"v-u^{k}")
+        assert intersection_multiplicity(g, param("s", "0")) == k
+        assert intersection_multiplicity(g, param("s", "0"), truncation=k) == k
+        assert intersection_multiplicity(g, param("s", "0"),
+                                         truncation=k - 1) is None
+    assert intersection_multiplicity(germ("3+u"), param("s", "0"), -1) is None
+
+
+def truncate(p, name, max_degree):
+    """The terms of p whose exponent of ``name`` is at most ``max_degree``
+    (once ``MPoly.truncate``)."""
+    i = p.registry.index[name]
+    return MPoly(p.registry, p.ring,
+                 {e: c for e, c in p.terms.items() if e[i] <= max_degree})
+
+
+def reference_intersection_multiplicity(g, param, truncation=None):
+    """``intersection_multiplicity`` as it was first written: the whole
+    pullback by ``substitute``, then cut above s^truncation."""
+    out = g.poly.substitute(dict(zip(g.local_vars, param)))
+    if truncation is not None:
+        out = truncate(out, param[0].registry.names[0], truncation)
+    return None if out.is_zero() else min(e[0] for e in out.terms)
+
+
+@pytest.mark.parametrize("ring", [F7, F49], ids=["GF7", "GF49"])
+def test_contact_orders_match_the_substitute_and_truncate_route(ring):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    if ring is F7:
+        values = [ring.element(a) for a in range(7)]
+    else:
+        values = [ring.element((a, b)) for a in range(7) for b in range(7)]
+    coeffs = st.sampled_from(values)
+    # germs with exponents up to 5, so that a pure power reaches the first
+    # precision, s^4; series without constant term, the zero one included
+    germs = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                            coeffs, max_size=8).map(
+        lambda terms: MPoly(UV, ring, terms))
+    series = st.dictionaries(st.integers(1, 6).map(lambda k: (k,)), coeffs,
+                             max_size=4).map(lambda terms: MPoly(S, ring, terms))
+    U, V, s = (MPoly.variable(UV, ring, "u"), MPoly.variable(UV, ring, "v"),
+               MPoly.variable(S, ring, "s"))
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=None,
+                         database=None)
+    @hypothesis.given(germs, series, series, st.booleans(),
+                      st.one_of(st.none(), st.integers(-1, 14)))
+    def agree(poly, pu, pv, on_branch, truncation):
+        if on_branch:
+            # the branch (s, f(s)) of v - f(u): the pullback vanishes
+            poly = poly * (V - pv.substitute({"s": U}))
+            pu = s
+        g = ChartGerm("test", poly, ("u", "v"))
+        full = reference_intersection_multiplicity(g, (pu, pv))
+        if on_branch:
+            assert full is None
+        for t in (truncation, full, None if full is None else full - 1):
+            assert intersection_multiplicity(g, (pu, pv), t) == \
+                reference_intersection_multiplicity(g, (pu, pv), t)
+        if full is not None:
+            assert intersection_multiplicity(g, (pu, pv), full) == full
+            assert intersection_multiplicity(g, (pu, pv), full - 1) is None
+
+    agree()
+
+
 # ----------------------------------------------------------------------
 # infinitely-near multiplicities (tacnode pattern [2, 2])
 
@@ -180,13 +253,13 @@ def test_branch_loci_of_the_two_curves():
     g1, g2 = curve_pair("F7")
     d1 = branch_locus(g1, cgdata.FIRST_PAIR, cgdata.SECOND_PAIR)
     target1 = parse_poly("(be^2+be'^2)^2", cgdata.AB, F7)
-    lead = next(iter(target1.sorted_terms()))
+    lead = sorted_terms(target1)[0]
     u = d1.terms[lead[0]] * lead[1].inverse()
     assert (d1 - target1.scale(u)).is_zero()
 
     d2 = branch_locus(g2, cgdata.FIRST_PAIR, cgdata.SECOND_PAIR)
     target2 = parse_poly("be^4+4*be^2*be'^2+be'^4", cgdata.AB, F7)
-    lead = next(iter(target2.sorted_terms()))
+    lead = sorted_terms(target2)[0]
     u = d2.terms[lead[0]] * lead[1].inverse()
     assert (d2 - target2.scale(u)).is_zero()
 
@@ -273,6 +346,21 @@ def _binary_form(rng, u, v, degree):
     for k in range(degree + 1):
         out = out + (U ** (degree - k) * V ** k).scale(F49.random_element(rng))
     return out
+
+
+def test_divides_refuses_a_form_that_is_not_binary():
+    U = parse_poly("u", UV, F49)
+    # v^2 + v has no root rule: u does not divide it, though it vanishes
+    # at u's root (0, 1)
+    for text in ("v^2+v", "u^2*v+u", "1+u"):
+        with pytest.raises(ValueError):
+            divides(U, parse_poly(text, UV, F49), "u", "v")
+    UVW = VarRegistry(("u", "v", "w"))
+    with pytest.raises(ValueError):
+        divides(parse_poly("u", UVW, F49), parse_poly("u*w", UVW, F49),
+                "u", "v")
+    # a nonzero constant is a binary form of degree 0 that no line divides
+    assert divides(U, parse_poly("3", UV, F49), "u", "v") is False
 
 
 def test_division_matches_the_linear_solve_reference():

@@ -548,7 +548,7 @@ def test_a_warm_run_builds_no_constant_curve_input(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     for owner, name in ((MPoly, "substitute"), (MPoly, "translate"),
-                        (MPoly, "dehomogenize"),
+                        (MPoly, "dehomogenize"), (MPoly, "pullback_order"),
                         (scenarios, "branch_locus")):
         recorded(owner, name)
     caches = {f"{module.__name__}.{name}": fn
@@ -559,9 +559,9 @@ def test_a_warm_run_builds_no_constant_curve_input(monkeypatch):
             "stablelimit.scenarios._branch_locus"} <= caches.keys()
     misses = {name: fn.cache_info().misses for name, fn in caches.items()}
     assert [r.status for r in scenarios.run_many(None)] == statuses
-    # the seven pullbacks of the contact orders are the only polynomial
-    # rewrites left, and no cache builds anything
-    assert calls == {"substitute from intersection_multiplicity": 7}
+    # the seven contact orders are read off truncated pullbacks, every
+    # run; no polynomial is rewritten, and no cache builds anything
+    assert calls == {"pullback_order from intersection_multiplicity": 7}
     assert {name: fn.cache_info().misses
             for name, fn in caches.items()} == misses
 
@@ -577,9 +577,9 @@ def test_a_warm_run_decodes_only_the_polynomials_it_builds(monkeypatch):
 
     monkeypatch.setattr(VarRegistry, "_unpack_all", recorded)
     scenarios.run_many(None)
-    # every cached polynomial kept its terms from the first run; the seven
-    # contact-order pullbacks and the expansion's fresh target are new
-    assert callers == {"intersection_multiplicity": 7, "scenario_expansion": 1}
+    # every cached polynomial kept its terms from the first run; the
+    # expansion's fresh target is new, and the contact orders decode nothing
+    assert callers == {"scenario_expansion": 1}
 
 
 def test_value_rows_match_direct_evaluation():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from stablelimit.picard import (BranchParityError, Lattice,
+from stablelimit.picard import (BranchParityError, DivisorClass, Lattice,
                                 LatticeMismatchError, blowup,
                                 double_cover_stats, gram_determinant,
                                 intersect, quadric_lattice, signature,
@@ -21,6 +21,32 @@ def test_quadric_lattice_basics():
     assert intersect(q.canonical, q.canonical) == 8
     assert gram_determinant(q) == -1
     assert signature(q) == (1, 1)
+
+
+def test_class_arithmetic_equals_the_validated_constructor():
+    # sums, differences, negatives and multiples skip the int check of the
+    # constructor; each must still equal, and hash like, the class that
+    # Lattice.cls builds from the same coefficients
+    lat = _extended_lattice(_blowup_lattice())
+    rng = random.Random(31)
+
+    def random_class():
+        return lat.cls({n: rng.randrange(-5, 6) for n in lat.names})
+
+    for _ in range(50):
+        a, b = random_class(), random_class()
+        k = rng.choice([-3, 0, 2, True])
+        for result, vector in (
+                (a + b, [x + y for x, y in zip(a.coeffs, b.coeffs)]),
+                (a - b, [x - y for x, y in zip(a.coeffs, b.coeffs)]),
+                (-a, [-x for x in a.coeffs]),
+                (k * a, [int(k) * x for x in a.coeffs])):
+            expected = lat.cls(dict(zip(lat.names, vector)))
+            assert type(result) is DivisorClass and result.lattice is lat
+            assert result == expected and hash(result) == hash(expected)
+            assert all(type(c) is int for c in result.coeffs)
+            with pytest.raises(AttributeError):
+                result.coeffs = expected.coeffs
 
 
 def test_blowup_chain_reaches_rank_12():

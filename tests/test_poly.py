@@ -43,6 +43,13 @@ def is_bihomogeneous(p, bidegree, split):
                == tuple(bidegree) for e in p.terms)
 
 
+def sorted_terms(p):
+    """The terms of p in descending graded reverse lexicographic order, as
+    ``str`` prints them (once ``MPoly.sorted_terms``)."""
+    return sorted(p.terms.items(), key=lambda t: poly.grevlex_key(t[0]),
+                  reverse=True)
+
+
 def rand_poly(registry, ring, rng, max_terms=6, max_exp=3):
     terms = {}
     for _ in range(rng.randrange(1, max_terms + 1)):
@@ -114,7 +121,7 @@ def test_deterministic_ordering():
     a = parse_poly("x^2+y^2+z^2+x*y", XYZT, F7)
     b = parse_poly("z^2+x*y+y^2+x^2", XYZT, F7)
     assert str(a) == str(b)
-    assert list(a.sorted_terms()) == list(b.sorted_terms())
+    assert sorted_terms(a) == sorted_terms(b)
 
 
 @pytest.mark.parametrize("ring", [ZZ, Z343, F7, F49],
@@ -261,7 +268,7 @@ def test_terms_are_decoded_once_and_kept(monkeypatch):
         assert p.terms.get((2, 0, 0, 0)) == F7.one()
         assert p.terms.get((9, 0, 0, 0)) is None
         assert dict(p.terms.items()) == dict(first)
-    p.sorted_terms()
+    str(p)
     assert p.terms is first and decoded == [XYZT]
     with pytest.raises(AttributeError):
         p._decoded = None
@@ -392,7 +399,7 @@ def reference_unit_match(p, target):
     """``unit_match`` as it was first written: the unit fixed at the
     leading monomial of the target in graded reverse lexicographic
     order."""
-    for exps, c in target.sorted_terms():
+    for exps, c in sorted_terms(target):
         cp = p.terms.get(exps)
         if cp is None:
             return None
@@ -583,6 +590,11 @@ COEFFS = {
 
 
 ST = VarRegistry(("s", "t"))
+S1 = VarRegistry(("s",))
+
+
+def _without_constant(p):
+    return p - MPoly.constant(p.registry, p.coefficient({}))
 
 
 @functools.lru_cache(maxsize=None)
@@ -670,6 +682,51 @@ def test_substitution_into_another_registry_binds_every_used_variable():
         p.substitute({"x": s, "y": MPoly.variable(ST, Z343, "s")})
 
 
+def test_pullback_order_refuses_what_it_cannot_read():
+    p = parse_poly("x*y+x^2", XYZ, F7)           # z is unused
+    S = VarRegistry(("s",))
+    s = MPoly.variable(S, F7, "s")
+    cases = [
+        (ValueError, {}),                                   # no registry
+        (ValueError, {"x": MPoly.variable(ST, F7, "s"),
+                      "y": MPoly.variable(ST, F7, "t")}),   # two variables
+        (RingMismatchError, {"x": s, "y": MPoly.variable(
+            VarRegistry(("r",)), F7, "r")}),                # two registries
+        (ValueError, {"x": s + MPoly.constant(S, F7.one()), "y": s}),
+        (KeyError, {"x": s, "y": s, "w": s}),               # no such variable
+        (KeyError, {"x": s}),                               # y is unbound
+        (RingMismatchError, {"x": s, "y": MPoly.variable(S, F49, "s")}),
+        (OverflowError, {"x": s ** 40000, "y": s}),         # bound 80000
+    ]
+    for error, bindings in cases:
+        with pytest.raises(error):
+            p.pullback_order(bindings)
+    assert p.pullback_order({"x": s, "y": s ** 2}) == 2
+    assert p.pullback_order({"x": s ** 40000, "y": s}, 1) is None
+
+
+def test_a_term_at_the_precision_raises_no_binding_to_a_power(monkeypatch):
+    # below s^4, x^4 + y^2 along (s, 0) leaves only y^2, whose power of 0
+    # is the one product; x^4 is skipped, not raised to a power that the
+    # cut then drops
+    S = VarRegistry(("s",))
+    s, zero = MPoly.variable(S, F7, "s"), MPoly.zero(S, F7)
+    p = parse_poly("x^4+y^2", XYZ, F7)
+    product, products = poly._product, []
+
+    def recorded(*args):
+        products.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(poly, "_product", recorded)
+    assert p.pullback_order({"x": s, "y": zero}, truncation=3) is None
+    assert len(products) == 2       # y's ladder: y^1, y^2
+    products.clear()
+    # the degree bound 4 caps the second precision at s^5, where x^4 counts
+    assert p.pullback_order({"x": s, "y": zero}) == 4
+    assert len(products) == 2 + 2 + 4       # y^1, y^2 twice; x^1 .. x^4
+
+
 def reference_substitute(p, bindings):
     """``substitute`` as it was first written, without its checks of the
     arguments: one product of the bound powers per term, each power
@@ -731,6 +788,19 @@ def test_substitute_matches_the_reference_into_another_registry(p, sx, sy,
                                                                 sz):
     sigma = {"x": sx, "y": sy, "z": sz}
     assert_same_terms(p.substitute(sigma), reference_substitute(p, sigma))
+
+
+@pytest.mark.parametrize("key", ["ZZ", "Z/343", "GF(7)", "GF(49)"])
+@poly_property(lambda key: (polys(key, 6, 5),
+                            *[polys(key, 3, 4, S1).map(_without_constant)] * 3,
+                            st.one_of(st.none(), st.integers(-1, 12))))
+def test_pullback_order_matches_the_substitute_route(p, sx, sy, sz,
+                                                     truncation):
+    sigma = {"x": sx, "y": sy, "z": sz}
+    image = p.substitute(sigma)
+    orders = [e[0] for e in image.terms
+              if truncation is None or e[0] <= truncation]
+    assert p.pullback_order(sigma, truncation) == min(orders, default=None)
 
 
 @pytest.mark.parametrize("key", ["ZZ", "Z/343", "GF(7)", "GF(49)"])

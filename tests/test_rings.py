@@ -382,6 +382,34 @@ def test_table_field_operators_match_the_pair_model_on_every_pair(make, name):
                 op(left.from_int(3), right.from_int(3))
 
 
+def reference_field_tables(p, q):
+    """(mul, add, sub, inv) as ``field_tables`` first built them: one pair
+    formula per entry, on the codes a + p*b of a+bi (b = 0 when q = p)."""
+    pairs = [(c % p, c // p) for c in range(q)]
+    add = tuple(tuple((a + c) % p + p * ((b + d) % p) for c, d in pairs)
+                for a, b in pairs)
+    mul = tuple(tuple((a * c - b * d) % p + p * ((a * d + b * c) % p)
+                      for c, d in pairs)
+                for a, b in pairs)
+    negatives = [row.index(0) for row in add]
+    sub = tuple(tuple(row[y] for y in negatives) for row in add)
+    inv = (None, *(row.index(1) for row in mul[1:]))
+    return mul, add, sub, inv
+
+
+@pytest.mark.parametrize("ring", [PrimeField(2), PrimeField(3), PrimeField(7),
+                                  PrimeField(251), QuadraticField(3),
+                                  QuadraticField(7), QuadraticField(11)],
+                         ids=repr)
+def test_field_tables_from_logarithms_match_the_pair_formulas(ring):
+    q = ring.characteristic() ** (2 if isinstance(ring, QuadraticField) else 1)
+    tables = field_tables(ring)
+    assert (tables.mul, tables.add, tables.sub, tables.inv) == \
+        reference_field_tables(ring.characteristic(), q)
+    assert all(type(part) is tuple and all(type(row) is tuple for row in part)
+               for part in (tables.mul, tables.add, tables.sub))
+
+
 def test_element_operators_see_every_ring_operation(monkeypatch):
     # The benchmark counts ring operations by wrapping these attributes of
     # ``Element`` (``_install_counters`` of bench/layers.py).  An operator

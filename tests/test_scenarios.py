@@ -22,6 +22,7 @@ from stablelimit.poly import MPoly, VarRegistry, parse_poly
 from stablelimit.report import VerificationReport, render_json, render_text
 from stablelimit.rings import (PrimeField, RingMismatchError, ZMod,
                                field_tables, hensel_lift)
+from test_curvelocal import truncate
 from test_poly import is_bihomogeneous
 from test_rings import all_elements
 
@@ -237,7 +238,7 @@ def reference_diagonal_param(beta0):
         inv_series = inv_series + MPoly(S, F49, {(k,): uinv * ((-uinv) ** k)})
     alpha0 = (one - beta0) * uinv
     numerator = MPoly.constant(S, one - beta0) - s
-    alpha_s = (numerator * inv_series).truncate("s", order) \
+    alpha_s = truncate(numerator * inv_series, "s", order) \
         - MPoly.constant(S, alpha0)
     return (alpha_s, s)
 

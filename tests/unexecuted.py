@@ -1,8 +1,10 @@
 """The statements of the package that one full run leaves unexecuted.
 
 A line tracer (``sys.settrace``; coverage is not a dependency), set before
-the package is imported, follows one full ``run_many`` and both
-renderers.  Statements are AST statements outside ``cli.py``, with
+the package is imported, follows one cold ``python -m stablelimit run
+--format json`` as ``runpy`` runs it, entry point included, with its
+report caught in memory, and then ``render_text`` of a second, warm
+``run_many``, since the cold run renders JSON only.  Statements are AST statements outside ``cli.py``, with
 docstrings left out; one counts as executed when its first line ran.
 Each statement is charged to its scope ``module:qualname``: the innermost
 function or class around it, or ``module:<module>`` at the top level.
@@ -15,9 +17,13 @@ the form of the committed ``tests/unexecuted.json``.
 """
 
 import ast
+import contextlib
+import gc
 import importlib.util
+import io
 import json
 import os
+import runpy
 import sys
 
 SRC = importlib.util.find_spec("stablelimit").submodule_search_locations[0]
@@ -39,12 +45,21 @@ def _trace_full_run() -> dict[str, set[int]]:
         ran.setdefault(name, set()).add(frame.f_lineno)
         return lines
 
+    argv = sys.argv
+    sys.argv = ["stablelimit", "run", "--format", "json"]
     sys.settrace(calls)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_module("stablelimit", run_name="__main__")
+    except SystemExit as exit_:
+        if exit_.code != 1:     # the lattice scenario fails on purpose
+            raise
+    finally:
+        sys.argv = argv
     from stablelimit import __version__, report, scenarios
-    reports = scenarios.run_many(None)
-    report.render_json(reports, __version__)
-    report.render_text(reports, __version__)
+    report.render_text(scenarios.run_many(None), __version__)
     sys.settrace(None)
+    gc.enable()                 # the entry point turned the collector off
     return ran
 
 
