@@ -511,7 +511,7 @@ class MPoly(Frozen):
         coeffs, target = self._coeffs, self._target(bindings)
         if not bindings or len(target) != 1 or any(
                 0 in v._terms for v in bindings.values()):
-            raise ValueError("bindings must be series in s without constant")
+            raise ValueError("bindings must be series in one variable, 0 at 0")
         cap = 1 + self.total_degree() * max(
             0, *(v.total_degree() for v in bindings.values()))
         cap = cap if truncation is None else min(cap, truncation + 1)
