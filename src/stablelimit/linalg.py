@@ -24,13 +24,14 @@ once and kept in a cache is therefore eliminated once per process, and
 the system ``eliminate`` returns is born with its form.
 
 The operations are rank, affine solving (inconsistency is a status, not
-an error), projection of the solution set onto a subset of the variables
-(``eliminate``), row-space comparison of two systems (a row space has
-one reduced row echelon form, so two are equal exactly when their
-reduced forms are), and the test of candidate rows against the row span
-of a system's matrix (``outside_span``).  ``solve_affine``,
-``rowspace_equal`` and ``outside_span`` read the systems' reduced forms;
-``rank`` and ``eliminate`` eliminate the rows they are handed.
+an error; the solution is built on first read), projection of the
+solution set onto a subset of the variables (``eliminate``), row-space
+comparison of two systems (a row space has one reduced row echelon form,
+so two are equal exactly when their reduced forms are), and the test of
+candidate rows against the row span of a system's matrix
+(``outside_span``).  ``solve_affine``, ``rowspace_equal`` and
+``outside_span`` read the systems' reduced forms; ``rank`` and
+``eliminate`` eliminate the rows they are handed.
 """
 
 from __future__ import annotations
@@ -103,26 +104,38 @@ _set_reduced = LinearSystem._reduced.__set__
 
 
 class SolutionSet:
-    """Outcome of solving an affine system exactly."""
+    """Outcome of solving an affine system exactly.  It keeps the system,
+    and so its reduced form: ``status`` and ``dimension`` (the number of
+    columns without a pivot) are read from that form, and the particular
+    solution and the kernel basis are built on first read and kept."""
 
-    __slots__ = ("status", "variables", "particular", "kernel_basis")
+    __slots__ = ("status", "variables", "_system", "_solution")
 
-    def __init__(self, status: str, variables: tuple[str, ...] = (),
-                 particular: dict[str, Element] | None = None,
-                 kernel_basis: list[dict[str, Element]] | None = None):
-        self.status = status  # "affine" or "inconsistent"
-        self.variables = variables
-        self.particular = {} if particular is None else particular
-        self.kernel_basis = [] if kernel_basis is None else kernel_basis
+    def __init__(self, system: LinearSystem):
+        self.variables, self._system, self._solution = (
+            system.variables, system, None)
+        self.status = ("inconsistent" if len(self.variables)
+                       in system.reduced_form()[1] else "affine")
 
     @property
     def dimension(self) -> int:
         if self.status != "affine":
             raise ValueError("inconsistent system has no dimension")
-        return len(self.kernel_basis)
+        return len(self.variables) - len(self._system.reduced_form()[1])
 
     def is_consistent(self) -> bool:
         return self.status == "affine"
+
+    particular = property(lambda self: self._build()[0])
+    kernel_basis = property(lambda self: self._build()[1])
+
+    def _build(self) -> tuple[dict[str, Element], list[dict[str, Element]]]:
+        """The particular solution and the kernel basis, both empty when
+        the system is inconsistent."""
+        if self._solution is None:
+            self._solution = (_solve(self._system) if self.is_consistent()
+                              else ({}, []))
+        return self._solution
 
 
 def _foreign_payload(x: Element, ring: Ring):
@@ -229,12 +242,16 @@ def outside_span(system: LinearSystem,
 
 
 def solve_affine(system: LinearSystem) -> SolutionSet:
-    """Particular solution plus kernel basis, or the inconsistent status."""
+    """The solution set, or the inconsistent status; the particular
+    solution and kernel basis are built on first read."""
+    return SolutionSet(system)
+
+
+def _solve(system: LinearSystem):
+    """Particular solution plus kernel basis of a consistent system."""
     variables = system.variables
     n = len(variables)
     reduced, pivots = system.reduced_form()
-    if n in pivots:
-        return SolutionSet(status="inconsistent", variables=variables)
     wrap, neg = system.ring._wrap, field_tables(system.ring).sub[0]
     zero, one = wrap(0), wrap(1)
     pivot_set = set(pivots)
@@ -251,9 +268,7 @@ def solve_affine(system: LinearSystem) -> SolutionSet:
         for row, c in zip(reduced, pivots):
             vec[variables[c]] = wrap(neg[row[fc]])
         kernel_basis.append(vec)
-
-    return SolutionSet(status="affine", variables=variables,
-                       particular=particular, kernel_basis=kernel_basis)
+    return particular, kernel_basis
 
 
 def eliminate(system: LinearSystem, aux: Iterable[str]) -> LinearSystem:

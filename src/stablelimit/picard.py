@@ -10,17 +10,19 @@ multiplicities at the blown-up centers supplied by the local curve
 analysis; every published class identity becomes a pure vector equality.
 
 A coefficient is an ``int``: any scalar without ``__index__``, a float or a
-``Fraction`` included, raises ``TypeError`` in the constructor, which
-``Lattice.cls`` calls, and on the scalar of ``n * D``.  A sum, difference,
-negative or multiple of classes has int coefficients already and skips that
-check.  The determinant and the signature of the form are computed by
-integer elimination (Bareiss's fraction-free scheme, and symmetric
+``Fraction`` included, raises ``TypeError`` in the constructor, in
+``Lattice.cls`` (one ``operator.index`` per given coefficient) and on the
+scalar of ``n * D``.  A sum, difference, negative or multiple of classes
+has int coefficients already and skips that check.  Lattices and classes
+are immutable.  The determinant and the signature of the form are computed
+by integer elimination (Bareiss's fraction-free scheme, and symmetric
 congruence scaled by the pivot's absolute value).
 """
 
 from __future__ import annotations
 
 import operator
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .rings import Frozen
@@ -34,8 +36,11 @@ class BranchParityError(ValueError):
     """A double-cover branch class is not twice the given bundle class."""
 
 
-class Lattice:
-    """A free abelian group with named basis and integer pairing."""
+class Lattice(Frozen):
+    """A free abelian group with named basis and integer pairing;
+    immutable.  ``index`` maps each basis name to its position, read-only."""
+
+    __slots__ = ("names", "gram", "index", "_canonical", "_support")
 
     def __init__(self, names: Sequence[str], gram: Sequence[Sequence[int]],
                  canonical: Sequence[int] | None = None):
@@ -57,12 +62,12 @@ class Lattice:
                          for row in gram))
 
     def _fill(self, names, gram, canonical, support):
-        self.names = names
-        self.gram = gram
-        self.index = {name: i for i, name in enumerate(names)}
-        self._canonical = canonical
-        # the nonzero (column, entry) pairs of each Gram row
-        self._support = support
+        # through the slot descriptors; support holds the nonzero
+        # (column, entry) pairs of each Gram row
+        index = MappingProxyType({name: i for i, name in enumerate(names)})
+        for slot, value in zip(Lattice.__slots__,
+                               (names, gram, index, canonical, support)):
+            getattr(Lattice, slot).__set__(self, value)
         return self
 
     @property
@@ -73,13 +78,13 @@ class Lattice:
     def canonical(self) -> "DivisorClass":
         if self._canonical is None:
             raise ValueError("lattice has no canonical class set")
-        return DivisorClass(self, self._canonical)
+        return _class_of(self, self._canonical)
 
     def cls(self, coeffs: Mapping[str, int]) -> "DivisorClass":
         vec = [0] * self.rank
         for name, c in coeffs.items():
-            vec[self.index[name]] = c
-        return DivisorClass(self, tuple(vec))
+            vec[self.index[name]] = operator.index(c)
+        return _class_of(self, tuple(vec))
 
     def basis(self, name: str) -> "DivisorClass":
         return self.cls({name: 1})
@@ -119,37 +124,40 @@ class DivisorClass(Frozen):
     def __hash__(self):
         return hash((self.lattice, self.coeffs))
 
-    def _like(self, coeffs: tuple) -> "DivisorClass":
-        """A class on this lattice from ints of its rank, set through the
-        slot descriptors: no immutability guard and no int check."""
-        c = object.__new__(DivisorClass)
-        DivisorClass.lattice.__set__(c, self.lattice)
-        DivisorClass.coeffs.__set__(c, coeffs)
-        return c
-
     def _check(self, other: "DivisorClass"):
         if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise LatticeMismatchError("classes on different lattices")
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._check(other)
-        return self._like(tuple(map(operator.add, self.coeffs, other.coeffs)))
+        return _class_of(self.lattice,
+                         tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         self._check(other)
-        return self._like(tuple(map(operator.sub, self.coeffs, other.coeffs)))
+        return _class_of(self.lattice,
+                         tuple(map(operator.sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "DivisorClass":
-        return self._like(tuple(map(operator.neg, self.coeffs)))
+        return _class_of(self.lattice, tuple(map(operator.neg, self.coeffs)))
 
     def __rmul__(self, scalar: int) -> "DivisorClass":
         s = operator.index(scalar)
-        return self._like(tuple(s * a for a in self.coeffs))
+        return _class_of(self.lattice, tuple(s * a for a in self.coeffs))
 
     def __repr__(self):
         parts = [f"{c}*{n}" for n, c in zip(self.lattice.names, self.coeffs)
                  if c != 0]
         return " + ".join(parts) if parts else "0"
+
+
+def _class_of(lattice: Lattice, coeffs: tuple) -> DivisorClass:
+    """A class from a tuple of ints of the lattice's rank, set through the
+    slot descriptors: no immutability guard and no int check."""
+    c = object.__new__(DivisorClass)
+    DivisorClass.lattice.__set__(c, lattice)
+    DivisorClass.coeffs.__set__(c, coeffs)
+    return c
 
 
 def intersect(a: DivisorClass, b: DivisorClass) -> int:

@@ -19,6 +19,14 @@ _NONFINITE = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
 _UNSTATED = object()    # no expected value given to ``record``
 
 
+# the text of a JSON scalar, by its exact type
+_SCALAR = {str: _string, int: int.__repr__,
+           float: lambda f: ("NaN" if f != f else
+                             _NONFINITE.get(f) or float.__repr__(f)),
+           bool: lambda b: "true" if b else "false",
+           type(None): lambda _: "null"}
+
+
 class VerificationReport:
     __slots__ = ("scenario_id", "status", "citation", "computed", "expected",
                  "provenance", "flags", "notes", "millis")
@@ -121,34 +129,50 @@ def render_json(reports, version: str) -> str:
 
 def _render(value, indent: str) -> str:
     """The text of ``json.dumps(value, indent=2)``, without the pure-Python
-    encoder that ``json`` falls back to when it indents.  Object keys must
-    be strings; any other non-JSON value raises ``TypeError``."""
-    if isinstance(value, str):
-        return _string(value)
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        return _NONFINITE.get(value) or float.__repr__(value)
+    encoder that ``json`` falls back to when it indents, joined once from
+    one list of pieces.  Object keys must be strings; any other non-JSON
+    value raises ``TypeError``."""
+    parts = []
+    _write(value, indent, parts)
+    return "".join(parts)
+
+
+def _write(value, indent: str, parts: list) -> None:
+    """Append the pieces of ``value``'s text to ``parts``.  An item whose
+    exact type is a JSON scalar type is written with no recursive call."""
+    write, scalar_of = parts.append, _SCALAR.get
     inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        items, ends = [inner + _render(v, inner) for v in value], "[]"
-    elif isinstance(value, dict):
-        # _string raises TypeError for a key that is not a string
-        items = [f"{inner}{_string(k)}: {_render(v, inner)}"
-                 for k, v in value.items()]
-        ends = "{}"
+    sep = "\n" + inner
+    if isinstance(value, dict):
+        write("{")
+        for k, v in value.items():
+            write(f"{sep}{_string(k)}: ")   # TypeError if k is not a str
+            scalar = scalar_of(type(v))
+            if scalar is None:
+                _write(v, inner, parts)
+            else:
+                write(scalar(v))
+            sep = ",\n" + inner
+        write("\n" + indent + "}" if value else "}")
+    elif isinstance(value, (list, tuple)):
+        write("[")
+        for v in value:
+            write(sep)
+            scalar = scalar_of(type(v))
+            if scalar is None:
+                _write(v, inner, parts)
+            else:
+                write(scalar(v))
+            sep = ",\n" + inner
+        write("\n" + indent + "]" if value else "]")
     else:
-        raise TypeError(f"Object of type {type(value).__name__} "
-                        "is not JSON serializable")
-    if not items:
-        return ends
-    return f"{ends[0]}\n" + ",\n".join(items) + f"\n{indent}{ends[1]}"
+        scalar = scalar_of(type(value)) or next(
+            (_SCALAR[t] for t in (str, int, float) if isinstance(value, t)),
+            None)
+        if scalar is None:
+            raise TypeError(f"Object of type {type(value).__name__} "
+                            "is not JSON serializable")
+        write(scalar(value))
 
 
 def render_text(reports, version: str) -> str:

@@ -84,7 +84,7 @@ _INTERN_ORDER_LIMIT = 343
 class Frozen:
     """Base of the immutable value types (``Element``, ``FieldTables``,
     ``MPoly``, ``LinearSystem``, ``DerivedSystem``, ``ChartGerm``,
-    ``DivisorClass``): assigning or deleting an attribute raises
+    ``Lattice``, ``DivisorClass``): assigning or deleting an attribute raises
     ``AttributeError``.  A subclass declares its ``__slots__`` and fills
     them through the slot descriptors, which bypass this guard."""
 

@@ -5,15 +5,16 @@ compares the result with the published value, producing a structured
 report.  Scenarios are pure and deterministic.  A cached value is an
 ``lru_cache``d pure function of published constants alone, with an
 immutable value that the first run in a process computes and later runs
-read.  Curves, restrictions, germs, branch loci, constant rows and linear
-systems (with their reduced forms) are cached, and so are two results:
-the GF(49) scan's set of singular points (``rational_singular_points``)
-and the branch curves' multiplicities at the chart origins
+read.  Curves, restrictions, germs, branch loci, constant rows, linear
+systems (with their reduced forms) and the two blown-up lattices of the
+``lattice`` scenario are cached, and so are two results: the GF(49)
+scan's set of singular points (``rational_singular_points``) and the
+branch curves' multiplicities at the chart origins
 (``_curve_multiplicities``).  Every run computes the unit matches,
-classifications, contact orders, the ranks that ``linser`` counts and
-every ``check``.  A published value carries the provenance tag
-"published"; values frozen from an independent oracle of this package
-carry "derived".
+classifications, contact orders, the ranks that ``linser`` counts, the
+lattices' determinants, signatures, classes and pairings, and every
+``check``.  A published value carries the provenance tag "published";
+values frozen from an independent oracle of this package carry "derived".
 """
 
 from __future__ import annotations
@@ -778,7 +779,8 @@ def _swap_rulings(g: MPoly) -> MPoly:
 # scenario: lattice
 
 
-def _blowup_lattice():
+@lru_cache(maxsize=None)
+def _blowup_lattice() -> Lattice:
     """The rank-12 lattice: quadric blown up at the two transverse
     diagonal points and twice over each chart origin."""
     lat = quadric_lattice()
@@ -788,7 +790,8 @@ def _blowup_lattice():
     return lat
 
 
-def _extended_lattice(lat: Lattice):
+@lru_cache(maxsize=None)
+def _extended_lattice(lat: Lattice) -> Lattice:
     """Continue to rank 20: two infinitely-near blowups over each of the
     four tangency points of the diagonal with the branch curves."""
     for k in range(3, 7):
@@ -918,8 +921,8 @@ def scenario_lattice() -> VerificationReport:
     six_k = 6 * (stats.adjoint) - 3 * sum_g
     rep.check("six times the resolved canonical class is the fiber class",
               verify_class_relation(six_k, fiber), True)
-    per_basis = all(intersect(six_k, lat.basis(n)) ==
-                    intersect(fiber, lat.basis(n)) for n in lat.names)
+    per_basis = all(intersect(six_k, e) == intersect(fiber, e)
+                    for e in map(lat.basis, lat.names))
     rep.check("fiber identity against every basis class", per_basis, True)
     # F/6 = -F + F/2 + 2*(F/3), multiplied through by 6
     rep.check("multiple-fiber decomposition",

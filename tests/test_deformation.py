@@ -535,6 +535,29 @@ def test_a_warm_run_eliminates_only_in_outside_span_and_bare_row_ranks(
     assert set(callers) == {"rank from stablelimit.linser"}
 
 
+def test_a_warm_run_builds_no_particular_solution_or_kernel_basis(
+        monkeypatch):
+    scenarios.run_many(None)
+    init, build = linalg.SolutionSet.__init__, linalg.SolutionSet._build
+    solved, built = collections.Counter(), []
+
+    def recorded_init(self, system):
+        solved[sys._getframe(2).f_code.co_name] += 1
+        init(self, system)
+
+    def recorded_build(self):
+        built.append(self.variables)
+        return build(self)
+
+    monkeypatch.setattr(linalg.SolutionSet, "__init__", recorded_init)
+    monkeypatch.setattr(linalg.SolutionSet, "_build", recorded_build)
+    scenarios.run_many(None)
+    # the ten solves of a full run read only the status and the dimension
+    assert solved == {"solve_published_system": 9,
+                      "_corrected_system_feasible": 1}
+    assert built == []
+
+
 def test_a_warm_run_builds_no_constant_curve_input(monkeypatch):
     statuses = [r.status for r in scenarios.run_many(None)]
     calls = collections.Counter()

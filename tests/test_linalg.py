@@ -1,5 +1,6 @@
 """Exact linear algebra: rank, affine solving, elimination, row spaces."""
 
+import collections
 import itertools
 import random
 
@@ -496,6 +497,76 @@ def test_solutions_satisfy_system_exactly():
         for vec in sol.kernel_basis:
             shifted = {n: sol.particular[n] + vec[n] for n in names}
             assert all(v.is_zero() for v in residuals(system, shifted))
+
+
+def reference_solve_affine(system):
+    """The eager construction that ``solve_affine`` made before its
+    solution was built on first read: (status, dimension, particular,
+    kernel basis), with dimension None for an inconsistent system."""
+    variables = system.variables
+    n = len(variables)
+    reduced, pivots = system.reduced_form()
+    if n in pivots:
+        return "inconsistent", None, {}, []
+    wrap, neg = system.ring._wrap, field_tables(system.ring).sub[0]
+    zero, one = wrap(0), wrap(1)
+    pivot_set = set(pivots)
+    free_cols = [c for c in range(n) if c not in pivot_set]
+
+    particular = dict.fromkeys(variables, zero)
+    for row, c in zip(reduced, pivots):
+        particular[variables[c]] = wrap(row[n])
+
+    kernel_basis = []
+    for fc in free_cols:
+        vec = dict.fromkeys(variables, zero)
+        vec[variables[fc]] = one
+        for row, c in zip(reduced, pivots):
+            vec[variables[c]] = wrap(neg[row[fc]])
+        kernel_basis.append(vec)
+    return "affine", len(kernel_basis), particular, kernel_basis
+
+
+@pytest.mark.parametrize("ring", [F7, F49], ids=["GF7", "GF49"])
+def test_lazy_solutions_match_the_eager_reference(ring):
+    rng = random.Random(71)
+    shapes = [(1, 1), (3, 3), (5, 5), (2, 6), (6, 2), (4, 7), (7, 4)]
+    kinds = collections.Counter()
+    for trial in range(210):
+        nrows, ncols = shapes[trial % len(shapes)]
+        rows = rand_structured_mat(rng, nrows, ncols, ring)
+        if trial % 3:       # a consistent right-hand side: A times a point
+            point = [ring.random_element(rng) for _ in range(ncols)]
+            rhs = [sum((a * x for a, x in zip(row, point)), ring.zero())
+                   for row in rows]
+        else:
+            rhs = [ring.random_element(rng) for _ in range(nrows)]
+        system = span_system(rows, ring, ncols, rhs)
+        status, dimension, particular, kernel_basis = \
+            reference_solve_affine(system)
+        sol = solve_affine(system)
+        assert sol.status == status
+        assert sol.is_consistent() == (status == "affine")
+        if dimension is None:
+            with pytest.raises(ValueError):
+                sol.dimension
+        else:
+            assert sol.dimension == dimension
+        assert sol.particular == particular
+        assert sol.kernel_basis == kernel_basis
+        kinds[status if dimension != 0 else "no free column"] += 1
+    # inconsistent systems, and consistent ones with and without a free
+    # column, all occur
+    assert set(kinds) == {"inconsistent", "affine", "no free column"}
+
+
+def test_dimension_is_read_from_the_pivots():
+    sol = solve_affine(LinearSystem(("x", "y"), mat([[1, 1]]),
+                                    [F7.one()], F7))
+    assert sol.dimension == 1
+    sol.kernel_basis.append({})
+    sol.particular.clear()
+    assert sol.dimension == 1 and sol.is_consistent()
 
 
 def test_deterministic_kernel_basis():

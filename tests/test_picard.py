@@ -49,6 +49,27 @@ def test_class_arithmetic_equals_the_validated_constructor():
                 result.coeffs = expected.coeffs
 
 
+@pytest.mark.parametrize("make", [
+    _blowup_lattice, lambda: _extended_lattice(_blowup_lattice())],
+    ids=["blowup", "extended"])
+def test_cached_lattices_are_immutable(make):
+    lat = make()
+    assert make() is lat
+    for name in ("names", "gram", "index", "_canonical", "_support"):
+        with pytest.raises(AttributeError):
+            setattr(lat, name, getattr(lat, name))
+        with pytest.raises(AttributeError):
+            delattr(lat, name)
+    with pytest.raises(AttributeError):
+        lat.extra = 1
+    with pytest.raises(TypeError):
+        lat.index["h1"] = 3
+    with pytest.raises(TypeError):
+        del lat.index["h1"]
+    assert lat.index["h1"] == 0 and lat.names[0] == "h1"
+    assert lat.cls({"h1": 1}) == lat.basis("h1")
+
+
 def test_blowup_chain_reaches_rank_12():
     lat = quadric_lattice()
     for name in ("n1", "n2", "g1", "e1", "g2", "e2", "g3", "e3", "g4", "e4"):
