@@ -41,9 +41,9 @@ class ChartGerm(Frozen):
         extra = poly.variables_used() - set(local_vars)
         if extra:
             raise ValueError(f"germ involves non-chart variables {extra}")
-        object.__setattr__(self, "chart_id", chart_id)
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "local_vars", local_vars)
+        _set_chart_id(self, chart_id)
+        _set_poly(self, poly)
+        _set_local_vars(self, local_vars)
 
     def _key(self):
         return self.chart_id, self.poly, self.local_vars
@@ -55,6 +55,11 @@ class ChartGerm(Frozen):
 
     def __hash__(self):
         return hash(self._key())
+
+
+# filled through the slot descriptors, which bypass the guard of ``Frozen``
+_set_chart_id, _set_poly, _set_local_vars = (
+    getattr(ChartGerm, name).__set__ for name in ChartGerm.__slots__)
 
 
 class SingularityVerdict(NamedTuple):

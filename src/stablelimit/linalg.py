@@ -10,12 +10,13 @@ small-field table set that ``rings.field_tables`` keeps for each field:
 a payload is its element's code there (a residue in GF(p), the int
 a + p*b for a+bi in GF(p²)), so zero is 0 and one is 1.  Rows are
 unboxed once on the way in, in the same pass that checks each entry's
-ring (an equal ring is accepted) and each row's width, and the entries a
-caller gets back are decoded by the ring's ``_wrap``, which returns its
-interned elements.  A field of more than 256 elements has no table set,
-and raises ``ValueError``.  The systems are mostly zeros, so each pivot
-row is kept as the list of its nonzero entries and applied to the other
-rows, and to the candidates of ``outside_span``, only at those columns.
+ring (there is one ring per value: an entry of any other ring object is
+refused) and each row's width, and the entries a caller gets back are
+decoded by the ring's ``_wrap``, which returns its interned elements.  A
+field of more than 256 elements has no table set, and raises
+``ValueError``.  The systems are mostly zeros, so each pivot row is kept
+as the list of its nonzero entries and applied to the other rows, and to
+the candidates of ``outside_span``, only at those columns.
 
 A ``LinearSystem`` is immutable and has one reduced form of ``[A | b]``:
 its nonzero code rows and pivot columns, eliminated on first use, kept on
@@ -65,10 +66,10 @@ class LinearSystem(Frozen):
             if len(row) != len(variables):
                 raise ValueError("row width does not match variable count")
             for entry in row:
-                if entry.ring is not ring and entry.ring != ring:
+                if entry.ring is not ring:
                     raise RingMismatchError("matrix entry from a foreign ring")
         for entry in rhs:
-            if entry.ring is not ring and entry.ring != ring:
+            if entry.ring is not ring:
                 raise RingMismatchError("rhs entry from a foreign ring")
         _set_variables(self, variables)
         _set_rows(self, rows)
@@ -138,20 +139,13 @@ class SolutionSet:
         return self._solution
 
 
-def _foreign_payload(x: Element, ring: Ring):
-    """The payload of an entry whose ring is not ``ring`` itself: an
-    equal ring is accepted, any other raises ``RingMismatchError``."""
-    if x.ring != ring:
-        raise RingMismatchError("matrix entry from a foreign ring")
-    return x.payload
-
-
 def _unbox(rows: Iterable[Sequence[Element]], ring: Ring,
            width: int | None = None) -> list[list[int]]:
     """The payload rows of Element rows, in one pass that also checks
-    each entry's ring.  Every row must have ``width`` entries, or as
-    many as the first row when ``width`` is None."""
-    work = [[x.payload if x.ring is ring else _foreign_payload(x, ring)
+    each entry's ring: an entry of another ring goes to ``Element._check``
+    of the ring's zero, which refuses it.  Every row must have ``width``
+    entries, or as many as the first row when ``width`` is None."""
+    work = [[x.payload if x.ring is ring else ring.zero()._check(x)
              for x in row] for row in rows]
     if work and width is None:
         width = len(work[0])
@@ -312,7 +306,7 @@ def rowspace_equal(s1: LinearSystem, s2: LinearSystem) -> bool:
     reduced row echelon form, so the two systems' reduced forms agree.
     A second system whose variables are in another order is compared
     through a copy with its columns in the first one's order."""
-    if s2.ring is not s1.ring and s2.ring != s1.ring:
+    if s2.ring is not s1.ring:
         raise RingMismatchError("systems over different rings")
     if set(s1.variables) != set(s2.variables):
         raise ValueError("variable sets differ")

@@ -62,12 +62,12 @@ class Lattice(Frozen):
                          for row in gram))
 
     def _fill(self, names, gram, canonical, support):
-        # through the slot descriptors; support holds the nonzero
-        # (column, entry) pairs of each Gram row
-        index = MappingProxyType({name: i for i, name in enumerate(names)})
-        for slot, value in zip(Lattice.__slots__,
-                               (names, gram, index, canonical, support)):
-            getattr(Lattice, slot).__set__(self, value)
+        # support holds the nonzero (column, entry) pairs of each Gram row
+        _set_names(self, names)
+        _set_gram(self, gram)
+        _set_index(self, MappingProxyType(dict(zip(names, range(len(names))))))
+        _set_canonical(self, canonical)
+        _set_support(self, support)
         return self
 
     @property
@@ -112,8 +112,8 @@ class DivisorClass(Frozen):
             raise ValueError("coefficient vector length mismatch")
         if not all(type(c) is int for c in coeffs):
             coeffs = tuple(map(operator.index, coeffs))
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "coeffs", coeffs)
+        _set_lattice(self, lattice)
+        _set_coeffs(self, coeffs)
 
     def __eq__(self, other):
         if type(other) is not DivisorClass:
@@ -151,12 +151,19 @@ class DivisorClass(Frozen):
         return " + ".join(parts) if parts else "0"
 
 
+# filled through the slot descriptors, which bypass the guard of ``Frozen``
+_set_names, _set_gram, _set_index, _set_canonical, _set_support = (
+    getattr(Lattice, name).__set__ for name in Lattice.__slots__)
+_set_lattice, _set_coeffs = (getattr(DivisorClass, name).__set__
+                             for name in DivisorClass.__slots__)
+
+
 def _class_of(lattice: Lattice, coeffs: tuple) -> DivisorClass:
     """A class from a tuple of ints of the lattice's rank, set through the
     slot descriptors: no immutability guard and no int check."""
     c = object.__new__(DivisorClass)
-    DivisorClass.lattice.__set__(c, lattice)
-    DivisorClass.coeffs.__set__(c, coeffs)
+    _set_lattice(c, lattice)
+    _set_coeffs(c, coeffs)
     return c
 
 

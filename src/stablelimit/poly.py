@@ -3,7 +3,8 @@
 A polynomial is a map from monomials to nonzero coefficients, all sharing
 one ring and one variable registry.  The registry fixes the variable
 order, and with it the graded reverse lexicographic order used for
-canonical printing.
+canonical printing.  There is one registry per tuple of names, as there
+is one ring per value, so both are compared by identity.
 
 Inside, ``MPoly`` stores ``{packed monomial: raw coefficient}``, a layout
 that no other module reads (they use ``terms`` and the methods):
@@ -84,39 +85,46 @@ MAX_DEGREE = (1 << _FIELD_BITS) - 1   # bound on the total degree of a term
 _MASK = MAX_DEGREE
 
 
-class VarRegistry:
+class VarRegistry(Frozen):
     """An ordered list of distinct variable names, and the packing of
-    exponent vectors over them."""
+    exponent vectors over them; immutable, and one object per tuple of
+    names.  ``index`` maps each name to its position, read-only."""
 
-    def __init__(self, names: Sequence[str]):
+    __slots__ = ("names", "index", "_fields", "_to_bytes", "_shifts",
+                 "_degree_shift", "_units")
+
+    def __new__(cls, names: Sequence[str]):
         names = tuple(names)
+        registry = _REGISTRIES.get(names)
+        if registry is None:
+            registry = object.__new__(cls)
+            registry._build(names)      # refuses bad names
+            registry = _REGISTRIES.setdefault(names, registry)  # as for rings
+        return registry
+
+    def _build(self, names: tuple[str, ...]) -> None:
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
         for name in names:
             if not _is_valid_var(name):
                 raise ValueError(f"invalid variable name: {name!r}")
-        self.names = names
-        self.index = {name: i for i, name in enumerate(names)}
+        n = len(names)
+        _set_names(self, names)
+        _set_index(self, MappingProxyType(dict(zip(names, range(n)))))
         # variable i in bits [16 i, 16 i + 16), the total degree in the
         # 16 bits above them
-        self._fields = struct.Struct(f"<{len(names)}H")
-        self._to_bytes = operator.methodcaller("to_bytes", 2 * len(names) + 2,
-                                               "little")
-        self._shifts = tuple(range(0, _FIELD_BITS * len(names), _FIELD_BITS))
-        self._degree_shift = _FIELD_BITS * len(names)
-        self._units = {name: self._unit(i) for i, name in enumerate(names)}
+        _set_fields(self, struct.Struct(f"<{n}H"))
+        _set_to_bytes(self, operator.methodcaller("to_bytes", 2 * n + 2,
+                                                  "little"))
+        _set_shifts(self, tuple(range(0, _FIELD_BITS * n, _FIELD_BITS)))
+        _set_degree_shift(self, _FIELD_BITS * n)
+        _set_units(self, {name: self._unit(i) for i, name in enumerate(names)})
 
     def __len__(self):
         return len(self.names)
 
     def __contains__(self, name: str) -> bool:
         return name in self.index
-
-    def __eq__(self, other):
-        return isinstance(other, VarRegistry) and self.names == other.names
-
-    def __hash__(self):
-        return hash(self.names)
 
     def __repr__(self):
         return f"VarRegistry({', '.join(self.names)})"
@@ -139,6 +147,13 @@ class VarRegistry:
     def _unit(self, i: int) -> int:
         """The packed monomial of variable i."""
         return 1 << self._shifts[i] | 1 << self._degree_shift
+
+
+# the one registry of each tuple of names, filled past the guard of Frozen
+_REGISTRIES: dict = {}
+(_set_names, _set_index, _set_fields, _set_to_bytes, _set_shifts,
+ _set_degree_shift, _set_units) = (getattr(VarRegistry, name).__set__
+                                   for name in VarRegistry.__slots__)
 
 
 def _check_degree(degree: int) -> None:
@@ -182,7 +197,7 @@ class _Coeffs:
         self.minus_one = self.from_int(-1)
 
     def raw(self, x: Element, what: str = "coefficient"):
-        if x.ring is not self.ring and x.ring != self.ring:
+        if x.ring is not self.ring:
             raise RingMismatchError(f"{what} from a foreign ring")
         return x.payload
 
@@ -259,9 +274,9 @@ class _TableCoeffs(_Coeffs):
 
 @lru_cache(maxsize=None)
 def _coeffs(ring: Ring) -> _Coeffs:
-    """The coefficient path of ``ring``; equal rings share one, so two
-    polynomials have equal rings exactly when their paths are the same
-    object.  Rings without one (the dual numbers) raise ``TypeError``."""
+    """The coefficient path of ``ring``: one per ring, so two polynomials
+    have the same ring exactly when their paths are the same object.
+    Rings without one (the dual numbers) raise ``TypeError``."""
     if isinstance(ring, (IntegerRing, ZMod)):
         return _IntCoeffs(ring)
     if isinstance(ring, QuadraticField):
@@ -354,8 +369,7 @@ class MPoly(Frozen):
     # ring operations
 
     def _check(self, other: "MPoly") -> None:
-        if (other.registry is not self.registry
-                and other.registry != self.registry):
+        if other.registry is not self.registry:
             raise RingMismatchError("variable registries differ")
         if other._coeffs is not self._coeffs:
             raise RingMismatchError("coefficient rings differ")
@@ -403,7 +417,7 @@ class MPoly(Frozen):
     def __eq__(self, other):
         if not isinstance(other, MPoly):
             return NotImplemented
-        return (self.registry == other.registry
+        return (self.registry is other.registry
                 and self._coeffs is other._coeffs
                 and self._terms == other._terms)
 
@@ -538,10 +552,10 @@ class MPoly(Frozen):
                 raise KeyError(f"unknown variable {name!r}")
             if value._coeffs is not coeffs:
                 raise RingMismatchError("binding over a foreign ring")
-            if value.registry is not target and value.registry != target:
+            if value.registry is not target:
                 raise RingMismatchError(
                     "bindings from different variable registries")
-        if target is not registry and target != registry:
+        if target is not registry:
             unbound = self.variables_used() - bindings.keys()
             if unbound:
                 raise KeyError(f"no binding for {sorted(unbound)}")

@@ -11,6 +11,8 @@ exact rings:
 * ``DualNumbers(base)`` -- base[eps] with eps**2 = 0, for element
   arithmetic only: ``poly`` has no polynomials over it.
 
+There is one ring per value, so rings compare by identity: ``ZMod(7)``,
+``ZMod(7, 1)`` and ``PrimeField(7)`` are one object.
 Elements are immutable values carrying a reference to their ring, under
 ``Frozen``, the one immutability guard of the package; mixing elements
 of different rings raises ``RingMismatchError``.  Canonical form
@@ -23,7 +25,7 @@ A GF(p) element's payload is its residue, and a GF(p)[i] element a+bi
 has the int payload a + p*b, so zero is 0 and one is 1 and each payload
 is also the element's code in the field's table set.  ``field_tables``
 builds that set (products, sums, differences, inverses, and the element
-of each code) once per field value, in the manner of the table-based
+of each code) once per field, in the manner of the table-based
 small fields of FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 35(3),
 2008).  GF(p) and GF(p)[i] of at most ``_TABLE_ORDER_LIMIT`` (256)
 elements build it when they are constructed and keep it as
@@ -41,7 +43,7 @@ singular-point scan (``scenarios``) run on the same codes.
 ``Element``; ``Element(ring, payload)`` is ``ring.element(payload)``.
 A ``ZMod`` or ``QuadraticField`` of at most ``_INTERN_ORDER_LIMIT`` (343)
 elements, GF(7), GF(49) and Z/343 among them, builds the tuple of its
-elements once, when it is constructed, as ``ring._elements``, and its
+elements once, when it is first constructed, as ``ring._elements``, and its
 ``_wrap`` indexes that tuple: its arithmetic and its constructors hand
 out those elements and allocate nothing.  The rings that allocate a new
 element for each result are ``ZZ``, ``ZMod`` rings above the limit and
@@ -79,14 +81,16 @@ class NotSimpleRootError(ArithmeticError):
 # Rings with at most this many elements intern them: Z/343 and every
 # field that has a table set.
 _INTERN_ORDER_LIMIT = 343
+# the one ring of each value, keyed by its class and its arguments
+_RINGS: dict = {}
 
 
 class Frozen:
     """Base of the immutable value types (``Element``, ``FieldTables``,
-    ``MPoly``, ``LinearSystem``, ``DerivedSystem``, ``ChartGerm``,
-    ``Lattice``, ``DivisorClass``): assigning or deleting an attribute raises
-    ``AttributeError``.  A subclass declares its ``__slots__`` and fills
-    them through the slot descriptors, which bypass this guard."""
+    ``MPoly``, ``VarRegistry``, ``LinearSystem``, ``DerivedSystem``,
+    ``ChartGerm``, ``Lattice``, ``DivisorClass``): assigning or deleting an
+    attribute raises ``AttributeError``.  A subclass fills its ``__slots__``
+    through aliases of their descriptors' ``__set__``, past this guard."""
 
     __slots__ = ()
 
@@ -98,17 +102,31 @@ class Frozen:
 
 
 class Ring:
-    """Common interface of all coefficient rings.
+    """Common base of the coefficient rings, one ring per value.
 
-    ``tables`` is the ``field_tables`` set of a field that keeps one,
-    GF(p) and GF(p)[i] up to ``_TABLE_ORDER_LIMIT`` elements, and None
-    for every other ring; the ``Element`` operators read it in place of
-    the payload methods."""
+    Each ring provides ``element``, ``characteristic`` and
+    ``random_element``, and ``_is_zero`` on payloads.  ``tables`` is the
+    ``field_tables`` set of a field that keeps one, GF(p) and GF(p)[i] up
+    to ``_TABLE_ORDER_LIMIT`` elements, and None for every other ring; the
+    ``Element`` operators read it in place of the payload methods ``_add``,
+    ``_sub``, ``_neg``, ``_mul`` and ``_invert``, which every other ring
+    provides."""
 
     tables = None
 
-    def element(self, payload):
-        raise NotImplementedError
+    def __new__(cls, *args):
+        """The one ring of ``cls`` on the normalized ``args``; the first call
+        builds it with ``_build``, which refuses bad arguments."""
+        key = (cls, *args)
+        ring = _RINGS.get(key)
+        if ring is None:
+            ring = object.__new__(cls)
+            ring._build(*args)
+            ring = _RINGS.setdefault(key, ring)     # the first if threads race
+        return ring
+
+    def _build(self):
+        """Check the arguments and fill the ring; ``ZZ`` takes none."""
 
     def _wrap(self, payload) -> "Element":
         """The element with the canonical ``payload``, newly allocated; a
@@ -136,34 +154,11 @@ class Ring:
         """Image of the integer n under the canonical map into the ring."""
         return self.element(n)
 
-    def characteristic(self) -> int:
-        raise NotImplementedError
-
     def is_field(self) -> bool:
         return False
 
-    def random_element(self, rng: "random.Random"):
-        raise NotImplementedError
-
-    # payload-level arithmetic of a ring without tables; Element
-    # dispatches here
-    def _add(self, a, b):
-        raise NotImplementedError
-
     def _sub(self, a, b):
         return self._add(a, self._neg(b))
-
-    def _neg(self, a):
-        raise NotImplementedError
-
-    def _mul(self, a, b):
-        raise NotImplementedError
-
-    def _invert(self, a):
-        raise NotImplementedError
-
-    def _is_zero(self, a) -> bool:
-        raise NotImplementedError
 
     def _repr_payload(self, a) -> str:
         return repr(a)
@@ -173,12 +168,10 @@ class Element(Frozen):
     """An immutable ring element: a ring reference plus canonical payload.
 
     The binary operations take a fast path when the other operand is an
-    ``Element`` of the very same ring object; any other operand goes
-    through ``_check``, which accepts an equal ring and raises
-    ``RingMismatchError`` otherwise.  Over a ring with ``tables`` the
-    result is read off the code tables and is always an element of
-    ``self.ring``, the operating ring, even when ``other`` belongs to an
-    equal ring built apart from it.
+    ``Element`` of the same ring, which is the same object since there is
+    one ring per value; any other operand goes through ``_check``, which
+    raises ``RingMismatchError``.  Over a ring with ``tables`` the result
+    is read off the code tables and is an element of ``ring._elements``.
     """
 
     __slots__ = ("ring", "payload")
@@ -191,7 +184,7 @@ class Element(Frozen):
     def _check(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             raise RingMismatchError(f"expected a ring element, got {other!r}")
-        if other.ring is not self.ring and other.ring != self.ring:
+        if other.ring is not self.ring:
             raise RingMismatchError(
                 f"ring mismatch: {self.ring!r} vs {other.ring!r}")
         return other
@@ -251,11 +244,9 @@ class Element(Frozen):
         return self.ring._is_zero(self.payload)
 
     def __eq__(self, other):
-        if other.__class__ is Element and other.ring is self.ring:
-            return self.payload == other.payload
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.ring == other.ring and self.payload == other.payload
+        if other.__class__ is Element or isinstance(other, Element):
+            return other.ring is self.ring and self.payload == other.payload
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.ring, self.payload))
@@ -316,12 +307,6 @@ class IntegerRing(Ring):
     def __repr__(self):
         return "ZZ"
 
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash("IntegerRing")
-
 
 ZZ = IntegerRing()
 
@@ -342,7 +327,10 @@ class ZMod(Ring):
     builds its table set when it is constructed, if p is at most
     ``_TABLE_ORDER_LIMIT``."""
 
-    def __init__(self, p: int, k: int = 1):
+    def __new__(cls, p: int, k: int = 1):
+        return super().__new__(cls, index(p), index(k))
+
+    def _build(self, p: int, k: int):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         if k < 1:
@@ -391,12 +379,6 @@ class ZMod(Ring):
             return f"GF({self.p})"
         return f"Z/{self.p}^{self.k}"
 
-    def __eq__(self, other):
-        return isinstance(other, ZMod) and (self.p, self.k) == (other.p, other.k)
-
-    def __hash__(self):
-        return hash(("ZMod", self.p, self.k))
-
 
 def PrimeField(p: int) -> ZMod:
     """The field GF(p)."""
@@ -418,7 +400,10 @@ class QuadraticField(Ring):
     code.
     """
 
-    def __init__(self, p: int):
+    def __new__(cls, p: int):
+        return super().__new__(cls, index(p))
+
+    def _build(self, p: int):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p % 4 != 3:
@@ -465,17 +450,11 @@ class QuadraticField(Ring):
     def __repr__(self):
         return f"GF({self.p})[i]"
 
-    def __eq__(self, other):
-        return isinstance(other, QuadraticField) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("QuadraticField", self.p))
-
 
 class DualNumbers(Ring):
     """base[eps] with eps**2 = 0.  Payloads are pairs of base elements."""
 
-    def __init__(self, base: Ring):
+    def _build(self, base: Ring):
         if isinstance(base, DualNumbers):
             raise ValueError("dual numbers do not nest")
         self.base = base
@@ -528,12 +507,6 @@ class DualNumbers(Ring):
     def __repr__(self):
         return f"{self.base!r}[eps]"
 
-    def __eq__(self, other):
-        return isinstance(other, DualNumbers) and self.base == other.base
-
-    def __hash__(self):
-        return hash(("DualNumbers", self.base))
-
 
 class FieldTables(Frozen):
     """Arithmetic of one small field on the codes 0 .. q-1, which are the
@@ -542,20 +515,21 @@ class FieldTables(Frozen):
     ``mul[a][b]`` is the code of a*b, ``add[a][b]`` that of a+b,
     ``sub[a][b]`` that of a-b (so ``sub[0]`` negates), ``inv[a]`` that
     of 1/a (``inv[0]`` is None), and ``elements[a]`` the ``Element`` of
-    code a: ``elements`` is the interned tuple of the ring that built the
-    set.  One table set is shared by all its users, equal rings included,
-    so every part is a tuple and the set is ``Frozen``; the ``Element``
-    operators read the codes here and hand out the operating ring's own
-    elements, ``ring._elements[code]``, never ``elements``.  The parts
-    are slots: an attribute read reaches them faster than the fields of
-    a named tuple, and the operators read one on every call.
+    code a in the field's interned tuple, ``ring._elements`` (one ring per
+    value).  All users of the field share the set, so every part is a
+    tuple and the set is ``Frozen``.  The parts are slots: an attribute
+    read reaches them faster than the fields of a named tuple, and the
+    operators read one on every call.
     """
 
     __slots__ = ("mul", "add", "sub", "inv", "elements")
 
     def __init__(self, mul, add, sub, inv, elements):
-        for name, part in zip(self.__slots__, (mul, add, sub, inv, elements)):
-            object.__setattr__(self, name, part)
+        _set_mul(self, mul)
+        _set_add(self, add)
+        _set_sub(self, sub)
+        _set_inv(self, inv)
+        _set_elements(self, elements)
 
     def horner(self, coeffs: Sequence[int], x: int) -> int:
         """Code of the sum of coeffs[k] * x**k, coefficients low degree
@@ -567,9 +541,14 @@ class FieldTables(Frozen):
         return acc
 
 
+# filled through the slot descriptors, which bypass the guard of ``Frozen``
+_set_mul, _set_add, _set_sub, _set_inv, _set_elements = (
+    getattr(FieldTables, name).__set__ for name in FieldTables.__slots__)
+
+
 @lru_cache(maxsize=None)
 def field_tables(ring: Ring) -> FieldTables:
-    """The table set of GF(p) or GF(p)[i], built once per ring value from
+    """The table set of GF(p) or GF(p)[i], built once per ring from
     logarithms to a generator g of the units, found by the rule i**2 = -1 on
     the codes a + p*b (b = 0 in GF(p)): a * c = g**(log a + log c) and
     a + c = a (1 + c/a), each row one ``itemgetter``.  A field of more than

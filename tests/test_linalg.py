@@ -390,7 +390,7 @@ def test_one_foreign_entry_is_refused(foreign):
 
 def test_entries_of_an_equal_ring_are_accepted():
     twin = PrimeField(7)
-    assert twin is not F7 and twin == F7
+    assert twin is F7 and twin == F7
     rows = mat([[1, 2, 0], [0, 1, 4], [1, 3, 4]])
     mixed = [list(row) for row in rows]
     mixed[1][2] = twin.from_int(4)
@@ -433,7 +433,7 @@ def test_system_construction_refusals():
 
 def test_system_entries_of_an_equal_ring_are_accepted():
     twin = PrimeField(7)
-    assert twin is not F7 and twin == F7
+    assert twin is F7 and twin == F7
     system = LinearSystem(("x", "y"), [[F7.one(), twin.from_int(2)]],
                           [twin.one()], F7)
     assert system.ring is F7

@@ -228,7 +228,7 @@ def test_hash_agrees_with_equality():
     a = parse_poly("x^2+y^2+z^2+x*y", XYZT, F7)
     b = parse_poly("z^2+x*y+y^2+x^2", XYZT, F7)
     c = MPoly(XYZT, F7, dict(reversed(list(a.terms.items()))))
-    # an equal registry and an equal ring, as distinct objects
+    # the registry and the ring constructed again: the same objects
     d = parse_poly("x*y+x^2+z^2+y^2", VarRegistry(XYZT.names), PrimeField(7))
     assert a == b == c == d
     assert len({hash(a), hash(b), hash(c), hash(d)}) == 1

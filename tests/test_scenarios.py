@@ -20,7 +20,8 @@ from stablelimit.picard import (DivisorClass, Lattice, double_cover_stats,
                                 quadric_lattice)
 from stablelimit.poly import MPoly, VarRegistry, parse_poly
 from stablelimit.report import VerificationReport, render_json, render_text
-from stablelimit.rings import (PrimeField, RingMismatchError, ZMod,
+from stablelimit.rings import (ZZ, DualNumbers, IntegerRing, PrimeField,
+                               QuadraticField, RingMismatchError, ZMod,
                                field_tables, hensel_lift)
 from test_curvelocal import truncate
 from test_poly import is_bihomogeneous
@@ -356,8 +357,9 @@ def test_frozen_records_are_values(make):
     F49.one,
     lambda: parse_poly("al^2*be+3*al'", cgdata.AB, F49),
     lambda: LinearSystem(("x", "y"), [[F49.one(), F49.i()]], [F49.one()],
-                         F49)],
-    ids=["Element", "MPoly", "LinearSystem"])
+                         F49),
+    lambda: VarRegistry(cgdata.AB.names)],
+    ids=["Element", "MPoly", "LinearSystem", "VarRegistry"])
 def test_value_types_refuse_assignment_and_deletion(make):
     # F49.one() is interned: a deleted payload would break every later one
     a, b = make(), make()
@@ -371,6 +373,40 @@ def test_value_types_refuse_assignment_and_deletion(make):
         a.extra = None
     assert all(getattr(a, name) is value for name, value in before.items())
     assert F49.one().payload == 1
+    # every user of VarRegistry(names) shares the one registry
+    with pytest.raises(TypeError):
+        cgdata.AB.index["x"] = 0
+    assert "x" not in cgdata.AB.index
+
+
+# Each group constructs one value several ways, the scenarios' and the
+# derivation's own rings and registry among them; each refused
+# construction must raise on every call, and a float must not be read as
+# the int of a ring that exists.
+@pytest.mark.parametrize("same, refused", [
+    pytest.param([lambda: ZMod(7), lambda: ZMod(7, 1), lambda: PrimeField(7),
+                  lambda: scenarios.F7],
+                 [(ValueError, lambda: ZMod(6)), (ValueError, lambda: ZMod(7, 0)),
+                  (TypeError, lambda: ZMod(7.0))], id="GF7"),
+    pytest.param([lambda: ZMod(7, 3), lambda: scenarios.Z343], [], id="Z343"),
+    pytest.param([lambda: QuadraticField(7), lambda: F49],      # deformation's
+                 [(ValueError, lambda: QuadraticField(5)),
+                  (TypeError, lambda: QuadraticField(7.0))], id="GF49"),
+    pytest.param([IntegerRing, lambda: ZZ], [], id="ZZ"),
+    pytest.param([lambda: DualNumbers(PrimeField(7)),
+                  lambda: DualNumbers(ZMod(7))],
+                 [(ValueError, lambda: DualNumbers(DualNumbers(ZMod(7))))],
+                 id="GF7[eps]"),
+    pytest.param([lambda: VarRegistry(list(cgdata.AB.names)),
+                  lambda: cgdata.AB],
+                 [(ValueError, lambda: VarRegistry(("x", "x")))], id="AB")])
+def test_each_ring_and_registry_value_is_one_object(same, refused):
+    first, *others = (make() for make in same)
+    assert all(other is first for other in others)
+    for error, call in refused:
+        for _ in range(3):
+            with pytest.raises(error):
+                call()
 
 
 _UV = VarRegistry(("u", "v"))
