@@ -12,8 +12,8 @@ exact rings:
   arithmetic only: ``poly`` has no polynomials over it.
 
 There is one ring per value, so rings compare by identity: ``ZMod(7)``,
-``ZMod(7, 1)`` and ``PrimeField(7)`` are one object.
-Elements are immutable values carrying a reference to their ring, under
+``ZMod(7, 1)`` and ``PrimeField(7)`` are one object.  Rings, and the
+elements that carry a reference to their ring, are immutable under
 ``Frozen``, the one immutability guard of the package; mixing elements
 of different rings raises ``RingMismatchError``.  Canonical form
 is the least non-negative residue in each coordinate, so ``==`` and
@@ -21,34 +21,33 @@ is the least non-negative residue in each coordinate, so ``==`` and
 through ``operator.index``: a float, a string or a fraction raises
 ``TypeError`` instead of being truncated.
 
-A GF(p) element's payload is its residue, and a GF(p)[i] element a+bi
-has the int payload a + p*b, so zero is 0 and one is 1 and each payload
-is also the element's code in the field's table set.  ``field_tables``
-builds that set (products, sums, differences, inverses, and the element
-of each code) once per field, in the manner of the table-based
-small fields of FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 35(3),
-2008).  GF(p) and GF(p)[i] of at most ``_TABLE_ORDER_LIMIT`` (256)
-elements build it when they are constructed and keep it as
-``ring.tables``; a larger GF(p)[i] is refused.  The GF(p) and GF(p)[i]
-operators ``+``, ``-`` (binary and unary) and ``*`` of ``Element``, and
-its ``inverse``, read the table set themselves,
-``ring._elements[tables.add[a][b]]`` and so on, with no call into the
-ring.  Every other ring (``ZZ``, Z/p^k for k > 1, GF(p) above the limit,
-the dual numbers) goes through its payload methods ``_add``, ``_sub``,
-``_neg``, ``_mul`` and ``_invert``.  Exact elimination
+A GF(p) element's payload is its residue, a GF(p)[i] element a+bi has
+the int payload a + p*b, and a dual number u + v*eps the int u + q*v of
+the codes u and v in its base of order q, so zero is 0 and one is 1.
+``field_tables`` builds the table set of a field on these codes
+(products, sums, differences, inverses, and the element of each code)
+once, in the manner of the table-based small fields of FFLAS-FFPACK
+(Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).  GF(p) and GF(p)[i] of at
+most ``_TABLE_ORDER_LIMIT`` (256) elements keep it as ``ring.tables``
+(a larger GF(p)[i] is refused), and so does GF(7)[eps], with its table
+set built from its base's: ``tables`` does not imply a field, but
+``field_tables`` does.  The ``Element`` operators, and ``inverse``, read
+a ring's table set themselves (``ring._elements[tables.add[a][b]]`` and
+so on); every other ring goes through its payload methods ``_add``,
+``_sub``, ``_neg``, ``_mul`` and ``_invert``.  Exact elimination
 (``linalg``), polynomials over GF(p)[i] (``poly``) and the rational
 singular-point scan (``scenarios``) run on the same codes.
 
 ``Ring._wrap(payload)`` is the one way a canonical payload becomes an
 ``Element``; ``Element(ring, payload)`` is ``ring.element(payload)``.
-A ``ZMod`` or ``QuadraticField`` of at most ``_INTERN_ORDER_LIMIT`` (343)
-elements, GF(7), GF(49) and Z/343 among them, builds the tuple of its
+A ring of at most ``_INTERN_ORDER_LIMIT`` (2401) elements, GF(7), GF(49),
+Z/343, GF(7)[eps] and GF(49)[eps] among them, builds the tuple of its
 elements once, when it is first constructed, as ``ring._elements``, and its
 ``_wrap`` indexes that tuple: its arithmetic and its constructors hand
-out those elements and allocate nothing.  The rings that allocate a new
-element for each result are ``ZZ``, ``ZMod`` rings above the limit and
-the dual numbers.  Which elements are the same object is not part of the
-interface: compare them with ``==``, never with ``is``.
+out those elements and allocate nothing; the larger rings, ``ZZ`` among
+them, allocate a new element for each result.  Which elements are the
+same object is not part of the interface: compare them with ``==``,
+never with ``is``.
 
 The module also provides ``hensel_lift``, the p-power-at-a-time refinement
 of a simple root of a univariate integer polynomial.
@@ -78,19 +77,20 @@ class NotSimpleRootError(ArithmeticError):
     """The residue is not a simple root, so the lift is not defined."""
 
 
-# Rings with at most this many elements intern them: Z/343 and every
-# field that has a table set.
-_INTERN_ORDER_LIMIT = 343
+# Rings with at most this many elements intern them: Z/343, GF(49)[eps]
+# and every ring with a table set.
+_INTERN_ORDER_LIMIT = 2401
 # the one ring of each value, keyed by its class and its arguments
 _RINGS: dict = {}
 
 
 class Frozen:
-    """Base of the immutable value types (``Element``, ``FieldTables``,
-    ``MPoly``, ``VarRegistry``, ``LinearSystem``, ``DerivedSystem``,
-    ``ChartGerm``, ``Lattice``, ``DivisorClass``): assigning or deleting an
-    attribute raises ``AttributeError``.  A subclass fills its ``__slots__``
-    through aliases of their descriptors' ``__set__``, past this guard."""
+    """Base of the immutable value types (``Ring``, ``Element``,
+    ``FieldTables``, ``MPoly``, ``VarRegistry``, ``LinearSystem``,
+    ``DerivedSystem``, ``ChartGerm``, ``Lattice``, ``DivisorClass``):
+    assigning or deleting an attribute raises ``AttributeError``.  A
+    subclass fills its ``__slots__`` through aliases of their descriptors'
+    ``__set__``, and a ring its attributes through ``_fill``, past it."""
 
     __slots__ = ()
 
@@ -101,16 +101,16 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class Ring:
+class Ring(Frozen):
     """Common base of the coefficient rings, one ring per value.
 
     Each ring provides ``element``, ``characteristic`` and
     ``random_element``, and ``_is_zero`` on payloads.  ``tables`` is the
-    ``field_tables`` set of a field that keeps one, GF(p) and GF(p)[i] up
-    to ``_TABLE_ORDER_LIMIT`` elements, and None for every other ring; the
-    ``Element`` operators read it in place of the payload methods ``_add``,
-    ``_sub``, ``_neg``, ``_mul`` and ``_invert``, which every other ring
-    provides."""
+    table set of one small ring on its codes, GF(p) and GF(p)[i] up to
+    ``_TABLE_ORDER_LIMIT`` elements and GF(7)[eps], and None for every
+    other ring; the ``Element`` operators read it in place of the payload
+    methods ``_add``, ``_sub``, ``_neg``, ``_mul`` and ``_invert``, which
+    every other ring provides."""
 
     tables = None
 
@@ -141,8 +141,13 @@ class Ring:
         ``_wrap`` index them, if ``order`` is at most
         ``_INTERN_ORDER_LIMIT``."""
         if order <= _INTERN_ORDER_LIMIT:
-            self._elements = tuple(Ring._wrap(self, x) for x in range(order))
-            self._wrap = self._elements.__getitem__
+            elements = tuple(Ring._wrap(self, x) for x in range(order))
+            self._fill(_elements=elements, _wrap=elements.__getitem__)
+
+    def _fill(self, **attributes) -> None:
+        """Set attributes of a ring in ``_build``, past ``Frozen``."""
+        for name, value in attributes.items():
+            object.__setattr__(self, name, value)
 
     def zero(self):
         return self.element(0)
@@ -156,9 +161,6 @@ class Ring:
 
     def is_field(self) -> bool:
         return False
-
-    def _sub(self, a, b):
-        return self._add(a, self._neg(b))
 
     def _repr_payload(self, a) -> str:
         return repr(a)
@@ -335,12 +337,10 @@ class ZMod(Ring):
             raise ValueError(f"{p} is not prime")
         if k < 1:
             raise ValueError("exponent must be >= 1")
-        self.p = p
-        self.k = k
-        self.modulus = p ** k
+        self._fill(p=p, k=k, modulus=p ** k)
         self._intern(self.modulus)
-        self.tables = (field_tables(self) if k == 1
-                       and p <= _TABLE_ORDER_LIMIT else None)
+        self._fill(tables=field_tables(self) if k == 1
+                   and p <= _TABLE_ORDER_LIMIT else None)
 
     def element(self, payload: int) -> Element:
         return self._wrap(index(payload) % self.modulus)
@@ -408,9 +408,9 @@ class QuadraticField(Ring):
             raise ValueError(f"{p} is not prime")
         if p % 4 != 3:
             raise ValueError(f"-1 is a square mod {p}; GF({p})[i] is not a field")
-        self.p = p
+        self._fill(p=p)
         self._intern(p * p)
-        self.tables = field_tables(self)
+        self._fill(tables=field_tables(self))
 
     def element(self, payload) -> Element:
         if not isinstance(payload, tuple):
@@ -452,22 +452,37 @@ class QuadraticField(Ring):
 
 
 class DualNumbers(Ring):
-    """base[eps] with eps**2 = 0.  Payloads are pairs of base elements."""
+    """base[eps] with eps**2 = 0, on the codes u + q*v (q the base's
+    order), whose payload methods read the base's table rows.  ``element``
+    takes an int n as the image of n, or a pair (u, v) of ints or base
+    elements."""
 
     def _build(self, base: Ring):
-        if isinstance(base, DualNumbers):
-            raise ValueError("dual numbers do not nest")
-        self.base = base
+        if isinstance(base, DualNumbers) or base.tables is None:
+            raise ValueError(f"no dual numbers over {base!r}: they do not "
+                             f"nest, and need a base with a table set")
+        q = len(base.tables.elements)
+        self._fill(base=base, q=q)
+        self._intern(q * q)
+        if q * q <= _TABLE_ORDER_LIMIT:
+            # (u + v eps)(x + y eps) = ux + (uy + vx) eps
+            mul, add, sub = base.tables.mul, base.tables.add, base.tables.sub
+            codes = [(c % q, c // q) for c in range(q * q)]
+            self._fill(tables=FieldTables(
+                tuple(tuple(mul[u][x] + q * add[mul[u][y]][mul[v][x]]
+                            for x, y in codes) for u, v in codes),
+                *(tuple(tuple(rows[u][x] + q * rows[v][y] for x, y in codes)
+                        for u, v in codes) for rows in (add, sub)),
+                tuple(None if base.tables.inv[c % q] is None
+                      else self._invert(c) for c in range(q * q)),
+                self._elements))
 
     def element(self, payload) -> Element:
         if isinstance(payload, int):
-            payload = (self.base.from_int(payload), self.base.zero())
-        u, v = payload
-        if not isinstance(u, Element):
-            u = self.base.element(u)
-        if not isinstance(v, Element):
-            v = self.base.element(v)
-        return self._wrap((u, v))
+            payload = (payload, 0)
+        u, v = (self.base.one()._check(x) if isinstance(x, Element)
+                else self.base.element(x) for x in payload)
+        return self._wrap(u.payload + self.q * v.payload)
 
     def characteristic(self) -> int:
         return self.base.characteristic()
@@ -477,27 +492,37 @@ class DualNumbers(Ring):
                              self.base.random_element(rng)))
 
     def _add(self, a, b):
-        return (a[0] + b[0], a[1] + b[1])
+        q, add = self.q, self.base.tables.add
+        return add[a % q][b % q] + q * add[a // q][b // q]
+
+    def _sub(self, a, b):
+        q, sub = self.q, self.base.tables.sub
+        return sub[a % q][b % q] + q * sub[a // q][b // q]
 
     def _neg(self, a):
-        return (-a[0], -a[1])
+        q, neg = self.q, self.base.tables.sub[0]
+        return neg[a % q] + q * neg[a // q]
 
     def _mul(self, a, b):
-        return (a[0] * b[0], a[0] * b[1] + a[1] * b[0])
+        q, tables = self.q, self.base.tables
+        mul, x = tables.mul, b % q
+        row = mul[a % q]
+        return row[x] + q * tables.add[row[b // q]][mul[a // q][x]]
 
     def _invert(self, a):
         # (u + v eps)^-1 = u^-1 - u^-2 v eps, defined iff u is a unit
-        u, v = a
-        if u.is_zero():
-            raise NonUnitError(self.element(a))
-        uinv = u.inverse()
-        return (uinv, -(uinv * uinv * v))
+        q, tables = self.q, self.base.tables
+        w = tables.inv[a % q]
+        if w is None:
+            raise NonUnitError(self._wrap(a))
+        return w + q * tables.sub[0][tables.mul[tables.mul[w][w]][a // q]]
 
     def _is_zero(self, a):
-        return a[0].is_zero() and a[1].is_zero()
+        return a == 0
 
     def _repr_payload(self, a):
-        u, v = a
+        elements = self.base.tables.elements
+        u, v = elements[a % self.q], elements[a // self.q]
         if v.is_zero():
             return repr(u)
         if u.is_zero():
@@ -509,14 +534,14 @@ class DualNumbers(Ring):
 
 
 class FieldTables(Frozen):
-    """Arithmetic of one small field on the codes 0 .. q-1, which are the
-    payloads of its elements.
+    """Arithmetic of one small ring, a field or GF(7)[eps], on the codes
+    0 .. q-1, which are the payloads of its elements.
 
     ``mul[a][b]`` is the code of a*b, ``add[a][b]`` that of a+b,
     ``sub[a][b]`` that of a-b (so ``sub[0]`` negates), ``inv[a]`` that
-    of 1/a (``inv[0]`` is None), and ``elements[a]`` the ``Element`` of
-    code a in the field's interned tuple, ``ring._elements`` (one ring per
-    value).  All users of the field share the set, so every part is a
+    of 1/a (None where a is no unit), and ``elements[a]`` the ``Element``
+    of code a in the ring's interned tuple, ``ring._elements`` (one ring
+    per value).  All users of the ring share the set, so every part is a
     tuple and the set is ``Frozen``.  The parts are slots: an attribute
     read reaches them faster than the fields of a named tuple, and the
     operators read one on every call.

@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from stablelimit import (ZZ, LinearSystem, PrimeField, QuadraticField,
-                         RingMismatchError, ZMod, eliminate, rank,
-                         rowspace_equal, solve_affine)
+from stablelimit import (ZZ, DualNumbers, LinearSystem, PrimeField,
+                         QuadraticField, RingMismatchError, ZMod, eliminate,
+                         rank, rowspace_equal, solve_affine)
 from stablelimit.linalg import _row_echelon, outside_span
 from stablelimit.linser import series_dimension, split_sections_vanishing
 from stablelimit.rings import NonUnitError, field_tables
@@ -353,6 +353,21 @@ def test_kernel_needs_a_field():
     rows = [[z343.from_int(x) for x in row] for row in ((1, 2), (3, 4))]
     with pytest.raises(ValueError):
         rank(rows, z343)
+
+
+def test_a_dual_ring_with_a_table_set_is_refused():
+    # GF(7)[eps] keeps a table set for its Element operators, but it is no
+    # field, so elimination refuses it, rows or not
+    d7 = DualNumbers(F7)
+    assert d7.tables is not None
+    rows = [[d7.one(), d7.element((0, 1))]]
+    system = LinearSystem(["x", "y"], rows, [d7.zero()], d7)
+    for call in (lambda: field_tables(d7), lambda: rank(rows, d7),
+                 lambda: rank([], d7), system.reduced_form,
+                 lambda: solve_affine(system),
+                 lambda: eliminate(system, ["x"])):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_rows_of_unequal_width_are_refused():

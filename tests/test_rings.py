@@ -503,3 +503,106 @@ def test_quadratic_field_requires_nonsquare():
 def test_dual_numbers_do_not_nest():
     with pytest.raises(ValueError):
         DualNumbers(D49)
+
+
+def test_dual_numbers_refuse_a_component_from_another_ring():
+    # a GF(49) component would print as i in GF(7)[eps] and fail only at
+    # the first product; a GF(7) one in GF(49)[eps] is no GF(49) element
+    for ring, foreign in ((D7, F49.i()), (D7, Z343.one()), (D49, F7.one())):
+        for payload in ((foreign, 0), (0, foreign)):
+            with pytest.raises(RingMismatchError):
+                ring.element(payload)
+    assert D7.element((F7.from_int(3), 2)) == D7.element((3, 2))
+
+
+def reference_dual_numbers():
+    """(add, sub, neg, mul, inverse, text) of base[eps] as ``DualNumbers``
+    first computed them: on pairs (u, v) of base elements, through the
+    base's ``Element`` operators; ``inverse`` is None at a non-unit."""
+    def add(a, b):
+        return (a[0] + b[0], a[1] + b[1])
+
+    def neg(a):
+        return (-a[0], -a[1])
+
+    def mul(a, b):
+        return (a[0] * b[0], a[0] * b[1] + a[1] * b[0])
+
+    def inverse(a):
+        # (u + v eps)^-1 = u^-1 - u^-2 v eps, defined iff u is a unit
+        u, v = a
+        if u.is_zero():
+            return None
+        uinv = u.inverse()
+        return (uinv, -(uinv * uinv * v))
+
+    def text(a):
+        u, v = a
+        if v.is_zero():
+            return repr(u)
+        if u.is_zero():
+            return f"({v!r})eps"
+        return f"{u!r}+({v!r})eps"
+
+    return add, lambda a, b: add(a, neg(b)), neg, mul, inverse, text
+
+
+@pytest.mark.parametrize("ring", [D7, D49], ids=["GF7[eps]", "GF49[eps]"])
+def test_dual_numbers_match_the_pair_reference(ring):
+    # every element of GF(7)[eps] against every other; every element of
+    # GF(49)[eps] on its own, and 20,000 seeded pairs.  Each result must
+    # be the ring's interned element of the reference's code.
+    add, sub, neg, mul, inverse, text = reference_dual_numbers()
+    own, base = ring._elements, ring.base
+    pairs = [(u, v) for v in base._elements for u in base._elements]
+    code = {pair: k for k, pair in enumerate(pairs)}
+    assert len(own) == len(code) == len(base._elements) ** 2
+
+    def element(pair):
+        x = own[code[pair]]
+        assert ring.element(pair) is x and x.payload == code[pair]
+        return x
+
+    for a in pairs:
+        x = element(a)
+        assert -x is element(neg(a))
+        assert repr(x) == text(a)
+        if inverse(a) is None:
+            with pytest.raises(NonUnitError):
+                x.inverse()
+        else:
+            assert x.inverse() is element(inverse(a))
+    if ring is D7:
+        cases = [(a, b) for a in pairs for b in pairs]
+    else:
+        rng = random.Random(34)
+        cases = [(rng.choice(pairs), rng.choice(pairs)) for _ in range(20_000)]
+    for a, b in cases:
+        x, y = element(a), element(b)
+        assert x + y is element(add(a, b))
+        assert x - y is element(sub(a, b))
+        assert x * y is element(mul(a, b))
+        assert (x == y) is (a == b)
+    if ring.tables is not None:
+        assert ring.tables.elements is own
+        assert [c for c, code in enumerate(ring.tables.inv) if code is None] \
+            == [code[a] for a in pairs if inverse(a) is None]
+
+
+# every attribute that a ring's construction fills, and one it does not
+RING_ATTRIBUTES = ("p", "k", "modulus", "tables", "base", "q", "_elements",
+                   "_wrap", "extra")
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=repr)
+def test_rings_refuse_assignment_and_deletion(ring):
+    # one ring per value: a change to GF(7) would reach every user of it
+    before = {name: getattr(ring, name)
+              for name in RING_ATTRIBUTES if hasattr(ring, name)}
+    for name in RING_ATTRIBUTES:
+        with pytest.raises(AttributeError):
+            setattr(ring, name, before.get(name))
+        with pytest.raises(AttributeError):
+            delattr(ring, name)
+    assert {name: getattr(ring, name) for name in before} == before
+    assert ZMod(7).modulus == 7 and repr(PrimeField(7).element(6)) == "6"

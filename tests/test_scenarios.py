@@ -395,7 +395,9 @@ def test_value_types_refuse_assignment_and_deletion(make):
     pytest.param([IntegerRing, lambda: ZZ], [], id="ZZ"),
     pytest.param([lambda: DualNumbers(PrimeField(7)),
                   lambda: DualNumbers(ZMod(7))],
-                 [(ValueError, lambda: DualNumbers(DualNumbers(ZMod(7))))],
+                 [(ValueError, lambda: DualNumbers(DualNumbers(ZMod(7)))),
+                  (ValueError, lambda: DualNumbers(ZZ)),
+                  (ValueError, lambda: DualNumbers(ZMod(7, 3)))],
                  id="GF7[eps]"),
     pytest.param([lambda: VarRegistry(list(cgdata.AB.names)),
                   lambda: cgdata.AB],
