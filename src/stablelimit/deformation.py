@@ -189,7 +189,7 @@ def tacnode_rows(chart: int, g: MPoly, form: Form, gp: MPoly,
     alpha, beta = (_read(gp, weights) for weights in singular)
     w = 0 if not alpha.is_zero() else 1
     # 1 / d_w p1, and 0 when p1 = 0, which fails the check s != 0
-    inverse = F49._elements[F49.tables.inv[(alpha, beta)[w].payload] or 0]
+    inverse = F49._elements[F49.inv[(alpha, beta)[w].payload] or 0]
     root = (beta, -alpha)
     tangent = _row(gp_form, _weights(uv, 1, root, None))       # P1'(r)
     # G2 = lambda p1^2 with lambda != 0: G2 and d_w G2 vanish at r, and
@@ -251,7 +251,7 @@ def derive_rigidity_system() -> DerivedSystem:
 def _ladders(x: Element, top: int) -> tuple[list[int], list[int]]:
     """The codes of x**k and of its derivative k * x**(k-1), for k = 0 ..
     ``top``."""
-    mul = F49.tables.mul
+    mul = F49.mul
     powers = [1]
     for _ in range(top):
         powers.append(mul[x.payload][powers[-1]])
@@ -303,7 +303,7 @@ def _diagonal_row(prefix: str, k: int,
     """``diagonal_cloud(prefix)`` at x = be of the k-th diagonal point, or
     with ``slope`` its derivative in x there, as a row over the 40 main
     unknowns."""
-    mul, add = F49.tables.mul, F49.tables.add
+    mul, add = F49.mul, F49.add
     powers, slopes = _ladders(q_point(k)[1], 6)
     ladder = slopes if slope else powers
     entries = []
@@ -414,7 +414,7 @@ def to_essential(row) -> tuple[Element, ...]:
     """Push a 40-unknown row down to the 19 essentials via the published
     substitution map, on the codes."""
     table = essential_coefficients()
-    mul, add = F49.tables.mul, F49.tables.add
+    mul, add = F49.mul, F49.add
     acc = [0] * len(cgdata.ESSENTIAL_UNKNOWNS)
     for name, coeff in zip(cgdata.MAIN_UNKNOWNS, row):
         if coeff.payload:

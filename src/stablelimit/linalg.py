@@ -6,17 +6,18 @@ pivoting rule "first nonzero entry in column order" and reduces fully,
 which makes every reduced form, kernel basis, and report deterministic.
 
 The elimination runs on payloads, not on ``Element``s, through the
-small-field table set that ``rings.field_tables`` keeps for each field:
-a payload is its element's code there (a residue in GF(p), the int
-a + p*b for a+bi in GF(p²)), so zero is 0 and one is 1.  Rows are
-unboxed once on the way in, in the same pass that checks each entry's
-ring (there is one ring per value: an entry of any other ring object is
-refused) and each row's width, and the entries a caller gets back are
-decoded by the ring's ``_wrap``, which returns its interned elements.  A
-field of more than 256 elements has no table set, and raises
-``ValueError``.  The systems are mostly zeros, so each pivot row is kept
-as the list of its nonzero entries and applied to the other rows, and to
-the candidates of ``outside_span``, only at those columns.
+field's code tables ``mul``, ``sub`` and ``inv``: a payload is its
+element's code there (a residue in GF(p), the int a + p*b for a+bi in
+GF(p²)), so zero is 0 and one is 1.  ``LinearSystem`` and ``rank``
+refuse, with ``ValueError``, a ring that is no field and a field of more
+than 256 elements, which has no tables.  Rows are unboxed once on the
+way in, in the pass that checks each entry's ring (one ring per value:
+an entry of any other ring object is refused) and each row's width; the
+entries a caller gets back are decoded by the ring's ``_wrap``, which
+returns its interned elements.  The systems are mostly zeros, so each
+pivot row is kept as the list of its nonzero entries and applied to the
+other rows, and to the candidates of ``outside_span``, only at those
+columns.
 
 A ``LinearSystem`` is immutable and has one reduced form of ``[A | b]``:
 its nonzero code rows and pivot columns, eliminated on first use, kept on
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .rings import Element, Frozen, Ring, RingMismatchError, field_tables
+from .rings import Element, Frozen, Ring, RingMismatchError
 
 
 class LinearSystem(Frozen):
@@ -55,6 +56,7 @@ class LinearSystem(Frozen):
 
     def __init__(self, variables: Sequence[str], rows: Iterable[Sequence[Element]],
                  rhs: Iterable[Element], ring: Ring):
+        _check_field(ring)
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError("variable names must be distinct")
@@ -156,6 +158,14 @@ def _unbox(rows: Iterable[Sequence[Element]], ring: Ring,
     return work
 
 
+def _check_field(ring: Ring) -> None:
+    """Refuse a ring that is no field, or a field without code tables."""
+    if not ring.is_field():
+        raise ValueError(f"elimination needs a field, not {ring!r}")
+    if ring.mul is None:
+        raise ValueError(f"{ring!r} is above the table order limit")
+
+
 def _row_echelon(rows: Iterable[Sequence[Element]],
                  ring: Ring) -> tuple[list[list[int]], list[int]]:
     """Fully reduced row echelon form of the rows.
@@ -164,11 +174,11 @@ def _row_echelon(rows: Iterable[Sequence[Element]],
     1) and the pivot column indices.  Each pivot row is applied to the
     others only at its nonzero entries.
     """
-    tables = field_tables(ring)     # refuses a ring without tables, rows or not
+    _check_field(ring)      # refuses a ring without tables, rows or not
     work = _unbox(rows, ring)
     if not work:
         return work, []
-    mul, sub, inv = tables.mul, tables.sub, tables.inv
+    mul, sub, inv = ring.mul, ring.sub, ring.inv
     nrows, ncols = len(work), len(work[0])
     pivots: list[int] = []
     r = 0
@@ -216,8 +226,7 @@ def outside_span(system: LinearSystem,
     ring, n = system.ring, len(system.variables)
     reduced, pivots = system.reduced_form()
     work = _unbox(candidates, ring, n)
-    tables = field_tables(ring)
-    mul, sub = tables.mul, tables.sub
+    mul, sub = ring.mul, ring.sub
     # a reduced pivot row is 1 at its pivot, zero left of it and at every
     # other pivot column
     sparse = [(c, [(j, y) for j, y in enumerate(row[c + 1:n], c + 1) if y])
@@ -246,7 +255,7 @@ def _solve(system: LinearSystem):
     variables = system.variables
     n = len(variables)
     reduced, pivots = system.reduced_form()
-    wrap, neg = system.ring._wrap, field_tables(system.ring).sub[0]
+    wrap, neg = system.ring._wrap, system.ring.sub[0]
     zero, one = wrap(0), wrap(1)
     pivot_set = set(pivots)
     free_cols = [c for c in range(n) if c not in pivot_set]

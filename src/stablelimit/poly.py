@@ -20,10 +20,10 @@ that no other module reads (they use ``terms`` and the methods):
   raises ``OverflowError``.
 * A coefficient is the payload of its ring element: an integer over ZZ
   and Z/p^k, and over GF(p)[i] the code a + p*b of a+bi, read through
-  the ring's ``field_tables``.  Each ring has one coefficient path
-  (``_coeffs``), which every operation uses; over the integer rings sums
-  and products are reduced once per operation rather than once per step.
-  The dual numbers have no polynomials.
+  the ring's code tables ``mul`` and ``add``.  Each ring has one
+  coefficient path (``_coeffs``), which every operation uses; over the
+  integer rings sums and products are reduced once per operation rather
+  than once per step.  The dual numbers have no polynomials.
 
 ``substitute`` is the general polynomial rewrite: a Taylor shift and a
 pullback into another registry along a parametrization (of the quadric,
@@ -77,8 +77,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rings import (Element, Frozen, IntegerRing, NonUnitError,
-                    QuadraticField, Ring, RingMismatchError, ZMod, _power,
-                    field_tables)
+                    QuadraticField, Ring, RingMismatchError, ZMod, _power)
 
 _FIELD_BITS = 16                      # one unsigned 16-bit field per variable
 MAX_DEGREE = (1 << _FIELD_BITS) - 1   # bound on the total degree of a term
@@ -217,8 +216,8 @@ class _Coeffs:
 
 class _IntCoeffs(_Coeffs):
     """ZZ and Z/p^k: the raw value is the integer payload (over GF(p) it is
-    also the ``field_tables`` code).  Accumulators hold unreduced sums of
-    products; ``finish`` reduces them once."""
+    also the code of the field's tables).  Accumulators hold unreduced
+    sums of products; ``finish`` reduces them once."""
 
     def __init__(self, ring: Ring):
         self.modulus = ring.characteristic()    # 0 over ZZ
@@ -246,11 +245,11 @@ class _IntCoeffs(_Coeffs):
 
 
 class _TableCoeffs(_Coeffs):
-    """GF(p)[i]: the raw value is the payload, a ``field_tables`` code."""
+    """GF(p)[i]: the raw value is the payload, a code of the ring's tables
+    ``mul`` and ``add``."""
 
     def __init__(self, ring: Ring):
-        tables = field_tables(ring)
-        self.tmul, self.tadd = tables.mul, tables.add
+        self.tmul, self.tadd = ring.mul, ring.add
         super().__init__(ring)
 
     def mul(self, a, b):

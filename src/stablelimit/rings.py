@@ -24,19 +24,19 @@ through ``operator.index``: a float, a string or a fraction raises
 A GF(p) element's payload is its residue, a GF(p)[i] element a+bi has
 the int payload a + p*b, and a dual number u + v*eps the int u + q*v of
 the codes u and v in its base of order q, so zero is 0 and one is 1.
-``field_tables`` builds the table set of a field on these codes
-(products, sums, differences, inverses, and the element of each code)
-once, in the manner of the table-based small fields of FFLAS-FFPACK
-(Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).  GF(p) and GF(p)[i] of at
-most ``_TABLE_ORDER_LIMIT`` (256) elements keep it as ``ring.tables``
-(a larger GF(p)[i] is refused), and so does GF(7)[eps], with its table
-set built from its base's: ``tables`` does not imply a field, but
-``field_tables`` does.  The ``Element`` operators, and ``inverse``, read
-a ring's table set themselves (``ring._elements[tables.add[a][b]]`` and
-so on); every other ring goes through its payload methods ``_add``,
-``_sub``, ``_neg``, ``_mul`` and ``_invert``.  Exact elimination
-(``linalg``), polynomials over GF(p)[i] (``poly``) and the rational
-singular-point scan (``scenarios``) run on the same codes.
+GF(p) and GF(p)[i] of at most ``_TABLE_ORDER_LIMIT`` (256) elements (a
+larger GF(p)[i] is refused) keep their arithmetic on these codes as four
+tables, built once from discrete logarithms in the manner of the
+table-based small fields of FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS
+35(3), 2008): ``ring.mul[a][b]`` is the code of a*b, ``ring.add`` and
+``ring.sub`` those of a+b and a-b (``sub[0]`` negates), and ``ring.inv[a]``
+that of 1/a, None at a non-unit.  GF(7)[eps] keeps tables built from its
+base's, so tables do not imply a field; every other ring has them None.
+The ``Element`` operators, and ``inverse``, read them themselves
+(``ring._elements[ring.add[a][b]]``); every other ring goes through its
+payload methods ``_add``, ``_sub``, ``_neg``, ``_mul`` and ``_invert``.
+Exact elimination (``linalg``), polynomials over GF(p)[i] (``poly``) and
+the rational singular-point scan (``scenarios``) run on the same codes.
 
 ``Ring._wrap(payload)`` is the one way a canonical payload becomes an
 ``Element``; ``Element(ring, payload)`` is ``ring.element(payload)``.
@@ -56,7 +56,6 @@ of a simple root of a univariate integer polynomial.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
 from operator import index, itemgetter
 from typing import Sequence
 
@@ -85,12 +84,12 @@ _RINGS: dict = {}
 
 
 class Frozen:
-    """Base of the immutable value types (``Ring``, ``Element``,
-    ``FieldTables``, ``MPoly``, ``VarRegistry``, ``LinearSystem``,
-    ``DerivedSystem``, ``ChartGerm``, ``Lattice``, ``DivisorClass``):
-    assigning or deleting an attribute raises ``AttributeError``.  A
-    subclass fills its ``__slots__`` through aliases of their descriptors'
-    ``__set__``, and a ring its attributes through ``_fill``, past it."""
+    """Base of the immutable value types (``Ring``, ``Element``, ``MPoly``,
+    ``VarRegistry``, ``LinearSystem``, ``DerivedSystem``, ``ChartGerm``,
+    ``Lattice``, ``DivisorClass``): assigning or deleting an attribute
+    raises ``AttributeError``.  A subclass fills its ``__slots__`` through
+    aliases of their descriptors' ``__set__``, and a ring its attributes
+    through ``_fill``, past it."""
 
     __slots__ = ()
 
@@ -105,14 +104,14 @@ class Ring(Frozen):
     """Common base of the coefficient rings, one ring per value.
 
     Each ring provides ``element``, ``characteristic`` and
-    ``random_element``, and ``_is_zero`` on payloads.  ``tables`` is the
-    table set of one small ring on its codes, GF(p) and GF(p)[i] up to
-    ``_TABLE_ORDER_LIMIT`` elements and GF(7)[eps], and None for every
-    other ring; the ``Element`` operators read it in place of the payload
-    methods ``_add``, ``_sub``, ``_neg``, ``_mul`` and ``_invert``, which
-    every other ring provides."""
+    ``random_element``, and ``_is_zero`` on payloads.  ``mul``, ``add``,
+    ``sub`` and ``inv`` are the code tables of one small ring, GF(p) and
+    GF(p)[i] up to ``_TABLE_ORDER_LIMIT`` elements and GF(7)[eps], all
+    four filled by ``_build`` or all four None; the ``Element`` operators
+    read them in place of the payload methods ``_add``, ``_sub``,
+    ``_neg``, ``_mul`` and ``_invert``, which every other ring provides."""
 
-    tables = None
+    mul = add = sub = inv = None
 
     def __new__(cls, *args):
         """The one ring of ``cls`` on the normalized ``args``; the first call
@@ -172,8 +171,8 @@ class Element(Frozen):
     The binary operations take a fast path when the other operand is an
     ``Element`` of the same ring, which is the same object since there is
     one ring per value; any other operand goes through ``_check``, which
-    raises ``RingMismatchError``.  Over a ring with ``tables`` the result
-    is read off the code tables and is an element of ``ring._elements``.
+    raises ``RingMismatchError``.  Over a ring with code tables the result
+    is read off its one table and is an element of ``ring._elements``.
     """
 
     __slots__ = ("ring", "payload")
@@ -195,34 +194,34 @@ class Element(Frozen):
         ring = self.ring
         if other.__class__ is not Element or other.ring is not ring:
             other = self._check(other)
-        tables = ring.tables
-        if tables is not None:
-            return ring._elements[tables.add[self.payload][other.payload]]
+        add = ring.add
+        if add is not None:
+            return ring._elements[add[self.payload][other.payload]]
         return ring._wrap(ring._add(self.payload, other.payload))
 
     def __sub__(self, other):
         ring = self.ring
         if other.__class__ is not Element or other.ring is not ring:
             other = self._check(other)
-        tables = ring.tables
-        if tables is not None:
-            return ring._elements[tables.sub[self.payload][other.payload]]
+        sub = ring.sub
+        if sub is not None:
+            return ring._elements[sub[self.payload][other.payload]]
         return ring._wrap(ring._sub(self.payload, other.payload))
 
     def __neg__(self):
         ring = self.ring
-        tables = ring.tables
-        if tables is not None:
-            return ring._elements[tables.sub[0][self.payload]]
+        sub = ring.sub
+        if sub is not None:
+            return ring._elements[sub[0][self.payload]]
         return ring._wrap(ring._neg(self.payload))
 
     def __mul__(self, other):
         ring = self.ring
         if other.__class__ is not Element or other.ring is not ring:
             other = self._check(other)
-        tables = ring.tables
-        if tables is not None:
-            return ring._elements[tables.mul[self.payload][other.payload]]
+        mul = ring.mul
+        if mul is not None:
+            return ring._elements[mul[self.payload][other.payload]]
         return ring._wrap(ring._mul(self.payload, other.payload))
 
     def __pow__(self, n: int):
@@ -234,9 +233,9 @@ class Element(Frozen):
 
     def inverse(self) -> "Element":
         ring = self.ring
-        tables = ring.tables
-        if tables is not None:
-            code = tables.inv[self.payload]
+        inv = ring.inv
+        if inv is not None:
+            code = inv[self.payload]
             if code is None:
                 raise NonUnitError(self)
             return ring._elements[code]
@@ -326,7 +325,7 @@ def _is_prime(n: int) -> bool:
 
 class ZMod(Ring):
     """Integers modulo p**k for a prime p and k >= 1.  The field GF(p)
-    builds its table set when it is constructed, if p is at most
+    builds its code tables when it is constructed, if p is at most
     ``_TABLE_ORDER_LIMIT``."""
 
     def __new__(cls, p: int, k: int = 1):
@@ -339,8 +338,8 @@ class ZMod(Ring):
             raise ValueError("exponent must be >= 1")
         self._fill(p=p, k=k, modulus=p ** k)
         self._intern(self.modulus)
-        self._fill(tables=field_tables(self) if k == 1
-                   and p <= _TABLE_ORDER_LIMIT else None)
+        if k == 1 and p <= _TABLE_ORDER_LIMIT:
+            self._fill(**_log_tables(self, p))
 
     def element(self, payload: int) -> Element:
         return self._wrap(index(payload) % self.modulus)
@@ -392,10 +391,10 @@ _TABLE_ORDER_LIMIT = 256
 class QuadraticField(Ring):
     """GF(p)[i] with i**2 = -1; a field iff -1 is a non-square mod p.
 
-    The payload of a + b*i is the int a + p*b, its code in ``tables``,
-    the table set of ``field_tables``, which the ``Element`` operators
-    and ``inverse`` read: the ring has no other arithmetic.  The
-    order p**2 is at most ``_TABLE_ORDER_LIMIT``.  ``element`` takes a
+    The payload of a + b*i is the int a + p*b, its code in the tables
+    ``mul``, ``add``, ``sub`` and ``inv``, which the ``Element`` operators
+    and ``inverse`` read: the ring has no other arithmetic.  The order
+    p**2 is at most ``_TABLE_ORDER_LIMIT``.  ``element`` takes a
     pair (a, b) for a + b*i, and an int n as the image of n, not as a
     code.
     """
@@ -410,7 +409,7 @@ class QuadraticField(Ring):
             raise ValueError(f"-1 is a square mod {p}; GF({p})[i] is not a field")
         self._fill(p=p)
         self._intern(p * p)
-        self._fill(tables=field_tables(self))
+        self._fill(**_log_tables(self, p * p))
 
     def element(self, payload) -> Element:
         if not isinstance(payload, tuple):
@@ -434,6 +433,7 @@ class QuadraticField(Ring):
         return self.element((rng.randrange(self.p), rng.randrange(self.p)))
 
     def conjugate(self, x: Element) -> Element:
+        x = self.zero()._check(x)
         return self.element((x.payload % self.p, -(x.payload // self.p)))
 
     def _is_zero(self, a):
@@ -453,29 +453,33 @@ class QuadraticField(Ring):
 
 class DualNumbers(Ring):
     """base[eps] with eps**2 = 0, on the codes u + q*v (q the base's
-    order), whose payload methods read the base's table rows.  ``element``
-    takes an int n as the image of n, or a pair (u, v) of ints or base
-    elements."""
+    order), whose payload methods read the base's code tables.  With at
+    most ``_TABLE_ORDER_LIMIT`` codes (GF(7)[eps]) the ring keeps code
+    tables of its own, built from the base's, with None in ``inv`` at
+    each non-unit.  ``element`` takes an int n as the image of n, or a
+    pair (u, v) of ints or base elements."""
 
     def _build(self, base: Ring):
-        if isinstance(base, DualNumbers) or base.tables is None:
+        if isinstance(base, DualNumbers) or base.mul is None:
             raise ValueError(f"no dual numbers over {base!r}: they do not "
-                             f"nest, and need a base with a table set")
-        q = len(base.tables.elements)
+                             f"nest, and need a base with code tables")
+        q = len(base._elements)
         self._fill(base=base, q=q)
         self._intern(q * q)
         if q * q <= _TABLE_ORDER_LIMIT:
             # (u + v eps)(x + y eps) = ux + (uy + vx) eps
-            mul, add, sub = base.tables.mul, base.tables.add, base.tables.sub
+            mul, add, sub = base.mul, base.add, base.sub
             codes = [(c % q, c // q) for c in range(q * q)]
-            self._fill(tables=FieldTables(
-                tuple(tuple(mul[u][x] + q * add[mul[u][y]][mul[v][x]]
-                            for x, y in codes) for u, v in codes),
-                *(tuple(tuple(rows[u][x] + q * rows[v][y] for x, y in codes)
-                        for u, v in codes) for rows in (add, sub)),
-                tuple(None if base.tables.inv[c % q] is None
-                      else self._invert(c) for c in range(q * q)),
-                self._elements))
+            add_eps, sub_eps = (
+                tuple(tuple(rows[u][x] + q * rows[v][y] for x, y in codes)
+                      for u, v in codes) for rows in (add, sub))
+            self._fill(
+                mul=tuple(
+                    tuple(mul[u][x] + q * add[mul[u][y]][mul[v][x]]
+                          for x, y in codes) for u, v in codes),
+                add=add_eps, sub=sub_eps,
+                inv=tuple(None if base.inv[c % q] is None
+                          else self._invert(c) for c in range(q * q)))
 
     def element(self, payload) -> Element:
         if isinstance(payload, int):
@@ -492,36 +496,36 @@ class DualNumbers(Ring):
                              self.base.random_element(rng)))
 
     def _add(self, a, b):
-        q, add = self.q, self.base.tables.add
+        q, add = self.q, self.base.add
         return add[a % q][b % q] + q * add[a // q][b // q]
 
     def _sub(self, a, b):
-        q, sub = self.q, self.base.tables.sub
+        q, sub = self.q, self.base.sub
         return sub[a % q][b % q] + q * sub[a // q][b // q]
 
     def _neg(self, a):
-        q, neg = self.q, self.base.tables.sub[0]
+        q, neg = self.q, self.base.sub[0]
         return neg[a % q] + q * neg[a // q]
 
     def _mul(self, a, b):
-        q, tables = self.q, self.base.tables
-        mul, x = tables.mul, b % q
+        q, base = self.q, self.base
+        mul, x = base.mul, b % q
         row = mul[a % q]
-        return row[x] + q * tables.add[row[b // q]][mul[a // q][x]]
+        return row[x] + q * base.add[row[b // q]][mul[a // q][x]]
 
     def _invert(self, a):
         # (u + v eps)^-1 = u^-1 - u^-2 v eps, defined iff u is a unit
-        q, tables = self.q, self.base.tables
-        w = tables.inv[a % q]
+        q, base = self.q, self.base
+        w = base.inv[a % q]
         if w is None:
             raise NonUnitError(self._wrap(a))
-        return w + q * tables.sub[0][tables.mul[tables.mul[w][w]][a // q]]
+        return w + q * base.sub[0][base.mul[base.mul[w][w]][a // q]]
 
     def _is_zero(self, a):
         return a == 0
 
     def _repr_payload(self, a):
-        elements = self.base.tables.elements
+        elements = self.base._elements
         u, v = elements[a % self.q], elements[a // self.q]
         if v.is_zero():
             return repr(u)
@@ -533,55 +537,13 @@ class DualNumbers(Ring):
         return f"{self.base!r}[eps]"
 
 
-class FieldTables(Frozen):
-    """Arithmetic of one small ring, a field or GF(7)[eps], on the codes
-    0 .. q-1, which are the payloads of its elements.
-
-    ``mul[a][b]`` is the code of a*b, ``add[a][b]`` that of a+b,
-    ``sub[a][b]`` that of a-b (so ``sub[0]`` negates), ``inv[a]`` that
-    of 1/a (None where a is no unit), and ``elements[a]`` the ``Element``
-    of code a in the ring's interned tuple, ``ring._elements`` (one ring
-    per value).  All users of the ring share the set, so every part is a
-    tuple and the set is ``Frozen``.  The parts are slots: an attribute
-    read reaches them faster than the fields of a named tuple, and the
-    operators read one on every call.
-    """
-
-    __slots__ = ("mul", "add", "sub", "inv", "elements")
-
-    def __init__(self, mul, add, sub, inv, elements):
-        _set_mul(self, mul)
-        _set_add(self, add)
-        _set_sub(self, sub)
-        _set_inv(self, inv)
-        _set_elements(self, elements)
-
-    def horner(self, coeffs: Sequence[int], x: int) -> int:
-        """Code of the sum of coeffs[k] * x**k, coefficients low degree
-        first."""
-        times_x, sub, neg = self.mul[x], self.sub, self.sub[0]
-        acc = 0
-        for c in reversed(coeffs):
-            acc = sub[times_x[acc]][neg[c]]
-        return acc
-
-
-# filled through the slot descriptors, which bypass the guard of ``Frozen``
-_set_mul, _set_add, _set_sub, _set_inv, _set_elements = (
-    getattr(FieldTables, name).__set__ for name in FieldTables.__slots__)
-
-
-@lru_cache(maxsize=None)
-def field_tables(ring: Ring) -> FieldTables:
-    """The table set of GF(p) or GF(p)[i], built once per ring from
-    logarithms to a generator g of the units, found by the rule i**2 = -1 on
-    the codes a + p*b (b = 0 in GF(p)): a * c = g**(log a + log c) and
+def _log_tables(ring: Ring, q: int) -> dict:
+    """The code tables of GF(p) or GF(p)[i] of order q, from logarithms to
+    a generator g of the units, found by the rule i**2 = -1 on the codes
+    a + p*b (b = 0 in GF(p)): a * c = g**(log a + log c) and
     a + c = a (1 + c/a), each row one ``itemgetter``.  A field of more than
     ``_TABLE_ORDER_LIMIT`` elements raises ``ValueError`` first."""
-    if not ring.is_field():
-        raise ValueError(f"small-field tables need a field, not {ring!r}")
-    p = ring.characteristic()
-    q = p * p if isinstance(ring, QuadraticField) else p
+    p = ring.p
     if q > _TABLE_ORDER_LIMIT:
         raise ValueError(f"{ring!r} has {q} elements, above the table "
                          f"order limit {_TABLE_ORDER_LIMIT}")
@@ -602,7 +564,7 @@ def field_tables(ring: Ring) -> FieldTables:
     add = (tuple(range(q)), *(itemgetter(*itemgetter(*mul[inv[a]])(plus_one))(
         mul[a]) for a in range(1, q)))
     sub = tuple(map(itemgetter(*[row.index(0) for row in add]), add))
-    return FieldTables(mul, add, sub, inv, ring._elements)
+    return {"mul": mul, "add": add, "sub": sub, "inv": inv}
 
 
 def eval_int_poly(coeffs: Sequence[int], x: int) -> int:

@@ -23,7 +23,7 @@ import time
 from functools import lru_cache, partial
 from math import gcd
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from . import cgdata, deformation
 from .curvelocal import (ChartGerm, branch_locus, classify, divides,
@@ -40,7 +40,7 @@ from .picard import (DivisorClass, Lattice, blowup, double_cover_stats,
                      verify_class_relation)
 from .poly import MPoly, VarRegistry, grevlex_key, unit_match
 from .report import VerificationReport
-from .rings import Element, PrimeField, ZMod, field_tables, hensel_lift
+from .rings import Element, PrimeField, Ring, ZMod, hensel_lift
 
 F7 = PrimeField(cgdata.PRIME)
 Z343 = ZMod(cgdata.PRIME, 3)
@@ -290,7 +290,7 @@ def scenario_delta() -> VerificationReport:
 
     # the root set over GF(49), with the diagonal's alpha-coordinates,
     # must match the published six points up to one global conjugation
-    one, elements = F49.one(), field_tables(F49).elements
+    one, elements = F49.one(), F49._elements
     computed = set()
     for code in {*root_codes(d1), *root_codes(d2)}:
         x = elements[code]
@@ -317,16 +317,25 @@ def scenario_delta() -> VerificationReport:
     return rep
 
 
+def _horner(ring: Ring, coeffs: Sequence[int], x: int) -> int:
+    """Code of the sum of coeffs[k] * x**k in a ring with code tables,
+    coefficients low degree first."""
+    times_x, sub, neg = ring.mul[x], ring.sub, ring.sub[0]
+    acc = 0
+    for c in reversed(coeffs):
+        acc = sub[times_x[acc]][neg[c]]
+    return acc
+
+
 def root_codes(poly: MPoly) -> list[int]:
     """The codes of the elements of a small field at which a univariate
     polynomial over it vanishes: Horner on the field tables at every
     element of the field."""
-    tables = field_tables(poly.ring)
+    ring = poly.ring
     coeffs = [0] * (poly.total_degree() + 1)
     for (k,), c in poly.terms.items():
         coeffs[k] = c.payload
-    horner = tables.horner
-    return [x for x in range(len(tables.elements)) if horner(coeffs, x) == 0]
+    return [x for x in range(len(ring.mul)) if _horner(ring, coeffs, x) == 0]
 
 
 # ----------------------------------------------------------------------
@@ -355,8 +364,7 @@ def rational_singular_points() -> frozenset:
     vanishes.
     """
     product = union_product("F49")
-    tables = field_tables(F49)
-    horner, elements = tables.horner, tables.elements
+    elements = F49._elements
     found = set()
     for chart, firsts, seconds in SCAN_COVER:
         u, v = cgdata.CHARTS[chart]
@@ -366,14 +374,14 @@ def rational_singular_points() -> frozenset:
             for p in (germ, germ.partial_derivative(u),
                       germ.partial_derivative(v)))
         for a in firsts:
-            restricted = [horner(column, a) for column in grid]
-            roots = [b for b in seconds if horner(restricted, b) == 0]
+            restricted = [_horner(F49, column, a) for column in grid]
+            roots = [b for b in seconds if _horner(F49, restricted, b) == 0]
             if not roots:
                 continue
-            partials = [[horner(column, a) for column in g]
+            partials = [[_horner(F49, column, a) for column in g]
                         for g in partial_grids]
             for b in roots:
-                if all(horner(r, b) == 0 for r in partials):
+                if all(_horner(F49, r, b) == 0 for r in partials):
                     found.add(_projective_label(chart, elements[a],
                                                 elements[b]))
     return frozenset(found)
@@ -548,7 +556,7 @@ def scenario_deform_derive() -> VerificationReport:
                            ("B2Q1", "2", 1), ("B2Q2", "2", 2),
                            ("B1Q3", "1", 3), ("B1Q4", "1", 4),
                            ("B2Q5", "2", 5), ("B2Q6", "2", 6)):
-        times = F49.tables.mul[((F49.one() + q_point(k)[1]) ** 3).payload]
+        times = F49.mul[((F49.one() + q_point(k)[1]) ** 3).payload]
         same = all(a.payload == times[b.payload]
                    for a, b in zip(drows[name], direct[f"val{curve}@{k}"]))
         rep.require(f"{name}: cleared row is the unit multiple of the "

@@ -12,7 +12,7 @@ from stablelimit import (MPoly, PrimeField, VarRegistry, cgdata,
                          linser, scenarios)
 from stablelimit.deformation import F49
 from stablelimit.linalg import outside_span, rank, rowspace_equal, solve_affine
-from stablelimit.rings import Frozen, field_tables
+from stablelimit.rings import Frozen
 from stablelimit.scenarios import (_chain_rule_rows, _corrected_system,
                                    _corrected_system_feasible,
                                    _direct_value_rows, _elimination_system_28,
@@ -501,7 +501,7 @@ def test_reduced_forms_of_a_full_run_match_the_reference():
         systems[spec.id] = deformation.build_published_system(
             spec.zero_rows, spec.unit_rows)
     assert len(systems) == 13
-    elements = field_tables(F49).elements
+    elements = F49._elements
     for name, system in systems.items():
         assert system._reduced is not None, name    # the run filled it
         rows, pivots = system.reduced_form()

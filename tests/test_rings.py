@@ -9,7 +9,7 @@ import pytest
 from stablelimit import (ZZ, DualNumbers, Element, MPoly, NonUnitError,
                          NotSimpleRootError, PrimeField, QuadraticField,
                          RingMismatchError, VarRegistry, ZMod, hensel_lift)
-from stablelimit.rings import eval_int_poly, field_tables
+from stablelimit.rings import eval_int_poly
 
 F7 = PrimeField(7)
 F49 = QuadraticField(7)
@@ -230,11 +230,10 @@ def test_constructors_return_the_rings_own_elements(ring):
 @pytest.mark.parametrize("ring", INTERNED, ids=repr)
 def test_tables_and_polynomials_hand_out_interned_elements(ring):
     if ring.is_field():
-        tables = field_tables(ring)
-        for k, x in enumerate(tables.elements):
+        for k, x in enumerate(ring._elements):
             assert x.payload == k
             assert_interned(x, ring)
-        assert tables.elements is tables.elements[0].ring._elements
+        assert len(ring.mul) == len(ring._elements)
     xy = VarRegistry(("x", "y"))
     p = MPoly(xy, ring, {(1, 0): ring.from_int(3), (0, 2): ring.one(),
                          (0, 0): -ring.one()})
@@ -348,13 +347,13 @@ def test_interned_arithmetic_matches_a_plain_int_model():
                                         (lambda: QuadraticField(7), "GF(49)")],
                          ids=["GF7", "GF49"])
 def test_table_field_operators_match_the_pair_model_on_every_pair(make, name):
-    # Two constructions of one field give one ring, whose table set holds
-    # its own elements; each operator, and ``inverse``, must hand out an
-    # element of its left operand's ring.
+    # Two constructions of one field give one ring, whose code tables
+    # cover its own elements; each operator, and ``inverse``, must hand out
+    # an element of its left operand's ring.
     a, b = make(), make()
-    assert a == b and a is b and a.tables is b.tables
+    assert a == b and a is b and a.mul is b.mul
     own = a._elements
-    assert a.tables.elements is own
+    assert len(a.mul) == len(own)
     values, code, add, sub, mul, one = PLAIN_MODELS[name]
     for u in values:
         x = a.element(u)
@@ -383,7 +382,7 @@ def test_table_field_operators_match_the_pair_model_on_every_pair(make, name):
 
 
 def reference_field_tables(p, q):
-    """(mul, add, sub, inv) as ``field_tables`` first built them: one pair
+    """(mul, add, sub, inv) as a field's code tables were first built: one pair
     formula per entry, on the codes a + p*b of a+bi (b = 0 when q = p)."""
     pairs = [(c % p, c // p) for c in range(q)]
     add = tuple(tuple((a + c) % p + p * ((b + d) % p) for c, d in pairs)
@@ -403,11 +402,10 @@ def reference_field_tables(p, q):
                          ids=repr)
 def test_field_tables_from_logarithms_match_the_pair_formulas(ring):
     q = ring.characteristic() ** (2 if isinstance(ring, QuadraticField) else 1)
-    tables = field_tables(ring)
-    assert (tables.mul, tables.add, tables.sub, tables.inv) == \
+    assert (ring.mul, ring.add, ring.sub, ring.inv) == \
         reference_field_tables(ring.characteristic(), q)
     assert all(type(part) is tuple and all(type(row) is tuple for row in part)
-               for part in (tables.mul, tables.add, tables.sub))
+               for part in (ring.mul, ring.add, ring.sub))
 
 
 def test_element_operators_see_every_ring_operation(monkeypatch):
@@ -583,15 +581,15 @@ def test_dual_numbers_match_the_pair_reference(ring):
         assert x - y is element(sub(a, b))
         assert x * y is element(mul(a, b))
         assert (x == y) is (a == b)
-    if ring.tables is not None:
-        assert ring.tables.elements is own
-        assert [c for c, code in enumerate(ring.tables.inv) if code is None] \
+    if ring.inv is not None:
+        assert len(ring.inv) == len(own)
+        assert [c for c, code in enumerate(ring.inv) if code is None] \
             == [code[a] for a in pairs if inverse(a) is None]
 
 
 # every attribute that a ring's construction fills, and one it does not
-RING_ATTRIBUTES = ("p", "k", "modulus", "tables", "base", "q", "_elements",
-                   "_wrap", "extra")
+RING_ATTRIBUTES = ("p", "k", "modulus", "mul", "add", "sub", "inv", "base",
+                   "q", "_elements", "_wrap", "extra")
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS, ids=repr)
@@ -606,3 +604,27 @@ def test_rings_refuse_assignment_and_deletion(ring):
             delattr(ring, name)
     assert {name: getattr(ring, name) for name in before} == before
     assert ZMod(7).modulus == 7 and repr(PrimeField(7).element(6)) == "6"
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=repr)
+def test_a_ring_has_all_four_code_tables_or_none(ring):
+    # each operator reads its own table: a ring with only some of them
+    # would mix the table path and the payload methods
+    tables = (ring.mul, ring.add, ring.sub, ring.inv)
+    if ring.mul is None:
+        assert tables == (None,) * 4
+        return
+    n = len(ring._elements)
+    for table in tables:
+        assert type(table) is tuple and len(table) == n
+    for table in tables[:3]:
+        assert all(type(row) is tuple and len(row) == n for row in table)
+
+
+def test_conjugate_refuses_an_element_of_another_ring():
+    # GF(7) and GF(49) share the codes 0..6: only the ring check tells
+    # GF(7)'s 3 from GF(49)'s
+    for foreign in (F7.from_int(3), QuadraticField(11).i(), 3):
+        with pytest.raises(RingMismatchError):
+            F49.conjugate(foreign)
+    assert F49.conjugate(F49.element((3, 2))) == F49.element((3, -2))

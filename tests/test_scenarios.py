@@ -22,7 +22,7 @@ from stablelimit.poly import MPoly, VarRegistry, parse_poly
 from stablelimit.report import VerificationReport, render_json, render_text
 from stablelimit.rings import (ZZ, DualNumbers, IntegerRing, PrimeField,
                                QuadraticField, RingMismatchError, ZMod,
-                               field_tables, hensel_lift)
+                               hensel_lift)
 from test_curvelocal import truncate
 from test_poly import is_bihomogeneous
 from test_rings import all_elements
@@ -193,7 +193,7 @@ def evaluation_roots(poly):
     """The codes of the elements at which ``poly`` vanishes, each tested
     through ``MPoly.evaluate``."""
     (name,) = poly.registry.names
-    elements = field_tables(poly.ring).elements
+    elements = poly.ring._elements
     return [code for code, x in enumerate(elements)
             if poly.evaluate({name: x}).is_zero()]
 
@@ -286,7 +286,7 @@ def test_singular_points_match_homogeneous_partials():
 
 
 def test_scan_cover_visits_each_point_once():
-    elements = field_tables(F49).elements
+    elements = F49._elements
     visited = [scenarios._projective_label(chart, elements[a], elements[b])
                for chart, firsts, seconds in scenarios.SCAN_COVER
                for a in firsts for b in seconds]
