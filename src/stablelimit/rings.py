@@ -77,7 +77,7 @@ class NotSimpleRootError(ArithmeticError):
 
 
 # Rings with at most this many elements intern them: Z/343, GF(49)[eps]
-# and every ring with a table set.
+# and every ring with code tables.
 _INTERN_ORDER_LIMIT = 2401
 # the one ring of each value, keyed by its class and its arguments
 _RINGS: dict = {}

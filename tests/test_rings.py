@@ -198,7 +198,7 @@ INTERNED = [F7, F49, Z343]
 
 def assert_interned(x, ring):
     """x is the interned element of its ring, and that ring equals
-    ``ring``; values cached per ring value, such as a table set or a
+    ``ring``; values cached per ring value, such as code tables or a
     polynomial coefficient path, belong to the first equal ring built."""
     assert x.ring == ring
     assert x is x.ring._elements[x.payload]
