@@ -2,8 +2,8 @@
 degeneration geometry of an explicit quintic surface.
 
 The package re-derives and machine-checks, with exact arithmetic only,
-a catalog of finite computations: Hensel lifting of the defining cubic's
-root, the 7-adic expansion of the quintic, branch-curve geometry over
+a catalog of finite computations: the defining cubic's root mod 7^3,
+the 7-adic expansion of the quintic, branch-curve geometry over
 GF(49), first-order equisingular deformation systems, Picard-lattice
 identities, linear-series dimension counts, and ramification profiles
 of the induced genus-2 fibrations.
@@ -14,12 +14,10 @@ from .rings import (
     DualNumbers,
     Element,
     NonUnitError,
-    NotSimpleRootError,
     PrimeField,
     QuadraticField,
     RingMismatchError,
     ZMod,
-    hensel_lift,
 )
 from .poly import MPoly, ParseError, VarRegistry, parse_poly
 from .linalg import LinearSystem, SolutionSet, eliminate, rank, rowspace_equal, solve_affine
@@ -31,9 +29,7 @@ __all__ = [
     "QuadraticField",
     "DualNumbers",
     "Element",
-    "hensel_lift",
     "NonUnitError",
-    "NotSimpleRootError",
     "RingMismatchError",
     "VarRegistry",
     "MPoly",

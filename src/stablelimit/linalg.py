@@ -64,15 +64,21 @@ class LinearSystem(Frozen):
         rhs = tuple(rhs)
         if len(rows) != len(rhs):
             raise ValueError("row/rhs count mismatch")
-        for row in rows:
-            if len(row) != len(variables):
-                raise ValueError("row width does not match variable count")
-            for entry in row:
+        try:
+            for row in rows:
+                if len(row) != len(variables):
+                    raise ValueError("row width does not match variable count")
+                for entry in row:
+                    if entry.ring is not ring:
+                        raise RingMismatchError(
+                            "matrix entry from a foreign ring")
+            for entry in rhs:
                 if entry.ring is not ring:
-                    raise RingMismatchError("matrix entry from a foreign ring")
-        for entry in rhs:
-            if entry.ring is not ring:
-                raise RingMismatchError("rhs entry from a foreign ring")
+                    raise RingMismatchError("rhs entry from a foreign ring")
+        except AttributeError:      # an entry with no ring
+            for entry in (x for row in (*rows, rhs) for x in row):
+                ring.zero()._check(entry)
+            raise
         _set_variables(self, variables)
         _set_rows(self, rows)
         _set_rhs(self, rhs)
@@ -144,11 +150,19 @@ class SolutionSet:
 def _unbox(rows: Iterable[Sequence[Element]], ring: Ring,
            width: int | None = None) -> list[list[int]]:
     """The payload rows of Element rows, in one pass that also checks
-    each entry's ring: an entry of another ring goes to ``Element._check``
-    of the ring's zero, which refuses it.  Every row must have ``width``
-    entries, or as many as the first row when ``width`` is None."""
-    work = [[x.payload if x.ring is ring else ring.zero()._check(x)
-             for x in row] for row in rows]
+    each entry's ring: an entry of another ring, or no element, goes to
+    ``Element._check`` of the ring's zero, which refuses it.  Every row
+    must have ``width`` entries, or as many as the first row when
+    ``width`` is None."""
+    work = []
+    try:
+        for row in rows:
+            work.append([x.payload if x.ring is ring
+                         else ring.zero()._check(x) for x in row])
+    except AttributeError:      # an entry with no ring or no payload
+        for x in row:
+            ring.zero()._check(x)
+        raise
     if work and width is None:
         width = len(work[0])
     for row in work:

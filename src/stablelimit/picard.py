@@ -14,9 +14,11 @@ A coefficient is an ``int``: any scalar without ``__index__``, a float or a
 ``Lattice.cls`` (one ``operator.index`` per given coefficient) and on the
 scalar of ``n * D``.  A sum, difference, negative or multiple of classes
 has int coefficients already and skips that check.  Lattices and classes
-are immutable.  The determinant and the signature of the form are computed
-by integer elimination (Bareiss's fraction-free scheme, and symmetric
-congruence scaled by the pivot's absolute value).
+are immutable, and lattices compare by identity, as rings do: classes of
+two lattice objects are never equal, and adding or pairing them raises
+``LatticeMismatchError``.  The determinant and the signature of the form
+are computed by integer elimination (Bareiss's fraction-free scheme, and
+symmetric congruence scaled by the pivot's absolute value).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .rings import Frozen
 
 
 class LatticeMismatchError(TypeError):
-    """Two divisor classes live on different lattices."""
+    """Two divisor classes live on different lattice objects."""
 
 
 class BranchParityError(ValueError):
@@ -37,8 +39,8 @@ class BranchParityError(ValueError):
 
 
 class Lattice(Frozen):
-    """A free abelian group with named basis and integer pairing;
-    immutable.  ``index`` maps each basis name to its position, read-only."""
+    """A free abelian group with named basis and integer pairing, equal
+    only to itself; immutable, and so is ``index``, each name's position."""
 
     __slots__ = ("names", "gram", "index", "_canonical", "_support")
 
@@ -89,14 +91,6 @@ class Lattice(Frozen):
     def basis(self, name: str) -> "DivisorClass":
         return self.cls({name: 1})
 
-    def __eq__(self, other):
-        return (isinstance(other, Lattice) and self.names == other.names
-                and self.gram == other.gram
-                and self._canonical == other._canonical)
-
-    def __hash__(self):
-        return hash((self.names, self.gram, self._canonical))
-
     def __repr__(self):
         return f"Lattice({', '.join(self.names)})"
 
@@ -118,14 +112,13 @@ class DivisorClass(Frozen):
     def __eq__(self, other):
         if type(other) is not DivisorClass:
             return NotImplemented
-        return self.coeffs == other.coeffs and (
-            self.lattice is other.lattice or self.lattice == other.lattice)
+        return self.lattice is other.lattice and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.lattice, self.coeffs))
 
     def _check(self, other: "DivisorClass"):
-        if self.lattice is not other.lattice and self.lattice != other.lattice:
+        if self.lattice is not other.lattice:
             raise LatticeMismatchError("classes on different lattices")
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
@@ -204,8 +197,12 @@ def blowup(lattice: Lattice, name: str) -> Lattice:
 
 
 def quadric_lattice() -> Lattice:
-    """Pic of a smooth quadric (product of two lines): hyperbolic rank 2."""
-    return Lattice(("h1", "h2"), ((0, 1), (1, 0)), (-2, -2))
+    """Pic of a smooth quadric (product of two lines): hyperbolic rank 2,
+    one object for every call."""
+    return _QUADRIC
+
+
+_QUADRIC = Lattice(("h1", "h2"), ((0, 1), (1, 0)), (-2, -2))
 
 
 class DoubleCoverStats(NamedTuple):
@@ -228,7 +225,6 @@ def double_cover_stats(branch: DivisorClass, bundle: DivisorClass,
     Riemann-Roch L.(L + K) is even when K is a surface's canonical class;
     an odd value raises ``ValueError``.
     """
-    branch._check(bundle)
     if not verify_class_relation(branch, 2 * bundle):
         raise BranchParityError("branch class is not twice the bundle class")
     adjoint = canonical + bundle

@@ -196,9 +196,12 @@ class _Coeffs:
         self.minus_one = self.from_int(-1)
 
     def raw(self, x: Element, what: str = "coefficient"):
-        if x.ring is not self.ring:
-            raise RingMismatchError(f"{what} from a foreign ring")
-        return x.payload
+        try:
+            if x.ring is self.ring:
+                return x.payload
+        except AttributeError:      # no element: ``Element._check`` says so
+            self.ring.zero()._check(x)
+        raise RingMismatchError(f"{what} from a foreign ring")
 
     def from_int(self, n: int):
         return self.raw(self.ring.from_int(n))
@@ -354,7 +357,9 @@ class MPoly(Frozen):
     @classmethod
     def constant(cls, registry: VarRegistry, coeff: Element) -> "MPoly":
         zeros = (0,) * len(registry)
-        return cls(registry, coeff.ring, {zeros: coeff})
+        # ``_check`` of the coefficient itself refuses all but an element
+        return cls(registry, Element._check(coeff, coeff).ring,
+                   {zeros: coeff})
 
     @classmethod
     def variable(cls, registry: VarRegistry, ring: Ring, name: str) -> "MPoly":

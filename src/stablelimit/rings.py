@@ -48,16 +48,12 @@ out those elements and allocate nothing; the larger rings, ``ZZ`` among
 them, allocate a new element for each result.  Which elements are the
 same object is not part of the interface: compare them with ``==``,
 never with ``is``.
-
-The module also provides ``hensel_lift``, the p-power-at-a-time refinement
-of a simple root of a univariate integer polynomial.
 """
 
 from __future__ import annotations
 
 import operator
 from operator import index, itemgetter
-from typing import Sequence
 
 
 class RingMismatchError(TypeError):
@@ -70,10 +66,6 @@ class NonUnitError(ArithmeticError):
     def __init__(self, element):
         self.element = element
         super().__init__(f"not a unit: {element!r}")
-
-
-class NotSimpleRootError(ArithmeticError):
-    """The residue is not a simple root, so the lift is not defined."""
 
 
 # Rings with at most this many elements intern them: Z/343, GF(49)[eps]
@@ -104,7 +96,7 @@ class Ring(Frozen):
     """Common base of the coefficient rings, one ring per value.
 
     Each ring provides ``element``, ``characteristic`` and
-    ``random_element``, and ``_is_zero`` on payloads.  ``mul``, ``add``,
+    ``random_element``; its zero has payload 0.  ``mul``, ``add``,
     ``sub`` and ``inv`` are the code tables of one small ring, GF(p) and
     GF(p)[i] up to ``_TABLE_ORDER_LIMIT`` elements and GF(7)[eps], all
     four filled by ``_build`` or all four None; the ``Element`` operators
@@ -242,7 +234,7 @@ class Element(Frozen):
         return ring._wrap(ring._invert(self.payload))
 
     def is_zero(self) -> bool:
-        return self.ring._is_zero(self.payload)
+        return self.payload == 0        # every ring's zero has payload 0
 
     def __eq__(self, other):
         if other.__class__ is Element or isinstance(other, Element):
@@ -301,9 +293,6 @@ class IntegerRing(Ring):
         if a in (1, -1):
             return a
         raise NonUnitError(self.element(a))
-
-    def _is_zero(self, a):
-        return a == 0
 
     def __repr__(self):
         return "ZZ"
@@ -370,9 +359,6 @@ class ZMod(Ring):
             raise NonUnitError(self.element(a))
         return pow(a, -1, self.modulus)
 
-    def _is_zero(self, a):
-        return a == 0
-
     def __repr__(self):
         if self.k == 1:
             return f"GF({self.p})"
@@ -426,18 +412,12 @@ class QuadraticField(Ring):
     def is_field(self) -> bool:
         return True
 
-    def order(self) -> int:
-        return self.p * self.p
-
     def random_element(self, rng: "random.Random") -> Element:
         return self.element((rng.randrange(self.p), rng.randrange(self.p)))
 
     def conjugate(self, x: Element) -> Element:
         x = self.zero()._check(x)
         return self.element((x.payload % self.p, -(x.payload // self.p)))
-
-    def _is_zero(self, a):
-        return a == 0
 
     def _repr_payload(self, a):
         re, im = a % self.p, a // self.p
@@ -521,9 +501,6 @@ class DualNumbers(Ring):
             raise NonUnitError(self._wrap(a))
         return w + q * base.sub[0][base.mul[base.mul[w][w]][a // q]]
 
-    def _is_zero(self, a):
-        return a == 0
-
     def _repr_payload(self, a):
         elements = self.base._elements
         u, v = elements[a % self.q], elements[a // self.q]
@@ -566,43 +543,3 @@ def _log_tables(ring: Ring, q: int) -> dict:
     sub = tuple(map(itemgetter(*[row.index(0) for row in add]), add))
     return {"mul": mul, "add": add, "sub": sub, "inv": inv}
 
-
-def eval_int_poly(coeffs: Sequence[int], x: int) -> int:
-    """Evaluate an integer polynomial given low-degree-first coefficients."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def derivative_int_poly(coeffs: Sequence[int]) -> list[int]:
-    return [i * c for i, c in enumerate(coeffs)][1:]
-
-
-def hensel_lift(coeffs: Sequence[int], p: int, r0: int, k: int) -> int:
-    """Lift a simple root of f mod p to the unique root mod p**k above it.
-
-    ``coeffs`` lists the coefficients of f low degree first.  Requires
-    f(r0) = 0 mod p and f'(r0) a unit mod p; raises NotSimpleRootError
-    otherwise.  The refinement is the linear Newton step
-    r <- r - f(r) * f'(r0)^-1, one p-power at a time.
-    """
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if k < 1:
-        raise ValueError("target exponent must be >= 1")
-    r0 = r0 % p
-    if eval_int_poly(coeffs, r0) % p != 0:
-        raise NotSimpleRootError(f"{r0} is not a root mod {p}")
-    dcoeffs = derivative_int_poly(coeffs)
-    slope = eval_int_poly(dcoeffs, r0) % p
-    if slope == 0:
-        raise NotSimpleRootError(f"{r0} is a multiple root mod {p}")
-    slope_inv = pow(slope, -1, p ** k)
-    r = r0
-    for j in range(2, k + 1):
-        mod = p ** j
-        r = (r - eval_int_poly(coeffs, r) * slope_inv) % mod
-    if eval_int_poly(coeffs, r) % (p ** k) != 0:
-        raise ArithmeticError(f"lifted value {r} is not a root mod {p}^{k}")
-    return r

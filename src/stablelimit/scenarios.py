@@ -20,7 +20,7 @@ values frozen from an independent oracle of this package carry "derived".
 from __future__ import annotations
 
 import time
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from math import gcd
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -40,7 +40,7 @@ from .picard import (DivisorClass, Lattice, blowup, double_cover_stats,
                      verify_class_relation)
 from .poly import MPoly, VarRegistry, grevlex_key, unit_match
 from .report import VerificationReport
-from .rings import Element, PrimeField, Ring, ZMod, hensel_lift
+from .rings import Element, PrimeField, Ring, ZMod
 
 F7 = PrimeField(cgdata.PRIME)
 Z343 = ZMod(cgdata.PRIME, 3)
@@ -73,8 +73,7 @@ def build_quintic(ring, r: Element) -> MPoly:
 
 
 @lru_cache(maxsize=None)
-def degeneration_forms(ring_key: str):
-    ring = {"F7": F7, "Z343": Z343}[ring_key]
+def degeneration_forms(ring: Ring):
     return tuple(cgdata.parsed(t, cgdata.XYZT, ring)
                  for t in (cgdata.F1, cgdata.F2, cgdata.F3, cgdata.F5))
 
@@ -87,16 +86,15 @@ def restrict_to_quadric(p: MPoly) -> MPoly:
 
 
 @lru_cache(maxsize=None)
-def curve_pair(ring_key: str) -> tuple[MPoly, MPoly]:
-    ring = {"F7": F7, "F49": F49}[ring_key]
+def curve_pair(ring: Ring) -> tuple[MPoly, MPoly]:
     return (cgdata.parsed(cgdata.G1, cgdata.AB, ring),
             cgdata.parsed(cgdata.G2, cgdata.AB, ring))
 
 
 @lru_cache(maxsize=None)
-def union_product(ring_key: str) -> MPoly:
+def union_product(ring: Ring) -> MPoly:
     """The curve union g1 * g2."""
-    g1, g2 = curve_pair(ring_key)
+    g1, g2 = curve_pair(ring)
     return g1 * g2
 
 
@@ -173,12 +171,15 @@ def scenario_expansion() -> VerificationReport:
         citation=("7-adic expansion of the quintic at the lifted root: "
                   "plane * quadric^2 plus 7- and 49-correction terms, "
                   "exactly modulo 343"))
-    root = hensel_lift(cgdata.CUBIC_COEFFS, cgdata.PRIME,
-                       cgdata.SIMPLE_ROOT_MOD_P, 3)
+    # the root mod 343 among the 49 lifts of the root mod 7; none or two: error
+    p = cgdata.PRIME
+    (root,) = [r for r in range(cgdata.SIMPLE_ROOT_MOD_P, p ** 3, p)
+               if reduce(lambda acc, c: acc * r + c,
+                         reversed(cgdata.CUBIC_COEFFS), 0) % p ** 3 == 0]
     rep.check("root mod 7^3", root, 143)
     r = Z343.from_int(root)
     quintic = build_quintic(Z343, r)
-    f1, f2, f3, f5 = degeneration_forms("Z343")
+    f1, f2, f3, f5 = degeneration_forms(Z343)
     target = (f1 * f2 * f2 + f2.scale(Z343.from_int(7)) * f3
               + f5.scale(Z343.from_int(49)))
 
@@ -199,7 +200,7 @@ def scenario_expansion() -> VerificationReport:
 
     # modulo 7 the family degenerates to plane * quadric^2
     q7 = build_quintic(F7, F7.from_int(cgdata.SIMPLE_ROOT_MOD_P))
-    f1_7, f2_7, _, _ = degeneration_forms("F7")
+    f1_7, f2_7, _, _ = degeneration_forms(F7)
     lam7 = unit_match(q7, f1_7 * f2_7 * f2_7)
     rep.check("mod 7 fiber is unit * plane * quadric^2",
               lam7 is not None, True)
@@ -226,12 +227,12 @@ def scenario_branch() -> VerificationReport:
         citation=("on the quadric, the doubled-fiber discriminant "
                   "splits as the product of the two bidegree-(3,3) "
                   "branch curves"))
-    f1, _, f3, f5 = degeneration_forms("F7")
+    f1, _, f3, f5 = degeneration_forms(F7)
     four = MPoly.constant(cgdata.XYZT, F7.from_int(4))
     section = f3 * f3 - four * f1 * f5
     restricted = restrict_to_quadric(section)
-    g1, g2 = curve_pair("F7")
-    u = unit_match(restricted, union_product("F7"))
+    g1, g2 = curve_pair(F7)
+    u = unit_match(restricted, union_product(F7))
     rep.require("discriminant section restricts to unit * g1 * g2",
                 u is not None)
     rep.note(f"splitting unit: {u!r}")
@@ -260,10 +261,6 @@ def scenario_branch() -> VerificationReport:
 # scenario: delta
 
 
-def conjugate_point(pt: tuple[Element, Element]) -> tuple[Element, Element]:
-    return (F49.conjugate(pt[0]), F49.conjugate(pt[1]))
-
-
 def scenario_delta() -> VerificationReport:
     rep = VerificationReport(
         "delta",
@@ -272,7 +269,7 @@ def scenario_delta() -> VerificationReport:
                   "the six intersection points match the published list"))
     # the diagonal is the plane section of the quadric: its chart-4
     # equation must be the restriction of the linear form
-    f1, _, _, _ = degeneration_forms("F7")
+    f1, _, _, _ = degeneration_forms(F7)
     f1_chart4 = chart_germ(restrict_to_quadric(f1), 4).poly
     chart_eq = cgdata.parsed(cgdata.DELTA_CHART4, cgdata.AB, F7)
     rep.require("diagonal chart equation is the plane restricted to the "
@@ -280,7 +277,7 @@ def scenario_delta() -> VerificationReport:
 
     # both sides have GF(7) coefficients, so a unit matching them over
     # GF(49) is a ratio of GF(7) values: the factorizations hold over GF(7)
-    d1, d2 = map(delta_restrict, curve_pair("F49"))
+    d1, d2 = map(delta_restrict, curve_pair(F49))
     t1 = cgdata.parsed(cgdata.G1_ON_DELTA, _BE, F49)
     t2 = cgdata.parsed(cgdata.G2_ON_DELTA, _BE, F49)
     rep.require("first curve on the diagonal factors as published",
@@ -296,15 +293,13 @@ def scenario_delta() -> VerificationReport:
         x = elements[code]
         computed.add(((one - x) * (one + x).inverse(), x))
     published = {q_point(k) for k in range(1, 7)}
-    conjugated = {conjugate_point(q_point(k)) for k in range(1, 7)}
-    if computed == published:
-        rep.note("point identification: direct labeling matched")
-        rep.check("six diagonal points match the published list", True, True)
-    elif computed == conjugated:
-        rep.note("point identification: matched after one global conjugation")
-        rep.check("six diagonal points match the published list", True, True)
-    else:
-        rep.check("six diagonal points match the published list", False, True)
+    conjugated = {tuple(map(F49.conjugate, pt)) for pt in published}
+    matched = computed in (published, conjugated)
+    if matched:
+        rep.note("point identification: " + (
+            "direct labeling matched" if computed == published
+            else "matched after one global conjugation"))
+    rep.check("six diagonal points match the published list", matched, True)
 
     # quadratic factors: no roots over GF(7), two roots over GF(49)
     for label, text in (("first", "be^2+4*be+6"), ("second", "be^2+6*be+6")):
@@ -347,7 +342,7 @@ def root_codes(poly: MPoly) -> list[int]:
 # factors affine; chart 2 at al' = 0 adds the first factor at infinity,
 # chart 3 at be' = 0 the second, chart 1 at its origin both; 2,500 points,
 # each once.
-_ALL_CODES = tuple(range(F49.order()))
+_ALL_CODES = tuple(range(len(F49.mul)))
 SCAN_COVER = ((4, _ALL_CODES, _ALL_CODES), (2, (0,), _ALL_CODES),
               (3, _ALL_CODES, (0,)), (1, (0,), (0,)))
 
@@ -363,7 +358,7 @@ def rational_singular_points() -> frozenset:
     coordinate on the field tables; the partials only where the germ
     vanishes.
     """
-    product = union_product("F49")
+    product = union_product(F49)
     elements = F49._elements
     found = set()
     for chart, firsts, seconds in SCAN_COVER:
@@ -417,7 +412,7 @@ def scenario_singularities() -> VerificationReport:
         citation=("the eight first-order rigidity conditions hold "
                   "verbatim for the undeformed pair; the two transverse "
                   "diagonal points are nodes of the union"))
-    g1, g2 = curve_pair("F49")
+    g1, g2 = curve_pair(F49)
     at_origin = _double_and_smooth(g1, g2)
 
     for chart in (1, 2, 3, 4):
@@ -452,7 +447,7 @@ def scenario_singularities() -> VerificationReport:
 
     for k in (1, 2):
         alpha, beta = q_point(k)
-        verdict = classify(translated_germ(union_product("F49"), alpha, beta))
+        verdict = classify(translated_germ(union_product(F49), alpha, beta))
         rep.check(f"union at transverse point {k}", verdict.kind, "node")
 
     # multiplicity profile of the first curve across the chart origins
@@ -681,11 +676,9 @@ def scenario_basis_count() -> VerificationReport:
     for s in tangency:
         rep.require(f"{s.id}: single unit row of derivative type",
                     len(s.unit_rows) == 1 and s.unit_rows[0].startswith("d"))
-    expected_units = {("B1Q4",), ("B2Q5",), ("B2Q6",), ("dB1Q3",),
-                      ("dB1Q4",), ("dB2Q5",), ("dB2Q6",)}
     rep.check("unit rows cover the published seven directions",
               sorted(s.unit_rows[0] for s in specs),
-              sorted(u[0] for u in expected_units))
+              ["B1Q4", "B2Q5", "B2Q6", "dB1Q3", "dB1Q4", "dB2Q5", "dB2Q6"])
     return rep
 
 
@@ -705,7 +698,7 @@ def scenario_ramification() -> VerificationReport:
         citation=("branch loci of the two curves under both rulings, "
                   "triple contact of the doubled branch fibers, and the "
                   "flex-destroying system's consistency"))
-    g1, g2 = curve_pair("F7")
+    g1, g2 = curve_pair(F7)
     second_of = {"first": cgdata.SECOND_PAIR, "second": cgdata.FIRST_PAIR}
     moving_of = {"first": cgdata.FIRST_PAIR, "second": cgdata.SECOND_PAIR}
 
@@ -726,7 +719,7 @@ def scenario_ramification() -> VerificationReport:
     # the doubled branch points are exactly the transverse diagonal
     # points, each a double root of the discriminant
     i_unit = F49.i()
-    disc1 = _branch_locus(curve_pair("F49")[0], cgdata.FIRST_PAIR,
+    disc1 = _branch_locus(curve_pair(F49)[0], cgdata.FIRST_PAIR,
                           cgdata.SECOND_PAIR)
     for label, beta in (("+i", i_unit), ("-i", -i_unit)):
         vals = {"be": beta, "be'": F49.one(),
@@ -740,7 +733,7 @@ def scenario_ramification() -> VerificationReport:
 
     # flex contacts: the doubled-branch fibers meet the curve with
     # multiplicity three at the transverse points
-    g1_49, g2_49 = curve_pair("F49")
+    g1_49, g2_49 = curve_pair(F49)
     for k in (1, 2):
         alpha, beta = q_point(k)
         germ1 = translated_germ(g1_49, alpha, beta)
@@ -824,7 +817,7 @@ def _curve_multiplicities() -> tuple[tuple[tuple[int, int], ...], ...]:
             per_chart.append((multiplicity_at(germ), m1))
         return tuple(per_chart)
 
-    return tuple(map(mult_data, curve_pair("F49")))
+    return tuple(map(mult_data, curve_pair(F49)))
 
 
 def _curve_classes(lat: Lattice):
@@ -1021,7 +1014,7 @@ def _origin_conditions() -> tuple:
 
 
 def _cone_direction(chart: int):
-    smooth = _double_and_smooth(*curve_pair("F49"))[chart][2]
+    smooth = _double_and_smooth(*curve_pair(F49))[chart][2]
     uv = cgdata.CHARTS[chart]
     return line_root(chart_germ(smooth, chart).poly.graded_part(1, uv), *uv)
 

@@ -23,7 +23,7 @@ from stablelimit.linalg import LinearSystem, rank, rowspace_equal
 from stablelimit.linser import PassThrough, TangentDirection, series_dimension, \
     split_sections_vanishing
 from stablelimit.picard import blowup, intersect, quadric_lattice
-from stablelimit.rings import PrimeField, hensel_lift
+from stablelimit.rings import PrimeField
 from stablelimit.scenarios import (_chain_rule_rows, _cone_direction,
                                    _direct_value_rows, _published_system_28,
                                    chart_point, derived_system_cached,
@@ -42,7 +42,10 @@ def scenario_passes(sid: str) -> bool:
 
 
 def test_criterion_01_hensel_root():
-    ok = hensel_lift(cgdata.CUBIC_COEFFS, 7, 3, 3) == 143
+    # the expansion scenario's scan of the lifts, and the Hensel lift that
+    # is its reference
+    root = scenarios.run_scenario("expansion").computed["root mod 7^3"]
+    ok = root == test_rings.hensel_lift(cgdata.CUBIC_COEFFS, 7, 3, 3) == 143
     assert verdict("cubic root lifts to 143 modulo 343", ok)
 
 

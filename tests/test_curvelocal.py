@@ -41,7 +41,7 @@ def test_multiplicity_examples():
 
 
 def test_curve_germ_multiplicities():
-    g1, _ = curve_pair("F49")
+    g1, _ = curve_pair(F49)
     assert multiplicity_at(chart_germ(g1, 1)) == 2
     assert multiplicity_at(chart_germ(g1, 2)) == 1
     assert multiplicity_at(chart_germ(g1, 3)) == 1
@@ -64,7 +64,7 @@ def test_classification_examples():
 
 
 def test_classification_at_transverse_points():
-    g1, g2 = curve_pair("F49")
+    g1, g2 = curve_pair(F49)
     product = g1 * g2
     for k in (1, 2):
         alpha, beta = q_point(k)
@@ -73,7 +73,7 @@ def test_classification_at_transverse_points():
 
 
 def test_classification_at_double_points():
-    g1, g2 = curve_pair("F49")
+    g1, g2 = curve_pair(F49)
     for g, charts in ((g1, (1, 4)), (g2, (2, 3))):
         for chart in charts:
             assert classify(chart_germ(g, chart)).kind == \
@@ -82,7 +82,7 @@ def test_classification_at_double_points():
 
 def test_multiplicity_invariant_under_linear_change():
     rng = random.Random(83)
-    g1, _ = curve_pair("F49")
+    g1, _ = curve_pair(F49)
     base = chart_germ(g1, 4)
     u = MPoly.variable(cgdata.AB, F49, "al")
     v = MPoly.variable(cgdata.AB, F49, "be")
@@ -130,7 +130,7 @@ def test_intersection_multiplicity_additive():
 
 
 def test_flex_contacts():
-    g1, g2 = curve_pair("F49")
+    g1, g2 = curve_pair(F49)
     for k in (1, 2):
         alpha, beta = q_point(k)
         g = translated_germ(g1, alpha, beta)
@@ -138,7 +138,7 @@ def test_flex_contacts():
 
 
 def test_diagonal_contacts():
-    g1, _ = curve_pair("F49")
+    g1, _ = curve_pair(F49)
     for k, expected in ((1, 1), (2, 1), (3, 2), (4, 2)):
         alpha, beta = q_point(k)
         g = translated_germ(g1, alpha, beta)
@@ -238,7 +238,7 @@ def test_tacnode_multiplicity_sequence():
 
 def test_curve_multiplicity_sequences():
     from stablelimit.scenarios import _cone_direction
-    g1, _ = curve_pair("F49")
+    g1, _ = curve_pair(F49)
     for chart, expected in ((1, 2), (2, 1), (3, 1), (4, 2)):
         g = chart_germ(g1, chart)
         assert infinitely_near_multiplicity(g, _cone_direction(chart)) == \
@@ -250,7 +250,7 @@ def test_curve_multiplicity_sequences():
 
 
 def test_branch_loci_of_the_two_curves():
-    g1, g2 = curve_pair("F7")
+    g1, g2 = curve_pair(F7)
     d1 = branch_locus(g1, cgdata.FIRST_PAIR, cgdata.SECOND_PAIR)
     target1 = parse_poly("(be^2+be'^2)^2", cgdata.AB, F7)
     lead = sorted_terms(target1)[0]
@@ -296,7 +296,7 @@ def test_tangency_criterion_matches_diagonal_rows():
     vanishing of the deformation cloud there: exactly the published
     value row (rebuilt independently in the deformation module)."""
     from stablelimit import deformation
-    g1, _ = curve_pair("F49")
+    g1, _ = curve_pair(F49)
     alpha, beta = q_point(4)
     # normalize coordinates: diagonal as first axis through the point
     g = translated_germ(g1, alpha, beta)

@@ -78,7 +78,7 @@ def _random_bidegree_33(rng, ring):
 
 
 def test_dehomogenize_matches_substitution():
-    g1, g2 = curve_pair("F49")
+    g1, g2 = curve_pair(F49)
     rng = random.Random(31)
     forms = [g1, g2, g1 * g2]
     for ring in (F49, PrimeField(7)):
@@ -110,7 +110,7 @@ def test_tangent_cone_scales():
     # the four proportionality constants of the quadratic parts: each
     # double point's quadratic part over the square of the partner
     # curve's linear part there
-    curves = dict(zip((1, 2), curve_pair("F49")))
+    curves = dict(zip((1, 2), curve_pair(F49)))
     for (tag, chart), scale in {(1, 1): 3, (1, 4): 4,
                                 (2, 2): 3, (2, 3): 3}.items():
         uv = cgdata.CHARTS[chart]
@@ -195,7 +195,7 @@ def reference_tacnode_rows(chart, g, form, gp, gp_form, cubic=True):
 def reference_derive_with_auxiliaries(skip_cubic):
     """The published pair's passage rows, stacked with the auxiliary
     route's rows at its four double points."""
-    curves = dict(zip("ab", curve_pair("F49")))
+    curves = dict(zip("ab", curve_pair(F49)))
     charts = {(prefix, chart): deformation.chart_curve(curve, prefix, chart)
               for prefix, curve in curves.items() for chart in (1, 2, 3, 4)}
     rows = []
@@ -450,15 +450,15 @@ def test_cached_rows_are_immutable():
     # the one shared value, so each must be a frozen value or a tuple of
     # them
     scenarios.run_many(None)
-    f1 = scenarios.degeneration_forms("F7")[0]
-    g1, g2 = curve_pair("F49")
+    f1 = scenarios.degeneration_forms(scenarios.F7)[0]
+    g1, g2 = curve_pair(F49)
     alpha, beta = scenarios.q_point(1)
     origin = scenarios._origin_conditions()[1]
     for build, args in (
             (scenarios.build_quintic, (scenarios.F7, scenarios.F7.from_int(
                 cgdata.SIMPLE_ROOT_MOD_P))),
             (scenarios.restrict_to_quadric, (f1,)),
-            (scenarios.union_product, ("F49",)),
+            (scenarios.union_product, (F49,)),
             (scenarios.delta_restrict, (g1,)),
             (scenarios.chart_germ, (g1, 1)),
             (scenarios.translated_germ, (g1, alpha, beta)),

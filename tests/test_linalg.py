@@ -406,6 +406,29 @@ def test_one_foreign_entry_is_refused(foreign):
             s2()
 
 
+def test_rank_and_outside_span_refuse_a_plain_int_entry():
+    # an int has no ring: Element._check refuses it, as the operators do
+    rows = mat([[1, 2], [0, 1]])
+    for bad in ([[1]], [rows[0], [F7.one(), 1]], [[1, F7.one()], rows[1]]):
+        with pytest.raises(RingMismatchError, match="expected a ring element"):
+            rank(bad, F7)
+    with pytest.raises(RingMismatchError, match="expected a ring element"):
+        outside_span(span_system(rows, F7), [rows[0], [F7.one(), 1]])
+
+
+def test_a_system_refuses_a_plain_int_entry():
+    # in the matrix or on the right-hand side, an int is refused when the
+    # system is built; an entry of another ring still names where it is
+    one = F7.one()
+    for rows, rhs in (([[1]], [one]), ([[one, 1]], [one]),
+                      ([[one], [one]], [one, 0])):
+        with pytest.raises(RingMismatchError, match="expected a ring element"):
+            LinearSystem([f"x{j}" for j in range(len(rows[0]))], rows, rhs,
+                         F7)
+    with pytest.raises(RingMismatchError, match="matrix"):
+        LinearSystem(["x", "y"], [[F49.one(), 1]], [one], F7)
+
+
 def test_entries_of_an_equal_ring_are_accepted():
     twin = PrimeField(7)
     assert twin is F7 and twin == F7

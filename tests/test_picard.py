@@ -116,6 +116,25 @@ def test_class_relation_and_mismatch():
         intersect(a, other.basis("e"))
 
 
+def test_lattices_compare_by_identity():
+    # two lattices built apart from the same data are two lattices: their
+    # classes are unequal, and adding or pairing them is refused
+    make = lambda: Lattice(("h1", "h2"), ((0, 1), (1, 0)), (-2, -2))
+    a, b = make(), make()
+    assert "__eq__" not in vars(Lattice) and "__hash__" not in vars(Lattice)
+    assert a != b and a == a
+    assert quadric_lattice() is quadric_lattice()
+    for other in (b, quadric_lattice()):
+        ca, cb = a.basis("h1"), other.basis("h1")
+        assert ca != cb and ca == a.basis("h1")
+        for call in (lambda: ca + cb, lambda: ca - cb,
+                     lambda: intersect(ca, cb),
+                     lambda: verify_class_relation(ca, cb),
+                     lambda: double_cover_stats(2 * cb, ca, a.canonical)):
+            with pytest.raises(LatticeMismatchError):
+                call()
+
+
 def test_double_cover_trivial_branch():
     # empty branch: two disjoint copies of the quadric
     q = quadric_lattice()

@@ -277,7 +277,7 @@ def test_terms_are_decoded_once_and_kept(monkeypatch):
 
 
 def test_cached_curves_cannot_be_changed():
-    g1 = curve_pair("F49")[0]
+    g1 = curve_pair(F49)[0]
     before = str(g1)
     exps = next(iter(g1.terms))
     with pytest.raises(TypeError):
@@ -288,7 +288,7 @@ def test_cached_curves_cannot_be_changed():
         g1.registry = XYZT
     with pytest.raises(AttributeError):
         del g1.ring
-    assert curve_pair("F49")[0] is g1 and str(g1) == before
+    assert curve_pair(F49)[0] is g1 and str(g1) == before
 
 
 def test_degree_bound_guards_the_packed_fields():
@@ -527,6 +527,20 @@ def test_rings_without_a_coefficient_path_have_no_polynomials():
             MPoly.variable(reg, ring, "x")
         with pytest.raises(TypeError):
             parse_poly("x+1", reg, ring)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: MPoly(x.registry, F7, {(1,): 3}),
+    lambda x: MPoly.constant(x.registry, 3),
+    lambda x: x.scale(2),
+    lambda x: x.evaluate({"x": 2}),
+    lambda x: x.translate({"x": 2})],
+    ids=["constructor", "constant", "scale", "evaluate", "translate"])
+def test_a_plain_int_coefficient_is_refused(call):
+    # an int has no ring: Element._check refuses it, as the operators do
+    x = MPoly.variable(VarRegistry(("x",)), F7, "x")
+    with pytest.raises(RingMismatchError, match="expected a ring element"):
+        call(x)
 
 
 def test_translate_inverse():

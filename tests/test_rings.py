@@ -1,4 +1,5 @@
-"""Exact-ring arithmetic: axioms, canonical forms, Hensel lifting."""
+"""Exact-ring arithmetic: axioms, canonical forms, and Hensel lifting as
+the reference of the expansion scenario's root."""
 
 import operator
 import random
@@ -7,9 +8,8 @@ from fractions import Fraction
 import pytest
 
 from stablelimit import (ZZ, DualNumbers, Element, MPoly, NonUnitError,
-                         NotSimpleRootError, PrimeField, QuadraticField,
-                         RingMismatchError, VarRegistry, ZMod, hensel_lift)
-from stablelimit.rings import eval_int_poly
+                         PrimeField, QuadraticField, RingMismatchError,
+                         VarRegistry, ZMod)
 
 F7 = PrimeField(7)
 F49 = QuadraticField(7)
@@ -443,6 +443,46 @@ def test_element_operators_see_every_ring_operation(monkeypatch):
 
 
 CUBIC = (-1, 0, 1, 1)  # r^3 + r^2 - 1
+
+
+class NotSimpleRootError(ArithmeticError):
+    """The residue is not a simple root, so the lift is not defined."""
+
+
+def eval_int_poly(coeffs, x: int) -> int:
+    """Evaluate an integer polynomial given low-degree-first coefficients."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def hensel_lift(coeffs, p: int, r0: int, k: int) -> int:
+    """Lift a simple root of f mod p to the unique root mod p**k above it:
+    the reference for the expansion scenario's scan of the lifts.
+
+    ``coeffs`` lists the coefficients of f low degree first.  Requires
+    f(r0) = 0 mod p and f'(r0) a unit mod p; raises NotSimpleRootError
+    otherwise.  The refinement is the linear Newton step
+    r <- r - f(r) * f'(r0)^-1, one p-power at a time.
+    """
+    if p < 2 or any(p % d == 0 for d in range(2, p)):
+        raise ValueError(f"{p} is not prime")
+    if k < 1:
+        raise ValueError("target exponent must be >= 1")
+    r0 = r0 % p
+    if eval_int_poly(coeffs, r0) % p != 0:
+        raise NotSimpleRootError(f"{r0} is not a root mod {p}")
+    slope = eval_int_poly([i * c for i, c in enumerate(coeffs)][1:], r0) % p
+    if slope == 0:
+        raise NotSimpleRootError(f"{r0} is a multiple root mod {p}")
+    slope_inv = pow(slope, -1, p ** k)
+    r = r0
+    for j in range(2, k + 1):
+        r = (r - eval_int_poly(coeffs, r) * slope_inv) % p ** j
+    if eval_int_poly(coeffs, r) % p ** k != 0:
+        raise ArithmeticError(f"lifted value {r} is not a root mod {p}^{k}")
+    return r
 
 
 def test_hensel_examples():

@@ -21,11 +21,10 @@ from stablelimit.picard import (DivisorClass, Lattice, double_cover_stats,
 from stablelimit.poly import MPoly, VarRegistry, parse_poly
 from stablelimit.report import VerificationReport, render_json, render_text
 from stablelimit.rings import (ZZ, DualNumbers, IntegerRing, PrimeField,
-                               QuadraticField, RingMismatchError, ZMod,
-                               hensel_lift)
+                               QuadraticField, RingMismatchError, ZMod)
 from test_curvelocal import truncate
 from test_poly import is_bihomogeneous
-from test_rings import all_elements
+from test_rings import all_elements, hensel_lift
 
 # every scenario passes except the lattice one, which carries the single
 # published intersection number that the exact computation contradicts
@@ -199,7 +198,7 @@ def evaluation_roots(poly):
 
 
 def delta_polynomials():
-    d1, d2 = map(scenarios.delta_restrict, scenarios.curve_pair("F49"))
+    d1, d2 = map(scenarios.delta_restrict, scenarios.curve_pair(F49))
     quadratics = [scenarios.cgdata.parsed(text, scenarios._BE, ring)
                   for text in ("be^2+4*be+6", "be^2+6*be+6")
                   for ring in (scenarios.F7, F49)]
@@ -270,7 +269,7 @@ def test_singular_points_match_homogeneous_partials():
     # is a unit mod 7, so the four homogeneous partials vanish together
     # exactly where the germ and both chart partials do.  No chart, no
     # int code.
-    g1, g2 = scenarios.curve_pair("F49")
+    g1, g2 = scenarios.curve_pair(F49)
     union = g1 * g2
     assert is_bihomogeneous(union, (6, 6), (cgdata.FIRST_PAIR,
                                            cgdata.SECOND_PAIR))
@@ -314,7 +313,7 @@ def restrict_by_monomials(p):
 
 def test_restrict_to_quadric_matches_the_monomial_expansion():
     F7 = scenarios.F7
-    f1, f2, f3, f5 = scenarios.degeneration_forms("F7")
+    f1, f2, f3, f5 = scenarios.degeneration_forms(F7)
     four = MPoly.constant(cgdata.XYZT, F7.from_int(4))
     sections = [parse_poly(text, cgdata.XYZT, F7)
                 for text in (cgdata.B1_SECTION, cgdata.B2_SECTION)]
@@ -330,10 +329,10 @@ _POINT = ((F49.one(), F49.zero()), (F49.i(), F49.one()))
 @pytest.mark.parametrize("make", [
     # the record, not the cached helper: chart_germ returns one germ
     lambda: ChartGerm("chart1",
-                      scenarios.curve_pair("F49")[0].dehomogenize(
+                      scenarios.curve_pair(F49)[0].dehomogenize(
                           cgdata.CHARTS[1]),
                       cgdata.CHARTS[1]),
-    lambda: classify(scenarios.chart_germ(scenarios.curve_pair("F49")[0], 1)),
+    lambda: classify(scenarios.chart_germ(scenarios.curve_pair(F49)[0], 1)),
     lambda: PassThrough(_POINT),
     lambda: TangentDirection(_POINT, (F49.one(), F49.i())),
     lambda: quadric_lattice().cls({"h1": 1, "h2": -2}),
@@ -516,6 +515,37 @@ def test_validation_refusals(error, call):
         call()
 
 
+def _cubics_with_a_simple_root_at_3(count: int, seed: int):
+    """Random integer cubics, low degree first, with the simple root 3
+    mod 7."""
+    rng = random.Random(seed)
+    while count:
+        c1, c2, c3 = (rng.randrange(-30, 30) for _ in range(3))
+        c0 = -(3 * c1 + 9 * c2 + 27 * c3)       # f(3) = 0
+        if c3 and (c1 + 6 * c2 + 27 * c3) % 7:   # f'(3) a unit mod 7
+            count -= 1
+            yield (c0 + 7 * rng.randrange(-5, 5), c1, c2, c3)
+
+
+def test_the_root_scan_matches_the_hensel_reference(monkeypatch):
+    for cubic in ((-1, 0, 1, 1), *_cubics_with_a_simple_root_at_3(8, 3)):
+        monkeypatch.setattr(cgdata, "CUBIC_COEFFS", cubic)
+        report = scenarios.run_scenario("expansion")
+        assert report.computed["root mod 7^3"] == hensel_lift(cubic, 7, 3, 3)
+
+
+@pytest.mark.parametrize("cubic", [(2, 0, 0, 1), (9, -6, 1)],
+                         ids=["no-root", "seven-roots"])
+def test_the_root_scan_reports_an_error_unless_one_lift_is_a_root(
+        monkeypatch, cubic):
+    # 3 is no root of r^3 + 2 mod 7; (r - 3)^2 vanishes mod 343 at each of
+    # 3, 52, ..., 297, so the root mod 7 is not simple
+    monkeypatch.setattr(cgdata, "CUBIC_COEFFS", cubic)
+    report = scenarios.run_scenario("expansion")
+    assert report.status == "error" and report.computed == {}
+    assert report.notes[0].startswith("ValueError")
+
+
 # ----------------------------------------------------------------------
 # the published-text cache
 
@@ -530,7 +560,7 @@ def test_a_second_run_parses_no_text():
 def test_a_parsed_text_is_shared_and_cannot_be_changed():
     g1 = cgdata.parsed(cgdata.G1, cgdata.AB, F49)
     assert cgdata.parsed(cgdata.G1, cgdata.AB, F49) is g1
-    assert scenarios.curve_pair("F49")[0] is g1
+    assert scenarios.curve_pair(F49)[0] is g1
     with pytest.raises(AttributeError):
         g1.ring = None
     with pytest.raises(TypeError):
