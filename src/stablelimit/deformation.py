@@ -5,8 +5,9 @@ two double points of tacnodal type whose tangent cones match the other
 curve's tangent line.  A first-order deformation moves the base point of
 chart k by (c_k, d_k) and adds a general coefficient cloud to each
 equation.  ``chart_curve`` gives a curve g in chart (u, v) with its
-first-order part c*dg/du + d*dg/dv + gbar, kept as a *linear form*
-``{unknown: polynomial in the chart coordinates}``.  Preserving the pattern
+first-order part c*dg/du + d*dg/dv + gbar, kept as a *linear form*: the
+chart monomial of each cloud unknown, and the polynomial in the chart
+coordinates of each of c and d.  Preserving the pattern
 imposes passage through each displaced base point and, at a double point,
 that the curve is singular there, that its quadratic part G2 is a multiple
 of the square of the partner's deformed tangent line p1 = alpha*u +
@@ -38,10 +39,13 @@ essential unknowns once, and solves those systems over GF(49).
 The packed monomials of ``poly.MPoly`` stay inside ``poly``: this module
 reads polynomials through their ``terms`` view, not ``MPoly.evaluate``,
 and changes charts with ``MPoly.dehomogenize``.  The derivation changes
-each curve to each chart once and builds each cloud in chart coordinates.
-Point rows of a cloud come from ``linser.condition_row``; the diagonal
-rows, which the scenario layer checks against them, have their own route
-on GF(49) codes: the binomial closed form and one power ladder.
+each curve to each chart once and works on GF(49) codes: the weights are
+codes from power ladders, a polynomial is read by the codes of its terms
+through ``F49.mul`` and ``F49.add``, and a cloud unknown's entry is the
+weight of its monomial; its rows become interned ``Element``s at the
+end.  Point rows of a cloud come from ``linser.condition_row``; the
+diagonal rows, which the scenario layer checks against them, have their
+own route on codes: the binomial closed form and one power ladder.
 Published linear forms are read from the codes of their terms.  Rows are
 tuples of interned ``Element``s.
 
@@ -52,6 +56,7 @@ layer.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from math import comb
 from types import MappingProxyType
@@ -68,59 +73,51 @@ F49 = QuadraticField(cgdata.PRIME)
 
 _MAIN_REG = VarRegistry(cgdata.MAIN_UNKNOWNS)
 
-# A linear form over the unknowns: unknown -> polynomial coefficient.
-Form = Mapping[str, MPoly]
-# Monomial weights: exponent vector over ``cgdata.AB`` -> its weight.
-Weights = Mapping[tuple[int, ...], Element]
+# A linear form over the unknowns: the chart monomial of each coefficient
+# cloud unknown, and the polynomial coefficient of each other unknown.
+Form = tuple[Mapping[str, tuple[int, ...]], Mapping[str, MPoly]]
+# Monomial weights: exponent vector over ``cgdata.AB`` -> code of its weight.
+Weights = Mapping[tuple[int, ...], int]
 
 
 def _weights(uv, degree: int, point, along: int | None) -> Weights:
-    """The chart monomials u^i v^j of one degree, weighted by their values
-    at ``point``, or, with ``along`` 0 (u) or 1 (v), by their derivatives
-    in that coordinate there (0 for a monomial free of it)."""
-    x, y = point
+    """The chart monomials u^i v^j of one degree, weighted by the codes of
+    their values at the ``point`` of codes, or, with ``along`` 0 (u) or 1
+    (v), of their derivatives in that coordinate there (0 for a monomial
+    free of it)."""
+    # each coordinate's powers, or along ``along`` its slopes
+    xs, ys = (_ladders(x, degree)[k == along] for k, x in enumerate(point))
+    iu, iv = (cgdata.AB.index[name] for name in uv)
     out = {}
     for i in range(degree + 1):
-        exps = [i, degree - i]
         monomial = [0] * len(cgdata.AB)
-        for name, e in zip(uv, exps):
-            monomial[cgdata.AB.index[name]] = e
-        weight = F49.one()
-        if along is not None:
-            weight = F49.from_int(exps[along])
-            exps[along] = max(exps[along] - 1, 0)
-        out[tuple(monomial)] = weight * x ** exps[0] * y ** exps[1]
+        monomial[iu], monomial[iv] = i, degree - i
+        out[tuple(monomial)] = F49.mul[xs[i]][ys[degree - i]]
     return out
 
 
-def _read(p: MPoly, weights: Weights) -> Element:
-    """The sum of c * weights[m] over the terms c*m of p whose monomial m
-    has a weight."""
-    acc = F49.zero()
-    for exps, c in p.terms.items():
-        if exps in weights:
-            acc += c * weights[exps]
+def _read(p: MPoly, weights: Weights) -> int:
+    """The code of the sum of c * weights[m] over the terms c*m of p whose
+    monomial m has a weight."""
+    mul, add, terms = F49.mul, F49.add, p.terms
+    acc = 0
+    for exps, weight in weights.items():
+        c = terms.get(exps)
+        if c is not None:
+            acc = add[acc][mul[c.payload][weight]]
     return acc
 
 
-def _row(form: Form, weights: Weights) -> list[Element]:
-    """A linear form read against monomial weights: a row over the 40 main
-    unknowns."""
-    row = [F49.zero()] * len(_MAIN_REG)
-    for name, p in form.items():
+def _row(form: Form, weights: Weights) -> list[int]:
+    """A linear form read against monomial weights: a row of codes over
+    the 40 main unknowns."""
+    cloud, coefficients = form
+    row = [0] * len(_MAIN_REG)
+    for name, monomial in cloud.items():
+        row[_MAIN_REG.index[name]] = weights.get(monomial, 0)
+    for name, p in coefficients.items():
         row[_MAIN_REG.index[name]] = _read(p, weights)
     return row
-
-
-def _coefficient_form(prefix: str, chart: int) -> dict[str, MPoly]:
-    """A bidegree-(3,3) coefficient cloud in the coordinates of a chart:
-    unknown -> its monomial, with the two coordinates that the chart does
-    not keep set to 1."""
-    one = F49.one()
-    kept = [name in cgdata.CHARTS[chart] for name in cgdata.AB.names]
-    return {f"{prefix}{i}{j}": MPoly(cgdata.AB, F49, {
-        tuple(e if k else 0 for e, k in zip((i, 3 - i, j, 3 - j), kept)): one})
-        for i in range(4) for j in range(4)}
 
 
 class DerivedSystem(Frozen):
@@ -162,17 +159,24 @@ _set_system, _set_classical_ok, _set_cubic_rows = (
     getattr(DerivedSystem, name).__set__ for name in DerivedSystem.__slots__)
 
 
-def chart_curve(curve: MPoly, prefix: str,
-                chart: int) -> tuple[MPoly, dict[str, MPoly]]:
+# the suffix ij of each cloud unknown, and its exponents over ``cgdata.AB``
+_CLOUD_EXPONENTS = tuple((f"{i}{j}", (i, 3 - i, j, 3 - j))
+                         for i in range(4) for j in range(4))
+
+
+def chart_curve(curve: MPoly, prefix: str, chart: int) -> tuple[MPoly, Form]:
     """A bidegree-(3,3) curve in the coordinates (u, v) of a chart: its
     classical part g, and its first-order form, the coefficient cloud
-    ``prefix`` plus c_chart * dg/du + d_chart * dg/dv."""
+    ``prefix`` plus c_chart * dg/du + d_chart * dg/dv.  The cloud unknown
+    prefix{i}{j} stands for the chart monomial of al^i al'^(3-i) be^j
+    be'^(3-j), the two coordinates that the chart drops set to 1."""
     kept = u, v = cgdata.CHARTS[chart]
     g = curve.dehomogenize(kept)
-    form = _coefficient_form(prefix, chart)
-    form[f"c{chart}"] = g.partial_derivative(u)
-    form[f"d{chart}"] = g.partial_derivative(v)
-    return g, form
+    mask = [int(name in kept) for name in cgdata.AB.names]
+    cloud = {prefix + ij: tuple(map(operator.mul, exps, mask))
+             for ij, exps in _CLOUD_EXPONENTS}
+    return g, (cloud, {f"c{chart}": g.partial_derivative(u),
+                       f"d{chart}": g.partial_derivative(v)})
 
 
 def tacnode_rows(chart: int, g: MPoly, form: Form, gp: MPoly,
@@ -182,31 +186,33 @@ def tacnode_rows(chart: int, g: MPoly, form: Form, gp: MPoly,
     then G2'(r), d_w G2'(r) - s * P1'(r) and G3'(r) - h(r) * P1'(r).  Also
     whether every classical part vanished and s != 0."""
     uv = cgdata.CHARTS[chart]
-    zero, one = F49.zero(), F49.one()
-    singular = [_weights(uv, 1, (zero, zero), w) for w in (0, 1)]
+    mul, sub = F49.mul, F49.sub
+    singular = [_weights(uv, 1, (0, 0), w) for w in (0, 1)]
     # the partner's tangent line p1 = alpha*u + beta*v has the root
     # r = (beta, -alpha); w is a coordinate with d_w p1 != 0
     alpha, beta = (_read(gp, weights) for weights in singular)
-    w = 0 if not alpha.is_zero() else 1
+    w = 0 if alpha else 1
     # 1 / d_w p1, and 0 when p1 = 0, which fails the check s != 0
-    inverse = F49._elements[F49.inv[(alpha, beta)[w].payload] or 0]
-    root = (beta, -alpha)
+    inverse = F49.inv[(alpha, beta)[w]] or 0
+    root = (beta, sub[0][alpha])
     tangent = _row(gp_form, _weights(uv, 1, root, None))       # P1'(r)
     # G2 = lambda p1^2 with lambda != 0: G2 and d_w G2 vanish at r, and
     # the first-order part follows p1 at the rate
     # s = d_w d_w G2 / d_w p1 = 2 lambda d_w p1
-    s = _read(g, _weights(uv, 2, ((one, zero), (zero, one))[w], w)) * inverse
+    s = mul[_read(g, _weights(uv, 2, ((1, 0), (0, 1))[w], w))][inverse]
     # G3 = p1 h: G3 vanishes at r, and h(r) = d_w G3(r) / d_w p1
-    h = _read(g, _weights(uv, 3, root, w)) * inverse
+    h = mul[_read(g, _weights(uv, 3, root, w))][inverse]
     rows = [_row(form, weights) for weights in singular]
     classical = [_read(g, weights) for weights in singular]
-    for weights, scale in ((_weights(uv, 2, root, None), zero),
+    for weights, scale in ((_weights(uv, 2, root, None), 0),
                            (_weights(uv, 2, root, w), s),
                            (_weights(uv, 3, root, None), h)):
         classical.append(_read(g, weights))
-        rows.append([a - scale * b
+        rows.append([sub[a][mul[scale][b]]
                      for a, b in zip(_row(form, weights), tangent)])
-    return rows, not s.is_zero() and all(c.is_zero() for c in classical)
+    elements = F49._elements
+    return ([[elements[c] for c in row] for row in rows],
+            s != 0 and not any(classical))
 
 
 def derive_rigidity_system() -> DerivedSystem:
@@ -221,15 +227,16 @@ def derive_rigidity_system() -> DerivedSystem:
     charts = {(prefix, chart): chart_curve(curve, prefix, chart)
               for prefix, curve in curves.items() for chart in (1, 2, 3, 4)}
     # passage through a chart's origin: the constant term
-    passage = {(0,) * len(cgdata.AB): F49.one()}
+    passage = {(0,) * len(cgdata.AB): 1}
+    elements = F49._elements
     rows, cubic_rows, classical_ok = [], [], True
     for prefix, partner, double_charts in (
             ("a", "b", cgdata.CURVE1_DOUBLE_CHARTS),
             ("b", "a", cgdata.CURVE2_DOUBLE_CHARTS)):
         for chart in (1, 2, 3, 4):
             g, form = charts[(prefix, chart)]
-            classical_ok = classical_ok and _read(g, passage).is_zero()
-            rows.append(_row(form, passage))
+            classical_ok = classical_ok and not _read(g, passage)
+            rows.append([elements[c] for c in _row(form, passage)])
             if chart in double_charts:
                 tacnode, ok = tacnode_rows(chart, g, form,
                                            *charts[(partner, chart)])
@@ -248,15 +255,15 @@ def derive_rigidity_system() -> DerivedSystem:
 # and from the cleared cloud's terms and one power ladder on the diagonal.
 
 
-def _ladders(x: Element, top: int) -> tuple[list[int], list[int]]:
-    """The codes of x**k and of its derivative k * x**(k-1), for k = 0 ..
-    ``top``."""
-    mul = F49.mul
-    powers = [1]
+def _ladders(x: int, top: int) -> tuple[list[int], list[int]]:
+    """The codes of x**k and of its derivative k * x**(k-1), for the code x
+    and k = 0 .. ``top``."""
+    mul, add = F49.mul, F49.add
+    powers, slopes, k = [1], [0], 0
     for _ in range(top):
-        powers.append(mul[x.payload][powers[-1]])
-    slopes = [0] + [mul[F49.from_int(k).payload][powers[k - 1]]
-                    for k in range(1, top + 1)]
+        k = add[k][1]                       # the code of the next k
+        slopes.append(mul[k][powers[-1]])
+        powers.append(mul[x][powers[-1]])
     return powers, slopes
 
 
@@ -304,7 +311,7 @@ def _diagonal_row(prefix: str, k: int,
     with ``slope`` its derivative in x there, as a row over the 40 main
     unknowns."""
     mul, add = F49.mul, F49.add
-    powers, slopes = _ladders(q_point(k)[1], 6)
+    powers, slopes = _ladders(q_point(k)[1].payload, 6)
     ladder = slopes if slope else powers
     entries = []
     for p in diagonal_cloud(prefix).values():

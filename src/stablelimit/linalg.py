@@ -12,9 +12,11 @@ GF(p²)), so zero is 0 and one is 1.  ``LinearSystem`` and ``rank``
 refuse, with ``ValueError``, a ring that is no field and a field of more
 than 256 elements, which has no tables.  Rows are unboxed once on the
 way in, in the pass that checks each entry's ring (one ring per value:
-an entry of any other ring object is refused) and each row's width; the
-entries a caller gets back are decoded by the ring's ``_wrap``, which
-returns its interned elements.  The systems are mostly zeros, so each
+an entry of any other ring object, or no element, is refused) and each
+row's width: a system's when it is built, and kept for its elimination,
+and the rows handed to ``rank`` and ``outside_span`` when they are
+read; the entries a caller gets back are decoded by the ring's
+``_wrap``, which returns its interned elements.  The systems are mostly zeros, so each
 pivot row is kept as the list of its nonzero entries and applied to the
 other rows, and to the candidates of ``outside_span``, only at those
 columns.
@@ -52,7 +54,7 @@ class LinearSystem(Frozen):
     computed on first use and kept on the system (``reduced_form``).
     """
 
-    __slots__ = ("variables", "rows", "rhs", "ring", "_reduced")
+    __slots__ = ("variables", "rows", "rhs", "ring", "_codes", "_reduced")
 
     def __init__(self, variables: Sequence[str], rows: Iterable[Sequence[Element]],
                  rhs: Iterable[Element], ring: Ring):
@@ -60,22 +62,22 @@ class LinearSystem(Frozen):
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError("variable names must be distinct")
-        rows = tuple(tuple(r) for r in rows)
-        rhs = tuple(rhs)
+        rows, rhs, width = tuple(map(tuple, rows)), tuple(rhs), len(variables)
         if len(rows) != len(rhs):
             raise ValueError("row/rhs count mismatch")
+        # the codes, for the elimination, in the pass that checks each
+        # ring; an entry with no ring or no payload (a polynomial) is no
+        # element, and ``Element._check`` refuses it
         try:
+            matrix = []
             for row in rows:
-                if len(row) != len(variables):
+                if len(row) != width:
                     raise ValueError("row width does not match variable count")
-                for entry in row:
-                    if entry.ring is not ring:
-                        raise RingMismatchError(
-                            "matrix entry from a foreign ring")
-            for entry in rhs:
-                if entry.ring is not ring:
-                    raise RingMismatchError("rhs entry from a foreign ring")
-        except AttributeError:      # an entry with no ring
+                matrix.append([x.payload if x.ring is ring
+                               else _foreign("matrix") for x in row])
+            codes = [x.payload if x.ring is ring else _foreign("rhs")
+                     for x in rhs]
+        except AttributeError:
             for entry in (x for row in (*rows, rhs) for x in row):
                 ring.zero()._check(entry)
             raise
@@ -83,6 +85,7 @@ class LinearSystem(Frozen):
         _set_rows(self, rows)
         _set_rhs(self, rhs)
         _set_ring(self, ring)
+        _set_codes(self, (matrix, codes))
         _set_reduced(self, None)
 
     def reduced_form(self) -> tuple[tuple[tuple[int, ...], ...],
@@ -93,8 +96,9 @@ class LinearSystem(Frozen):
         first use, and shared by every later reader."""
         form = self._reduced
         if form is None:
-            reduced, pivots = _row_echelon(
-                [(*row, b) for row, b in zip(self.rows, self.rhs)], self.ring)
+            matrix, rhs = self._codes
+            reduced, pivots = _echelon(
+                [[*row, b] for row, b in zip(matrix, rhs)], self.ring)
             form = (tuple(map(tuple, reduced[:len(pivots)])), tuple(pivots))
             _set_reduced(self, form)
         return form
@@ -109,7 +113,13 @@ class LinearSystem(Frozen):
 _set_variables, _set_rows = (LinearSystem.variables.__set__,
                              LinearSystem.rows.__set__)
 _set_rhs, _set_ring = LinearSystem.rhs.__set__, LinearSystem.ring.__set__
-_set_reduced = LinearSystem._reduced.__set__
+_set_codes, _set_reduced = (LinearSystem._codes.__set__,
+                            LinearSystem._reduced.__set__)
+
+
+def _foreign(where: str):
+    """Refuse an element of another ring in the matrix or the rhs."""
+    raise RingMismatchError(f"{where} entry from a foreign ring")
 
 
 class SolutionSet:
@@ -189,7 +199,12 @@ def _row_echelon(rows: Iterable[Sequence[Element]],
     others only at its nonzero entries.
     """
     _check_field(ring)      # refuses a ring without tables, rows or not
-    work = _unbox(rows, ring)
+    return _echelon(_unbox(rows, ring), ring)
+
+
+def _echelon(work: list[list[int]],
+             ring: Ring) -> tuple[list[list[int]], list[int]]:
+    """``_row_echelon`` of code rows, which it changes in place."""
     if not work:
         return work, []
     mul, sub, inv = ring.mul, ring.sub, ring.inv

@@ -155,6 +155,12 @@ _REGISTRIES: dict = {}
                                    for name in VarRegistry.__slots__)
 
 
+def _fold(registry: VarRegistry) -> int:
+    """Times this, the sum of 1 << 16 k for 0 < k <= ``len(registry)``, the
+    fields of a monomial add up in the degree field without carrying."""
+    return ((1 << registry._degree_shift) - 1) // _MASK << _FIELD_BITS
+
+
 def _check_degree(degree: int) -> None:
     if degree > MAX_DEGREE:
         raise OverflowError(
@@ -483,9 +489,7 @@ class MPoly(Frozen):
         registry, top = self.registry, self.registry._degree_shift
         mask = sum({_MASK << registry._shifts[registry.index[n]]
                     for n in names})
-        # times fold, the sum of 1 << 16 k for 0 < k <= len(registry), the
-        # selected fields add up in the degree field without carrying
-        fold = ((1 << top) - 1) // _MASK << _FIELD_BITS
+        fold = _fold(registry)
         return self._like({e: c for e, c in self._terms.items()
                            if ((e & mask) * fold >> top) & _MASK == degree})
 
@@ -496,7 +500,8 @@ class MPoly(Frozen):
         own registry unbound variables pass through; in another one the
         result lives there, and every variable used must be bound.  Raises
         ``KeyError`` for an unknown or an unbound used variable, and
-        ``RingMismatchError`` for a foreign ring or two registries.
+        ``RingMismatchError`` for a binding that is no polynomial, a
+        foreign ring or two registries.
         Raises ``OverflowError`` when the image of a term passes
         ``MAX_DEGREE``, counted as the sum of the degrees of its powers:
         over a domain that is its degree, while over Z/p^k two powers
@@ -550,10 +555,14 @@ class MPoly(Frozen):
     def _target(self, bindings: Mapping[str, "MPoly"]) -> VarRegistry:
         """The registry of the bindings, checked as ``substitute`` says."""
         registry, coeffs = self.registry, self._coeffs
-        target = next((v.registry for v in bindings.values()), registry)
+        target = next((v.registry for v in bindings.values()
+                       if isinstance(v, MPoly)), registry)
         for name, value in bindings.items():
             if name not in registry:
                 raise KeyError(f"unknown variable {name!r}")
+            if not isinstance(value, MPoly):
+                raise RingMismatchError(f"binding for {name!r}: expected a "
+                                        f"polynomial, got {value!r}")
             if value._coeffs is not coeffs:
                 raise RingMismatchError("binding over a foreign ring")
             if value.registry is not target:
@@ -604,15 +613,20 @@ class MPoly(Frozen):
         unknown = kept - registry.index.keys()
         if unknown:
             raise KeyError(f"unknown variables {sorted(unknown)}")
-        dropped = [(shift, registry._unit(i))
-                   for i, (name, shift) in enumerate(zip(registry.names,
-                                                         registry._shifts))
-                   if name not in kept]
-        acc = {}
-        for e, c in self._terms.items():
-            cut = sum(((e >> shift) & _MASK) * unit for shift, unit in dropped)
-            coeffs.addmul(acc, -cut, coeffs.one, {e: c})
-        return self._like(coeffs.finish(acc))
+        mask = sum(_MASK << registry._shifts[i]
+                   for name, i in registry.index.items() if name not in kept)
+        # a term loses its dropped fields d and their degree, which d * fold
+        # adds up in the degree field
+        fold, degree = _fold(registry), _MASK << registry._degree_shift
+        moved = [(e - (d := e & mask) - (d * fold & degree), c)
+                 for e, c in self._terms.items()]
+        terms = dict(moved)
+        if len(terms) < len(moved):         # monomials collided: add up
+            terms = {}
+            for e, c in moved:
+                coeffs.addmul(terms, e, coeffs.one, {0: c})
+            terms = coeffs.finish(terms)
+        return self._like(terms)
 
     def translate(self, offsets: Mapping[str, Element]) -> "MPoly":
         """Taylor shift: evaluate(translate(p, a), x) = evaluate(p, x + a)."""

@@ -23,7 +23,7 @@ import time
 from functools import lru_cache, partial, reduce
 from math import gcd
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import cgdata, deformation
 from .curvelocal import (ChartGerm, branch_locus, classify, divides,
@@ -312,25 +312,33 @@ def scenario_delta() -> VerificationReport:
     return rep
 
 
-def _horner(ring: Ring, coeffs: Sequence[int], x: int) -> int:
-    """Code of the sum of coeffs[k] * x**k in a ring with code tables,
-    coefficients low degree first."""
-    times_x, sub, neg = ring.mul[x], ring.sub, ring.sub[0]
-    acc = 0
-    for c in reversed(coeffs):
-        acc = sub[times_x[acc]][neg[c]]
-    return acc
+def _roots(ring: Ring, coeffs: Sequence[int], codes: Iterable[int]) -> list[int]:
+    """The ``codes`` at which the polynomial with coefficient codes
+    ``coeffs``, low degree first, vanishes in a ring with code tables, in
+    one loop: p(x) = x q(x) + c0 is zero where x q(x) = -c0, and q(x) is
+    Horner's rule on the tables from its leading coefficient."""
+    mul, add = ring.mul, ring.add
+    c0, *rest = coeffs or (0,)
+    lead, *high = rest[::-1] or (0,)
+    target = ring.sub[0][c0]
+    found = []
+    for x in codes:
+        times_x, acc = mul[x], lead
+        for c in high:
+            acc = add[times_x[acc]][c]
+        if times_x[acc] == target:
+            found.append(x)
+    return found
 
 
 def root_codes(poly: MPoly) -> list[int]:
     """The codes of the elements of a small field at which a univariate
-    polynomial over it vanishes: Horner on the field tables at every
-    element of the field."""
-    ring = poly.ring
+    polynomial over it vanishes: ``_roots`` at every element of the
+    field."""
     coeffs = [0] * (poly.total_degree() + 1)
     for (k,), c in poly.terms.items():
         coeffs[k] = c.payload
-    return [x for x in range(len(ring.mul)) if _horner(ring, coeffs, x) == 0]
+    return _roots(poly.ring, coeffs, range(len(poly.ring.mul)))
 
 
 # ----------------------------------------------------------------------
@@ -353,44 +361,44 @@ def rational_singular_points() -> frozenset:
     exhaustively over one cover of P^1 x P^1; canonical projective labels.
 
     A point is singular iff the chart germ and both its chart partials
-    vanish there.  For each first coordinate the three are restricted to
-    univariate code vectors in the second and evaluated at every second
-    coordinate on the field tables; the partials only where the germ
-    vanishes.
+    vanish there.  Of the two chart coordinates, the one with fewer codes
+    in the cover is fixed at each of them in turn, and the three are
+    restricted to univariate code vectors in the other one, by Horner's
+    rule on the field tables; ``_roots`` scans the germ's at every code
+    of the other coordinate, and each partial's at the roots left.
     """
     product = union_product(F49)
-    elements = F49._elements
+    mul, add, elements = F49.mul, F49.add, F49._elements
     found = set()
     for chart, firsts, seconds in SCAN_COVER:
-        u, v = cgdata.CHARTS[chart]
-        germ = chart_germ(product, chart).poly
-        grid, *partial_grids = (
-            _code_grid(p, u, v)
-            for p in (germ, germ.partial_derivative(u),
-                      germ.partial_derivative(v)))
-        for a in firsts:
-            restricted = [_horner(F49, column, a) for column in grid]
-            roots = [b for b in seconds if _horner(F49, restricted, b) == 0]
-            if not roots:
-                continue
-            partials = [[_horner(F49, column, a) for column in g]
-                        for g in partial_grids]
+        uv, germ = cgdata.CHARTS[chart], chart_germ(product, chart).poly
+        step = -1 if len(seconds) < len(firsts) else 1
+        (fixed, scanned), ordered = (firsts, seconds)[::step], uv[::step]
+        grids = [_code_grid(p, *ordered)
+                 for p in (germ, *map(germ.partial_derivative, uv))]
+        for a in fixed:
+            roots = scanned
+            for rows in grids:
+                times_a, acc = mul[a], rows[-1]
+                for row in reversed(rows[:-1]):
+                    acc = [add[times_a[x]][c] for x, c in zip(acc, row)]
+                if not (roots := _roots(F49, acc, roots)):
+                    break
             for b in roots:
-                if all(_horner(F49, r, b) == 0 for r in partials):
-                    found.add(_projective_label(chart, elements[a],
-                                                elements[b]))
+                found.add(_projective_label(
+                    chart, *(elements[a], elements[b])[::step]))
     return frozenset(found)
 
 
 def _code_grid(poly: MPoly, u: str, v: str) -> list[list[int]]:
-    """Codes of a polynomial in the chart coordinates u, v: one column per
-    power of v, listing the coefficients by the power of u."""
+    """Codes of a polynomial in the chart coordinates u, v: one row per
+    power of u, listing the coefficients by the power of v."""
     iu, iv = cgdata.AB.index[u], cgdata.AB.index[v]
     du = max((e[iu] for e in poly.terms), default=0)
     dv = max((e[iv] for e in poly.terms), default=0)
-    grid = [[0] * (du + 1) for _ in range(dv + 1)]
+    grid = [[0] * (dv + 1) for _ in range(du + 1)]
     for exps, c in poly.terms.items():
-        grid[exps[iv]][exps[iu]] = c.payload
+        grid[exps[iu]][exps[iv]] = c.payload
     return grid
 
 

@@ -121,6 +121,131 @@ def test_tangent_cone_scales():
 
 
 # ----------------------------------------------------------------------
+# the derivation on ``Element``s, as ``deformation`` ran it before it read
+# codes: monomial weights and the readings are elements, and each cloud
+# unknown of a chart's form is a one-term polynomial
+
+
+def element_weights(uv, degree, point, along):
+    """The chart monomials u^i v^j of one degree, weighted by their values
+    at ``point``, or, with ``along`` 0 (u) or 1 (v), by their derivatives
+    in that coordinate there."""
+    x, y = point
+    out = {}
+    for i in range(degree + 1):
+        exps = [i, degree - i]
+        monomial = [0] * len(cgdata.AB)
+        for name, e in zip(uv, exps):
+            monomial[cgdata.AB.index[name]] = e
+        weight = F49.one()
+        if along is not None:
+            weight = F49.from_int(exps[along])
+            exps[along] = max(exps[along] - 1, 0)
+        out[tuple(monomial)] = weight * x ** exps[0] * y ** exps[1]
+    return out
+
+
+def element_read(p, weights):
+    acc = F49.zero()
+    for exps, c in p.terms.items():
+        if exps in weights:
+            acc += c * weights[exps]
+    return acc
+
+
+def element_row(form, weights):
+    row = [F49.zero()] * len(cgdata.MAIN_UNKNOWNS)
+    for name, p in form.items():
+        row[cgdata.MAIN_UNKNOWNS.index(name)] = element_read(p, weights)
+    return row
+
+
+def element_coefficient_form(prefix, chart):
+    one = F49.one()
+    kept = [name in cgdata.CHARTS[chart] for name in cgdata.AB.names]
+    return {f"{prefix}{i}{j}": MPoly(cgdata.AB, F49, {
+        tuple(e if k else 0 for e, k in zip((i, 3 - i, j, 3 - j), kept)): one})
+        for i in range(4) for j in range(4)}
+
+
+def element_chart_curve(curve, prefix, chart):
+    """A curve in a chart, with its first-order form as ``{unknown:
+    MPoly}``."""
+    u, v = cgdata.CHARTS[chart]
+    g = curve.dehomogenize((u, v))
+    form = element_coefficient_form(prefix, chart)
+    form[f"c{chart}"] = g.partial_derivative(u)
+    form[f"d{chart}"] = g.partial_derivative(v)
+    return g, form
+
+
+def element_tacnode_rows(chart, g, form, gp, gp_form):
+    uv = cgdata.CHARTS[chart]
+    zero, one = F49.zero(), F49.one()
+    singular = [element_weights(uv, 1, (zero, zero), w) for w in (0, 1)]
+    alpha, beta = (element_read(gp, weights) for weights in singular)
+    w = 0 if not alpha.is_zero() else 1
+    inverse = F49._elements[F49.inv[(alpha, beta)[w].payload] or 0]
+    root = (beta, -alpha)
+    tangent = element_row(gp_form, element_weights(uv, 1, root, None))
+    s = element_read(g, element_weights(
+        uv, 2, ((one, zero), (zero, one))[w], w)) * inverse
+    h = element_read(g, element_weights(uv, 3, root, w)) * inverse
+    rows = [element_row(form, weights) for weights in singular]
+    classical = [element_read(g, weights) for weights in singular]
+    for weights, scale in ((element_weights(uv, 2, root, None), zero),
+                           (element_weights(uv, 2, root, w), s),
+                           (element_weights(uv, 3, root, None), h)):
+        classical.append(element_read(g, weights))
+        rows.append([a - scale * b for a, b in
+                     zip(element_row(form, weights), tangent)])
+    return rows, not s.is_zero() and all(c.is_zero() for c in classical)
+
+
+def element_derivation():
+    """(rows, classical_ok, cubic_rows) of the rigidity derivation."""
+    curves = dict(zip("ab", curve_pair(F49)))
+    charts = {(prefix, chart): element_chart_curve(curve, prefix, chart)
+              for prefix, curve in curves.items() for chart in (1, 2, 3, 4)}
+    passage = {(0,) * len(cgdata.AB): F49.one()}
+    rows, cubic_rows, classical_ok = [], [], True
+    for prefix, partner, double_charts in (
+            ("a", "b", cgdata.CURVE1_DOUBLE_CHARTS),
+            ("b", "a", cgdata.CURVE2_DOUBLE_CHARTS)):
+        for chart in (1, 2, 3, 4):
+            g, form = charts[(prefix, chart)]
+            classical_ok = classical_ok and element_read(g, passage).is_zero()
+            rows.append(element_row(form, passage))
+            if chart in double_charts:
+                tacnode, ok = element_tacnode_rows(
+                    chart, g, form, *charts[(partner, chart)])
+                rows += tacnode
+                classical_ok = classical_ok and ok
+                if prefix == "a":
+                    cubic_rows.append(len(rows) - 1)
+    return rows, classical_ok, frozenset(cubic_rows)
+
+
+def test_the_code_derivation_matches_the_element_derivation():
+    rows, classical_ok, cubic_rows = element_derivation()
+    derived = deformation.derive_rigidity_system()
+    assert derived.system.rows == tuple(map(tuple, rows))
+    assert (derived.classical_ok, derived.cubic_rows) == (classical_ok,
+                                                          cubic_rows)
+
+
+def test_chart_curve_keeps_each_cloud_unknown_as_its_monomial():
+    curve = curve_pair(F49)[0]
+    for chart in (1, 2, 3, 4):
+        g, (cloud, coefficients) = deformation.chart_curve(curve, "a", chart)
+        reference_g, reference = element_chart_curve(curve, "a", chart)
+        assert g == reference_g
+        assert {**{name: MPoly(cgdata.AB, F49, {m: F49.one()})
+                   for name, m in cloud.items()},
+                **coefficients} == reference
+
+
+# ----------------------------------------------------------------------
 # the rows of one double point as the auxiliary-unknown route derives
 # them: the proportionality scale m' of the quadratic part and the
 # quadratic quotient h1 of the cubic part are unknowns of their own, each
@@ -196,7 +321,7 @@ def reference_derive_with_auxiliaries(skip_cubic):
     """The published pair's passage rows, stacked with the auxiliary
     route's rows at its four double points."""
     curves = dict(zip("ab", curve_pair(F49)))
-    charts = {(prefix, chart): deformation.chart_curve(curve, prefix, chart)
+    charts = {(prefix, chart): element_chart_curve(curve, prefix, chart)
               for prefix, curve in curves.items() for chart in (1, 2, 3, 4)}
     rows = []
     for prefix, partner, double_charts in (
@@ -236,12 +361,13 @@ def _curve(germ, chart):
     return MPoly(cgdata.AB, F49, terms)
 
 
-def _germ_rows(chart, g, gp, route=deformation.tacnode_rows):
+def _germ_rows(chart, g, gp, route=deformation.tacnode_rows,
+               chart_curve=deformation.chart_curve):
     """``route`` at the double point of the curve with germ g, whose
-    partner has germ gp, at the origin of a chart."""
-    return route(chart,
-                 *deformation.chart_curve(_curve(g, chart), "a", chart),
-                 *deformation.chart_curve(_curve(gp, chart), "b", chart))
+    partner has germ gp, at the origin of a chart, on the forms of
+    ``chart_curve``."""
+    return route(chart, *chart_curve(_curve(g, chart), "a", chart),
+                 *chart_curve(_curve(gp, chart), "b", chart))
 
 
 @pytest.mark.parametrize("w", (0, 1), ids="w{}".format)
@@ -275,7 +401,11 @@ def test_tacnode_rows_match_the_auxiliary_route_on_random_germs(chart, w):
     def agree(germ):
         rows, classical_ok = _germ_rows(chart, *germ)
         assert classical_ok
-        reference = _germ_rows(chart, *germ, route=reference_tacnode_rows)
+        assert (rows, classical_ok) == _germ_rows(
+            chart, *germ, route=element_tacnode_rows,
+            chart_curve=element_chart_curve)
+        reference = _germ_rows(chart, *germ, route=reference_tacnode_rows,
+                               chart_curve=element_chart_curve)
         assert linalg.LinearSystem(
             cgdata.MAIN_UNKNOWNS, rows, [F49.zero()] * len(rows),
             F49).reduced_form() == reference.reduced_form()
@@ -291,6 +421,9 @@ def test_tacnode_rows_refuse_a_germ_off_the_pattern():
                   (p1 * p1 + U * V, p1),         # G2 not a multiple of p1^2
                   (p1 * p1 + U ** 3, p1)):       # G3 not divisible by p1
         assert not _germ_rows(1, g, gp)[1]
+        assert _germ_rows(1, g, gp) == _germ_rows(
+            1, g, gp, route=element_tacnode_rows,
+            chart_curve=element_chart_curve)
 
 
 def test_a_changed_cubic_coefficient_fails_the_classical_check(monkeypatch):

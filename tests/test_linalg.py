@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from stablelimit import (ZZ, DualNumbers, LinearSystem, PrimeField,
-                         QuadraticField, RingMismatchError, ZMod, eliminate,
-                         rank, rowspace_equal, solve_affine)
+from stablelimit import (ZZ, DualNumbers, LinearSystem, MPoly, PrimeField,
+                         QuadraticField, RingMismatchError, VarRegistry, ZMod,
+                         eliminate, rank, rowspace_equal, solve_affine)
 from stablelimit.linalg import _row_echelon, outside_span
 from stablelimit.linser import series_dimension, split_sections_vanishing
 from stablelimit.rings import NonUnitError
@@ -427,6 +427,19 @@ def test_a_system_refuses_a_plain_int_entry():
                          F7)
     with pytest.raises(RingMismatchError, match="matrix"):
         LinearSystem(["x", "y"], [[F49.one(), 1]], [one], F7)
+
+
+def test_a_system_refuses_a_polynomial_entry():
+    # a polynomial over the system's ring has its ring but is no element:
+    # it is refused when the system is built, in the matrix or on the
+    # right-hand side, before any elimination
+    x = MPoly.variable(VarRegistry(("x", "y")), F7, "x")
+    one = F7.one()
+    for rows, rhs in (([[x]], [F7.zero()]), ([[one, x]], [one]),
+                      ([[one]], [x])):
+        with pytest.raises(RingMismatchError, match="expected a ring element"):
+            LinearSystem([f"a{j}" for j in range(len(rows[0]))], rows, rhs,
+                         F7)
 
 
 def test_entries_of_an_equal_ring_are_accepted():

@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import itertools
 import operator
 import pathlib
 import random
@@ -486,6 +487,32 @@ def test_graded_parts_reassemble_random():
         assert acc == p
 
 
+@pytest.mark.parametrize("ring", [ZZ, Z343, F7, F49],
+                         ids=["ZZ", "Z/343", "GF(7)", "GF(49)"])
+def test_dehomogenize_matches_substitution_on_random_polynomials(ring):
+    # terms of any degrees, so that monomials collide once the dropped
+    # variables are 1; less the polynomial in one set of kept variables,
+    # so that in that set all of them cancel.  Every set of kept
+    # variables, from all four down to none, against the substitution.
+    rng = random.Random(37)
+    one = MPoly.constant(AB, ring.one())
+    collided = cancelled = 0
+    for _ in range(40):
+        p = rand_poly(AB, ring, rng, max_terms=12, max_exp=4)
+        p = p - p.substitute({n: one for n in AB.names[rng.randrange(5):]})
+        for mask in itertools.product((False, True), repeat=len(AB)):
+            kept = [n for n, k in zip(AB.names, mask) if k]
+            reference = p.substitute({n: one for n in AB.names
+                                      if n not in kept})
+            result = p.dehomogenize(kept)
+            assert result == reference
+            moved = {tuple(e * k for e, k in zip(exps, mask))
+                     for exps in p.terms}
+            collided += len(moved) < len(p.terms)
+            cancelled += len(result.terms) < len(moved)
+    assert collided and cancelled
+
+
 def test_translate_examples():
     reg = VarRegistry(("x",))
     p = parse_poly("x^2", reg, F7)
@@ -540,6 +567,19 @@ def test_a_plain_int_coefficient_is_refused(call):
     # an int has no ring: Element._check refuses it, as the operators do
     x = MPoly.variable(VarRegistry(("x",)), F7, "x")
     with pytest.raises(RingMismatchError, match="expected a ring element"):
+        call(x)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda x: x.substitute({"x": 3}), "x"),
+    (lambda x: x.pullback_order({"x": 3}), "x"),
+    (lambda x: x.substitute({"x": x, "y": 3}), "y")],
+    ids=["substitute", "pullback_order", "second-binding"])
+def test_a_plain_int_binding_is_refused(call, name):
+    # an int is no polynomial: the refusal names the binding
+    x = MPoly.variable(VarRegistry(("x", "y")), F7, "x")
+    with pytest.raises(RingMismatchError, match=f"binding for '{name}': "
+                                                f"expected a polynomial"):
         call(x)
 
 

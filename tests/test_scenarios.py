@@ -221,6 +221,75 @@ def test_root_codes_match_evaluation_at_every_element(ring):
     assert any(found) and not all(found)
 
 
+def reference_horner(ring, coeffs, x):
+    """Code of the sum of coeffs[k] * x**k, coefficients low degree first,
+    at one point: Horner's rule on the field tables, as each root scan
+    once called it per point."""
+    times_x, sub, neg = ring.mul[x], ring.sub, ring.sub[0]
+    acc = 0
+    for c in reversed(coeffs):
+        acc = sub[times_x[acc]][neg[c]]
+    return acc
+
+
+@pytest.mark.parametrize("ring", [PrimeField(7), F49], ids=["GF7", "GF49"])
+def test_the_root_loop_matches_per_point_horner(ring):
+    # the zero vector (empty or not), every constant, and random vectors
+    # of degree up to 12, some with a chosen root, each on a random set of
+    # candidates in a random order
+    rng = random.Random(23)
+    q = len(ring.mul)
+    vectors = [[], [0], [0] * 4, *([c] for c in range(q))]
+    for _ in range(300):
+        coeffs = [rng.randrange(q) for _ in range(rng.randrange(13))]
+        if coeffs and rng.random() < 0.5:
+            # times (x - r): the vector of x * coeffs - r * coeffs
+            minus_r = ring.sub[0][rng.randrange(q)]
+            coeffs = [ring.add[a][ring.mul[minus_r][b]]
+                      for a, b in zip([0, *coeffs], [*coeffs, 0])]
+        vectors.append(coeffs)
+    found = []
+    for coeffs in vectors:
+        candidates = rng.sample(range(q), rng.randrange(q + 1))
+        found.append(scenarios._roots(ring, coeffs, candidates))
+        assert found[-1] == [x for x in candidates
+                             if reference_horner(ring, coeffs, x) == 0]
+    assert any(found) and not all(found)
+
+
+def reference_singular_points():
+    """``scenarios.rational_singular_points`` with per-point Horner: for
+    each first coordinate of the cover, the germ and its two partials at
+    every second coordinate."""
+    union = scenarios.union_product(F49)
+    elements = F49._elements
+    found = set()
+    for chart, firsts, seconds in scenarios.SCAN_COVER:
+        u, v = cgdata.CHARTS[chart]
+        iu, iv = cgdata.AB.index[u], cgdata.AB.index[v]
+        germ = scenarios.chart_germ(union, chart).poly
+        grids = []
+        for p in (germ, germ.partial_derivative(u),
+                  germ.partial_derivative(v)):
+            # one column per power of v, by the power of u
+            size = 1 + max(max(exps) for exps in p.terms)
+            grid = [[0] * size for _ in range(size)]
+            for exps, c in p.terms.items():
+                grid[exps[iv]][exps[iu]] = c.payload
+            grids.append(grid)
+        for a, b in product(firsts, seconds):
+            if all(reference_horner(F49, [reference_horner(F49, column, a)
+                                          for column in grid], b) == 0
+                   for grid in grids):
+                found.add(scenarios._projective_label(
+                    chart, elements[a], elements[b]))
+    return found
+
+
+def test_the_scan_matches_per_point_horner():
+    assert scenarios.rational_singular_points() == reference_singular_points()
+
+
 # ----------------------------------------------------------------------
 # the diagonal parametrization
 
