@@ -1,23 +1,32 @@
+"""``python -m stablelimit`` and the ``stablelimit`` script: one command
+in one process, which then ends with ``os._exit`` and no interpreter
+teardown.
+
+Teardown would free every module dict and cache one object at a time,
+for nothing: the process ends anyway.  Skipping it loses nothing because
+the package registers no ``atexit`` handler and starts no thread, an
+``--out`` file is closed by its ``with`` before ``cli.main`` returns, and
+stdout and stderr are flushed here first.
+"""
+
 import gc
 import os
 import sys
 
 
-def main() -> int:
-    """``python -m stablelimit`` and the ``stablelimit`` script: the command
-    line with the cyclic collector off; returns the exit code."""
+def main() -> None:
+    """Run the command line with the cyclic collector off and end the
+    process with its exit code; never returns."""
     gc.disable()    # the process ends after one run: its cycles die with it
     from .cli import main as cli_main
     code = cli_main()
-    try:
-        sys.stdout.flush()
-    except OSError:
-        # cli has reported the failed write, whose bytes stay buffered;
-        # shutdown's own flush then writes them nowhere, not failing again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    gc.freeze()     # interpreter shutdown then skips every object still alive
-    return code
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:     # cli has reported the failed write
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    main()

@@ -389,19 +389,6 @@ def published_substitution_map() -> Mapping[str, MPoly]:
     return MappingProxyType(maps)
 
 
-def _linear_codes(p: MPoly) -> dict[int, int]:
-    """The code of each nonzero coefficient of a homogeneous linear form
-    over the main unknowns, keyed by the unknown's column: the position
-    of the one exponent of its term.  Any other polynomial raises
-    ``ArithmeticError``."""
-    codes = {}
-    for exps, c in p.terms.items():
-        if sum(exps) != 1:
-            raise ArithmeticError("expected a homogeneous linear form")
-        codes[exps.index(1)] = c.payload
-    return codes
-
-
 @lru_cache(maxsize=None)
 def essential_coefficients() -> Mapping[str, tuple[tuple[int, int], ...]]:
     """Each main unknown's nonzero coefficients on the 19 essentials, as
@@ -413,7 +400,7 @@ def essential_coefficients() -> Mapping[str, tuple[tuple[int, int], ...]]:
     table = {v: ((k, 1),) for k, v in enumerate(cgdata.ESSENTIAL_UNKNOWNS)}
     for name, p in published_substitution_map().items():
         table[name] = tuple(sorted((position[column], c) for column, c
-                                   in _linear_codes(p).items()))
+                                   in p.linear_payloads().items()))
     return MappingProxyType(table)
 
 
@@ -438,8 +425,8 @@ def rows_from_texts(texts) -> list[list[Element]]:
     rows = []
     for text in texts:
         row = [elements[0]] * len(_MAIN_REG)
-        for column, c in _linear_codes(cgdata.parsed(text, _MAIN_REG,
-                                                     F49)).items():
+        for column, c in cgdata.parsed(text, _MAIN_REG,
+                                       F49).linear_payloads().items():
             row[column] = elements[c]
         rows.append(row)
     return rows

@@ -38,9 +38,10 @@ exponent fields out of each packed monomial, with no product.
 ``evaluate``, and ``terms``.  ``terms`` is a read-only mapping from
 exponent tuples to ``Element``s, decoded once, on first read, and kept
 with the polynomial; like any dict it raises ``TypeError`` for an
-unhashable key.  Polynomials are immutable: the mapping has no setters
-and attributes cannot be assigned, so an ``lru_cache``d polynomial can be
-shared safely.
+unhashable key.  ``linear_payloads`` reads a linear form's coefficient
+payloads by variable position straight off the packed monomials.
+Polynomials are immutable: the mapping has no setters and attributes
+cannot be assigned, so an ``lru_cache``d polynomial can be shared safely.
 
 The grammar accepted by ``parse_poly`` is deliberately tiny::
 
@@ -465,6 +466,19 @@ class MPoly(Frozen):
         return {name for name, shift in zip(self.registry.names,
                                             self.registry._shifts)
                 if (union >> shift) & _MASK}
+
+    def linear_payloads(self) -> dict[int, int]:
+        """{variable position: coefficient payload} of a homogeneous linear
+        form, read off the packed monomials; ``ArithmeticError`` for any
+        other polynomial."""
+        top = self.registry._degree_shift
+        payloads = {}
+        for e, c in self._terms.items():
+            if e >> top != 1:
+                raise ArithmeticError("expected a homogeneous linear form")
+            # degree 1: one exponent field is 1, the highest bit below top
+            payloads[((e ^ 1 << top).bit_length() - 1) // _FIELD_BITS] = c
+        return payloads
 
     # ------------------------------------------------------------------
     # calculus and restriction

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import stablelimit
-from stablelimit import cli, scenarios
+from stablelimit import cli, report, scenarios
 from stablelimit.cli import main, read_argv
 from stablelimit.scenarios import SCENARIOS
 
@@ -344,6 +344,33 @@ def test_a_cold_run_writes_the_golden_report_to_its_out_file(tmp_path):
     text = re.sub(r'"millis": [-+.0-9e]+', '"millis": 0.0',
                   target.read_text(encoding="utf-8"))
     assert text == GOLDEN_REPORT.read_text(encoding="utf-8")
+
+
+def test_a_cold_text_run_into_a_pipe_prints_the_whole_report_and_exits_1():
+    # the entry point ends with os._exit, which flushes nothing: the
+    # buffered report must be out before it
+    proc = _python("-m", "stablelimit", "run", "--format", "text")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    expected = report.render_text(scenarios.run_many(None),
+                                  stablelimit.__version__)
+    assert proc.stdout == expected + "\n"
+    assert proc.stdout.endswith("\n17/18 passed (9 flagged)\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["run", "--format", "text"], 1), (["run", "--scenario", "gamma"], 0),
+    (["run", "--scenario", "no-such-id"], 2),
+], ids=["full-run", "one-scenario", "unknown-id"])
+def test_the_console_script_path_matches_the_module_path(argv, code):
+    # the ``stablelimit`` script of pyproject.toml calls
+    # sys.exit(stablelimit.__main__.main()), as below
+    script = _python("-c", "import sys; from stablelimit.__main__ import "
+                     f"main; sys.argv[1:] = {argv!r}; sys.exit(main())")
+    module = _python("-m", "stablelimit", *argv)
+    assert module.returncode == code, module.stderr
+    assert (script.returncode, script.stdout, script.stderr) == \
+        (module.returncode, module.stdout, module.stderr)
 
 
 def test_a_full_run_leaves_the_committed_statements_unexecuted():

@@ -513,6 +513,38 @@ def test_dehomogenize_matches_substitution_on_random_polynomials(ring):
     assert collided and cancelled
 
 
+@pytest.mark.parametrize("ring", [F7, F49, Z343],
+                         ids=["GF(7)", "GF(49)", "Z/343"])
+def test_linear_payloads_match_the_decoded_terms(ring):
+    # seeded homogeneous linear forms over the 40 main unknowns and over
+    # four variables, read off the packed monomials and off the decoded
+    # exponent tuples; every position is hit, the last one included
+    rng = random.Random(41)
+    for registry in (VarRegistry(cgdata.MAIN_UNKNOWNS), XYZT):
+        n = len(registry)
+        assert MPoly.zero(registry, ring).linear_payloads() == {}
+        seen = set()
+        for _ in range(60):
+            terms = {}
+            for i in rng.sample(range(n), rng.randrange(1, n + 1)):
+                exps = [0] * n
+                exps[i] = 1
+                terms[tuple(exps)] = ring.random_element(rng)
+            p = MPoly(registry, ring, terms)
+            payloads = p.linear_payloads()
+            assert payloads == {exps.index(1): c.payload
+                                for exps, c in p.terms.items()}
+            seen |= payloads.keys()
+        assert seen == set(range(n))
+
+
+@pytest.mark.parametrize("text", ["3", "x*y", "x+2*y+z^2"],
+                         ids=["constant", "degree-2", "mixed-degree"])
+def test_linear_payloads_refuse_what_is_not_a_linear_form(text):
+    with pytest.raises(ArithmeticError, match="homogeneous linear form"):
+        parse_poly(text, XYZT, F49).linear_payloads()
+
+
 def test_translate_examples():
     reg = VarRegistry(("x",))
     p = parse_poly("x^2", reg, F7)

@@ -3,11 +3,13 @@
 A line tracer (``sys.settrace``; coverage is not a dependency), set before
 the package is imported, follows one cold ``python -m stablelimit run
 --format json`` as ``runpy`` runs it, entry point included, with its
-report caught in memory, and then ``render_text`` of a second, warm
-``run_many``, since the cold run renders JSON only.  Statements are AST statements outside ``cli.py``, with
-docstrings left out; one counts as executed when its first line ran.
-Each statement is charged to its scope ``module:qualname``: the innermost
-function or class around it, or ``module:<module>`` at the top level.
+report caught in memory and ``os._exit`` raising ``SystemExit`` in its
+place, and then ``render_text`` of a second, warm ``run_many``, since the
+cold run renders JSON only.  Statements are AST statements outside
+``cli.py``, with docstrings left out; one counts as executed when its
+first line ran.  Each statement is charged to its scope
+``module:qualname``: the innermost function or class around it, or
+``module:<module>`` at the top level.
 
     PYTHONPATH=src python tests/unexecuted.py          # table per module
     PYTHONPATH=src python tests/unexecuted.py --json   # {scope: count}
@@ -45,8 +47,12 @@ def _trace_full_run() -> dict[str, set[int]]:
         ran.setdefault(name, set()).add(frame.f_lineno)
         return lines
 
-    argv = sys.argv
+    def raise_exit(code):
+        raise SystemExit(code)
+
+    argv, os_exit = sys.argv, os._exit
     sys.argv = ["stablelimit", "run", "--format", "json"]
+    os._exit = raise_exit       # the entry point ends its process with it
     sys.settrace(calls)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -55,7 +61,7 @@ def _trace_full_run() -> dict[str, set[int]]:
         if exit_.code != 1:     # the lattice scenario fails on purpose
             raise
     finally:
-        sys.argv = argv
+        sys.argv, os._exit = argv, os_exit
     from stablelimit import __version__, report, scenarios
     report.render_text(scenarios.run_many(None), __version__)
     sys.settrace(None)
