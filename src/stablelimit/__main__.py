@@ -20,7 +20,7 @@ def main() -> None:
     gc.disable()    # the process ends after one run: its cycles die with it
     from .cli import main as cli_main
     code = cli_main()
-    for stream in (sys.stdout, sys.stderr):
+    for stream in filter(None, (sys.stdout, sys.stderr)):   # None: closed
         try:
             stream.flush()
         except OSError:     # cli has reported the failed write

@@ -104,6 +104,8 @@ def main(argv=None) -> int:
         if out:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(payload + "\n")
+        elif sys.stdout is None:    # the process started with it closed
+            raise OSError("stdout is closed")
         else:
             print(payload, flush=True)
     except OSError as exc:

@@ -26,9 +26,11 @@ GOLDEN_REPORT = Path(__file__).resolve().parent.parent / "bench" \
 SRC = Path(stablelimit.__file__).resolve().parent.parent
 
 
-def _python(*args, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def _python(*args, stdout=subprocess.PIPE,
+            **run) -> subprocess.CompletedProcess:
     """A fresh interpreter, with ``-O`` when this one has it, importing
-    the package under test, its stdout buffered as a user's is."""
+    the package under test, its stdout buffered as a user's is; ``run``
+    goes on to ``subprocess.run``."""
     flags = ["-O"] if sys.flags.optimize else []
     path = os.pathsep.join(filter(None, (str(SRC),
                                          os.environ.get("PYTHONPATH"))))
@@ -36,7 +38,7 @@ def _python(*args, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([sys.executable, *flags, *args], env=env,
                           stdout=stdout, stderr=subprocess.PIPE, text=True,
-                          timeout=600)
+                          timeout=600, **run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,6 +335,27 @@ def test_a_cold_run_into_a_full_device_reports_it_and_exits_2(argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith("cannot write report: ")
     assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--format", "json"], ["run", "--scenario", "gamma"], ["list"],
+    ["--help"],
+], ids=["full-report", "one-scenario", "list", "help"])
+def test_a_cold_run_with_stdout_closed_reports_it_and_exits_2(argv):
+    # started with fd 1 closed, the process has sys.stdout None, to which
+    # print writes nothing without an error
+    proc = _python("-m", "stablelimit", *argv, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == \
+        (2, "cannot write report: stdout is closed\n")
+
+
+def test_a_cold_run_with_stderr_closed_prints_its_report():
+    argv = ("-m", "stablelimit", "run", "--scenario", "gamma")
+    closed = _python(*argv, preexec_fn=lambda: os.close(2))
+    proc = _python(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert (closed.returncode, closed.stdout, closed.stderr) == \
+        (0, proc.stdout, "")
 
 
 def test_a_cold_run_writes_the_golden_report_to_its_out_file(tmp_path):
