@@ -1,19 +1,18 @@
 """Local analysis of plane-curve germs and of curve-to-line projections.
 
-A germ is a polynomial in two chart coordinates, considered at the chart
-origin.  The operations cover exactly what the verification scenarios
-need: multiplicity and tangent cone, node/double-contact classification,
-intersection multiplicity against a parametrized smooth curve, the branch
-locus of a bidegree-(3,3) curve under one of the two rulings of a quadric
-(via the binary-cubic discriminant), and whether a linear form divides a
-binary form: exactly when the form vanishes at the line's root.
+A germ holds a polynomial and two chart variables, at whose origin it is
+taken.  The operations cover exactly what the verification scenarios
+need: multiplicity; ``classify``, which returns a germ's kind, one of
+"smooth", "node", "tacnode_or_degeneration" and "other"; intersection
+multiplicity against a parametrized smooth curve; the branch locus of a
+bidegree-(3,3) curve under one of the two rulings of a quadric (via the
+binary-cubic discriminant); and whether a linear form divides a binary
+form: exactly when the form vanishes at the line's root.
 
 Everything is exact; no floating point, no genericity assumptions.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .poly import MPoly
 from .rings import Element, Frozen
@@ -28,12 +27,11 @@ class DegenerateProjectionError(ValueError):
 
 
 class ChartGerm(Frozen):
-    """A plane-curve germ at the origin of a named chart; immutable."""
+    """A plane-curve germ at the origin of two chart variables; immutable."""
 
-    __slots__ = ("chart_id", "poly", "local_vars")
+    __slots__ = ("poly", "local_vars")
 
-    def __init__(self, chart_id: str, poly: MPoly,
-                 local_vars: tuple[str, str]):
+    def __init__(self, poly: MPoly, local_vars: tuple[str, str]):
         u, v = local_vars
         for name in (u, v):
             if name not in poly.registry:
@@ -41,31 +39,21 @@ class ChartGerm(Frozen):
         extra = poly.variables_used() - set(local_vars)
         if extra:
             raise ValueError(f"germ involves non-chart variables {extra}")
-        _set_chart_id(self, chart_id)
         _set_poly(self, poly)
         _set_local_vars(self, local_vars)
-
-    def _key(self):
-        return self.chart_id, self.poly, self.local_vars
 
     def __eq__(self, other):
         if type(other) is not ChartGerm:
             return NotImplemented
-        return self._key() == other._key()
+        return self.poly == other.poly and self.local_vars == other.local_vars
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.poly, self.local_vars))
 
 
 # filled through the slot descriptors, which bypass the guard of ``Frozen``
-_set_chart_id, _set_poly, _set_local_vars = (
+_set_poly, _set_local_vars = (
     getattr(ChartGerm, name).__set__ for name in ChartGerm.__slots__)
-
-
-class SingularityVerdict(NamedTuple):
-    multiplicity: int
-    tangent_cone: MPoly
-    kind: str  # "smooth" | "node" | "tacnode_or_degeneration" | "other"
 
 
 def multiplicity_at(germ: ChartGerm) -> int:
@@ -74,10 +62,6 @@ def multiplicity_at(germ: ChartGerm) -> int:
         raise ZeroGermError("multiplicity of the zero germ is undefined")
     idx = [germ.poly.registry.index[n] for n in germ.local_vars]
     return min(e[idx[0]] + e[idx[1]] for e in germ.poly.terms)
-
-
-def tangent_cone(germ: ChartGerm) -> MPoly:
-    return germ.poly.graded_part(multiplicity_at(germ), germ.local_vars)
 
 
 def line_root(line: MPoly, u: str, v: str) -> tuple[Element, Element]:
@@ -101,40 +85,34 @@ def divides(line: MPoly, form: MPoly, u: str, v: str) -> bool:
     return form.evaluate(dict(zip((u, v), root))).is_zero()
 
 
-def classify(germ: ChartGerm) -> SingularityVerdict:
-    """Classify a germ of multiplicity at most 2.
+def classify(germ: ChartGerm) -> str:
+    """The kind of a germ, as one of four strings.
 
-    Multiplicity 1 is smooth.  At multiplicity 2 the tangent cone decides:
-    two distinct lines give a node; a double line l^2 whose cubic part is
-    divisible by l gives a double contact point (tacnode or a degeneration
-    of one), since completing the square removes every degree-3 term.
-    Anything else is reported as "other".
+    Multiplicity 1 is "smooth".  At multiplicity 2 the degree-2 part
+    decides: two distinct lines give a "node"; a double line l^2 whose
+    cubic part is divisible by l gives a double contact point, a tacnode or
+    a degeneration of one ("tacnode_or_degeneration"), since completing the
+    square removes every degree-3 term.  Anything else is "other".
     """
     ring = germ.poly.ring
     if ring.characteristic() == 2:
         raise ValueError("classification unsupported in characteristic 2")
     mult = multiplicity_at(germ)
-    cone = tangent_cone(germ)
-    if mult == 0:
-        return SingularityVerdict(0, cone, "other")  # unit germ: not on curve
     if mult == 1:
-        return SingularityVerdict(1, cone, "smooth")
-    if mult > 2:
-        return SingularityVerdict(mult, cone, "other")
+        return "smooth"
+    if mult != 2:
+        return "other"
     u, v = germ.local_vars
-    a, b, c = (cone.coefficient(m) for m in ({u: 2}, {u: 1, v: 1}, {v: 2}))
-    four = ring.from_int(4)
-    disc = b * b - four * a * c
+    a, b, c = map(germ.poly.coefficient, ({u: 2}, {u: 1, v: 1}, {v: 2}))
+    disc = b * b - ring.from_int(4) * a * c
     if not disc.is_zero():
-        return SingularityVerdict(2, cone, "node")
-    # cone = unit * line^2 for the line 2a u + b v, or v when a = 0 (then
-    # b = 0 as well)
-    U, V = (MPoly.variable(cone.registry, ring, n) for n in (u, v))
+        return "node"
+    # the degree-2 part is a unit times line^2 for the line 2a u + b v, or
+    # v when a = 0 (then b = 0 as well)
+    U, V = (MPoly.variable(germ.poly.registry, ring, n) for n in (u, v))
     line = V if a.is_zero() else U.scale(ring.from_int(2) * a) + V.scale(b)
-    cubic = germ.poly.graded_part(3, germ.local_vars)
-    if divides(line, cubic, u, v):
-        return SingularityVerdict(2, cone, "tacnode_or_degeneration")
-    return SingularityVerdict(2, cone, "other")
+    cubic = germ.poly.graded_part(3, (u, v))
+    return "tacnode_or_degeneration" if divides(line, cubic, u, v) else "other"
 
 
 def intersection_multiplicity(germ: ChartGerm,
@@ -184,8 +162,7 @@ def infinitely_near_multiplicity(germ: ChartGerm,
     proper, removed = strip_monomial_content(total, (wname,))
     if removed[wname] != m:
         raise ArithmeticError("blowup did not divide by the multiplicity")
-    return multiplicity_at(ChartGerm(germ.chart_id + "'", proper,
-                                     germ.local_vars))
+    return multiplicity_at(ChartGerm(proper, germ.local_vars))
 
 
 _CUBIC = 3

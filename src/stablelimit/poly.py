@@ -77,8 +77,8 @@ from itertools import islice
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .rings import (Element, Frozen, IntegerRing, NonUnitError,
-                    QuadraticField, Ring, RingMismatchError, ZMod, _power)
+from .rings import (Element, Frozen, IntegerRing, QuadraticField, Ring,
+                    RingMismatchError, ZMod, _power)
 
 _FIELD_BITS = 16                      # one unsigned 16-bit field per variable
 MAX_DEGREE = (1 << _FIELD_BITS) - 1   # bound on the total degree of a term
@@ -722,30 +722,18 @@ def _init(p: MPoly, registry: VarRegistry, ring: Ring, coeffs: _Coeffs,
 
 
 def unit_match(p: MPoly, target: MPoly) -> Element | None:
-    """The unit u with p = u * target, fixed from one stored term of the
-    target and then verified everywhere; None if no unit works.  A unit
-    that works is unique, so any term whose coefficient is a unit fixes
-    it: over a field the first one does.  A zero target matches nothing,
-    not even a zero ``p``.  Raises ``NonUnitError`` when no coefficient of
-    the target is a unit (over ZZ and Z/p^k)."""
-    error = None
+    """The unit u with p = u * target over a field, fixed from the first
+    stored term of the target and then verified everywhere; None if no
+    unit works.  A zero target matches nothing, not even a zero ``p``.
+    Raises ``ValueError`` when the target's ring is no field."""
+    if not target.ring.is_field():
+        raise ValueError(f"unit matching needs a field, not {target.ring!r}")
     for e, c in target._terms.items():
-        try:
-            inverse = target._coeffs.wrap(c).inverse()
-        except NonUnitError as exc:
-            error = exc
-            continue
         cp = p._terms.get(e)
         if cp is None:
             return None
-        u = p._coeffs.wrap(cp) * inverse
-        try:
-            u.inverse()
-        except NonUnitError:
-            return None     # only a non-unit could match
+        u = p._coeffs.wrap(cp) * target._coeffs.wrap(c).inverse()
         return u if (target.scale(u) - p).is_zero() else None
-    if error is not None:
-        raise error
     return None
 
 

@@ -55,10 +55,10 @@ class VerificationReport:
         self.provenance[key] = tag
 
     def check(self, key: str, computed, expected, tag: str = "published") -> bool:
-        """Record a computed/expected pair; a mismatch fails the report."""
+        """Record computed vs expected; unequal values or types fail it."""
         self.record(key, computed, tag, expected)
         computed, expected = self.computed[key], self.expected[key]
-        ok = computed == expected
+        ok = computed == expected and _same_types(computed, expected)
         if not ok:
             self.status = "fail"
             self.notes.append(f"mismatch at {key}: computed "
@@ -107,6 +107,15 @@ def _plain(value):
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     return str(value)
+
+
+def _same_types(a, b) -> bool:
+    """Whether equal ``_plain`` values have the same types throughout."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return all(_same_types(v, b[k]) for k, v in a.items())
+    return type(a) is not list or all(map(_same_types, a, b))
 
 
 def render_json(reports, version: str) -> str:

@@ -114,8 +114,8 @@ def delta_restrict(g: MPoly) -> MPoly:
 @lru_cache(maxsize=None)
 def chart_germ(g: MPoly, chart: int) -> ChartGerm:
     """The germ of a bidegree form at a chart origin."""
-    return ChartGerm(f"chart{chart}", g.dehomogenize(cgdata.CHARTS[chart]),
-                     cgdata.CHARTS[chart])
+    local_vars = cgdata.CHARTS[chart]
+    return ChartGerm(g.dehomogenize(local_vars), local_vars)
 
 
 def chart_point(chart: int, a: Element, b: Element):
@@ -133,7 +133,7 @@ def translated_germ(g: MPoly, alpha: Element, beta: Element) -> ChartGerm:
     """Germ of g at an affine point of chart 4, moved to the origin."""
     chart4 = cgdata.CHARTS[4]
     moved = g.dehomogenize(chart4).translate({"al": alpha, "be": beta})
-    return ChartGerm("chart4", moved, chart4)
+    return ChartGerm(moved, chart4)
 
 
 _S = VarRegistry(("s",))
@@ -449,14 +449,13 @@ def scenario_singularities() -> VerificationReport:
         rep.require(
             f"chart {chart}: cubic part divisible by the tangent line",
             divides(line, cubic, u, v))
-        verdict = classify(germ)
         rep.check(f"chart {chart}: double-point classification",
-                  verdict.kind, "tacnode_or_degeneration", tag="derived")
+                  classify(germ), "tacnode_or_degeneration", tag="derived")
 
     for k in (1, 2):
         alpha, beta = q_point(k)
-        verdict = classify(translated_germ(union_product(F49), alpha, beta))
-        rep.check(f"union at transverse point {k}", verdict.kind, "node")
+        germ = translated_germ(union_product(F49), alpha, beta)
+        rep.check(f"union at transverse point {k}", classify(germ), "node")
 
     # multiplicity profile of the first curve across the chart origins
     profile = tuple(multiplicity_at(chart_germ(g1, chart))
@@ -1156,9 +1155,9 @@ def run_scenario(scenario_id: str) -> VerificationReport:
 
 
 def run_many(ids=None) -> list[VerificationReport]:
-    """Run each given scenario (default: all) once, in the order first
-    given, and return their reports in canonical order."""
-    ids = list(dict.fromkeys(ids)) if ids else list(SCENARIOS)
+    """Run each given scenario (all of them when ``ids`` is None) once, in
+    the order first given, and return their reports in canonical order."""
+    ids = list(SCENARIOS if ids is None else dict.fromkeys(ids))
     for sid in ids:
         if sid not in SCENARIOS:
             raise KeyError(f"unknown scenario {sid!r}")

@@ -19,7 +19,6 @@ from stablelimit import (ZZ, DualNumbers, MPoly, ParseError, PrimeField,
                          parse_poly)
 from stablelimit import cgdata, poly
 from stablelimit.poly import MAX_DEGREE
-from stablelimit.rings import NonUnitError
 from stablelimit.scenarios import build_quintic, curve_pair
 
 F7 = PrimeField(7)
@@ -425,22 +424,14 @@ def test_unit_match_matches_the_leading_term_reference(ring):
     assert 0 < matched < 200
 
 
-def test_unit_match_over_the_integers_skips_coefficients_that_are_not_units():
+@pytest.mark.parametrize("ring", [ZZ, Z343], ids=["ZZ", "Z/343"])
+def test_unit_match_refuses_a_ring_that_is_no_field(ring):
     reg = VarRegistry(("x", "y"))
-
-    def match(p, target, ring=ZZ):
-        return poly.unit_match(parse_poly(p, reg, ring),
-                               parse_poly(target, reg, ring))
-
-    # the constant term of the target is stored first, and 2 is no unit
-    assert match("-2-x", "2+x") == ZZ.from_int(-1)
-    assert match("2-x", "2+x") is None
-    with pytest.raises(NonUnitError):
-        match("-2-4*x", "2+4*x")
-    # a multiple of the target by a non-unit is no unit match
-    assert match("-4-2*x", "2+x") is None
-    assert match("7*x+7*y", "x+y", Z343) is None
-    assert match("8*x+8*y", "x+y", Z343) == Z343.from_int(8)
+    # refused where a unit would match, and for a zero target too
+    for p, target in (("-2-x", "2+x"), ("8*x+8*y", "x+y"), ("0", "0")):
+        with pytest.raises(ValueError, match="needs a field"):
+            poly.unit_match(parse_poly(p, reg, ring),
+                            parse_poly(target, reg, ring))
 
 
 # ----------------------------------------------------------------------

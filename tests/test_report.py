@@ -67,3 +67,19 @@ def test_record_keeps_a_value_without_deciding():
         with pytest.raises(ValueError, match="provenance tag"):
             record()
     assert "k" not in rep.computed
+
+
+def test_check_fails_equal_values_of_different_types():
+    for computed, expected in ((True, 1), (1, True), (1.0, 1), ([True], [1]),
+                               ({"a": 1}, {"a": True})):
+        rep = report.VerificationReport("r")
+        assert computed == expected
+        assert rep.check("k", computed, expected) is False
+        assert rep.status == "fail"
+        assert rep.notes == [f"mismatch at k: computed {computed!r}, "
+                             f"expected {expected!r}"]
+    rep = report.VerificationReport("r")
+    for value in (True, 1, 1.0, "a", None, ("x", [1, True]),
+                  {"a": [1.0, {"b": False}]}):
+        assert rep.check(repr(value), value, value) is True
+    assert rep.status == "pass" and not rep.notes

@@ -84,6 +84,12 @@ def test_run_many_order_is_canonical():
         ["expansion", "lattice", "gamma"]
 
 
+def test_an_empty_selection_runs_no_scenario():
+    # only None selects every scenario
+    assert scenarios.run_many([]) == []
+    assert scenarios.run_many(()) == []
+
+
 def strip_millis(payload: str) -> str:
     doc = json.loads(payload)
     for scenario in doc["scenarios"]:
@@ -397,18 +403,15 @@ _POINT = ((F49.one(), F49.zero()), (F49.i(), F49.one()))
 
 @pytest.mark.parametrize("make", [
     # the record, not the cached helper: chart_germ returns one germ
-    lambda: ChartGerm("chart1",
-                      scenarios.curve_pair(F49)[0].dehomogenize(
-                          cgdata.CHARTS[1]),
-                      cgdata.CHARTS[1]),
-    lambda: classify(scenarios.chart_germ(scenarios.curve_pair(F49)[0], 1)),
+    lambda: ChartGerm(scenarios.curve_pair(F49)[0].dehomogenize(
+        cgdata.CHARTS[1]), cgdata.CHARTS[1]),
     lambda: PassThrough(_POINT),
     lambda: TangentDirection(_POINT, (F49.one(), F49.i())),
     lambda: quadric_lattice().cls({"h1": 1, "h2": -2}),
     lambda: double_cover_stats(quadric_lattice().cls({}),
                                quadric_lattice().cls({}),
                                quadric_lattice().canonical)],
-    ids=["ChartGerm", "SingularityVerdict", "PassThrough",
+    ids=["ChartGerm", "PassThrough",
          "TangentDirection", "DivisorClass", "DoubleCoverStats"])
 def test_frozen_records_are_values(make):
     a, b = make(), make()
@@ -491,7 +494,7 @@ def _uv(text, ring=F49):
 
 
 def _node():
-    return ChartGerm("c", _uv("u*v+u^3"), ("u", "v"))
+    return ChartGerm(_uv("u*v+u^3"), ("u", "v"))
 
 
 def _system(rows, rhs):
@@ -502,13 +505,13 @@ def _system(rows, rhs):
 
 # every validation raise that a full run and the other tests never reach
 @pytest.mark.parametrize("error, call", [
-    pytest.param(KeyError, lambda: ChartGerm("c", _uv("u"), ("u", "z")),
+    pytest.param(KeyError, lambda: ChartGerm(_uv("u"), ("u", "z")),
                  id="ChartGerm-variable-outside-the-registry"),
     pytest.param(ValueError, lambda: ChartGerm(
-        "c", parse_poly("u+w", _UVW, F49), ("u", "v")),
+        parse_poly("u+w", _UVW, F49), ("u", "v")),
                  id="ChartGerm-non-chart-variable"),
     pytest.param(ValueError, lambda: classify(
-        ChartGerm("c", _uv("u*v", PrimeField(2)), ("u", "v"))),
+        ChartGerm(_uv("u*v", PrimeField(2)), ("u", "v"))),
                  id="classify-characteristic-2"),
     pytest.param(ValueError, lambda: intersection_multiplicity(
         _node(), (_uv("u"), _uv("v"))),
